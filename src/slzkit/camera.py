@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIntrinsicsError
+from .io import read_key_values
 
 DEFAULT_CANONICAL_FOCAL = 1000.0
 
@@ -109,22 +110,8 @@ def read_intrinsics(path):
     One ``key=value`` per line with keys fx, fy, cx, cy and optional f_c;
     ``#`` starts a comment. Returns ``(CameraIntrinsics, f_c or None)``.
     """
-    values = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in ("fx", "fy", "cx", "cy", "f_c"):
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = float(val.strip())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad float {val.strip()!r}") from None
+    values = read_key_values(path, {"fx": float, "fy": float, "cx": float, "cy": float,
+                                    "f_c": lambda text: CanonicalSpec(float(text)).f_c})
     missing = [k for k in ("fx", "fy", "cx", "cy") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")

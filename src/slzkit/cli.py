@@ -49,19 +49,10 @@ _CASTS = {"T": int, "k": int, "dilate": int, "seed": int, "hidden": int, "base":
 
 
 def _load_config(path):
+    """Typed values of a --config file; unknown keys and bad values are errors."""
     if path is None:
         return {}
-    out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+    return slzio.read_key_values(path, {key: _CASTS.get(key, float) for key in DEFAULTS})
 
 
 def _resolve(args, key):
@@ -69,11 +60,7 @@ def _resolve(args, key):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    config = _load_config(getattr(args, "config", None))
-    cast = _CASTS.get(key, float)
-    if key in config:
-        return cast(config[key])
-    return DEFAULTS[key]
+    return args.config_values.get(key, DEFAULTS[key])
 
 
 def _read_depth(path):
@@ -83,15 +70,24 @@ def _read_depth(path):
     return d.astype(np.float64)
 
 
-def _read_normals_arg(args, depth, intr):
-    if getattr(args, "derive_normals", False):
-        return geometry.normals_from_depth(depth, intr)
-    if getattr(args, "normals", None) is None:
+def _read_frame(args):
+    """Intrinsics, depth, mask (--mask or binarized --logits) and normals of a frame."""
+    intr, _ = camera.read_intrinsics(args.intrinsics)
+    depth = _read_depth(args.depth)
+    if getattr(args, "logits", None) is not None:
+        mask = slz.binarize(slzio.read_raster(args.logits))
+    else:
+        mask = slzio.read_mask(args.mask)
+    if mask.shape != depth.shape:
+        raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
+    if args.derive_normals:
+        return intr, depth, mask, geometry.normals_from_depth(depth, intr)
+    if args.normals is None:
         raise ValueError("either --normals or --derive-normals is required")
     n = slzio.read_raster(args.normals)
     if n.ndim != 3 or n.shape[2] != 3:
         raise ShapeMismatchError(f"{args.normals}: normals must be 3-channel, got shape {n.shape}")
-    return n.astype(np.float64)
+    return intr, depth, mask, n.astype(np.float64)
 
 
 def _csv_out(rows):
@@ -101,44 +97,25 @@ def _csv_out(rows):
 
 
 def cmd_area(args):
-    intr, _ = camera.read_intrinsics(args.intrinsics)
-    depth = _read_depth(args.depth)
-    mask = slzio.read_mask(args.mask)
-    if mask.shape != depth.shape:
-        raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
-    normals = _read_normals_arg(args, depth, intr)
-    n_z_min = _resolve(args, "n_z_min")
-
-    regions = slz.connected_components(mask)
+    intr, depth, mask, normals = _read_frame(args)
+    stats = slz.region_stats(mask, depth, normals, intr, n_z_min=_resolve(args, "n_z_min"))
+    sel = np.arange(len(stats.area))
     if args.region_id is not None:
-        regions = [r for r in regions if r.region_id == args.region_id]
-        if not regions:
+        if not 1 <= args.region_id <= len(sel):
             raise ValueError(f"no safe region with id {args.region_id}")
-    rows = [("region", "pixels", "excluded", "area_m2")]
-    total = geometry.AreaReport(0.0, 0, 0)
-    for region in regions:
-        rep = geometry.region_area(region.pixels, depth, normals, intr, n_z_min=n_z_min)
-        rows.append((region.region_id, rep.pixel_count, rep.excluded_count,
-                     f"{rep.total_area:.9g}"))
-        total = geometry.AreaReport(total.total_area + rep.total_area,
-                                    total.pixel_count + rep.pixel_count,
-                                    total.excluded_count + rep.excluded_count)
-    rows.append(("total", total.pixel_count, total.excluded_count, f"{total.total_area:.9g}"))
-    _csv_out(rows)
+        sel = sel[args.region_id - 1:args.region_id]
+    area, pixels, excluded = stats.area[sel], stats.pixel_count[sel], stats.excluded_count[sel]
+    # the total adds the region rows left to right in id order
+    total = float(np.cumsum(area)[-1]) if len(area) else 0.0
+    _csv_out([("region", "pixels", "excluded", "area_m2"),
+              *zip((sel + 1).tolist(), pixels.tolist(), excluded.tolist(),
+                   (f"{a:.9g}" for a in area.tolist())),
+              ("total", int(pixels.sum()), int(excluded.sum()), f"{total:.9g}")])
     return 0
 
 
 def cmd_candidates(args):
-    intr, _ = camera.read_intrinsics(args.intrinsics)
-    depth = _read_depth(args.depth)
-    if args.logits is not None:
-        logits = slzio.read_raster(args.logits)
-        mask = slz.binarize(logits)
-    else:
-        mask = slzio.read_mask(args.mask)
-    if mask.shape != depth.shape:
-        raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
-    normals = _read_normals_arg(args, depth, intr)
+    intr, depth, mask, normals = _read_frame(args)
     radius = _resolve(args, "dilate")
     if radius:
         mask = slz.dilate_unsafe(mask, radius)
@@ -466,6 +443,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        args.config_values = _load_config(args.config)
         return args.func(args)
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,6 +155,21 @@ def _region_to_mask(region, shape):
     raise ShapeMismatchError("region must be a boolean mask or an (N, 2) array of (row, col)")
 
 
+def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+    """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
+    valid and |n_z| >= n_z_min (``included``), 0 elsewhere."""
+    d = np.asarray(depth, dtype=np.float64)
+    n = np.asarray(normals, dtype=np.float64)
+    if d.ndim != 2:
+        raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
+    if n.shape != d.shape + (3,):
+        raise ShapeMismatchError(f"normals shape {n.shape} incompatible with depth {d.shape}")
+    nz = np.abs(n[..., 2])
+    included = valid_depth_mask(d) & (nz >= n_z_min)
+    areas = np.divide(d * d, intr.fx * intr.fy * nz, out=np.zeros_like(d), where=included)
+    return areas, included
+
+
 def region_area(region, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """Sum per-pixel tilt-corrected areas over a pixel region.
 
@@ -165,21 +180,11 @@ def region_area(region, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_
     deterministic across runs; area identities are therefore asserted to
     1e-6 relative rather than bitwise.
     """
-    d = np.asarray(depth, dtype=np.float64)
-    n = np.asarray(normals, dtype=np.float64)
-    if d.ndim != 2:
-        raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
-    if n.shape != d.shape + (3,):
-        raise ShapeMismatchError(f"normals shape {n.shape} incompatible with depth {d.shape}")
-    mask = _region_to_mask(region, d.shape)
-
-    nz = np.abs(n[..., 2])
-    included = mask & valid_depth_mask(d) & (nz >= n_z_min)
+    areas, included = pixel_areas(depth, normals, intr, n_z_min)
+    mask = _region_to_mask(region, areas.shape)
+    included &= mask
     region_count = int(mask.sum())
     pixel_count = int(included.sum())
-
-    areas = np.zeros_like(d)
-    areas[included] = d[included] ** 2 / (intr.fx * intr.fy * nz[included])
     total = float(areas[included].sum())
     return AreaReport(total_area=total, pixel_count=pixel_count,
                       excluded_count=region_count - pixel_count)

@@ -176,6 +176,30 @@ def read_raster_dir(dirpath, required=()):
     return entries
 
 
+def read_key_values(path, casts):
+    """Parse a text file of ``key=value`` lines into ``{key: casts[key](value)}``.
+
+    ``#`` starts a comment. A line without ``=``, a key not in ``casts`` or
+    a value its cast rejects raises ``ValueError`` naming the file and line.
+    """
+    out = {}
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, val = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            if key not in casts:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                out[key] = casts[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    return out
+
+
 def read_weight_bundle(path):
     """Load a refinement weight bundle directory (see slzkit.refinement)."""
     from . import refinement

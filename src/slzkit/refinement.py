@@ -283,17 +283,15 @@ def _write_meta(path, mapping):
             fh.write(f"{key}={val}\n")
 
 
-def _read_meta(path):
+def _read_meta(dirpath, key):
+    """The integer `key` of a directory's meta.txt."""
+    path = os.path.join(dirpath, "meta.txt")
     if not os.path.exists(path):
         raise slzio.MissingEntryError(f"{path}: missing")
-    out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
-    return out
+    meta = slzio.read_key_values(path, {key: int})
+    if key not in meta:
+        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid {key}")
+    return meta[key]
 
 
 def save_weights(weights: RefinementWeights, dirpath):
@@ -316,11 +314,7 @@ def save_weights(weights: RefinementWeights, dirpath):
 
 def load_weights(dirpath) -> RefinementWeights:
     """Load a weight bundle; raises MissingEntryError naming absent keys."""
-    meta = _read_meta(os.path.join(dirpath, "meta.txt"))
-    try:
-        hc = int(meta["hidden_channels"])
-    except (KeyError, ValueError):
-        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid hidden_channels") from None
+    hc = _read_meta(dirpath, "hidden_channels")
     entries = slzio.read_raster_dir(dirpath, required=required_entry_names())
 
     def kernel(name, cin, cout):
@@ -373,11 +367,7 @@ def save_state(state: RefinementState, dirpath):
 
 
 def load_state(dirpath) -> RefinementState:
-    meta = _read_meta(os.path.join(dirpath, "meta.txt"))
-    try:
-        t = int(meta["t"])
-    except (KeyError, ValueError):
-        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid t") from None
+    t = _read_meta(dirpath, "t")
     entries = slzio.read_raster_dir(dirpath, required=_STATE_ENTRIES)
     for name in ("hidden_quarter", "hidden_seventh", "hidden_fourteenth", "slz_hidden"):
         if entries[name].ndim == 2:  # single hidden channel reads back 2-D

@@ -129,3 +129,11 @@ def test_intrinsics_file_errors(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_intrinsics(path)
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+def test_intrinsics_file_rejects_bad_fc(tmp_path, value):
+    path = tmp_path / "cam.txt"
+    path.write_text(f"fx=100\nfy=110\nf_c={value}\ncx=50\ncy=40\n")
+    with pytest.raises(ValueError, match=r"cam.txt:3: bad value for f_c: f_c must be finite and > 0"):
+        read_intrinsics(path)

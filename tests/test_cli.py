@@ -358,3 +358,103 @@ def test_console_script_smoke():
                            "--dncl", "1"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "loss=0.71"
+
+
+def _speckle_scene(tmp_path, size, seed=0):
+    """Speckled safe mask (many regions) over a noisy depth with some exclusions."""
+    rng = np.random.default_rng(seed)
+    mask = (rng.uniform(size=size) < 0.5).astype(np.uint8)
+    depth = rng.uniform(2.0, 9.0, size).astype(np.float32)
+    depth[rng.uniform(size=size) < 0.03] = 0.0
+    normals = rng.normal(size=size + (3,)).astype(np.float32)
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    normals[..., 2] = -np.abs(normals[..., 2])
+    write_intrinsics(tmp_path / "intr.txt", INTR)
+    sio.write_mask(mask, tmp_path / "mask.pgm")
+    sio.write_raster(depth, tmp_path / "depth.f32r")
+    sio.write_raster(normals, tmp_path / "normals.f32r")
+    return mask, depth.astype(np.float64), normals.astype(np.float64)
+
+
+def _area_argv(tmp_path, *extra):
+    return ["area", "--depth", str(tmp_path / "depth.f32r"), "--mask", str(tmp_path / "mask.pgm"),
+            "--normals", str(tmp_path / "normals.f32r"),
+            "--intrinsics", str(tmp_path / "intr.txt"), *extra]
+
+
+def test_area_region_rows_add_up_to_total(capsys, tmp_path):
+    mask, _, _ = _speckle_scene(tmp_path, (64, 64))
+    code, out, _ = run_cli(capsys, *_area_argv(tmp_path))
+    assert code == 0
+    rows = parse_csv(out)
+    body, total = rows[1:-1], rows[-1]
+    assert len(body) > 100
+    assert [int(r[0]) for r in body] == list(range(1, len(body) + 1))
+    assert sum(int(r[1]) for r in body) == int(total[1])
+    assert sum(int(r[2]) for r in body) == int(total[2])
+    assert int(total[1]) + int(total[2]) == int((mask == 0).sum())
+    assert sum(float(r[3]) for r in body) == pytest.approx(float(total[3]), rel=1e-6)
+
+
+def test_area_region_id_selects_one_row(capsys, tmp_path):
+    _speckle_scene(tmp_path, (64, 64))
+    _, out, _ = run_cli(capsys, *_area_argv(tmp_path))
+    rows = parse_csv(out)
+    code, out, _ = run_cli(capsys, *_area_argv(tmp_path, "--region-id", "7"))
+    assert code == 0
+    assert parse_csv(out) == [rows[0], rows[7], ["total", *rows[7][1:]]]
+
+
+@pytest.mark.parametrize("region_id", ["0", "-1", "100000"])
+def test_area_missing_region_id_exits_2(capsys, tmp_path, region_id):
+    _speckle_scene(tmp_path, (64, 64))
+    code, out, err = run_cli(capsys, *_area_argv(tmp_path, "--region-id", region_id))
+    assert code == 2
+    assert out == ""
+    assert f"no safe region with id {region_id}" in err
+
+
+def test_area_speckle_720p_totals(capsys, tmp_path):
+    # tens of thousands of regions: guards against per-region full-frame work
+    mask, depth, normals = _speckle_scene(tmp_path, (720, 1280), seed=1)
+    code, out, _ = run_cli(capsys, *_area_argv(tmp_path))
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) - 2 > 30000
+    nz = np.abs(normals[..., 2])
+    included = (mask == 0) & (depth > 0) & (nz >= 0.1)
+    want = (depth[included] ** 2 / (INTR.fx * INTR.fy * nz[included])).sum()
+    assert int(rows[-1][1]) == int(included.sum())
+    assert int(rows[-1][2]) == int((mask == 0).sum() - included.sum())
+    assert float(rows[-1][3]) == pytest.approx(want, rel=1e-6)
+
+
+def test_config_unknown_key_exits_2(capsys, tmp_path):
+    (tmp_path / "cfg.txt").write_text("# weights\nlambda1=0.3\nlamda1=5\n")
+    code, out, err = run_cli(capsys, "loss", "combined", "--vnl", "1", "--seq", "1",
+                             "--dncl", "1", "--config", str(tmp_path / "cfg.txt"))
+    assert code == 2
+    assert out == ""
+    assert f"{tmp_path / 'cfg.txt'}:3: unknown key 'lamda1'" in err
+
+
+@pytest.mark.parametrize("text,line", [("k=2\nk=two\n", 2), ("gamma 0.5\n", 1)])
+def test_config_malformed_line_exits_2(capsys, tmp_path, text, line):
+    _three_blob_fixture(tmp_path)
+    (tmp_path / "cfg.txt").write_text(text)
+    code, _, err = run_cli(capsys, "candidates",
+                           "--depth", str(tmp_path / "depth.f32r"),
+                           "--mask", str(tmp_path / "mask.pgm"),
+                           "--normals", str(tmp_path / "normals.f32r"),
+                           "--intrinsics", str(tmp_path / "intr.txt"),
+                           "--config", str(tmp_path / "cfg.txt"))
+    assert code == 2
+    assert f"cfg.txt:{line}:" in err
+
+
+def test_intrinsics_bad_fc_exits_2(capsys, flat_scene):
+    (flat_scene / "intr.txt").write_text("fx=100\nfy=100\ncx=31.5\ncy=31.5\nf_c=-5\n")
+    code, out, err = run_cli(capsys, *_area_argv(flat_scene))
+    assert code == 2
+    assert out == ""
+    assert "intr.txt:5: bad value for f_c: f_c must be finite and > 0" in err

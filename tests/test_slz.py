@@ -4,7 +4,7 @@ import pytest
 import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import ShapeMismatchError
-from slzkit.geometry import normals_from_depth
+from slzkit.geometry import normals_from_depth, region_area
 from slzkit.slz import binarize, connected_components, dilate_unsafe, top_k_candidates
 
 INTR = CameraIntrinsics(100, 100, 10, 10)
@@ -66,6 +66,57 @@ def test_components_ids_are_row_major_first_pixel_order():
     firsts = [tuple(r.pixels[0]) for r in regions]
     assert firsts == [(0, 3), (2, 2), (4, 0)]
     assert [r.region_id for r in regions] == [1, 2, 3]
+
+
+def _random_frame(seed, unsafe_fraction, size=64):
+    """Seeded mask, depth and normals with invalid-depth and steep-normal pixels."""
+    rng = np.random.default_rng(seed)
+    mask = (rng.uniform(size=(size, size)) < unsafe_fraction).astype(np.uint8)
+    depth = rng.uniform(1.0, 30.0, (size, size))
+    depth[rng.uniform(size=(size, size)) < 0.05] = 0.0
+    depth[rng.uniform(size=(size, size)) < 0.02] = np.nan
+    normals = rng.normal(size=(size, size, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    normals[..., 2] = -np.abs(normals[..., 2])
+    return mask, depth, normals
+
+
+# from sparse unsafe pixels (a few large regions) to speckle (hundreds)
+MASK_CASES = [(seed, fraction) for fraction in (0.02, 0.3, 0.45, 0.55, 0.7)
+              for seed in range(3)]
+
+
+@pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
+def test_components_match_flood_fill_oracle_on_random_masks(seed, unsafe_fraction):
+    mask, _, _ = _random_frame(seed, unsafe_fraction)
+    regions = connected_components(mask)
+    ref = oracles.flood_fill_components(mask)
+    assert [r.region_id for r in regions] == list(range(1, len(ref) + 1))
+    for region, ref_pixels in zip(regions, ref):
+        assert [tuple(p) for p in region.pixels] == ref_pixels
+        rows, cols = zip(*ref_pixels)
+        assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
+
+
+@pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
+def test_candidates_match_region_area_per_oracle_component(seed, unsafe_fraction):
+    mask, depth, normals = _random_frame(seed, unsafe_fraction)
+    ref = oracles.flood_fill_components(mask)
+    if unsafe_fraction >= 0.45:
+        assert len(ref) > 100
+    cands = top_k_candidates(mask, depth, normals, INTR, k=len(ref) + 1)
+    assert sorted(c.region_id for c in cands) == list(range(1, len(ref) + 1))
+    assert [c.region_id for c in cands] == [
+        c.region_id for c in sorted(cands, key=lambda c: (-c.area.total_area, c.region_id))]
+    for c in cands:
+        ref_pixels = ref[c.region_id - 1]
+        want = region_area(np.array(ref_pixels), depth, normals, INTR)
+        assert [tuple(p) for p in c.pixels] == ref_pixels
+        rows, cols = zip(*ref_pixels)
+        assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
+        assert c.area.pixel_count == want.pixel_count
+        assert c.area.excluded_count == want.excluded_count
+        assert c.area.total_area == pytest.approx(want.total_area, rel=1e-6)
 
 
 def test_top_k_fewer_components_than_k():
