@@ -39,12 +39,6 @@ class CameraIntrinsics:
         if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidIntrinsicsError(f"cx/cy must be finite, got ({self.cx}, {self.cy})")
 
-    def to_matrix(self):
-        """3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class CanonicalSpec:

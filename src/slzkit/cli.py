@@ -18,7 +18,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import ndimage
 
 from . import camera, geometry, losses, metrics, refinement, slz, synth
 from . import io as slzio
@@ -160,6 +159,8 @@ def cmd_evaluate(args):
 
 
 def _bilinear_x4(raster):
+    from scipy import ndimage
+
     arr = np.asarray(raster, dtype=np.float64)
     zoom = (4, 4) if arr.ndim == 2 else (4, 4, 1)
     return ndimage.zoom(arr, zoom, order=1, grid_mode=True, mode="nearest")

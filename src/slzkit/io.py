@@ -140,12 +140,17 @@ def read_mask(path):
     return (gray >= 128).astype(np.uint8)
 
 
+def _is_binary(arr):
+    """True when every value of the array is 0 or 1; much cheaper than np.isin."""
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 def write_mask(mask, path):
     """Write a {0, 1} mask as P5 PGM (0 -> 0, 1 -> 255)."""
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    if not _is_binary(arr):
         raise ValueError("mask values must be 0 (safe) or 1 (unsafe)")
     height, width = arr.shape
     with open(path, "wb") as fh:
@@ -176,39 +181,46 @@ def read_raster_dir(dirpath, required=()):
     return entries
 
 
-def read_key_values(path, casts):
-    """Parse a text file of ``key=value`` lines into ``{key: casts[key](value)}``.
+def read_sections(path, casts):
+    """Parse ``[name]`` blocks of ``key=value`` lines into ``[(name, {key: value}), ...]``.
 
-    ``#`` starts a comment. A line without ``=``, a key not in ``casts`` or
-    a value its cast rejects raises ``ValueError`` naming the file and line.
+    ``casts`` maps each known section name to ``{key: cast}``; the name ``""``
+    holds the keys allowed before the first ``[name]`` line, and its block
+    comes first in the result when present. Section names are
+    case-insensitive and ``#`` starts a comment. A line that is neither, an
+    unknown section or key, or a value its cast rejects raises ``ValueError``
+    naming the file and line.
     """
-    out = {}
+    sections = [("", {})]
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            if line.startswith("[") and line.endswith("]"):
+                name = line[1:-1].strip().lower()
+                if not name or name not in casts:
+                    raise ValueError(f"{path}:{lineno}: unknown section [{name}]")
+                sections.append((name, {}))
+                continue
             key, sep, val = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            if key not in casts:
+            name, values = sections[-1]
+            if name not in casts:
+                raise ValueError(f"{path}:{lineno}: expected a [section] before {key!r}")
+            if key not in casts[name]:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = casts[key](val)
+                values[key] = casts[name][key](val)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-    return out
+    return sections if "" in casts else sections[1:]
 
 
-def read_weight_bundle(path):
-    """Load a refinement weight bundle directory (see slzkit.refinement)."""
-    from . import refinement
+def read_key_values(path, casts):
+    """Parse a text file of ``key=value`` lines into ``{key: casts[key](value)}``.
 
-    return refinement.load_weights(path)
-
-
-def write_weight_bundle(weights, path):
-    """Serialize refinement weights as a bundle directory."""
-    from . import refinement
-
-    refinement.save_weights(weights, path)
+    Errors are those of :func:`read_sections`; a ``[name]`` line is one.
+    """
+    return read_sections(path, {"": casts})[0][1]

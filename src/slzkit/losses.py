@@ -21,6 +21,7 @@ import numpy as np
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
 from .geometry import _normal_pipeline, backproject_grid
+from .io import _is_binary
 
 _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
@@ -257,7 +258,7 @@ def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.
     if len(logit_seq) == 0:
         raise DegenerateInputError("empty logit sequence")
     lab = np.asarray(labels)
-    if lab.ndim != 2 or not np.isin(lab, (0, 1)).all():
+    if lab.ndim != 2 or not _is_binary(lab):
         raise ShapeMismatchError("labels must be a 2-D mask of 0/1 values")
     v = _as_valid_mask(valid, lab.shape)
     n = int(v.sum())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError
+from .io import _is_binary
 
 _CLASS_NAMES = ("safe", "unsafe")
 
@@ -65,7 +66,7 @@ def confusion(pred, gt, ignore=None):
     g = np.asarray(gt)
     if p.shape != g.shape or p.ndim != 2:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    if not (np.isin(p, (0, 1)).all() and np.isin(g, (0, 1)).all()):
+    if not (_is_binary(p) and _is_binary(g)):
         raise ValueError("masks must contain only 0/1 values")
     keep = np.ones(p.shape, dtype=bool)
     if ignore is not None:

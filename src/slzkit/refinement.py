@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from . import io as slzio
 from .errors import ProtocolError, ShapeMismatchError
@@ -126,6 +125,8 @@ def conv_gru_step(w: ConvGruWeights, h, x):
     if h.shape[2] + x.shape[2] != w.wz.shape[2]:
         raise ShapeMismatchError(
             f"gate kernels expect {w.wz.shape[2]} channels, got {h.shape[2]}+{x.shape[2]}")
+    from scipy.special import expit
+
     hx = np.concatenate([h, x], axis=-1)
     z = expit(conv2d(hx, w.wz, w.bz))
     r = expit(conv2d(hx, w.wr, w.br))

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
 from .geometry import DEFAULT_NZ_MIN, AreaReport, pixel_areas
+from .io import _is_binary
 
 SAFE = 0
 UNSAFE = 1
@@ -61,7 +61,7 @@ def _check_mask(mask):
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ShapeMismatchError(f"mask must be 2-D, got shape {m.shape}")
-    if not np.isin(m, (SAFE, UNSAFE)).all():
+    if not _is_binary(m):
         raise ValueError("mask values must be 0 (safe) or 1 (unsafe)")
     return m.astype(np.uint8)
 
@@ -78,6 +78,10 @@ def binarize(logits):
 
 def _label(m):
     """Safe-pixel labels, the label of each region id and each region's bbox."""
+    # scipy is imported where it runs: loading it costs about 0.3 s of startup,
+    # which every CLI command would pay, most of them without using it
+    from scipy import ndimage
+
     labels, count = ndimage.label(m == SAFE, output=np.intp)
     flat = labels.ravel()
     # rank labels by the flat index of their first pixel (row-major discovery)
@@ -148,5 +152,7 @@ def dilate_unsafe(mask, radius):
     m = _check_mask(mask)
     if radius == 0:
         return m.copy()
+    from scipy import ndimage
+
     size = 2 * int(radius) + 1
     return ndimage.maximum_filter(m, size=size, mode="constant", cval=SAFE)

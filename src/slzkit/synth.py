@@ -9,7 +9,8 @@ quantity (depths, normals, per-pixel surface areas) has a closed form.
 
 Scene-spec files are plain text: a [scene] block with resolution,
 intrinsics and the unsafe buffer radius, a [plane] block with a/b/c, and
-zero or more [box] blocks with u0/v0/u1/v1/height.
+zero or more [box] blocks with u0/v0/u1/v1/height. Any other section or
+key is an error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .geometry import ray_grid
+from .io import read_sections
 from .slz import SAFE, UNSAFE, dilate_unsafe
 
 
@@ -176,61 +178,37 @@ def render_scene(scene: Scene) -> SceneRender:
                        exact_area=exact, sidecar=sidecar)
 
 
+_SCENE_KEYS = {
+    "scene": {"width": int, "height": int, "fx": float, "fy": float, "cx": float, "cy": float,
+              "buffer": int},
+    "plane": {"a": float, "b": float, "c": float},
+    "box": {"u0": int, "v0": int, "u1": int, "v1": int, "height": float},
+}
+
+
 def parse_scene(path) -> Scene:
     """Parse a scene-spec file (see module docstring for the format)."""
-    sections = []
-    current = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = (line[1:-1].strip().lower(), {})
-                sections.append(current)
-                continue
-            if current is None or "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected [section] or key=value")
-            key, _, val = line.partition("=")
-            current[1][key.strip()] = val.strip()
+    sections = read_sections(path, _SCENE_KEYS)
+    names = [name for name, _ in sections]
+    for name in ("scene", "plane"):
+        if names.count(name) != 1:
+            raise ValueError(f"{path}: expected one [{name}] section, got {names.count(name)}")
+    scene_kv = sections[names.index("scene")][1]
+    plane_kv = sections[names.index("plane")][1]
 
-    scene_kv = plane_kv = None
-    boxes = []
-    for name, kv in sections:
-        if name == "scene":
-            if scene_kv is not None:
-                raise ValueError(f"{path}: duplicate [scene] section")
-            scene_kv = kv
-        elif name == "plane":
-            if plane_kv is not None:
-                raise ValueError(f"{path}: duplicate [plane] section")
-            plane_kv = kv
-        elif name == "box":
-            boxes.append(kv)
-        else:
-            raise ValueError(f"{path}: unknown section [{name}]")
-    if scene_kv is None or plane_kv is None:
-        raise ValueError(f"{path}: a [scene] and a [plane] section are required")
+    def take(name, kv, *keys):
+        for key in keys:
+            if key not in kv:
+                raise ValueError(f"{path}: [{name}] is missing key {key!r}")
+        return [kv[key] for key in keys]
 
-    def take(kv, key, cast, default=None):
-        if key not in kv:
-            if default is not None:
-                return default
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            return cast(kv[key])
-        except ValueError:
-            raise ValueError(f"{path}: bad value for {key!r}: {kv[key]!r}") from None
-
-    intr = CameraIntrinsics(take(scene_kv, "fx", float), take(scene_kv, "fy", float),
-                            take(scene_kv, "cx", float), take(scene_kv, "cy", float))
+    width, height, *intr = take("scene", scene_kv, "width", "height", "fx", "fy", "cx", "cy")
     return Scene(
-        width=take(scene_kv, "width", int),
-        height=take(scene_kv, "height", int),
-        intr=intr,
-        plane=(take(plane_kv, "a", float), take(plane_kv, "b", float),
-               take(plane_kv, "c", float)),
-        boxes=tuple(Box(take(kv, "u0", int), take(kv, "v0", int), take(kv, "u1", int),
-                        take(kv, "v1", int), take(kv, "height", float)) for kv in boxes),
-        buffer_radius=take(scene_kv, "buffer", int, default=0),
+        width=width,
+        height=height,
+        intr=CameraIntrinsics(*intr),
+        plane=tuple(take("plane", plane_kv, "a", "b", "c")),
+        boxes=tuple(Box(*take("box", kv, "u0", "v0", "u1", "v1", "height"))
+                    for name, kv in sections if name == "box"),
+        buffer_radius=scene_kv.get("buffer", 0),
     )

@@ -1,11 +1,15 @@
 import csv
 import io as std_io
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slzkit
 from slzkit import io as sio
 from slzkit import refinement
 from slzkit.camera import CameraIntrinsics, write_intrinsics
@@ -265,7 +269,8 @@ def test_refine_demo_bad_base_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_loss_perfect_fixtures_are_zero(capsys, tmp_path):
+def _loss_argvs(tmp_path):
+    """argv of each `loss` kind on perfect fixtures (every loss is 0)."""
     write_intrinsics(tmp_path / "intr.txt", INTR)
     depth = np.full((12, 12), 3.0, dtype=np.float32)
     conf = np.full((12, 12), 0.5, dtype=np.float32)
@@ -288,9 +293,13 @@ def test_loss_perfect_fixtures_are_zero(capsys, tmp_path):
         ("slz", ["--logits", "z.f32r", "--labels", "lab.pgm"]),
         ("combined", ["--vnl", "0", "--seq", "0", "--dncl", "0"]),
     ]
-    for kind, extra in checks:
-        argv = ["loss", kind] + [a if a.startswith("--") or not a.endswith((".f32r", ".pgm", ".txt"))
-                                 else str(tmp_path / a) for a in extra]
+    return {kind: ["loss", kind] + [a if a.startswith("--") or not a.endswith((".f32r", ".pgm", ".txt"))
+                                    else str(tmp_path / a) for a in extra]
+            for kind, extra in checks}
+
+
+def test_loss_perfect_fixtures_are_zero(capsys, tmp_path):
+    for kind, argv in _loss_argvs(tmp_path).items():
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, kind
         value = float(out.split("loss=")[1].split()[0])
@@ -458,3 +467,64 @@ def test_intrinsics_bad_fc_exits_2(capsys, flat_scene):
     assert code == 2
     assert out == ""
     assert "intr.txt:5: bad value for f_c: f_c must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("section,line", [("scene", "zoom=7"), ("plane", "bogus=1"),
+                                          ("box", "colour=red")])
+def test_synth_unknown_key_exits_2(capsys, tmp_path, section, line):
+    spec = tmp_path / "scene.txt"
+    spec.write_text("[scene]\nwidth=32\nheight=32\nfx=100\nfy=100\ncx=15.5\ncy=15.5\n"
+                    "[plane]\na=0\nb=0\nc=4\n[box]\nu0=10\nv0=10\nu1=14\nv1=14\nheight=1\n"
+                    .replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    lineno = spec.read_text().splitlines().index(line) + 1
+    code, out, err = run_cli(capsys, "synth", "--spec", str(spec), "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert out == ""
+    assert f"{spec}:{lineno}: unknown key {line.split('=')[0]!r}" in err
+    assert not (tmp_path / "x").exists()
+
+
+# Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
+# scipy modules loaded by the time the command returned.
+_SCIPY_PROBE = """
+import runpy, sys
+sys.argv[0] = "slzkit"
+try:
+    runpy.run_module("slzkit.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports this slzkit."""
+    src = str(Path(slzkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_import_loads_no_scipy():
+    proc = _fresh_python("-c", "import sys, slzkit, slzkit.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["combined", "vnl", "sequential", "dncl", "slz", "evaluate"])
+def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
+    if command == "evaluate":
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            sio.write_mask(np.eye(8, dtype=np.uint8), tmp_path / sub / "a.pgm")
+        argv = ["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
+    else:
+        argv = _loss_argvs(tmp_path)[command]
+    proc = _fresh_python("-c", _SCIPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy modules: []" in proc.stderr

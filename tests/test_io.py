@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -139,11 +140,27 @@ def test_raster_dir_missing_entry(tmp_path):
         sio.read_raster_dir(tmp_path / "bundle", required=("alpha", "gamma"))
 
 
-def test_weight_bundle_wrappers(tmp_path):
-    from slzkit.refinement import init_weights
 
-    weights = init_weights(hidden_channels=4, seed=1)
-    sio.write_weight_bundle(weights, tmp_path / "bundle")
-    back = sio.read_weight_bundle(tmp_path / "bundle")
-    assert np.array_equal(back.gru_slz.wh, weights.gru_slz.wh)
-    assert back.hidden_channels == 4
+SECTION_CASTS = {"scene": {"w": int}, "box": {"u": int, "h": float}}
+
+
+def test_read_sections_keeps_order_and_repeats(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("# spec\n[Scene]\nw = 4\n\n[box]\nu=1\nh=2.5 # top\n[box]\nu=3\n")
+    assert sio.read_sections(path, SECTION_CASTS) == [
+        ("scene", {"w": 4}), ("box", {"u": 1, "h": 2.5}), ("box", {"u": 3})]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("w=4\n[scene]\n", "1: expected a [section] before 'w'"),
+    ("[scene]\nw=4\n[slope]\n", "3: unknown section [slope]"),
+    ("[scene]\nw=4\n[box]\nw=4\n", "4: unknown key 'w'"),
+    ("[scene]\n\nw=4.5\n", "3: bad value for w:"),
+    ("[scene]\nw\n", "2: expected key=value, got 'w'"),
+])
+def test_read_sections_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+        sio.read_sections(path, SECTION_CASTS)
+
