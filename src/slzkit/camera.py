@@ -109,7 +109,10 @@ def read_intrinsics(path):
     missing = [k for k in ("fx", "fy", "cx", "cy") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    intr = CameraIntrinsics(values["fx"], values["fy"], values["cx"], values["cy"])
+    try:
+        intr = CameraIntrinsics(values["fx"], values["fy"], values["cx"], values["cy"])
+    except InvalidIntrinsicsError as exc:
+        raise InvalidIntrinsicsError(f"{path}: {exc}") from None
     return intr, values.get("f_c")
 
 

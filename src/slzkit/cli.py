@@ -205,7 +205,7 @@ def cmd_refine_demo(args):
     labels = np.zeros((side, side), dtype=np.uint8)
     ones = np.ones((side, side))
     w = losses.LossWeights(gamma=gamma, T=len(states) - 1)
-    seq_total, _, _ = losses.sequential_depth_loss_grad(
+    seq_total = losses.sequential_depth_loss(
         [s.depth for s in states], [ones] * len(states), gt_depth, gt_conf, w)
     slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=gamma)
     with open(os.path.join(args.out, "losses.csv"), "w", encoding="ascii", newline="") as fh:
@@ -246,9 +246,9 @@ def cmd_loss_sequential(args):
     gt_c = slzio.read_raster(args.gt_conf).astype(np.float64)
     w = losses.LossWeights(gamma=_resolve(args, "gamma"), T=len(preds) - 1)
     valid = _read_valid(args)
-    total, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, w, valid)
-    _print_loss(total)
+    _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, w, valid))
     if args.grad_check:
+        _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, w, valid)
         err = 0.0
         for i in range(len(preds)):
             def f_d(x, i=i):
@@ -271,9 +271,9 @@ def cmd_loss_dncl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
     depth = _read_depth(args.depth)
     normals = slzio.read_raster(args.normals).astype(np.float64)
-    value, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
-    _print_loss(value)
+    _print_loss(losses.depth_normal_consistency(depth, normals, intr))
     if args.grad_check:
+        _, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
         err = losses.grad_check(
             lambda x: losses.depth_normal_consistency(x, normals, intr), depth, grad)
         print(f"grad_check_max_rel_err={err:.6g}")
@@ -286,9 +286,9 @@ def cmd_loss_slz(args):
     cw = losses.ClassWeights(_resolve(args, "w_safe"), _resolve(args, "w_unsafe"))
     gamma = _resolve(args, "gamma")
     valid = _read_valid(args)
-    total, grads = losses.slz_loss_grad(logit_seq, labels, cw, gamma, valid)
-    _print_loss(total)
+    _print_loss(losses.slz_loss(logit_seq, labels, cw, gamma, valid))
     if args.grad_check:
+        _, grads = losses.slz_loss_grad(logit_seq, labels, cw, gamma, valid)
         err = 0.0
         for i in range(len(logit_seq)):
             def f(x, i=i):

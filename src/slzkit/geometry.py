@@ -53,10 +53,14 @@ def project(p, intr: CameraIntrinsics):
     return x * intr.fx / z + intr.cx, y * intr.fy / z + intr.cy, z
 
 
+def _ray_xy(u, v, intr: CameraIntrinsics):
+    """x and y components of the rays through float pixel coordinates u and v."""
+    return (u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy
+
+
 def ray_grid(height, width, intr: CameraIntrinsics):
     """Per-pixel ray directions ((u-cx)/fx, (v-cy)/fy, 1), shape (H, W, 3)."""
-    xs = (np.arange(width, dtype=np.float64) - intr.cx) / intr.fx
-    ys = (np.arange(height, dtype=np.float64) - intr.cy) / intr.fy
+    xs, ys = _ray_xy(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64), intr)
     rays = np.empty((height, width, 3), dtype=np.float64)
     rays[..., 0] = xs[None, :]
     rays[..., 1] = ys[:, None]
@@ -64,15 +68,12 @@ def ray_grid(height, width, intr: CameraIntrinsics):
     return rays
 
 
-def backproject_grid(depth, intr: CameraIntrinsics):
-    """Backproject a full depth raster; invalid pixels yield garbage points.
-
-    Callers must mask with :func:`slzkit.camera.valid_depth_mask`.
-    """
-    d = np.asarray(depth, dtype=np.float64)
-    if d.ndim != 2:
-        raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
-    return d[..., None] * ray_grid(d.shape[0], d.shape[1], intr)
+def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
+    """Camera-frame points, shape rows.shape + (3,), of the given pixels of a
+    float64 depth raster; invalid depths yield garbage points."""
+    d = depth[rows, cols]
+    xs, ys = _ray_xy(cols.astype(np.float64), rows.astype(np.float64), intr)
+    return np.stack([d * xs, d * ys, d], axis=-1)
 
 
 def _neighbor_valid(valid):
@@ -88,30 +89,54 @@ def _neighbor_valid(valid):
     return vu, vv
 
 
-def _normal_pipeline(depth, intr: CameraIntrinsics):
-    """Forward pass of the depth->normal conversion with intermediates.
+def _cross(a, b):
+    """a x b for vectors given as (x, y, z) planes; the arithmetic of np.cross."""
+    out = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        c = a[i] * b[j]
+        c -= a[j] * b[i]
+        out.append(c)
+    return tuple(out)
 
-    Returns (normals, ok, rays, tu, tv, cross, norm, sign); the extras feed
-    the analytic gradient of the depth-normal consistency loss.
-    """
+
+class _NormalPlanes(NamedTuple):
+    """Forward pass of the depth -> normal conversion, one (H, W) plane per
+    vector component. The extras feed the depth-normal consistency gradient."""
+
+    xs: np.ndarray  # (W,) ray x component of each column
+    ys: np.ndarray  # (H,) ray y component of each row
+    tu: tuple  # tangent along u (columns): x, y, z planes
+    tv: tuple  # tangent along v (rows)
+    cross: tuple  # tu x tv
+    norm: np.ndarray  # |tu x tv|
+    ok: np.ndarray  # pixels with a defined normal
+    sign: np.ndarray  # orientation factor that makes n_z <= 0
+
+
+def _normal_planes(depth, intr: CameraIntrinsics):
     d = np.asarray(depth, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] < 3 or d.shape[1] < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
+    xs, ys = _ray_xy(np.arange(d.shape[1], dtype=np.float64),
+                     np.arange(d.shape[0], dtype=np.float64), intr)
+    tu, tv = [], []
+    for ray in (xs, ys[:, None], 1.0):
+        # points are depth * ray; np.gradient takes central differences /2 in
+        # the interior and one-sided ones at the borders
+        p = d * ray
+        tu.append(np.gradient(p, axis=1))
+        tv.append(np.gradient(p, axis=0))
+    cross = _cross(tu, tv)
+    # summed left to right, as np.linalg.norm reduces a last axis of 3
+    norm = cross[0] * cross[0]
+    norm += cross[1] * cross[1]
+    norm += cross[2] * cross[2]
+    np.sqrt(norm, out=norm)
     valid = valid_depth_mask(d)
-    rays = ray_grid(d.shape[0], d.shape[1], intr)
-    pts = d[..., None] * rays
-    # np.gradient: central differences /2 in the interior, one-sided at borders.
-    tu = np.gradient(pts, axis=1)
-    tv = np.gradient(pts, axis=0)
-    cross = np.cross(tu, tv)
-    norm = np.linalg.norm(cross, axis=-1)
     vu, vv = _neighbor_valid(valid)
     ok = valid & vu & vv & (norm > 0)
-    sign = np.where(cross[..., 2] > 0, -1.0, 1.0)
-    normals = np.zeros_like(pts)
-    nz = norm[ok]
-    normals[ok] = cross[ok] * (sign[ok] / nz)[:, None]
-    return normals, ok, rays, tu, tv, cross, norm, sign
+    sign = np.where(cross[2] > 0, -1.0, 1.0)
+    return _NormalPlanes(xs, ys, tu, tv, cross, norm, ok, sign)
 
 
 def normals_from_depth(depth, intr: CameraIntrinsics):
@@ -122,7 +147,11 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     cross product, oriented so n_z <= 0. Pixels whose stencil touches an
     invalid depth are marked invalid (zero vector).
     """
-    normals, _, _, _, _, _, _, _ = _normal_pipeline(depth, intr)
+    f = _normal_planes(depth, intr)
+    scale = np.divide(f.sign, f.norm, out=np.zeros_like(f.norm), where=f.ok)
+    normals = np.zeros(f.norm.shape + (3,))
+    for k, c in enumerate(f.cross):
+        np.multiply(c, scale, out=normals[..., k], where=f.ok)
     return normals
 
 

@@ -23,7 +23,8 @@ import numpy as np
 # W*H*C*4 above this is rejected as a corrupt header rather than attempted.
 _MAX_PAYLOAD_BYTES = 1 << 33
 
-_HEADER_RE = re.compile(rb"^F32R ([0-9]+) ([0-9]+) ([0-9]+)$")
+# at most 18 digits per dimension: int() of a much longer field is slow or fails
+_HEADER_RE = re.compile(rb"^F32R ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})$")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
@@ -122,6 +123,8 @@ def read_mask(path):
         tok, pos = _pgm_token(data, pos, path)
         if not tok.isdigit():
             raise ParseError(f"{path}: non-numeric header field {tok!r}")
+        if len(tok) > 18:
+            raise DimensionError(f"{path}: header field of {len(tok)} digits")
         fields.append(int(tok))
     width, height, maxval = fields
     if maxval != 255:
@@ -192,29 +195,33 @@ def read_sections(path, casts):
     naming the file and line.
     """
     sections = [("", {})]
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if not name or name not in casts:
-                    raise ValueError(f"{path}:{lineno}: unknown section [{name}]")
-                sections.append((name, {}))
-                continue
-            key, sep, val = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            name, values = sections[-1]
-            if name not in casts:
-                raise ValueError(f"{path}:{lineno}: expected a [section] before {key!r}")
-            if key not in casts[name]:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = casts[name][key](val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not ASCII text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if not name or name not in casts:
+                raise ValueError(f"{path}:{lineno}: unknown section [{name}]")
+            sections.append((name, {}))
+            continue
+        key, sep, val = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        name, values = sections[-1]
+        if name not in casts:
+            raise ValueError(f"{path}:{lineno}: expected a [section] before {key!r}")
+        if key not in casts[name]:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = casts[name][key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return sections if "" in casts else sections[1:]
 
 

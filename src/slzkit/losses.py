@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import _normal_pipeline, backproject_grid
+from .geometry import _backproject_pixels, _cross, _normal_planes
 from .io import _is_binary
 
 _LOG_FLOOR = 1e-12
@@ -69,11 +69,22 @@ def _as_valid_mask(valid, shape):
     return v != 0
 
 
-def _degenerate_triplet(pts):
-    e1 = pts[1] - pts[0]
-    e2 = pts[2] - pts[0]
+def _collinear(pts):
+    """Near-collinear test of (k, 3, 3) point triplets."""
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
     cr = np.cross(e1, e2)
-    return np.linalg.norm(cr) <= _COLLINEAR_TOL * np.linalg.norm(e1) * np.linalg.norm(e2)
+    lhs = np.linalg.norm(cr, axis=1)
+    rhs = _COLLINEAR_TOL * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    out = lhs <= rhs
+    # The norm of one 3-vector runs a BLAS dot, which may fuse multiply-adds and
+    # so round differently from the axis norm above. Decide the triplets within
+    # rounding of the threshold with the one-vector norm, so that the accepted
+    # stream does not depend on the batching.
+    for i in np.flatnonzero(np.abs(lhs - rhs) <= 1e-12 * rhs).tolist():
+        out[i] = (np.linalg.norm(cr[i])
+                  <= _COLLINEAR_TOL * np.linalg.norm(e1[i]) * np.linalg.norm(e2[i]))
+    return out
 
 
 def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
@@ -95,23 +106,27 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     coords = np.argwhere(valid_depth_mask(dp) & valid_depth_mask(dg))
     if coords.shape[0] == 0:
         raise DegenerateInputError("no pixel is valid in both depth rasters")
-    pts_p = backproject_grid(dp, intr)
-    pts_g = backproject_grid(dg, intr)
     rng = np.random.Generator(np.random.Philox(seed))
     limit = 100 * n_samples
-    accepted = []
-    attempts = 0
-    while len(accepted) < n_samples:
+    batches = []
+    accepted = attempts = 0
+    while accepted < n_samples:
         if attempts >= limit:
             raise DegenerateInputError(
                 f"no non-collinear triplet found in {limit} attempts")
-        attempts += 1
-        tri = coords[rng.integers(0, coords.shape[0], size=3)]
-        rows, cols = tri[:, 0], tri[:, 1]
-        if _degenerate_triplet(pts_g[rows, cols]) or _degenerate_triplet(pts_p[rows, cols]):
-            continue
-        accepted.append(tri)
-    return np.asarray(accepted)
+        # One draw of 3k indices is the same stream as k draws of 3, so the
+        # batches replay the one-triplet-at-a-time sequence; they double in
+        # size while rejections leave triplets missing.
+        k = min(limit - attempts, max(n_samples - accepted, attempts))
+        tri = coords[rng.integers(0, coords.shape[0], size=3 * k)].reshape(k, 3, 2)
+        attempts += k
+        rows, cols = tri[..., 0], tri[..., 1]
+        rejected = (_collinear(_backproject_pixels(dg, rows, cols, intr))
+                    | _collinear(_backproject_pixels(dp, rows, cols, intr)))
+        tri = tri[~rejected][:n_samples - accepted]
+        batches.append(tri)
+        accepted += len(tri)
+    return np.concatenate(batches)
 
 
 def _plane_normals(pts):
@@ -128,9 +143,15 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     """
     tri = sample_triplets(d_pred, d_gt, intr, n_samples, seed)
     rows, cols = tri[..., 0], tri[..., 1]
-    n_p = _plane_normals(backproject_grid(np.asarray(d_pred, np.float64), intr)[rows, cols])
-    n_g = _plane_normals(backproject_grid(np.asarray(d_gt, np.float64), intr)[rows, cols])
+    n_p = _plane_normals(_backproject_pixels(np.asarray(d_pred, np.float64), rows, cols, intr))
+    n_g = _plane_normals(_backproject_pixels(np.asarray(d_gt, np.float64), rows, cols, intr))
     return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
+
+
+def _kept(v, n):
+    """Index of the valid pixels in a raveled raster: all of them when every
+    pixel is valid, which skips the boolean gather."""
+    return slice(None) if n == v.size else v.ravel()
 
 
 def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights, valid=None):
@@ -139,12 +160,15 @@ def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights,
     Step t contributes gamma^(T-t) * (mean |D_t - D_gt| + mean |C_t - C_gt|)
     over the valid pixels; t=0 is the initial (pre-refinement) prediction.
     """
-    total, _, _ = sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, weights, valid)
-    return total
+    return _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad=False)[0]
 
 
 def sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights, valid=None):
     """Loss plus analytic gradients w.r.t. each step's depth and confidence."""
+    return _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad=True)
+
+
+def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
     T = weights.T
     if len(d_preds) != T + 1 or len(conf_preds) != T + 1:
         raise ShapeMismatchError(
@@ -157,6 +181,7 @@ def sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, weights: LossWei
     n = int(v.sum())
     if n == 0:
         raise DegenerateInputError("empty valid set")
+    kept = _kept(v, n)
 
     total = 0.0
     grads_d, grads_c = [], []
@@ -168,20 +193,20 @@ def sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, weights: LossWei
         decay = weights.gamma ** (T - t)
         rd = dp - dg
         rc = cp - cg
-        total += decay * (np.abs(rd[v]).mean() + np.abs(rc[v]).mean())
-        gd = np.zeros_like(dp)
-        gc = np.zeros_like(cp)
-        gd[v] = decay * np.sign(rd[v]) / n
-        gc[v] = decay * np.sign(rc[v]) / n
-        grads_d.append(gd)
-        grads_c.append(gc)
+        total += decay * (np.abs(rd.ravel()[kept]).mean() + np.abs(rc.ravel()[kept]).mean())
+        if need_grad:
+            gd = np.zeros_like(dp)
+            gc = np.zeros_like(cp)
+            gd[v] = decay * np.sign(rd[v]) / n
+            gc[v] = decay * np.sign(rc[v]) / n
+            grads_d.append(gd)
+            grads_c.append(gc)
     return float(total), grads_d, grads_c
 
 
 def depth_normal_consistency(d_pred, n_pred, intr: CameraIntrinsics):
     """Mean (1 - cos) disagreement between depth-derived and predicted normals."""
-    loss, _ = depth_normal_consistency_grad(d_pred, n_pred, intr)
-    return loss
+    return _depth_normal_consistency(d_pred, n_pred, intr, need_grad=False)[0]
 
 
 def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
@@ -191,33 +216,13 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
     the difference stencils, and the backprojection rays. The valid-pixel
     set and orientation signs are held fixed (they are locally constant).
     """
-    derived, ok, rays, tu, tv, cross, norm, sign = _normal_pipeline(d_pred, intr)
-    n_in = np.asarray(n_pred, dtype=np.float64)
-    if n_in.shape != derived.shape:
-        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {derived.shape}")
-    m = ok & (np.linalg.norm(n_in, axis=-1) > 1e-6)
-    count = int(m.sum())
-    if count == 0:
-        raise DegenerateInputError("no pixel with both a derived and a predicted normal")
+    return _depth_normal_consistency(d_pred, n_pred, intr, need_grad=True)
 
-    loss = float(np.mean(1.0 - (derived[m] * n_in[m]).sum(axis=-1)))
 
-    # d loss / d cross  at the masked pixels.
-    c = cross[m]
-    nn = norm[m]
-    target = n_in[m]
-    cn = (c * target).sum(axis=-1)
-    g = (target / nn[:, None] - c * (cn / nn**3)[:, None])
-    g *= (sign[m] * (-1.0 / count))[:, None]
-    g_c = np.zeros_like(cross)
-    g_c[m] = g
-
-    # Through the cross product: cross = tu x tv.
-    g_tu = np.cross(tv, g_c)
-    g_tv = np.cross(g_c, tu)
-
-    # Adjoint of the difference stencils (central /2 interior, one-sided borders).
-    g_p = np.zeros_like(g_c)
+def _stencil_adjoint(g_tu, g_tv):
+    """Adjoint of the difference stencils (central /2 interior, one-sided
+    borders) for one component plane."""
+    g_p = np.zeros_like(g_tu)
     g_p[:, 2:] += 0.5 * g_tu[:, 1:-1]
     g_p[:, :-2] -= 0.5 * g_tu[:, 1:-1]
     g_p[:, 1] += g_tu[:, 0]
@@ -230,16 +235,50 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
     g_p[0, :] -= g_tv[0, :]
     g_p[-1, :] += g_tv[-1, :]
     g_p[-2, :] -= g_tv[-1, :]
+    return g_p
 
-    # Points are depth * ray, so d point / d depth = ray.
-    grad_d = (g_p * rays).sum(axis=-1)
+
+def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
+    f = _normal_planes(d_pred, intr)
+    n_in = np.asarray(n_pred, dtype=np.float64)
+    if n_in.shape != f.norm.shape + (3,):
+        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {f.norm.shape + (3,)}")
+    n_planes = [n_in[..., k] for k in range(3)]
+    # sums run left to right over x, y, z, as numpy reduces a last axis of 3
+    m = f.ok & (np.sqrt(n_planes[0] * n_planes[0] + n_planes[1] * n_planes[1]
+                        + n_planes[2] * n_planes[2]) > 1e-6)
+    count = int(m.sum())
+    if count == 0:
+        raise DegenerateInputError("no pixel with both a derived and a predicted normal")
+
+    nn = f.norm[m]
+    scale = f.sign[m] / nn
+    # derived . target with derived = cross * scale, summed left to right
+    terms = ((c[m] * scale) * t[m] for c, t in zip(f.cross, n_planes))
+    dot = next(terms)
+    for term in terms:
+        dot += term
+    loss = float(np.mean(1.0 - dot))
+    if not need_grad:
+        return loss, None
+
+    # d loss / d cross at the masked pixels.
+    c = [p[m] for p in f.cross]
+    target = [p[m] for p in n_planes]
+    cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
+    q = cn / nn**3
+    a = f.sign[m] * (-1.0 / count)
+    g_c = []
+    for ck, tk in zip(c, target):
+        plane = np.zeros_like(f.norm)
+        plane[m] = (tk / nn - ck * q) * a
+        g_c.append(plane)
+
+    # Through the cross product (cross = tu x tv), then the stencils.
+    g_p = [_stencil_adjoint(gu, gv) for gu, gv in zip(_cross(f.tv, g_c), _cross(g_c, f.tu))]
+    # Points are depth * ray, so d point / d depth = ray = (xs, ys, 1).
+    grad_d = g_p[0] * f.xs + g_p[1] * f.ys[:, None] + g_p[2]
     return loss, grad_d
-
-
-def _softmax2(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, valid=None):
@@ -249,12 +288,15 @@ def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, va
     probabilities come from a max-stabilized softmax with the log floored
     at 1e-12 so saturated wrong predictions stay finite.
     """
-    total, _ = slz_loss_grad(logit_seq, labels, cw, gamma, valid)
-    return total
+    return _slz(logit_seq, labels, cw, gamma, valid, need_grad=False)[0]
 
 
 def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, valid=None):
     """Loss plus analytic gradient w.r.t. each step's logits."""
+    return _slz(logit_seq, labels, cw, gamma, valid, need_grad=True)
+
+
+def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     if len(logit_seq) == 0:
         raise DegenerateInputError("empty logit sequence")
     lab = np.asarray(labels)
@@ -264,23 +306,33 @@ def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.
     n = int(v.sum())
     if n == 0:
         raise DegenerateInputError("empty valid set")
+    kept = _kept(v, n)
 
     T = len(logit_seq) - 1
-    w = np.where(lab == 0, cw.w_safe, cw.w_unsafe)
-    onehot = np.stack([lab == 0, lab == 1], axis=-1).astype(np.float64)
+    safe = lab == 0
+    w = np.where(safe, cw.w_safe, cw.w_unsafe)
+    w_kept = w.ravel()[kept]
     total = 0.0
     grads = []
     for t, logits in enumerate(logit_seq):
         z = np.asarray(logits, dtype=np.float64)
         if z.shape != lab.shape + (2,):
             raise ShapeMismatchError(f"step {t}: logits shape {z.shape}, expected {lab.shape + (2,)}")
-        p = _softmax2(z)
-        p_true = np.take_along_axis(p, lab[..., None].astype(np.intp), axis=-1)[..., 0]
+        # two-class softmax, stabilized by the larger logit
+        top = np.maximum(z[..., 0], z[..., 1])
+        e0 = np.exp(z[..., 0] - top)
+        e1 = np.exp(z[..., 1] - top)
+        s = e0 + e1
+        p_true = np.where(safe, e0, e1) / s
         decay = gamma ** (T - t)
-        total += decay * float((w[v] * -np.log(np.maximum(p_true[v], _LOG_FLOOR))).mean())
-        g = (decay / n) * w[..., None] * (p - onehot)
-        g[~v] = 0.0
-        grads.append(g)
+        total += decay * float(
+            (w_kept * -np.log(np.maximum(p_true.ravel()[kept], _LOG_FLOOR))).mean())
+        if need_grad:
+            p = np.stack([e0 / s, e1 / s], axis=-1)
+            onehot = np.stack([safe, ~safe], axis=-1)
+            g = (decay / n) * w[..., None] * (p - onehot)
+            g[~v] = 0.0
+            grads.append(g)
     return float(total), grads
 
 

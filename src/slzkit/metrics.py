@@ -3,8 +3,8 @@
 Per-class ratios with a zero denominator are reported as NaN and left
 out of the class means, so degenerate images (e.g. all-safe ground
 truth) do not bias the averages. Fscore per class is the Dice value
-(2TP / (2TP + FP + FN)); the two are listed separately because reports
-conventionally carry both columns.
+(2TP / (2TP + FP + FN)); reports conventionally carry both columns, so
+``MetricsReport.fscore`` derives the second from ``dice``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,13 @@ class MetricsReport:
     iou: np.ndarray
     acc: np.ndarray
     dice: np.ndarray
-    fscore: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
+
+    @property
+    def fscore(self):
+        """Per-class Fscore (F1), which equals the Dice value."""
+        return self.dice
 
     def _mean(self, values):
         defined = values[~np.isnan(values)]
@@ -112,7 +116,6 @@ def evaluate(cm) -> MetricsReport:
         iou=iou * 100.0,
         acc=recall * 100.0,
         dice=dice * 100.0,
-        fscore=dice * 100.0,
         precision=precision * 100.0,
         recall=recall * 100.0,
     )

@@ -83,14 +83,25 @@ def _label(m):
     from scipy import ndimage
 
     labels, count = ndimage.label(m == SAFE, output=np.intp)
+    width = m.shape[1]
     flat = labels.ravel()
-    # rank labels by the flat index of their first pixel (row-major discovery)
-    first_index = np.full(count + 1, flat.size, dtype=np.int64)
     idx = np.flatnonzero(flat)
-    np.minimum.at(first_index, flat[idx], idx)
+    lab = flat[idx]
+    col = idx % width
+    # per-label extremes of the flat index (first and last row) and of the column
+    first_index = np.full(count + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first_index, lab, idx)
+    last_index = np.zeros(count + 1, dtype=np.int64)
+    np.maximum.at(last_index, lab, idx)
+    min_col = np.full(count + 1, width, dtype=np.int64)
+    np.minimum.at(min_col, lab, col)
+    max_col = np.zeros(count + 1, dtype=np.int64)
+    np.maximum.at(max_col, lab, col)
+    # rank labels by the flat index of their first pixel (row-major discovery)
     label_of = np.argsort(first_index[1:], kind="stable") + 1
-    boxes = [(r.start, c.start, r.stop - 1, c.stop - 1) for r, c in ndimage.find_objects(labels)]
-    return labels, label_of, np.array(boxes, dtype=np.int64).reshape(-1, 4)[label_of - 1]
+    bbox = np.column_stack([first_index, min_col, last_index, max_col])[label_of]
+    bbox[:, 0::2] //= width  # flat index -> row
+    return labels, label_of, bbox
 
 
 def connected_components(mask):

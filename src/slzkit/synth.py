@@ -203,12 +203,12 @@ def parse_scene(path) -> Scene:
         return [kv[key] for key in keys]
 
     width, height, *intr = take("scene", scene_kv, "width", "height", "fx", "fy", "cx", "cy")
-    return Scene(
-        width=width,
-        height=height,
-        intr=CameraIntrinsics(*intr),
-        plane=tuple(take("plane", plane_kv, "a", "b", "c")),
-        boxes=tuple(Box(*take("box", kv, "u0", "v0", "u1", "v1", "height"))
-                    for name, kv in sections if name == "box"),
-        buffer_radius=scene_kv.get("buffer", 0),
-    )
+    plane = tuple(take("plane", plane_kv, "a", "b", "c"))
+    boxes = [take("box", kv, "u0", "v0", "u1", "v1", "height")
+             for name, kv in sections if name == "box"]
+    try:
+        return Scene(width=width, height=height, intr=CameraIntrinsics(*intr), plane=plane,
+                     boxes=tuple(Box(*box) for box in boxes),
+                     buffer_radius=scene_kv.get("buffer", 0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -3,6 +3,12 @@
 Everything here recomputes results through a different code path than
 the package (explicit loops, float64, no shared kernels) so that tests
 compare two independent routes to the same value.
+
+The loss references at the end are earlier package implementations kept
+verbatim: the (H, W, 3) normal pipeline with the depth-normal consistency
+value and gradient, the one-triplet-per-iteration VNL sampler, and the
+slz and sequential loss values. The package computes the same arithmetic
+in another layout, so the tests compare the two bit for bit.
 """
 
 import numpy as np
@@ -161,3 +167,154 @@ def plane_patch_area_ref(height, width, intr, a, b, c):
         shoelace += x0 * y1 - x1 * y0
     projected = abs(shoelace) / 2.0
     return projected * np.sqrt(a * a + b * b + 1.0)
+
+
+# --- bitwise loss references ----------------------------------------------------
+
+_COLLINEAR_TOL = 1e-6
+_LOG_FLOOR = 1e-12
+
+
+def _valid_depth(d):
+    return np.isfinite(d) & (d > 0)
+
+
+def _rays(height, width, intr):
+    xs = (np.arange(width, dtype=np.float64) - intr.cx) / intr.fx
+    ys = (np.arange(height, dtype=np.float64) - intr.cy) / intr.fy
+    rays = np.empty((height, width, 3), dtype=np.float64)
+    rays[..., 0] = xs[None, :]
+    rays[..., 1] = ys[:, None]
+    rays[..., 2] = 1.0
+    return rays
+
+
+def _neighbor_valid(valid):
+    vu = np.empty_like(valid)
+    vu[:, 1:-1] = valid[:, :-2] & valid[:, 2:]
+    vu[:, 0] = valid[:, 0] & valid[:, 1]
+    vu[:, -1] = valid[:, -2] & valid[:, -1]
+    vv = np.empty_like(valid)
+    vv[1:-1, :] = valid[:-2, :] & valid[2:, :]
+    vv[0, :] = valid[0, :] & valid[1, :]
+    vv[-1, :] = valid[-2, :] & valid[-1, :]
+    return vu, vv
+
+
+def normal_pipeline_ref(depth, intr):
+    """(normals, ok, rays, tu, tv, cross, norm, sign) on (H, W, 3) arrays."""
+    d = np.asarray(depth, dtype=np.float64)
+    valid = _valid_depth(d)
+    rays = _rays(d.shape[0], d.shape[1], intr)
+    pts = d[..., None] * rays
+    tu = np.gradient(pts, axis=1)
+    tv = np.gradient(pts, axis=0)
+    cross = np.cross(tu, tv)
+    norm = np.linalg.norm(cross, axis=-1)
+    vu, vv = _neighbor_valid(valid)
+    ok = valid & vu & vv & (norm > 0)
+    sign = np.where(cross[..., 2] > 0, -1.0, 1.0)
+    normals = np.zeros_like(pts)
+    nz = norm[ok]
+    normals[ok] = cross[ok] * (sign[ok] / nz)[:, None]
+    return normals, ok, rays, tu, tv, cross, norm, sign
+
+
+def dncl_grad_ref(d_pred, n_pred, intr):
+    """Depth-normal consistency value and its gradient w.r.t. depth."""
+    derived, ok, rays, tu, tv, cross, norm, sign = normal_pipeline_ref(d_pred, intr)
+    n_in = np.asarray(n_pred, dtype=np.float64)
+    m = ok & (np.linalg.norm(n_in, axis=-1) > 1e-6)
+    count = int(m.sum())
+    loss = float(np.mean(1.0 - (derived[m] * n_in[m]).sum(axis=-1)))
+    c = cross[m]
+    nn = norm[m]
+    target = n_in[m]
+    cn = (c * target).sum(axis=-1)
+    g = (target / nn[:, None] - c * (cn / nn**3)[:, None])
+    g *= (sign[m] * (-1.0 / count))[:, None]
+    g_c = np.zeros_like(cross)
+    g_c[m] = g
+    g_tu = np.cross(tv, g_c)
+    g_tv = np.cross(g_c, tu)
+    g_p = np.zeros_like(g_c)
+    g_p[:, 2:] += 0.5 * g_tu[:, 1:-1]
+    g_p[:, :-2] -= 0.5 * g_tu[:, 1:-1]
+    g_p[:, 1] += g_tu[:, 0]
+    g_p[:, 0] -= g_tu[:, 0]
+    g_p[:, -1] += g_tu[:, -1]
+    g_p[:, -2] -= g_tu[:, -1]
+    g_p[2:, :] += 0.5 * g_tv[1:-1, :]
+    g_p[:-2, :] -= 0.5 * g_tv[1:-1, :]
+    g_p[1, :] += g_tv[0, :]
+    g_p[0, :] -= g_tv[0, :]
+    g_p[-1, :] += g_tv[-1, :]
+    g_p[-2, :] -= g_tv[-1, :]
+    grad_d = (g_p * rays).sum(axis=-1)
+    return loss, grad_d
+
+
+def _degenerate_triplet(pts):
+    e1 = pts[1] - pts[0]
+    e2 = pts[2] - pts[0]
+    cr = np.cross(e1, e2)
+    return np.linalg.norm(cr) <= _COLLINEAR_TOL * np.linalg.norm(e1) * np.linalg.norm(e2)
+
+
+def sample_triplets_ref(d_pred, d_gt, intr, n_samples, seed):
+    """One Philox triplet draw per iteration, rejecting near-collinear ones.
+
+    Raises ValueError when `100 * n_samples` attempts are not enough.
+    """
+    dp = np.asarray(d_pred, dtype=np.float64)
+    dg = np.asarray(d_gt, dtype=np.float64)
+    coords = np.argwhere(_valid_depth(dp) & _valid_depth(dg))
+    rays = _rays(dp.shape[0], dp.shape[1], intr)
+    pts_p = dp[..., None] * rays
+    pts_g = dg[..., None] * rays
+    rng = np.random.Generator(np.random.Philox(seed))
+    limit = 100 * n_samples
+    accepted = []
+    attempts = 0
+    while len(accepted) < n_samples:
+        if attempts >= limit:
+            raise ValueError(f"no non-collinear triplet found in {limit} attempts")
+        attempts += 1
+        tri = coords[rng.integers(0, coords.shape[0], size=3)]
+        rows, cols = tri[:, 0], tri[:, 1]
+        if _degenerate_triplet(pts_g[rows, cols]) or _degenerate_triplet(pts_p[rows, cols]):
+            continue
+        accepted.append(tri)
+    return np.asarray(accepted)
+
+
+def slz_loss_ref(logit_seq, labels, w_safe=2.0, w_unsafe=1.0, gamma=0.9, valid=None):
+    """Decayed weighted cross-entropy through a last-axis softmax."""
+    lab = np.asarray(labels)
+    v = np.ones(lab.shape, bool) if valid is None else np.asarray(valid) != 0
+    T = len(logit_seq) - 1
+    w = np.where(lab == 0, w_safe, w_unsafe)
+    total = 0.0
+    for t, logits in enumerate(logit_seq):
+        z = np.asarray(logits, dtype=np.float64)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        p_true = np.take_along_axis(p, lab[..., None].astype(np.intp), axis=-1)[..., 0]
+        decay = gamma ** (T - t)
+        total += decay * float((w[v] * -np.log(np.maximum(p_true[v], _LOG_FLOOR))).mean())
+    return float(total)
+
+
+def sequential_loss_ref(d_preds, conf_preds, d_gt, c_gt, gamma, valid=None):
+    """Decayed depth + confidence L1 over the valid pixels, T = len - 1."""
+    dg = np.asarray(d_gt, dtype=np.float64)
+    cg = np.asarray(c_gt, dtype=np.float64)
+    v = np.ones(dg.shape, bool) if valid is None else np.asarray(valid) != 0
+    T = len(d_preds) - 1
+    total = 0.0
+    for t in range(T + 1):
+        rd = np.asarray(d_preds[t], dtype=np.float64) - dg
+        rc = np.asarray(conf_preds[t], dtype=np.float64) - cg
+        total += gamma ** (T - t) * (np.abs(rd[v]).mean() + np.abs(rc[v]).mean())
+    return float(total)

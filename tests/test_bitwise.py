@@ -1,0 +1,190 @@
+"""The planar normal kernel, the value-only losses and the batched VNL
+sampler against the earlier implementations kept in oracles.py.
+
+The arithmetic is the same operation for operation, so every comparison
+is on bit patterns (NaN payloads included), with no tolerance.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import oracles
+from slzkit.camera import CameraIntrinsics
+from slzkit.errors import DegenerateInputError
+from slzkit.geometry import normals_from_depth
+from slzkit.losses import (
+    ClassWeights,
+    LossWeights,
+    _collinear,
+    depth_normal_consistency,
+    depth_normal_consistency_grad,
+    sample_triplets,
+    sequential_depth_loss,
+    sequential_depth_loss_grad,
+    slz_loss,
+    slz_loss_grad,
+)
+from slzkit.synth import plane_depth
+
+INTR = CameraIntrinsics(100.0, 110.0, 15.5, 12.25)
+SEEDS = range(12)
+
+
+def same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def depth_case(seed):
+    """A tilted plane with noise, a horizon of invalid rows on odd seeds and
+    scattered invalid pixels (0, negative, NaN, inf)."""
+    rng = np.random.default_rng(seed)
+    height, width = (int(x) for x in rng.integers(3, 33, 2))
+    depth = plane_depth(height, width, INTR, *rng.uniform(-0.3, 0.3, 2), 5.0)
+    depth *= 1.0 + rng.uniform(-0.02, 0.02, depth.shape)
+    if seed % 2:
+        depth[:max(1, height // 4)] = np.nan if seed % 4 == 1 else 0.0
+    holes = rng.uniform(size=depth.shape) < 0.05
+    depth[holes] = rng.choice([0.0, -1.0, np.nan, np.inf], size=int(holes.sum()))
+    return depth
+
+
+def normals_case(rng, shape):
+    normals = rng.normal(size=shape + (3,))
+    normals[rng.uniform(size=shape) < 0.1] = 0.0  # no predicted normal there
+    return normals
+
+
+def valid_case(rng, shape, seed):
+    """None (every pixel) on even seeds, else a partial 0/1 mask."""
+    if seed % 2 == 0:
+        return None
+    valid = (rng.uniform(size=shape) < 0.7).astype(np.uint8)
+    valid.flat[0] = 1
+    return valid
+
+
+@pytest.fixture(autouse=True)
+def _quiet():
+    # invalid depth makes NaN on both sides; the warnings are expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normals_match_aos_pipeline(seed):
+    depth = depth_case(seed)
+    want = oracles.normal_pipeline_ref(depth, INTR)[0]
+    assert same_bits(normals_from_depth(depth, INTR), want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dncl_value_and_gradient_match_aos_pipeline(seed):
+    depth = depth_case(seed)
+    normals = normals_case(np.random.default_rng(100 + seed), depth.shape)
+    want_loss, want_grad = oracles.dncl_grad_ref(depth, normals, INTR)
+    loss, grad = depth_normal_consistency_grad(depth, normals, INTR)
+    assert same_bits(loss, want_loss)
+    assert same_bits(grad, want_grad)
+    assert same_bits(depth_normal_consistency(depth, normals, INTR), want_loss)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slz_value_matches_softmax_reference(seed):
+    rng = np.random.default_rng(200 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 20, 2))
+    labels = (rng.uniform(size=shape) < 0.4).astype(np.uint8)
+    seq = [rng.normal(scale=6.0, size=shape + (2,)) for _ in range(int(rng.integers(1, 5)))]
+    seq[0].flat[:2] = (60.0, -60.0)  # a saturated step hits the log floor
+    valid = valid_case(rng, shape, seed)
+    cw = ClassWeights(2.0, 1.0)
+    want = oracles.slz_loss_ref(seq, labels, cw.w_safe, cw.w_unsafe, 0.9, valid)
+    assert same_bits(slz_loss(seq, labels, cw, 0.9, valid), want)
+    assert same_bits(slz_loss_grad(seq, labels, cw, 0.9, valid)[0], want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sequential_value_matches_gather_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 20, 2))
+    steps = int(rng.integers(1, 5))
+    gt, cgt = 4.0 + rng.normal(size=shape), rng.uniform(size=shape)
+    preds = [gt + rng.normal(size=shape) for _ in range(steps)]
+    confs = [rng.uniform(size=shape) for _ in range(steps)]
+    valid = valid_case(rng, shape, seed)
+    w = LossWeights(T=steps - 1, gamma=0.8)
+    want = oracles.sequential_loss_ref(preds, confs, gt, cgt, 0.8, valid)
+    assert same_bits(sequential_depth_loss(preds, confs, gt, cgt, w, valid), want)
+    assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, w, valid)[0], want)
+
+
+def _triplet_cases():
+    rng = np.random.default_rng(400)
+    cases = []
+    for seed in SEEDS:
+        d_gt = depth_case(seed)
+        d_pred = d_gt * (1.0 + rng.uniform(0.0, 0.1, d_gt.shape))
+        cases.append((f"plane-{seed}", d_pred, d_gt, int(rng.integers(1, 400))))
+    # constant depth on two rows: every triplet within one row is collinear
+    flat = np.full((2, 30), 3.0)
+    cases.append(("two-rows", flat, flat, 150))
+    # nearly collinear: a 3-pixel-high strip with a tiny depth ripple
+    strip = 3.0 + 1e-9 * np.random.default_rng(401).normal(size=(3, 40))
+    cases.append(("ripple-strip", strip, np.full((3, 40), 3.0), 200))
+    return cases
+
+
+TRIPLET_CASES = _triplet_cases()
+
+
+@pytest.mark.parametrize("name,d_pred,d_gt,n_samples", TRIPLET_CASES,
+                         ids=[c[0] for c in TRIPLET_CASES])
+def test_sample_triplets_match_loop_sampler(name, d_pred, d_gt, n_samples):
+    for seed in (0, 1, 12345):
+        want = oracles.sample_triplets_ref(d_pred, d_gt, INTR, n_samples, seed)
+        got = sample_triplets(d_pred, d_gt, INTR, n_samples, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_sample_triplets_attempt_limit_matches_loop_sampler():
+    row = np.full((1, 40), 3.0)  # every triplet collinear
+    with pytest.raises(ValueError, match="in 300 attempts"):
+        oracles.sample_triplets_ref(row, row, INTR, 3, 0)
+    with pytest.raises(DegenerateInputError, match="no non-collinear triplet found in 300 attempts"):
+        sample_triplets(row, row, INTR, 3, 0)
+
+
+# Triplets whose |e1 x e2| lies within rounding of 1e-6 |e1| |e2|. For each
+# of them, on an x86-64 OpenBLAS build, the axis norm and the one-vector norm
+# (a BLAS dot with fused multiply-adds) decide differently: the sampler must
+# follow the one-vector decision of the loop sampler.
+THRESHOLD_EDGES = [
+    (("0x1.f6fb46ac81a2ap-3", "-0x1.715f7d50e2510p-6", "-0x1.94243d3e6c818p+0"),
+     ("0x1.f6fa8c6b644a9p-3", "-0x1.7162b2cbc9afcp-6", "-0x1.942440aeb9178p+0")),
+    (("0x1.7bacdef5a0629p-1", "0x1.dd41cd2505219p-4", "-0x1.d5ac60bd0e145p-3"),
+     ("0x1.7bace79735167p-1", "0x1.dd417443d5e4ap-4", "-0x1.d5ac07ae3f5d6p-3")),
+    (("0x1.bec3a9d33607cp-1", "0x1.b2e6187dce105p-6", "-0x1.254e276adabf1p-6"),
+     ("0x1.bec3aa8f32814p-1", "0x1.b2e5842e7d928p-6", "-0x1.254a89f507d4bp-6")),
+    (("-0x1.2edea35b3f491p-1", "-0x1.f3b59619590a0p-2", "-0x1.61a5d4c19399ap-1"),
+     ("-0x1.2edeb89ef5cc5p-1", "-0x1.f3b55f79fe7a4p-2", "-0x1.61a5d5d729760p-1")),
+    (("0x1.0fd4ac36f053ap-1", "-0x1.ca479e8b72627p-1", "-0x1.307a8f596545ap-3"),
+     ("0x1.0fd4c77924567p-1", "-0x1.ca478c3c6315cp-1", "-0x1.307ac2e41c9aap-3")),
+    (("-0x1.4fb250f66d4dbp-3", "-0x1.baf5656e106a3p-2", "0x1.dbd3272faea98p+0"),
+     ("-0x1.4fb1556da85ecp-3", "-0x1.baf55040d2d82p-2", "0x1.dbd32b30f0c1bp+0")),
+    (("-0x1.fd7b2276b7b01p-6", "0x1.9c2c51c49970bp-1", "0x1.3d0b8e71b7f21p-1"),
+     ("-0x1.fd7f569161c24p-6", "0x1.9c2c5452544d3p-1", "0x1.3d0b896f8622dp-1")),
+    (("0x1.167691102e1e6p+0", "-0x1.46b357b67adf8p-1", "-0x1.b98b29eaa9cb0p-1"),
+     ("0x1.167685f2e43b6p+0", "-0x1.46b385883a93bp-1", "-0x1.b98b240d60840p-1")),
+]
+
+
+def test_collinear_test_matches_loop_sampler_at_the_threshold():
+    edges = np.array([[[float.fromhex(x) for x in e] for e in pair] for pair in THRESHOLD_EDGES])
+    pts = np.concatenate([np.zeros((len(edges), 1, 3)), edges], axis=1)
+    want = [bool(oracles._degenerate_triplet(p)) for p in pts]
+    assert _collinear(pts).tolist() == want

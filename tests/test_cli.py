@@ -306,6 +306,32 @@ def test_loss_perfect_fixtures_are_zero(capsys, tmp_path):
         assert value <= 1e-6, kind
 
 
+@pytest.mark.parametrize("kind,grad_fn", [
+    ("sequential", "sequential_depth_loss_grad"),
+    ("dncl", "depth_normal_consistency_grad"),
+    ("slz", "slz_loss_grad"),
+])
+def test_loss_computes_gradient_only_under_grad_check(capsys, tmp_path, monkeypatch, kind, grad_fn):
+    from slzkit import losses
+
+    calls = []
+    real = getattr(losses, grad_fn)
+
+    def counted(*args, **kwargs):
+        calls.append(grad_fn)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(losses, grad_fn, counted)
+    argv = _loss_argvs(tmp_path)[kind]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("loss=")
+    assert calls == []
+    code, checked, _ = run_cli(capsys, *argv, "--grad-check")
+    assert code == 0
+    assert calls == [grad_fn]
+    assert checked.splitlines()[0] == out.strip()
+
+
 def test_loss_combined_default_weights(capsys):
     code, out, _ = run_cli(capsys, "loss", "combined", "--vnl", "1", "--seq", "1", "--dncl", "1")
     assert code == 0

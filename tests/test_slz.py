@@ -5,7 +5,13 @@ import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import ShapeMismatchError
 from slzkit.geometry import normals_from_depth, region_area
-from slzkit.slz import binarize, connected_components, dilate_unsafe, top_k_candidates
+from slzkit.slz import (
+    binarize,
+    connected_components,
+    dilate_unsafe,
+    region_stats,
+    top_k_candidates,
+)
 
 INTR = CameraIntrinsics(100, 100, 10, 10)
 
@@ -96,6 +102,21 @@ def test_components_match_flood_fill_oracle_on_random_masks(seed, unsafe_fractio
         assert [tuple(p) for p in region.pixels] == ref_pixels
         rows, cols = zip(*ref_pixels)
         assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
+
+
+@pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
+def test_region_bbox_matches_find_objects(seed, unsafe_fraction):
+    from scipy import ndimage
+
+    mask, depth, normals = _random_frame(seed, unsafe_fraction)
+    stats = region_stats(mask, depth, normals, INTR)
+    labels, _ = ndimage.label(mask == 0)
+    boxes = ndimage.find_objects(labels)
+    ref = oracles.flood_fill_components(mask)
+    assert len(stats.bbox) == len(ref)
+    for box, ref_pixels in zip(stats.bbox.tolist(), ref):
+        rows, cols = boxes[labels[ref_pixels[0]] - 1]
+        assert box == [rows.start, cols.start, rows.stop - 1, cols.stop - 1]
 
 
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
