@@ -12,12 +12,12 @@ transforms untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidIntrinsicsError
-from .io import read_key_values
+from .io import read_key_values, write_key_values
 
 DEFAULT_CANONICAL_FOCAL = 1000.0
 
@@ -118,8 +118,7 @@ def read_intrinsics(path):
 
 def write_intrinsics(path, intr: CameraIntrinsics, f_c=None):
     """Write an intrinsics file readable by :func:`read_intrinsics`."""
-    lines = [f"fx={intr.fx!r}", f"fy={intr.fy!r}", f"cx={intr.cx!r}", f"cy={intr.cy!r}"]
+    values = asdict(intr)
     if f_c is not None:
-        lines.append(f"f_c={float(f_c)!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        values["f_c"] = float(f_c)
+    write_key_values(path, values)

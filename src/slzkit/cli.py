@@ -5,15 +5,17 @@ stdout carries machine-parseable CSV / key=value output, stderr carries
 human-readable messages. Exit codes: 0 success, 2 input/parse errors,
 3 shape/consistency errors, 4 numeric degeneracy.
 
-Numeric defaults (overridable by --config file, then flags):
-T=4, gamma=0.9, lambda1/2/3=0.2/0.5/0.01, class weights safe=2 unsafe=1,
-n_z_min=0.1, f_c=1000, k=5, dilation radius 0.
+Each setting in DEFAULTS resolves once per call: flag, else the --config
+file, else the default. The paper's settings are the library's own
+defaults (losses.LossWeights, losses.ClassWeights, geometry.DEFAULT_NZ_MIN);
+``slzkit --help`` lists every default.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -28,15 +30,9 @@ EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
 DEFAULTS = {
-    "T": 4,
-    "gamma": 0.9,
-    "lambda1": 0.2,
-    "lambda2": 0.5,
-    "lambda3": 0.01,
-    "w_safe": 2.0,
-    "w_unsafe": 1.0,
+    **dataclasses.asdict(losses.LossWeights()),
+    **dataclasses.asdict(losses.ClassWeights()),
     "n_z_min": geometry.DEFAULT_NZ_MIN,
-    "f_c": camera.DEFAULT_CANONICAL_FOCAL,
     "k": 5,
     "dilate": 0,
     "seed": 0,
@@ -44,22 +40,23 @@ DEFAULTS = {
     "base": 56,
 }
 
-_CASTS = {"T": int, "k": int, "dilate": int, "seed": int, "hidden": int, "base": int}
 
+def _fill_defaults(args):
+    """Set each DEFAULTS flag of the command that was not given, from --config or DEFAULTS.
 
-def _load_config(path):
-    """Typed values of a --config file; unknown keys and bad values are errors."""
-    if path is None:
-        return {}
-    return slzio.read_key_values(path, {key: _CASTS.get(key, float) for key in DEFAULTS})
-
-
-def _resolve(args, key):
-    """Flag > config file > built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return args.config_values.get(key, DEFAULTS[key])
+    Flags that the command rejects together are checked first, while an
+    unset flag still reads None.
+    """
+    for flag, others in getattr(args, "conflicts", {}).items():
+        for other in others:
+            if getattr(args, flag) is not None and getattr(args, other) is not None:
+                raise ValueError(f"--{other} cannot be combined with --{flag}")
+    config = {}
+    if args.config is not None:
+        config = slzio.read_key_values(args.config, {k: type(v) for k, v in DEFAULTS.items()})
+    for key, default in DEFAULTS.items():
+        if getattr(args, key, default) is None:
+            setattr(args, key, config.get(key, default))
 
 
 def _read_depth(path):
@@ -97,7 +94,7 @@ def _csv_out(rows):
 
 def cmd_area(args):
     intr, depth, mask, normals = _read_frame(args)
-    stats = slz.region_stats(mask, depth, normals, intr, n_z_min=_resolve(args, "n_z_min"))
+    stats = slz.region_stats(mask, depth, normals, intr, n_z_min=args.n_z_min)
     sel = np.arange(len(stats.area))
     if args.region_id is not None:
         if not 1 <= args.region_id <= len(sel):
@@ -115,12 +112,9 @@ def cmd_area(args):
 
 def cmd_candidates(args):
     intr, depth, mask, normals = _read_frame(args)
-    radius = _resolve(args, "dilate")
-    if radius:
-        mask = slz.dilate_unsafe(mask, radius)
-    k = _resolve(args, "k")
-    cands = slz.top_k_candidates(mask, depth, normals, intr, k,
-                                 n_z_min=_resolve(args, "n_z_min"))
+    if args.dilate:
+        mask = slz.dilate_unsafe(mask, args.dilate)
+    cands = slz.top_k_candidates(mask, depth, normals, intr, args.k, n_z_min=args.n_z_min)
     rows = [("region", "min_row", "min_col", "max_row", "max_col",
              "pixels", "excluded", "area_m2")]
     for c in cands:
@@ -167,24 +161,18 @@ def _bilinear_x4(raster):
 
 
 def cmd_refine_demo(args):
-    seed = _resolve(args, "seed")
-    steps = _resolve(args, "T")
-    base = _resolve(args, "base")
     os.makedirs(args.out, exist_ok=True)
 
     if args.resume is not None:
         weights = refinement.load_weights(os.path.join(args.resume, "weights"))
         init = refinement.load_state(os.path.join(args.resume, "state"))
     else:
-        hidden = _resolve(args, "hidden")
-        if args.weights is not None:
-            weights = refinement.load_weights(args.weights)
-        else:
-            weights = refinement.init_weights(hidden_channels=hidden, seed=seed)
-        init = refinement.demo_state(base=base, hidden_channels=weights.hidden_channels,
-                                     seed=seed)
+        weights = (refinement.load_weights(args.weights) if args.weights is not None
+                   else refinement.init_weights(hidden_channels=args.hidden, seed=args.seed))
+        init = refinement.demo_state(base=args.base, hidden_channels=weights.hidden_channels,
+                                     seed=args.seed)
 
-    states = refinement.run_refinement(init, weights, steps)
+    states = refinement.run_refinement(init, weights, args.T)
     refinement.save_weights(weights, os.path.join(args.out, "weights"))
     refinement.save_state(states[-1], os.path.join(args.out, "state"))
     for state in states:
@@ -198,22 +186,21 @@ def cmd_refine_demo(args):
 
     # Per-step losses against a fixed synthetic target (constant depth 2.5,
     # unit confidence, all-safe labels). Demo confidences are identically 1.
-    gamma = _resolve(args, "gamma")
     side = final.depth.shape[0]
     gt_depth = np.full((side, side), 2.5)
     gt_conf = np.ones((side, side))
     labels = np.zeros((side, side), dtype=np.uint8)
     ones = np.ones((side, side))
-    w = losses.LossWeights(gamma=gamma, T=len(states) - 1)
+    w = losses.LossWeights(gamma=args.gamma, T=len(states) - 1)
     seq_total = losses.sequential_depth_loss(
         [s.depth for s in states], [ones] * len(states), gt_depth, gt_conf, w)
-    slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=gamma)
+    slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=args.gamma)
     with open(os.path.join(args.out, "losses.csv"), "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("t", "depth_l1", "slz_wce"))
         for state in states:
             l1 = float(np.abs(state.depth.astype(np.float64) - gt_depth).mean())
-            ce = losses.slz_loss([state.slz], labels, gamma=gamma)
+            ce = losses.slz_loss([state.slz], labels, gamma=args.gamma)
             writer.writerow((state.t, f"{l1:.9g}", f"{ce:.9g}"))
         writer.writerow(("sequential_total", f"{seq_total:.9g}", ""))
         writer.writerow(("slz_total", f"{slz_total:.9g}", ""))
@@ -228,15 +215,31 @@ def _print_loss(value):
 def cmd_loss_vnl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
     value = losses.virtual_normal_loss(_read_depth(args.pred), _read_depth(args.gt),
-                                       intr, args.samples, _resolve(args, "seed"))
+                                       intr, args.samples, args.seed)
     _print_loss(value)
     return 0
 
 
 def _read_valid(args):
-    if getattr(args, "valid", None) is None:
-        return None
-    return slzio.read_mask(args.valid)
+    return None if args.valid is None else slzio.read_mask(args.valid)
+
+
+def _print_grad_check(loss, seqs, grads):
+    """Print the max grad_check error over the rasters of parallel step sequences.
+
+    ``loss(*seqs)`` is the loss value and ``grads[j][i]`` its analytic
+    gradient with respect to ``seqs[j][i]``.
+    """
+    err = 0.0
+    for i, step in enumerate(zip(*seqs)):
+        for j, x in enumerate(step):
+            def f(trial):
+                trial_seqs = [list(seq) for seq in seqs]
+                trial_seqs[j][i] = trial
+                return loss(*trial_seqs)
+
+            err = max(err, losses.grad_check(f, x, grads[j][i]))
+    print(f"grad_check_max_rel_err={err:.6g}")
 
 
 def cmd_loss_sequential(args):
@@ -244,26 +247,13 @@ def cmd_loss_sequential(args):
     confs = [slzio.read_raster(p).astype(np.float64) for p in args.confs]
     gt_d = _read_depth(args.gt_depth)
     gt_c = slzio.read_raster(args.gt_conf).astype(np.float64)
-    w = losses.LossWeights(gamma=_resolve(args, "gamma"), T=len(preds) - 1)
+    w = losses.LossWeights(gamma=args.gamma, T=len(preds) - 1)
     valid = _read_valid(args)
     _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, w, valid))
     if args.grad_check:
         _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, w, valid)
-        err = 0.0
-        for i in range(len(preds)):
-            def f_d(x, i=i):
-                trial = list(preds)
-                trial[i] = x
-                return losses.sequential_depth_loss(trial, confs, gt_d, gt_c, w, valid)
-
-            def f_c(x, i=i):
-                trial = list(confs)
-                trial[i] = x
-                return losses.sequential_depth_loss(preds, trial, gt_d, gt_c, w, valid)
-
-            err = max(err, losses.grad_check(f_d, preds[i], gd[i]),
-                      losses.grad_check(f_c, confs[i], gc[i]))
-        print(f"grad_check_max_rel_err={err:.6g}")
+        _print_grad_check(lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, w, valid),
+                          [preds, confs], [gd, gc])
     return 0
 
 
@@ -274,37 +264,26 @@ def cmd_loss_dncl(args):
     _print_loss(losses.depth_normal_consistency(depth, normals, intr))
     if args.grad_check:
         _, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
-        err = losses.grad_check(
-            lambda x: losses.depth_normal_consistency(x, normals, intr), depth, grad)
-        print(f"grad_check_max_rel_err={err:.6g}")
+        _print_grad_check(lambda d: losses.depth_normal_consistency(d[0], normals, intr),
+                          [[depth]], [[grad]])
     return 0
 
 
 def cmd_loss_slz(args):
     logit_seq = [slzio.read_raster(p).astype(np.float64) for p in args.logits]
     labels = slzio.read_mask(args.labels)
-    cw = losses.ClassWeights(_resolve(args, "w_safe"), _resolve(args, "w_unsafe"))
-    gamma = _resolve(args, "gamma")
+    cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
-    _print_loss(losses.slz_loss(logit_seq, labels, cw, gamma, valid))
+    _print_loss(losses.slz_loss(logit_seq, labels, cw, args.gamma, valid))
     if args.grad_check:
-        _, grads = losses.slz_loss_grad(logit_seq, labels, cw, gamma, valid)
-        err = 0.0
-        for i in range(len(logit_seq)):
-            def f(x, i=i):
-                trial = list(logit_seq)
-                trial[i] = x
-                return losses.slz_loss(trial, labels, cw, gamma, valid)
-
-            err = max(err, losses.grad_check(f, logit_seq[i], grads[i]))
-        print(f"grad_check_max_rel_err={err:.6g}")
+        _, grads = losses.slz_loss_grad(logit_seq, labels, cw, args.gamma, valid)
+        _print_grad_check(lambda z: losses.slz_loss(z, labels, cw, args.gamma, valid),
+                          [logit_seq], [grads])
     return 0
 
 
 def cmd_loss_combined(args):
-    w = losses.LossWeights(lambda1=_resolve(args, "lambda1"),
-                           lambda2=_resolve(args, "lambda2"),
-                           lambda3=_resolve(args, "lambda3"))
+    w = losses.LossWeights(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
     _print_loss(losses.fine_tune_loss(args.vnl, args.seq, args.dncl, w))
     return 0
 
@@ -317,82 +296,74 @@ def cmd_synth(args):
     slzio.write_raster(render.normals, os.path.join(args.out, "normals.f32r"))
     slzio.write_mask(render.mask, os.path.join(args.out, "mask.pgm"))
     camera.write_intrinsics(os.path.join(args.out, "intrinsics.txt"), scene.intr)
-    with open(os.path.join(args.out, "sidecar.txt"), "w", encoding="ascii") as fh:
-        for key, val in render.sidecar.items():
-            fh.write(f"{key}={val!r}\n" if isinstance(val, float) else f"{key}={val}\n")
+    slzio.write_key_values(os.path.join(args.out, "sidecar.txt"), render.sidecar)
     print(f"wrote scene rasters to {args.out}", file=sys.stderr)
     return 0
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value defaults file (flags win)")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slzkit",
         description="Safe-landing-zone geometry, losses, refinement and evaluation.",
-        epilog="Built-in defaults: T=4, gamma=0.9, lambda1/2/3=0.2/0.5/0.01, "
-               "class weights safe=2 unsafe=1, n_z_min=0.1, f_c=1000.")
+        epilog="Defaults (a flag wins over --config, which wins over these): "
+               + ", ".join(f"{key}={val}" for key, val in DEFAULTS.items()) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("area", help="tilt-corrected areas of safe regions")
-    p.add_argument("--depth", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value defaults file (flags win)")
+    frame = argparse.ArgumentParser(add_help=False, parents=[config])
+    frame.add_argument("--depth", required=True)
+    frame.add_argument("--intrinsics", required=True)
+    frame.add_argument("--normals")
+    frame.add_argument("--derive-normals", action="store_true",
+                       help="derive normals from the depth raster")
+    frame.add_argument("--n-z-min", type=float)
+
+    p = sub.add_parser("area", parents=[frame], help="tilt-corrected areas of safe regions")
     p.add_argument("--mask", required=True)
-    p.add_argument("--intrinsics", required=True)
-    p.add_argument("--normals")
-    p.add_argument("--derive-normals", action="store_true",
-                   help="derive normals from the depth raster")
     p.add_argument("--region-id", type=int)
-    p.add_argument("--n-z-min", dest="n_z_min", type=float)
-    _add_common(p)
     p.set_defaults(func=cmd_area)
 
-    p = sub.add_parser("candidates", help="top-k landing candidates by area")
-    p.add_argument("--depth", required=True)
-    p.add_argument("--intrinsics", required=True)
+    p = sub.add_parser("candidates", parents=[frame], help="top-k landing candidates by area")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--logits")
     group.add_argument("--mask")
-    p.add_argument("--normals")
-    p.add_argument("--derive-normals", action="store_true")
-    p.add_argument("--k", type=int, help="max candidates (default 5)")
-    p.add_argument("--dilate", type=int, help="unsafe buffer radius in pixels (default 0)")
-    p.add_argument("--n-z-min", dest="n_z_min", type=float)
-    _add_common(p)
+    p.add_argument("--k", type=int, help="max candidates")
+    p.add_argument("--dilate", type=int, help="unsafe buffer radius in pixels")
     p.set_defaults(func=cmd_candidates)
 
-    p = sub.add_parser("evaluate", help="segmentation metrics over mask directories")
+    p = sub.add_parser("evaluate", parents=[config],
+                       help="segmentation metrics over mask directories")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--gt-dir", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("refine-demo", help="seeded dual-flow refinement run")
+    p = sub.add_parser("refine-demo", parents=[config], help="seeded dual-flow refinement run")
     p.add_argument("--out", required=True)
-    p.add_argument("--base", type=int, help="base resolution, multiple of 28 (default 56)")
+    p.add_argument("--base", type=int, help="base resolution, a multiple of 28")
     p.add_argument("--seed", type=int)
-    p.add_argument("--T", dest="T", type=int, help="refinement iterations (default 4)")
-    p.add_argument("--hidden", type=int, help="hidden channels (default 8)")
+    p.add_argument("--T", type=int, help="refinement iterations")
+    p.add_argument("--hidden", type=int, help="hidden channels")
     p.add_argument("--weights", help="weight bundle directory to load")
     p.add_argument("--resume", help="previous output directory to continue from")
     p.add_argument("--gamma", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_refine_demo)
+    # the run takes these settings from the --resume directory or the --weights bundle
+    p.set_defaults(func=cmd_refine_demo, conflicts={"resume": ("weights", "hidden", "base", "seed"),
+                                                    "weights": ("hidden",)})
 
     p = sub.add_parser("loss", help="compute one loss (optionally gradient-checked)")
     kinds = p.add_subparsers(dest="kind", required=True)
 
-    q = kinds.add_parser("vnl", help="virtual-normal loss over sampled triplets")
+    q = kinds.add_parser("vnl", parents=[config], help="virtual-normal loss over sampled triplets")
     q.add_argument("--pred", required=True)
     q.add_argument("--gt", required=True)
     q.add_argument("--intrinsics", required=True)
     q.add_argument("--samples", type=int, default=100)
     q.add_argument("--seed", type=int)
-    _add_common(q)
     q.set_defaults(func=cmd_loss_vnl)
 
-    q = kinds.add_parser("sequential", help="decayed depth+confidence L1 over steps")
+    q = kinds.add_parser("sequential", parents=[config],
+                         help="decayed depth+confidence L1 over steps")
     q.add_argument("--preds", nargs="+", required=True)
     q.add_argument("--confs", nargs="+", required=True)
     q.add_argument("--gt-depth", required=True)
@@ -400,42 +371,40 @@ def build_parser():
     q.add_argument("--gamma", type=float)
     q.add_argument("--valid", help="PGM validity mask (255 = use pixel)")
     q.add_argument("--grad-check", action="store_true")
-    _add_common(q)
     q.set_defaults(func=cmd_loss_sequential)
 
-    q = kinds.add_parser("dncl", help="depth-normal consistency")
+    q = kinds.add_parser("dncl", parents=[config], help="depth-normal consistency")
     q.add_argument("--depth", required=True)
     q.add_argument("--normals", required=True)
     q.add_argument("--intrinsics", required=True)
     q.add_argument("--grad-check", action="store_true")
-    _add_common(q)
     q.set_defaults(func=cmd_loss_dncl)
 
-    q = kinds.add_parser("slz", help="decayed weighted cross-entropy over logit steps")
+    q = kinds.add_parser("slz", parents=[config],
+                         help="decayed weighted cross-entropy over logit steps")
     q.add_argument("--logits", nargs="+", required=True)
     q.add_argument("--labels", required=True)
     q.add_argument("--gamma", type=float)
-    q.add_argument("--w-safe", dest="w_safe", type=float)
-    q.add_argument("--w-unsafe", dest="w_unsafe", type=float)
+    q.add_argument("--w-safe", type=float)
+    q.add_argument("--w-unsafe", type=float)
     q.add_argument("--valid")
     q.add_argument("--grad-check", action="store_true")
-    _add_common(q)
     q.set_defaults(func=cmd_loss_slz)
 
-    q = kinds.add_parser("combined", help="weighted sum of the three fine-tune components")
+    q = kinds.add_parser("combined", parents=[config],
+                         help="weighted sum of the three fine-tune components")
     q.add_argument("--vnl", type=float, required=True)
     q.add_argument("--seq", type=float, required=True)
     q.add_argument("--dncl", type=float, required=True)
     q.add_argument("--lambda1", type=float)
     q.add_argument("--lambda2", type=float)
     q.add_argument("--lambda3", type=float)
-    _add_common(q)
     q.set_defaults(func=cmd_loss_combined)
 
-    p = sub.add_parser("synth", help="render a synthetic scene with analytic ground truth")
+    p = sub.add_parser("synth", parents=[config],
+                       help="render a synthetic scene with analytic ground truth")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -444,7 +413,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.config_values = _load_config(args.config)
+        _fill_defaults(args)
         return args.func(args)
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

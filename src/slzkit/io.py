@@ -231,3 +231,15 @@ def read_key_values(path, casts):
     Errors are those of :func:`read_sections`; a ``[name]`` line is one.
     """
     return read_sections(path, {"": casts})[0][1]
+
+
+def write_key_values(path, mapping):
+    """Write ``mapping`` as ``key=value`` lines that :func:`read_key_values` reads back.
+
+    Floating values (numpy scalars too) are written as ``repr(float(v))``,
+    which round trips exactly; other values with ``str``.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        for key, val in mapping.items():
+            fh.write(f"{key}={float(val)!r}\n" if isinstance(val, (float, np.floating))
+                     else f"{key}={val}\n")

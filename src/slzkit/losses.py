@@ -351,7 +351,9 @@ def grad_check(f, x, analytic_grad, eps=1e-5):
     """Max relative error between central differences of f and a gradient.
 
     The relative error per element uses max(|fd|, |analytic|, 1e-8) as
-    denominator. f must return a finite scalar for each perturbed raster.
+    denominator. f must return a finite scalar for each perturbed raster,
+    and every analytic element must be finite; otherwise the check raises
+    DegenerateInputError naming the first offending element.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -361,6 +363,9 @@ def grad_check(f, x, analytic_grad, eps=1e-5):
         raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {x.shape}")
     flat_x = x.reshape(-1)
     flat_g = g.reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(flat_g))
+    if bad.size:
+        raise DegenerateInputError(f"non-finite analytic gradient at element {bad[0]}")
     max_err = 0.0
     for i in range(flat_x.size):
         orig = flat_x[i]

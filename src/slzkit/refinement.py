@@ -278,12 +278,6 @@ def required_entry_names():
     return names
 
 
-def _write_meta(path, mapping):
-    with open(path, "w", encoding="ascii") as fh:
-        for key, val in mapping.items():
-            fh.write(f"{key}={val}\n")
-
-
 def _read_meta(dirpath, key):
     """The integer `key` of a directory's meta.txt."""
     path = os.path.join(dirpath, "meta.txt")
@@ -310,7 +304,8 @@ def save_weights(weights: RefinementWeights, dirpath):
             entries[f"{name}.{layer}.kernel"] = k.reshape(k.shape[0], k.shape[1], -1)
             entries[f"{name}.{layer}.bias"] = b.reshape(1, -1)
     slzio.write_raster_dir(dirpath, entries)
-    _write_meta(os.path.join(dirpath, "meta.txt"), {"hidden_channels": weights.hidden_channels})
+    slzio.write_key_values(os.path.join(dirpath, "meta.txt"),
+                           {"hidden_channels": weights.hidden_channels})
 
 
 def load_weights(dirpath) -> RefinementWeights:
@@ -364,7 +359,7 @@ def save_state(state: RefinementState, dirpath):
         raise ProtocolError("cannot save a state mid-iteration")
     entries = {name: getattr(state, name) for name in _STATE_ENTRIES}
     slzio.write_raster_dir(dirpath, entries)
-    _write_meta(os.path.join(dirpath, "meta.txt"), {"t": state.t})
+    slzio.write_key_values(os.path.join(dirpath, "meta.txt"), {"t": state.t})
 
 
 def load_state(dirpath) -> RefinementState:

@@ -94,8 +94,10 @@ def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
     """Exact surface area of the plane patch seen by each whole pixel.
 
     Integrates the area element c^2 sqrt(1+a^2+b^2) / (fx fy g^3) in
-    closed form over each pixel cell [u-1/2, u+1/2] x [v-1/2, v+1/2];
-    pixels whose center is past the horizon get 0.
+    closed form over each pixel cell [u-1/2, u+1/2] x [v-1/2, v+1/2].
+    With g at the cell corners, the integral of 1/g^3 is
+    (g++ + g--) / (2 g++ g+- g-+ g--), which has no cancellation however
+    small the tilt. Pixels whose center is past the horizon get 0.
     """
     alpha = a / intr.fx
     beta = b / intr.fy
@@ -105,22 +107,11 @@ def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
     def g_of(u, v):
         return 1.0 - alpha * u[None, :] - beta * v[:, None]
 
-    if alpha == 0.0 and beta == 0.0:
-        cell = np.ones((height, width), dtype=np.float64)
-    elif beta == 0.0:
-        gp = 1.0 - alpha * (us + 0.5)
-        gm = 1.0 - alpha * (us - 0.5)
-        cell = ((gp ** -2 - gm ** -2) / (2.0 * alpha))[None, :] * np.ones((height, 1))
-    elif alpha == 0.0:
-        gp = 1.0 - beta * (vs + 0.5)
-        gm = 1.0 - beta * (vs - 0.5)
-        cell = ((gp ** -2 - gm ** -2) / (2.0 * beta))[:, None] * np.ones((1, width))
-    else:
-        gpp = g_of(us + 0.5, vs + 0.5)
-        gpm = g_of(us + 0.5, vs - 0.5)
-        gmp = g_of(us - 0.5, vs + 0.5)
-        gmm = g_of(us - 0.5, vs - 0.5)
-        cell = (1.0 / gpp - 1.0 / gmp - 1.0 / gpm + 1.0 / gmm) / (2.0 * alpha * beta)
+    gpp = g_of(us + 0.5, vs + 0.5)
+    gpm = g_of(us + 0.5, vs - 0.5)
+    gmp = g_of(us - 0.5, vs + 0.5)
+    gmm = g_of(us - 0.5, vs - 0.5)
+    cell = (gpp + gmm) / (2.0 * gpp * gpm * gmp * gmm)
 
     scale = c * c * math.sqrt(a * a + b * b + 1.0) / (intr.fx * intr.fy)
     areas = scale * cell

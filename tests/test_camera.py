@@ -137,3 +137,14 @@ def test_intrinsics_file_rejects_bad_fc(tmp_path, value):
     path.write_text(f"fx=100\nfy=110\nf_c={value}\ncx=50\ncy=40\n")
     with pytest.raises(ValueError, match=r"cam.txt:3: bad value for f_c: f_c must be finite and > 0"):
         read_intrinsics(path)
+
+
+def test_intrinsics_file_round_trips_numpy_scalars(tmp_path):
+    path = tmp_path / "cam.txt"
+    intr = CameraIntrinsics(np.float64(500.0), np.float32(0.1), np.int64(320), np.float16(2.5))
+    write_intrinsics(path, intr, f_c=np.float32(900.5))
+    assert path.read_text() == ("fx=500.0\nfy=0.10000000149011612\ncx=320\ncy=2.5\n"
+                                "f_c=900.5\n")
+    back, f_c = read_intrinsics(path)
+    assert back == CameraIntrinsics(500.0, float(np.float32(0.1)), 320.0, 2.5)
+    assert f_c == 900.5

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io as std_io
 import os
@@ -13,7 +14,7 @@ import slzkit
 from slzkit import io as sio
 from slzkit import refinement
 from slzkit.camera import CameraIntrinsics, write_intrinsics
-from slzkit.cli import main
+from slzkit.cli import DEFAULTS, build_parser, main
 
 INTR = CameraIntrinsics(100, 100, 31.5, 31.5)
 
@@ -253,6 +254,42 @@ def test_refine_demo_resume_matches_direct(capsys, tmp_path):
         (tmp_path / "rest" / "slz_t4.f32r").read_bytes()
 
 
+@pytest.fixture
+def finished_run(capsys, tmp_path):
+    """Output directory of a short refine-demo run, for --resume."""
+    code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "a"), "--T", "1")
+    assert code == 0
+    return tmp_path / "a"
+
+
+@pytest.mark.parametrize("flag,value", [("--weights", "/nonexistent"), ("--hidden", "16"),
+                                        ("--base", "112"), ("--seed", "9")])
+def test_refine_demo_resume_rejects_flags_it_would_ignore(capsys, tmp_path, finished_run,
+                                                          flag, value):
+    code, out, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                             "--resume", str(finished_run), flag, value)
+    assert code == 2 and out == ""
+    assert f"{flag} cannot be combined with --resume" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_refine_demo_weights_rejects_hidden(capsys, tmp_path, finished_run):
+    code, _, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                           "--weights", str(finished_run / "weights"), "--hidden", "16")
+    assert code == 2
+    assert "--hidden cannot be combined with --weights" in err
+
+
+def test_refine_demo_resume_takes_config_values_as_defaults(capsys, tmp_path, finished_run):
+    (tmp_path / "cfg.txt").write_text("hidden=16\nbase=112\nseed=9\n")
+    for name, extra in (("plain", []), ("config", ["--config", str(tmp_path / "cfg.txt")])):
+        code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / name),
+                             "--resume", str(finished_run), *extra)
+        assert code == 0
+    for fn in ("depth_t5.f32r", "state/meta.txt", "weights/meta.txt", "losses.csv"):
+        assert (tmp_path / "config" / fn).read_bytes() == (tmp_path / "plain" / fn).read_bytes()
+
+
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):
     weights = refinement.zero_projection_heads(refinement.init_weights(8, seed=2))
     refinement.save_weights(weights, tmp_path / "bundle")
@@ -464,13 +501,48 @@ def test_area_speckle_720p_totals(capsys, tmp_path):
     assert float(rows[-1][3]) == pytest.approx(want, rel=1e-6)
 
 
+def _dests(parser):
+    """Dests of the parser's flags and of those of all its subcommands."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _dests(sub)
+        else:
+            dests.add(action.dest)
+    return dests
+
+
+def test_every_default_is_the_dest_of_a_subcommand_flag():
+    assert sorted(set(DEFAULTS) - _dests(build_parser())) == []
+
+
+def test_grad_check_of_a_non_finite_gradient_exits_4(capsys, tmp_path):
+    write_intrinsics(tmp_path / "intr.txt", CameraIntrinsics(100, 100, 4.5, 4.5))
+    depth = np.full((10, 10), 4.0, dtype=np.float32)
+    depth[4, 5] = np.nan
+    normals = np.zeros((10, 10, 3), dtype=np.float32)
+    normals[..., 2] = -1.0
+    sio.write_raster(depth, tmp_path / "d.f32r")
+    sio.write_raster(normals, tmp_path / "n.f32r")
+    code, out, err = run_cli(capsys, "loss", "dncl", "--depth", str(tmp_path / "d.f32r"),
+                             "--normals", str(tmp_path / "n.f32r"),
+                             "--intrinsics", str(tmp_path / "intr.txt"), "--grad-check")
+    assert code == 4
+    assert out.startswith("loss=") and "grad_check_max_rel_err" not in out
+    assert "non-finite analytic gradient" in err
+
+
 def test_config_unknown_key_exits_2(capsys, tmp_path):
-    (tmp_path / "cfg.txt").write_text("# weights\nlambda1=0.3\nlamda1=5\n")
-    code, out, err = run_cli(capsys, "loss", "combined", "--vnl", "1", "--seq", "1",
-                             "--dncl", "1", "--config", str(tmp_path / "cfg.txt"))
-    assert code == 2
-    assert out == ""
-    assert f"{tmp_path / 'cfg.txt'}:3: unknown key 'lamda1'" in err
+    # f_c belongs in intrinsics files; no command reads it from a config
+    for text, line, key in (("# weights\nlambda1=0.3\nlamda1=5\n", 3, "lamda1"),
+                            ("gamma=0.9\nf_c=1000\n", 2, "f_c")):
+        (tmp_path / "cfg.txt").write_text(text)
+        code, out, err = run_cli(capsys, "loss", "combined", "--vnl", "1", "--seq", "1",
+                                 "--dncl", "1", "--config", str(tmp_path / "cfg.txt"))
+        assert code == 2
+        assert out == ""
+        assert f"{tmp_path / 'cfg.txt'}:{line}: unknown key {key!r}" in err
 
 
 @pytest.mark.parametrize("text,line", [("k=2\nk=two\n", 2), ("gamma 0.5\n", 1)])

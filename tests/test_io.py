@@ -164,3 +164,13 @@ def test_read_sections_errors_name_the_line(tmp_path, text, message):
     with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
         sio.read_sections(path, SECTION_CASTS)
 
+
+
+def test_key_values_round_trip_floats_exactly(tmp_path):
+    path = tmp_path / "kv.txt"
+    values = {"a": 0.1, "b": np.float64(1 / 3), "c": np.float32(0.1), "n": np.int64(7), "t": 4}
+    sio.write_key_values(path, values)
+    assert path.read_text() == ("a=0.1\nb=0.3333333333333333\nc=0.10000000149011612\n"
+                                "n=7\nt=4\n")
+    back = sio.read_key_values(path, {"a": float, "b": float, "c": float, "n": int, "t": int})
+    assert back == {key: type(back[key])(val) for key, val in values.items()}

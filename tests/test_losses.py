@@ -314,3 +314,27 @@ def test_grad_check_api_errors():
         grad_check(lambda v: 0.0, x, np.zeros((3, 3)))
     with pytest.raises(DegenerateInputError):
         grad_check(lambda v: float("nan"), x, x)
+    with pytest.raises(DegenerateInputError, match="non-finite analytic gradient at element 0"):
+        grad_check(lambda v: 0.0, x, np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grad_check_rejects_a_non_finite_analytic_element(bad):
+    x = np.random.default_rng(9).normal(size=(3, 4))
+    grad = 2 * x
+    grad[1, 2] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite analytic gradient at element 6"):
+        grad_check(lambda v: float((v**2).sum()), x, grad)
+
+
+def test_grad_check_rejects_the_nan_spread_of_an_invalid_depth_pixel():
+    # the loss skips the NaN pixel, but its gradient carries NaN to neighbours
+    rng = np.random.default_rng(8)
+    depth = 4.0 + rng.uniform(-0.3, 0.3, (10, 10))
+    depth[4, 5] = np.nan
+    target = np.zeros((10, 10, 3))
+    target[..., 2] = -1.0
+    value, grad = depth_normal_consistency_grad(depth, target, INTR)
+    assert np.isfinite(value) and np.isnan(grad).any()
+    with pytest.raises(DegenerateInputError, match="non-finite analytic gradient"):
+        grad_check(lambda x: depth_normal_consistency(x, target, INTR), depth, grad)

@@ -1,12 +1,16 @@
-"""Property tests of the geometric identities behind the region areas."""
+"""Property tests of the geometric identities behind the region areas, the
+pooled confusion counts and the synthetic scenes' closed-form areas."""
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slzkit.camera import CameraIntrinsics
+from slzkit.metrics import confusion, evaluate, evaluate_dataset, to_csv_rows
 from slzkit.slz import region_stats
+from slzkit.synth import Scene, render_scene
 
 frames = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -61,3 +65,36 @@ def test_transpose_with_swapped_axes_keeps_total_area_and_components(frame, intr
     assert flipped.pixel_count.sum() == base.pixel_count.sum()
     assert flipped.excluded_count.sum() == base.excluded_count.sum()
     assert flipped.area.sum() == pytest.approx(base.area.sum(), rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), height=st.integers(1, 12),
+       width=st.integers(1, 12), data=st.data())
+def test_confusion_counts_add_up_across_any_split_of_the_pairs(seed, count, height, width,
+                                                               data):
+    rng = np.random.default_rng(seed)
+    pairs = [tuple((rng.uniform(size=(2, height, width)) < rng.uniform()).astype(np.uint8))
+             for _ in range(count)]
+    part = data.draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+    split = sum(sum((confusion(p, g) for (p, g), k in zip(pairs, part) if k == j),
+                    np.zeros((2, 2), dtype=np.int64)) for j in range(3))
+    preds, gts = zip(*pairs)
+    whole = confusion(np.vstack(preds), np.vstack(gts))
+    assert np.array_equal(split, whole)
+    assert np.array_equal(whole, oracles.confusion_ref(np.vstack(preds), np.vstack(gts)))
+    assert to_csv_rows(evaluate_dataset(pairs)) == to_csv_rows(evaluate(whole))
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(3, 40), width=st.integers(3, 40), intr=intrinsics,
+       a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), c=st.floats(0.1, 100.0))
+def test_synth_total_area_matches_the_plane_patch_over_random_planes(height, width, intr,
+                                                                     a, b, c):
+    # the whole frame sees the plane: g > 0 at every corner of the patch
+    corners = [((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
+               for u in (-0.5, width - 0.5) for v in (-0.5, height - 0.5)]
+    assume(min(1.0 - a * rx - b * ry for rx, ry in corners) > 0.05)
+    render = render_scene(Scene(width, height, intr, (a, b, c)))
+    ref = oracles.plane_patch_area_ref(height, width, intr, a, b, c)
+    assert render.sidecar["analytic_total_area"] == pytest.approx(ref, rel=1e-9)
+    assert render.sidecar["analytic_safe_area"] == render.sidecar["analytic_total_area"]
