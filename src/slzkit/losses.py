@@ -274,8 +274,12 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         plane[m] = (tk / nn - ck * q) * a
         g_c.append(plane)
 
-    # Through the cross product (cross = tu x tv), then the stencils.
-    g_p = [_stencil_adjoint(gu, gv) for gu, gv in zip(_cross(f.tv, g_c), _cross(g_c, f.tu))]
+    # Through the cross product (cross = tu x tv), then the stencils. A pixel
+    # outside the loss adds exactly 0, also where its tangents are not finite.
+    g_tu, g_tv = _cross(f.tv, g_c), _cross(g_c, f.tu)
+    for g in g_tu + g_tv:
+        g[~m] = 0.0
+    g_p = [_stencil_adjoint(gu, gv) for gu, gv in zip(g_tu, g_tv)]
     # Points are depth * ray, so d point / d depth = ray = (xs, ys, 1).
     grad_d = g_p[0] * f.xs + g_p[1] * f.ys[:, None] + g_p[2]
     return loss, grad_d

@@ -39,15 +39,26 @@ _HEAD_OUTPUT_CHANNELS = {"proj_depth": 1, "proj_normal": 3, "proj_slz": 2}
 
 
 def conv2d(x, kernel, bias):
-    """Same-padding 2-D cross-correlation; kernel is (kh, kw, cin, cout)."""
+    """Same-padding 2-D cross-correlation; kernel is (kh, kw, cin, cout).
+
+    im2col: one (H*W, kh*kw*cin) patch matrix times the (kh*kw*cin, cout)
+    kernel matrix, a single GEMM.
+    """
     x = np.asarray(x)
-    kh, kw, cin, _ = kernel.shape
+    kh, kw, cin, cout = kernel.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise ShapeMismatchError(f"input shape {x.shape} incompatible with kernel {kernel.shape}")
+    height, width = x.shape[:2]
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else x
-    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    return np.einsum("hwcij,ijcd->hwd", win, kernel) + bias
+    # windows in (kh, kw, cin) order, the row order of the kernel matrix
+    patches = sliding_window_view(xp, (kh, kw, cin)).reshape(height * width, -1)
+    return (patches @ kernel.reshape(-1, cout) + bias).reshape(height, width, cout)
+
+
+def sigmoid(v):
+    """Logistic function without overflow: saturates to exactly 0 and 1."""
+    return 0.5 + 0.5 * np.tanh(0.5 * v)
 
 
 @dataclass(frozen=True)
@@ -125,11 +136,11 @@ def conv_gru_step(w: ConvGruWeights, h, x):
     if h.shape[2] + x.shape[2] != w.wz.shape[2]:
         raise ShapeMismatchError(
             f"gate kernels expect {w.wz.shape[2]} channels, got {h.shape[2]}+{x.shape[2]}")
-    from scipy.special import expit
-
     hx = np.concatenate([h, x], axis=-1)
-    z = expit(conv2d(hx, w.wz, w.bz))
-    r = expit(conv2d(hx, w.wr, w.br))
+    # z and r read the same input: one conv with both gates' 2*hc outputs
+    zr = sigmoid(conv2d(hx, np.concatenate([w.wz, w.wr], axis=-1),
+                        np.concatenate([w.bz, w.br])))
+    z, r = np.split(zr, 2, axis=-1)
     cand = np.tanh(conv2d(np.concatenate([r * h, x], axis=-1), w.wh, w.bh))
     return (1.0 - z) * h + z * cand
 

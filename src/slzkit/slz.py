@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
@@ -161,9 +162,14 @@ def dilate_unsafe(mask, radius):
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     m = _check_mask(mask)
-    if radius == 0:
-        return m.copy()
-    from scipy import ndimage
-
-    size = 2 * int(radius) + 1
-    return ndimage.maximum_filter(m, size=size, mode="constant", cval=SAFE)
+    # the square element is separable: a running max along each axis in turn,
+    # over windows padded with SAFE (0)
+    for axis in (0, 1):
+        # a radius past the axis length covers it all; the cap bounds the padding
+        r = min(int(radius), m.shape[axis])
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (r, r)
+        win = sliding_window_view(np.pad(m, pad), 2 * r + 1, axis=axis)
+        # reducing over a leading window axis walks whole rows, not 2r+1 strided bytes
+        m = np.maximum.reduce(np.moveaxis(win, -1, 0))
+    return m

@@ -237,6 +237,8 @@ def dncl_grad_ref(d_pred, n_pred, intr):
     g_c[m] = g
     g_tu = np.cross(tv, g_c)
     g_tv = np.cross(g_c, tu)
+    g_tu[~m] = 0.0  # pixels outside the loss contribute nothing
+    g_tv[~m] = 0.0
     g_p = np.zeros_like(g_c)
     g_p[:, 2:] += 0.5 * g_tu[:, 1:-1]
     g_p[:, :-2] -= 0.5 * g_tu[:, 1:-1]

@@ -17,6 +17,7 @@ from slzkit.refinement import (
     run_refinement,
     save_state,
     save_weights,
+    sigmoid,
     slz_flow_step,
     zero_projection_heads,
 )
@@ -78,6 +79,59 @@ def test_conv_gru_matches_loop_oracle():
     ours = conv_gru_step(w, h, x)
     ref = oracles.conv_gru_ref(w, h, x)
     assert np.abs(ours - ref).max() <= 1e-6
+
+
+def _demo_quarter(base, seed):
+    """The quarter-scale GRU weights and its [hidden, depth, normal] input."""
+    weights = init_weights(hidden_channels=8, seed=seed)
+    state = demo_state(base=base, hidden_channels=8, seed=seed)
+    x = np.concatenate([state.depth[..., None], state.normal], axis=-1)
+    return weights, state.hidden_quarter, x
+
+
+def test_fused_gate_conv2d_matches_loop_oracle_at_demo_scale():
+    # the z|r conv of the quarter block at base 224: 56x56, 12 -> 16 channels
+    weights, h, x = _demo_quarter(224, seed=11)
+    w = weights.gru_quarter
+    hx = np.concatenate([h, x], axis=-1)
+    k = np.concatenate([w.wz, w.wr], axis=-1)
+    b = np.concatenate([w.bz, w.br])
+    assert hx.shape == (56, 56, 12) and k.shape == (3, 3, 12, 16)
+    ours = conv2d(hx, k, b)
+    assert ours.dtype == np.float32 and ours.shape == (56, 56, 16)
+    assert np.abs(ours - oracles.conv2d_ref(hx, k, b)).max() <= 1e-6
+
+
+def test_conv2d_1x1_head_matches_loop_oracle():
+    weights, h, _ = _demo_quarter(56, seed=12)
+    head = weights.proj_normal
+    ours = conv2d(h, head.w2, head.b2)
+    assert ours.shape == (14, 14, 3)
+    assert np.abs(ours - oracles.conv2d_ref(h, head.w2, head.b2)).max() <= 1e-6
+
+
+def test_fused_gate_conv_gru_matches_loop_oracle_at_demo_channels():
+    weights, h, x = _demo_quarter(56, seed=13)
+    for w in (weights.gru_quarter,
+              _gru_weights(hidden=8, cin=4, seed=14)):  # larger, +-0.5 weights too
+        ours = conv_gru_step(w, h, x)
+        assert ours.dtype == np.float32
+        assert np.abs(ours - oracles.conv_gru_ref(w, h, x)).max() <= 1e-6
+
+
+def test_sigmoid_saturates_without_overflow():
+    from scipy.special import expit
+
+    v = np.concatenate([np.linspace(-1e4, 1e4, 200001, dtype=np.float32),
+                        np.array([-np.finfo(np.float32).max, np.finfo(np.float32).max,
+                                  0.0, -0.0], dtype=np.float32)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        s = sigmoid(v)
+    assert s.dtype == np.float32
+    assert ((s >= 0.0) & (s <= 1.0)).all()
+    assert s[0] == 0.0 and s[200000] == 1.0 and s[-1] == 0.5
+    assert (np.diff(s[:200001]) >= 0).all()
+    assert np.abs(s.astype(np.float64) - expit(v.astype(np.float64))).max() <= 1.2e-7
 
 
 def test_conv_gru_shape_errors():

@@ -226,6 +226,42 @@ def test_dilate_matches_reference_and_is_monotone():
             assert (out >= mask).all()
 
 
+def _maximum_filter(mask, radius):
+    from scipy import ndimage
+
+    return ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant", cval=0)
+
+
+@pytest.mark.parametrize("radius", range(6))
+def test_dilate_matches_maximum_filter_bitwise(radius):
+    rng = np.random.default_rng(40 + radius)
+    for shape in ((17, 23), (40, 31), (64, 64)):
+        for fraction in (0.02, 0.2):
+            mask = (rng.uniform(size=shape) < fraction).astype(np.uint8)
+            out = dilate_unsafe(mask, radius)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, _maximum_filter(mask, radius))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (2, 3), (4, 2), (3, 9)])
+@pytest.mark.parametrize("radius", [1, 2, 5])
+def test_dilate_thin_and_sub_window_masks(shape, radius):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1] + radius)
+    for _ in range(4):
+        mask = (rng.uniform(size=shape) < 0.25).astype(np.uint8)
+        out = dilate_unsafe(mask, radius)
+        assert out.shape == mask.shape
+        assert np.array_equal(out, _maximum_filter(mask, radius))
+
+
+def test_dilate_radius_beyond_the_mask_covers_it():
+    mask = np.zeros((5, 7), np.uint8)
+    mask[4, 0] = 1
+    for radius in (6, 7, 10**9):  # 10**9 must not pad 10**9 rows
+        assert np.array_equal(dilate_unsafe(mask, radius), np.ones_like(mask))
+    assert np.array_equal(dilate_unsafe(mask, 4), _maximum_filter(mask, 4))
+
+
 def test_dilate_semigroup():
     rng = np.random.default_rng(4)
     for _ in range(25):
