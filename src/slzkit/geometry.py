@@ -58,16 +58,6 @@ def _ray_xy(u, v, intr: CameraIntrinsics):
     return (u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy
 
 
-def ray_grid(height, width, intr: CameraIntrinsics):
-    """Per-pixel ray directions ((u-cx)/fx, (v-cy)/fy, 1), shape (H, W, 3)."""
-    xs, ys = _ray_xy(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64), intr)
-    rays = np.empty((height, width, 3), dtype=np.float64)
-    rays[..., 0] = xs[None, :]
-    rays[..., 1] = ys[:, None]
-    rays[..., 2] = 1.0
-    return rays
-
-
 def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
     """Camera-frame points, shape rows.shape + (3,), of the given pixels of a
     float64 depth raster; invalid depths yield garbage points."""

@@ -17,6 +17,7 @@ state in float32 makes save/resume round trips bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, replace
 
@@ -206,6 +207,38 @@ def run_refinement(init: RefinementState, weights: RefinementWeights, steps: int
     return states
 
 
+def _layout(hc):
+    """The weight bundle, one conv at a time in `init_weights` draw order.
+
+    Yields (block, entry name, kernel field, bias field, kernel shape) for
+    `hc` hidden channels; init, zeroing, save and load all walk this table.
+    """
+    for block, cin in _GRU_INPUT_CHANNELS.items():
+        for gate in "zrh":
+            yield block, f"{block}.{gate}", "w" + gate, "b" + gate, (3, 3, hc + cin, hc)
+    for block, cout in _HEAD_OUTPUT_CHANNELS.items():
+        yield block, f"{block}.conv1", "w1", "b1", (3, 3, hc, hc)
+        yield block, f"{block}.conv2", "w2", "b2", (1, 1, hc, cout)
+
+
+def _assemble(hc, pairs):
+    """RefinementWeights from (kernel, bias) pairs given in layout order."""
+    blocks = {}
+    for (block, _, kernel_field, bias_field, _), pair in zip(_layout(hc), pairs):
+        fields = blocks.setdefault(block, {})
+        fields[kernel_field], fields[bias_field] = pair
+    return RefinementWeights(**{
+        block: (ConvGruWeights if block in _GRU_INPUT_CHANNELS else ProjectionHead)(**fields)
+        for block, fields in blocks.items()})
+
+
+def _convs(weights: RefinementWeights):
+    """(block, entry name, kernel, bias) of every conv of `weights`, in layout order."""
+    for block, name, kernel_field, bias_field, _ in _layout(weights.hidden_channels):
+        fields = getattr(weights, block)
+        yield block, name, getattr(fields, kernel_field), getattr(fields, bias_field)
+
+
 def init_weights(hidden_channels=8, seed=0) -> RefinementWeights:
     """Seeded demo weights, uniform in [-0.1, 0.1] (float32)."""
     rng = np.random.default_rng(seed)
@@ -213,39 +246,15 @@ def init_weights(hidden_channels=8, seed=0) -> RefinementWeights:
     def u(*shape):
         return rng.uniform(-0.1, 0.1, shape).astype(np.float32)
 
-    def gru(cin):
-        cin_total = hidden_channels + cin
-        return ConvGruWeights(
-            wz=u(3, 3, cin_total, hidden_channels), bz=u(hidden_channels),
-            wr=u(3, 3, cin_total, hidden_channels), br=u(hidden_channels),
-            wh=u(3, 3, cin_total, hidden_channels), bh=u(hidden_channels),
-        )
-
-    def head(cout):
-        return ProjectionHead(
-            w1=u(3, 3, hidden_channels, hidden_channels), b1=u(hidden_channels),
-            w2=u(1, 1, hidden_channels, cout), b2=u(cout),
-        )
-
-    return RefinementWeights(
-        gru_quarter=gru(DN_INPUT_CHANNELS),
-        gru_seventh=gru(DN_INPUT_CHANNELS),
-        gru_fourteenth=gru(DN_INPUT_CHANNELS),
-        gru_slz=gru(SLZ_INPUT_CHANNELS),
-        proj_depth=head(1), proj_normal=head(3), proj_slz=head(2),
-    )
+    return _assemble(hidden_channels, ((u(*shape), u(shape[3]))
+                                       for *_, shape in _layout(hidden_channels)))
 
 
 def zero_projection_heads(weights: RefinementWeights) -> RefinementWeights:
     """Copy of `weights` with every projection head zeroed (residuals vanish)."""
-
-    def zeroed(head):
-        return ProjectionHead(np.zeros_like(head.w1), np.zeros_like(head.b1),
-                              np.zeros_like(head.w2), np.zeros_like(head.b2))
-
-    return replace(weights, proj_depth=zeroed(weights.proj_depth),
-                   proj_normal=zeroed(weights.proj_normal),
-                   proj_slz=zeroed(weights.proj_slz))
+    return _assemble(weights.hidden_channels, (
+        (np.zeros_like(k), np.zeros_like(b)) if block in _HEAD_OUTPUT_CHANNELS else (k, b)
+        for block, _, k, b in _convs(weights)))
 
 
 def demo_state(base=56, hidden_channels=8, seed=0) -> RefinementState:
@@ -279,14 +288,8 @@ def demo_state(base=56, hidden_channels=8, seed=0) -> RefinementState:
 # --- serialization -----------------------------------------------------------
 
 def required_entry_names():
-    names = []
-    for gru in _GRU_INPUT_CHANNELS:
-        for gate in ("z", "r", "h"):
-            names += [f"{gru}.{gate}.kernel", f"{gru}.{gate}.bias"]
-    for head in _HEAD_OUTPUT_CHANNELS:
-        for layer in ("conv1", "conv2"):
-            names += [f"{head}.{layer}.kernel", f"{head}.{layer}.bias"]
-    return names
+    # entry names do not depend on the channel count
+    return [f"{name}.{part}" for _, name, *_ in _layout(1) for part in ("kernel", "bias")]
 
 
 def _read_meta(dirpath, key):
@@ -300,64 +303,49 @@ def _read_meta(dirpath, key):
     return meta[key]
 
 
+def _save_dir(dirpath, entries, meta):
+    """Write a directory of rasters, then its meta.txt.
+
+    meta.txt is removed before the first raster and written after the last,
+    so a save that stops midway leaves a directory that fails to load
+    instead of one that mixes the old and the new contents.
+    """
+    meta_path = os.path.join(dirpath, "meta.txt")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
+    slzio.write_raster_dir(dirpath, entries)
+    slzio.write_key_values(meta_path, meta)
+
+
 def save_weights(weights: RefinementWeights, dirpath):
     """Write a weight bundle: one F32R per kernel/bias plus meta.txt."""
     entries = {}
-    for name in _GRU_INPUT_CHANNELS:
-        gru = getattr(weights, name)
-        for gate, (k, b) in (("z", (gru.wz, gru.bz)), ("r", (gru.wr, gru.br)),
-                             ("h", (gru.wh, gru.bh))):
-            entries[f"{name}.{gate}.kernel"] = k.reshape(k.shape[0], k.shape[1], -1)
-            entries[f"{name}.{gate}.bias"] = b.reshape(1, -1)
-    for name in _HEAD_OUTPUT_CHANNELS:
-        head = getattr(weights, name)
-        for layer, (k, b) in (("conv1", (head.w1, head.b1)), ("conv2", (head.w2, head.b2))):
-            entries[f"{name}.{layer}.kernel"] = k.reshape(k.shape[0], k.shape[1], -1)
-            entries[f"{name}.{layer}.bias"] = b.reshape(1, -1)
-    slzio.write_raster_dir(dirpath, entries)
-    slzio.write_key_values(os.path.join(dirpath, "meta.txt"),
-                           {"hidden_channels": weights.hidden_channels})
+    for _, name, k, b in _convs(weights):
+        entries[name + ".kernel"] = k.reshape(k.shape[0], k.shape[1], -1)
+        entries[name + ".bias"] = b.reshape(1, -1)
+    _save_dir(dirpath, entries, {"hidden_channels": weights.hidden_channels})
 
 
 def load_weights(dirpath) -> RefinementWeights:
-    """Load a weight bundle; raises MissingEntryError naming absent keys."""
+    """Load a weight bundle; raises MissingEntryError naming absent keys and
+    ParseError naming an entry of the wrong shape."""
     hc = _read_meta(dirpath, "hidden_channels")
     entries = slzio.read_raster_dir(dirpath, required=required_entry_names())
 
-    def kernel(name, cin, cout):
-        arr = entries[name]
-        want = arr.shape[0] * arr.shape[1] * cin * cout
-        if arr.size != want:
-            raise slzio.ParseError(f"{dirpath}: {name} has {arr.size} values, expected {want}")
-        return np.ascontiguousarray(arr).reshape(arr.shape[0], arr.shape[1], cin, cout)
+    def conv(name, shape):
+        kh, kw, cin, cout = shape
+        kernel, bias = entries[name + ".kernel"], entries[name + ".bias"]
+        # a kernel is a kh x kw raster with cin*cout channels, 2-D for one channel
+        want = (kh, kw) if cin * cout == 1 else (kh, kw, cin * cout)
+        if kernel.shape != want:
+            raise slzio.ParseError(f"{dirpath}: {name}.kernel has shape {kernel.shape}, "
+                                   f"expected {want}")
+        if bias.size != cout:
+            raise slzio.ParseError(f"{dirpath}: {name}.bias has {bias.size} values, "
+                                   f"expected {cout}")
+        return kernel.reshape(shape), bias.reshape(cout)
 
-    def bias(name, cout):
-        arr = entries[name]
-        if arr.size != cout:
-            raise slzio.ParseError(f"{dirpath}: {name} has {arr.size} values, expected {cout}")
-        return np.ascontiguousarray(arr).reshape(cout)
-
-    def gru(name):
-        cin = hc + _GRU_INPUT_CHANNELS[name]
-        return ConvGruWeights(
-            wz=kernel(f"{name}.z.kernel", cin, hc), bz=bias(f"{name}.z.bias", hc),
-            wr=kernel(f"{name}.r.kernel", cin, hc), br=bias(f"{name}.r.bias", hc),
-            wh=kernel(f"{name}.h.kernel", cin, hc), bh=bias(f"{name}.h.bias", hc),
-        )
-
-    def head(name):
-        cout = _HEAD_OUTPUT_CHANNELS[name]
-        return ProjectionHead(
-            w1=kernel(f"{name}.conv1.kernel", hc, hc), b1=bias(f"{name}.conv1.bias", hc),
-            w2=kernel(f"{name}.conv2.kernel", hc, cout), b2=bias(f"{name}.conv2.bias", cout),
-        )
-
-    return RefinementWeights(
-        gru_quarter=gru("gru_quarter"), gru_seventh=gru("gru_seventh"),
-        gru_fourteenth=gru("gru_fourteenth"), gru_slz=gru("gru_slz"),
-        proj_depth=head("proj_depth"), proj_normal=head("proj_normal"),
-        proj_slz=head("proj_slz"),
-    )
+    return _assemble(hc, (conv(name, shape) for _, name, _, _, shape in _layout(hc)))
 
 
 _STATE_ENTRIES = ("hidden_quarter", "hidden_seventh", "hidden_fourteenth",
@@ -368,15 +356,26 @@ def save_state(state: RefinementState, dirpath):
     """Persist a refinement state (float32, bitwise) for later resumption."""
     if state.pending_slz:
         raise ProtocolError("cannot save a state mid-iteration")
-    entries = {name: getattr(state, name) for name in _STATE_ENTRIES}
-    slzio.write_raster_dir(dirpath, entries)
-    slzio.write_key_values(os.path.join(dirpath, "meta.txt"), {"t": state.t})
+    _save_dir(dirpath, {name: getattr(state, name) for name in _STATE_ENTRIES}, {"t": state.t})
 
 
 def load_state(dirpath) -> RefinementState:
+    """Load a saved state; raises ParseError naming an entry whose shape does
+    not fit the depth raster's (H, W) and the hidden channel count."""
     t = _read_meta(dirpath, "t")
     entries = slzio.read_raster_dir(dirpath, required=_STATE_ENTRIES)
-    for name in ("hidden_quarter", "hidden_seventh", "hidden_fourteenth", "slz_hidden"):
-        if entries[name].ndim == 2:  # single hidden channel reads back 2-D
-            entries[name] = entries[name][..., None]
+    depth, hidden = entries["depth"], entries["hidden_quarter"]
+    h, w = depth.shape[:2]
+    c = hidden.shape[2] if hidden.ndim == 3 else 1
+    expect = {"depth": (h, w), "normal": (h, w, 3), "slz": (h, w, 2),
+              "hidden_quarter": (h, w, c), "slz_hidden": (h, w, c),
+              "hidden_seventh": (None, None, c), "hidden_fourteenth": (None, None, c)}
+    for name, shape in expect.items():
+        arr = entries[name]
+        if arr.ndim == 2 and shape[2:] == (1,):  # a single channel reads back 2-D
+            arr = entries[name] = arr[..., None]
+        if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+            want = ", ".join("*" if n is None else str(n) for n in shape)
+            raise slzio.ParseError(f"{dirpath}: {name} has shape {arr.shape}, expected ({want}) "
+                                   f"from depth {depth.shape} and {c} hidden channels")
     return RefinementState(t=t, **{name: entries[name] for name in _STATE_ENTRIES})

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .geometry import ray_grid
+from .geometry import _ray_xy
 from .io import read_sections
 from .slz import SAFE, UNSAFE, dilate_unsafe
 
@@ -76,8 +76,8 @@ class SceneRender:
 
 def plane_depth(height, width, intr: CameraIntrinsics, a, b, c):
     """Pinhole depth raster of the plane Z = a X + b Y + c; 0 beyond the horizon."""
-    rays = ray_grid(height, width, intr)
-    g = 1.0 - a * rays[..., 0] - b * rays[..., 1]
+    xs, ys = _ray_xy(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64), intr)
+    g = 1.0 - a * xs[None, :] - b * ys[:, None]
     depth = np.zeros((height, width), dtype=np.float64)
     vis = g > 0
     depth[vis] = c / g[vis]
@@ -97,8 +97,14 @@ def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
     closed form over each pixel cell [u-1/2, u+1/2] x [v-1/2, v+1/2].
     With g at the cell corners, the integral of 1/g^3 is
     (g++ + g--) / (2 g++ g+- g-+ g--), which has no cancellation however
-    small the tilt. Pixels whose center is past the horizon get 0.
+    small the tilt. A cell with any corner at g <= 0 reaches the horizon,
+    where the integral diverges, and gets 0.
     """
+    return _plane_cells(height, width, intr, a, b, c)[0]
+
+
+def _plane_cells(height, width, intr: CameraIntrinsics, a, b, c):
+    """`exact_plane_cell_areas` and the mask of the cells that reach the horizon."""
     alpha = a / intr.fx
     beta = b / intr.fy
     us = np.arange(width, dtype=np.float64) - intr.cx
@@ -111,12 +117,14 @@ def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
     gpm = g_of(us + 0.5, vs - 0.5)
     gmp = g_of(us - 0.5, vs + 0.5)
     gmm = g_of(us - 0.5, vs - 0.5)
-    cell = (gpp + gmm) / (2.0 * gpp * gpm * gmp * gmm)
+    horizon = np.minimum(np.minimum(gpp, gpm), np.minimum(gmp, gmm)) <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cell = (gpp + gmm) / (2.0 * gpp * gpm * gmp * gmm)
 
     scale = c * c * math.sqrt(a * a + b * b + 1.0) / (intr.fx * intr.fy)
     areas = scale * cell
-    areas[g_of(us, vs) <= 0] = 0.0
-    return areas
+    areas[horizon] = 0.0
+    return areas, horizon
 
 
 def render_scene(scene: Scene) -> SceneRender:
@@ -128,7 +136,7 @@ def render_scene(scene: Scene) -> SceneRender:
 
     normals = np.zeros((scene.height, scene.width, 3), dtype=np.float64)
     normals[ground_visible] = plane_unit_normal(a, b)
-    exact = exact_plane_cell_areas(scene.height, scene.width, intr, a, b, c)
+    exact, horizon = _plane_cells(scene.height, scene.width, intr, a, b, c)
 
     footprint = np.zeros((scene.height, scene.width), dtype=np.uint8)
     box_areas = []
@@ -163,6 +171,8 @@ def render_scene(scene: Scene) -> SceneRender:
         "analytic_total_area": float(exact[visible].sum()),
         "analytic_safe_area": float(exact[visible & (mask == SAFE)].sum()),
     }
+    if horizon.any():
+        sidecar["horizon_cells"] = int(horizon.sum())
     for i, area in enumerate(box_areas):
         sidecar[f"box{i}_top_area"] = area
     return SceneRender(depth=depth, normals=normals, mask=mask,

@@ -290,6 +290,37 @@ def test_refine_demo_resume_takes_config_values_as_defaults(capsys, tmp_path, fi
         assert (tmp_path / "config" / fn).read_bytes() == (tmp_path / "plain" / fn).read_bytes()
 
 
+def test_refine_demo_resume_of_a_reshaped_gate_kernel_exits_2(capsys, tmp_path, finished_run):
+    for gate in "zrh":  # the same values as 1x9 rasters
+        path = finished_run / "weights" / f"gru_quarter.{gate}.kernel.f32r"
+        sio.write_raster(sio.read_raster(path).reshape(1, 9, -1), path)
+    code, _, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                           "--resume", str(finished_run))
+    assert code == 2
+    assert "gru_quarter.z.kernel has shape (1, 9, 96)" in err
+
+
+@pytest.mark.parametrize("entry,edit,named", [
+    pytest.param("normal", lambda a: a[..., :2], "normal has shape (14, 14, 2)", id="normal"),
+    pytest.param("depth", lambda a: a[:-1], "depth (13, 14)", id="depth"),
+    pytest.param("slz", lambda a: a[..., 0], "slz has shape (14, 14)", id="slz"),
+    pytest.param("slz_hidden", lambda a: a[:, :-1], "slz_hidden has shape (14, 13, 8)",
+                 id="slz_hidden"),
+    pytest.param("hidden_seventh", lambda a: a[..., :4], "hidden_seventh has shape (8, 8, 4)",
+                 id="hidden_seventh"),
+    pytest.param("hidden_fourteenth", lambda a: a[..., 0], "hidden_fourteenth has shape (4, 4)",
+                 id="hidden_fourteenth"),
+])
+def test_refine_demo_resume_of_a_malformed_state_entry_exits_2(capsys, tmp_path, finished_run,
+                                                               entry, edit, named):
+    path = finished_run / "state" / f"{entry}.f32r"
+    sio.write_raster(edit(sio.read_raster(path)), path)
+    code, _, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                           "--resume", str(finished_run))
+    assert code == 2
+    assert named in err
+
+
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):
     weights = refinement.zero_projection_heads(refinement.init_weights(8, seed=2))
     refinement.save_weights(weights, tmp_path / "bundle")

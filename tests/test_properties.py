@@ -1,10 +1,12 @@
 """Property tests of the geometric identities behind the region areas, the
 pooled confusion counts and the synthetic scenes' closed-form areas."""
 
+import math
+
 import numpy as np
 import oracles
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slzkit.camera import CameraIntrinsics
@@ -87,14 +89,33 @@ def test_confusion_counts_add_up_across_any_split_of_the_pairs(seed, count, heig
 
 @settings(max_examples=60, deadline=None)
 @given(height=st.integers(3, 40), width=st.integers(3, 40), intr=intrinsics,
-       a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), c=st.floats(0.1, 100.0))
+       a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0), c=st.floats(0.1, 100.0))
+@example(height=24, width=32, intr=CameraIntrinsics(50.0, 50.0, 15.5, 11.3), a=0.3, b=5.0, c=10.0)
+@example(height=24, width=32, intr=CameraIntrinsics(50.0, 50.0, 15.5, 11.3), a=0.0, b=5.0, c=10.0)
+@example(height=24, width=32, intr=CameraIntrinsics(50.0, 50.0, 15.3, 11.5), a=-4.0, b=3.0, c=1.0)
 def test_synth_total_area_matches_the_plane_patch_over_random_planes(height, width, intr,
                                                                      a, b, c):
-    # the whole frame sees the plane: g > 0 at every corner of the patch
-    corners = [((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
-               for u in (-0.5, width - 0.5) for v in (-0.5, height - 0.5)]
-    assume(min(1.0 - a * rx - b * ry for rx, ry in corners) > 0.05)
+    # A cell sees the plane when g > 0 at its four corners. The other cells
+    # reach the horizon, where the area diverges, and add nothing to the sums.
+    def g(u, v):
+        return 1.0 - a * (u - intr.cx) / intr.fx - b * (v - intr.cy) / intr.fy
+
+    corner_g = np.array([[g(u - 0.5, v - 0.5) for u in range(width + 1)]
+                         for v in range(height + 1)])
+    assume(np.abs(corner_g).min() > 1e-4)
+    sees = np.minimum(np.minimum(corner_g[:-1, :-1], corner_g[:-1, 1:]),
+                      np.minimum(corner_g[1:, :-1], corner_g[1:, 1:])) > 0
+    # the cells that see the plane form one run per row (g is affine)
+    ref = 0.0
+    for v, row in enumerate(sees):
+        cols = np.flatnonzero(row)
+        if cols.size:
+            assert cols[-1] - cols[0] + 1 == cols.size
+            run = CameraIntrinsics(intr.fx, intr.fy, intr.cx - cols[0], intr.cy - v)
+            ref += oracles.plane_patch_area_ref(1, cols.size, run, a, b, c)
     render = render_scene(Scene(width, height, intr, (a, b, c)))
-    ref = oracles.plane_patch_area_ref(height, width, intr, a, b, c)
-    assert render.sidecar["analytic_total_area"] == pytest.approx(ref, rel=1e-9)
-    assert render.sidecar["analytic_safe_area"] == render.sidecar["analytic_total_area"]
+    total = render.sidecar["analytic_total_area"]
+    assert math.isfinite(total) and total >= 0
+    assert total == pytest.approx(ref, rel=1e-9)
+    assert render.sidecar["analytic_safe_area"] == total
+    assert render.sidecar.get("horizon_cells", 0) == sees.size - sees.sum()

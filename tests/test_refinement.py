@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -258,9 +261,13 @@ def test_demo_state_validates_base():
         demo_state(base=0)
 
 
-def test_weight_bundle_round_trip(tmp_path):
-    weights = init_weights(hidden_channels=8, seed=15)
+@pytest.mark.parametrize("hidden", [1, 8])
+def test_weight_bundle_round_trip(tmp_path, hidden):
+    weights = init_weights(hidden_channels=hidden, seed=15)
     save_weights(weights, tmp_path / "bundle")
+    if hidden == 1:  # single-channel rasters read back 2-D
+        for name in ("proj_depth.conv2.kernel", "proj_normal.conv1.kernel", "gru_slz.h.bias"):
+            assert sio.read_raster(tmp_path / "bundle" / f"{name}.f32r").ndim == 2
     back = load_weights(tmp_path / "bundle")
     for gru in ("gru_quarter", "gru_seventh", "gru_fourteenth", "gru_slz"):
         for attr in ("wz", "bz", "wr", "br", "wh", "bh"):
@@ -270,6 +277,63 @@ def test_weight_bundle_round_trip(tmp_path):
         for attr in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(getattr(weights, head), attr),
                                   getattr(getattr(back, head), attr))
+
+
+def test_seeded_weight_bundle_bytes_are_pinned(tmp_path):
+    # the draw order of init_weights and the bundle layout are part of the
+    # contract: a seed always gives the same files
+    save_weights(init_weights(8, seed=0), tmp_path)
+    names = sorted(os.listdir(tmp_path))
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert len(names) == 37
+    assert digest.hexdigest() == "67df9dd6b8bc81eb040098c46cdf06bcb78485a90ba9724ce3fc1b52389bdc0f"
+
+
+def test_weight_bundle_rejects_a_kernel_raster_of_the_wrong_shape(tmp_path):
+    save_weights(init_weights(hidden_channels=8, seed=20), tmp_path / "bundle")
+    for gate in "zrh":  # the same values as 1x9 rasters
+        path = tmp_path / "bundle" / f"gru_quarter.{gate}.kernel.f32r"
+        sio.write_raster(sio.read_raster(path).reshape(1, 9, -1), path)
+    with pytest.raises(sio.ParseError, match=r"gru_quarter\.z\.kernel has shape \(1, 9, 96\)"):
+        load_weights(tmp_path / "bundle")
+
+
+def _state_pair():
+    weights = init_weights(hidden_channels=4, seed=21)
+    states = run_refinement(demo_state(28, 4, seed=21), weights, 2)
+    return save_state, load_state, states[1], states[2]
+
+
+def _weights_pair():
+    return save_weights, load_weights, init_weights(4, seed=22), init_weights(4, seed=23)
+
+
+@pytest.mark.parametrize("pair", [_state_pair, _weights_pair], ids=["state", "weights"])
+def test_a_save_that_stops_midway_leaves_a_directory_that_does_not_load(tmp_path, monkeypatch,
+                                                                       pair):
+    save, load, old, new = pair()
+    save(old, tmp_path / "d")
+    write_raster, calls = sio.write_raster, []
+
+    def failing_write_raster(raster, path):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError(f"{path}: no space left on device")
+        write_raster(raster, path)
+
+    monkeypatch.setattr(sio, "write_raster", failing_write_raster)
+    with pytest.raises(OSError):
+        save(new, tmp_path / "d")
+    monkeypatch.undo()
+    with pytest.raises(sio.MissingEntryError, match="meta.txt"):
+        load(tmp_path / "d")
+    save(new, tmp_path / "d")  # a whole save over the torn one leaves no trace of it
+    save(new, tmp_path / "whole")
+    assert ({f.name: f.read_bytes() for f in (tmp_path / "d").iterdir()}
+            == {f.name: f.read_bytes() for f in (tmp_path / "whole").iterdir()})
 
 
 def test_weight_bundle_missing_entry_is_named(tmp_path):
