@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -167,6 +168,9 @@ def _bilinear_x4(raster):
     return arr
 
 
+_STEP_RASTER = re.compile(r"(depth|normal|slz)_t-?\d+\.f32r")
+
+
 def cmd_refine_demo(args):
     os.makedirs(args.out, exist_ok=True)
 
@@ -180,12 +184,16 @@ def cmd_refine_demo(args):
                                      seed=args.seed)
 
     states = refinement.run_refinement(init, weights, args.T)
+    rasters = {f"{kind}_t{state.t}.f32r": getattr(state, kind)
+               for state in states for kind in ("depth", "normal", "slz")}
+    # drop the per-step rasters an earlier run left in --out: they would pass for this run's
+    for name in os.listdir(args.out):
+        if _STEP_RASTER.fullmatch(name) and name not in rasters:
+            os.remove(os.path.join(args.out, name))
     refinement.save_weights(weights, os.path.join(args.out, "weights"))
     refinement.save_state(states[-1], os.path.join(args.out, "state"))
-    for state in states:
-        slzio.write_raster(state.depth, os.path.join(args.out, f"depth_t{state.t}.f32r"))
-        slzio.write_raster(state.normal, os.path.join(args.out, f"normal_t{state.t}.f32r"))
-        slzio.write_raster(state.slz, os.path.join(args.out, f"slz_t{state.t}.f32r"))
+    for name, raster in rasters.items():
+        slzio.write_raster(raster, os.path.join(args.out, name))
     final = states[-1]
     slzio.write_raster(_bilinear_x4(final.depth), os.path.join(args.out, "depth_full.f32r"))
     slzio.write_raster(_bilinear_x4(final.normal), os.path.join(args.out, "normal_full.f32r"))

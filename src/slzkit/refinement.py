@@ -292,14 +292,16 @@ def required_entry_names():
     return [f"{name}.{part}" for _, name, *_ in _layout(1) for part in ("kernel", "bias")]
 
 
-def _read_meta(dirpath, key):
-    """The integer `key` of a directory's meta.txt."""
+def _read_meta(dirpath, key, least):
+    """The integer `key` of a directory's meta.txt, which must be >= `least`."""
     path = os.path.join(dirpath, "meta.txt")
     if not os.path.exists(path):
         raise slzio.MissingEntryError(f"{path}: missing")
     meta = slzio.read_key_values(path, {key: int})
     if key not in meta:
         raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid {key}")
+    if meta[key] < least:
+        raise slzio.ParseError(f"{path}: {key}={meta[key]} must be >= {least}")
     return meta[key]
 
 
@@ -329,7 +331,7 @@ def save_weights(weights: RefinementWeights, dirpath):
 def load_weights(dirpath) -> RefinementWeights:
     """Load a weight bundle; raises MissingEntryError naming absent keys and
     ParseError naming an entry of the wrong shape."""
-    hc = _read_meta(dirpath, "hidden_channels")
+    hc = _read_meta(dirpath, "hidden_channels", 1)
     entries = slzio.read_raster_dir(dirpath, required=required_entry_names())
 
     def conv(name, shape):
@@ -362,7 +364,7 @@ def save_state(state: RefinementState, dirpath):
 def load_state(dirpath) -> RefinementState:
     """Load a saved state; raises ParseError naming an entry whose shape does
     not fit the depth raster's (H, W) and the hidden channel count."""
-    t = _read_meta(dirpath, "t")
+    t = _read_meta(dirpath, "t", 0)
     entries = slzio.read_raster_dir(dirpath, required=_STATE_ENTRIES)
     depth, hidden = entries["depth"], entries["hidden_quarter"]
     h, w = depth.shape[:2]

@@ -43,8 +43,7 @@ class LandingCandidate:
 class RegionStats:
     """Every safe region of a mask from one labelling pass; entry i is region id i + 1."""
 
-    labels: np.ndarray  # (H, W) labels of the safe pixels, 0 = unsafe
-    label_of: np.ndarray  # (R,) label of each region id
+    labels: np.ndarray  # (H, W) region id of each safe pixel, 0 = unsafe
     bbox: np.ndarray  # (R, 4) min_row, min_col, max_row, max_col, inclusive
     area: np.ndarray  # (R,) float64 m^2
     pixel_count: np.ndarray  # (R,) pixels that contributed to the area
@@ -53,7 +52,7 @@ class RegionStats:
     def pixels(self, i):
         """(N, 2) array of the (row, col) pixels of region id i + 1, row-major."""
         r0, c0, r1, c1 = self.bbox[i]
-        pixels = np.argwhere(self.labels[r0:r1 + 1, c0:c1 + 1] == self.label_of[i])
+        pixels = np.argwhere(self.labels[r0:r1 + 1, c0:c1 + 1] == i + 1)
         pixels += (r0, c0)
         return pixels
 
@@ -78,48 +77,64 @@ def binarize(logits):
 
 
 def _label(m):
-    """Safe-pixel labels, the label of each region id and each region's bbox."""
-    # scipy is imported where it runs: loading it costs about 0.3 s of startup,
-    # which every CLI command would pay, most of them without using it
-    from scipy import ndimage
+    """Safe-pixel labels and each region's bbox; label i + 1 is region id i + 1.
 
-    labels, count = ndimage.label(m == SAFE, output=np.intp)
-    width = m.shape[1]
-    flat = labels.ravel()
-    idx = np.flatnonzero(flat)
-    lab = flat[idx]
-    col = idx % width
-    # per-label extremes of the flat index (first and last row) and of the column
-    first_index = np.full(count + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first_index, lab, idx)
-    last_index = np.zeros(count + 1, dtype=np.int64)
-    np.maximum.at(last_index, lab, idx)
-    min_col = np.full(count + 1, width, dtype=np.int64)
-    np.minimum.at(min_col, lab, col)
-    max_col = np.zeros(count + 1, dtype=np.int64)
-    np.maximum.at(max_col, lab, col)
-    # rank labels by the flat index of their first pixel (row-major discovery)
-    label_of = np.argsort(first_index[1:], kind="stable") + 1
-    bbox = np.column_stack([first_index, min_col, last_index, max_col])[label_of]
-    bbox[:, 0::2] //= width  # flat index -> row
-    return labels, label_of, bbox
+    Run-based two-pass labelling: find the row runs of safe pixels, link each
+    run to the runs it overlaps in the row above, then merge linked runs by
+    min-hooking and pointer jumping.
+    """
+    h, w = m.shape
+    # the unsafe pad column ends every run within its row
+    safe = np.zeros((h, w + 1), bool)
+    safe[:, :w] = m == SAFE
+    change = np.flatnonzero(np.diff(safe.ravel(), prepend=False))
+    start, stop = change.reshape(-1, 2).T  # padded flat index, stop exclusive
+    row = start // (w + 1)
+    # the runs above that overlap run j are one contiguous range [lo_j, hi_j)
+    lo = np.searchsorted(stop, start - (w + 1), side="right")
+    hi = np.searchsorted(start, stop - (w + 1), side="left")
+    links = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(len(start)), links)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(links) - links), links)
+    # every run points at a smaller one or at itself, so each root is its
+    # component's first run in row-major order
+    parent = np.arange(len(start))
+    while not np.array_equal(ra := parent[a], rb := parent[b]):
+        # hook each root under the smallest root it links to, then jump pointers
+        # until every run points at its root
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    root = parent == np.arange(len(parent))
+    lab = np.cumsum(root)[parent]
+    # paint +id at each run start and -id at its stop, then one running sum
+    delta = np.zeros(h * w + 1, np.intp)
+    delta[start - row] = lab
+    delta[stop - row] -= lab
+    labels = np.cumsum(delta[:-1]).reshape(h, w)
+    bbox = np.zeros((int(root.sum()), 4), np.intp)
+    bbox[:, 0] = row[root]
+    bbox[:, 1] = w
+    np.minimum.at(bbox[:, 1], lab - 1, start - row * (w + 1))
+    np.maximum.at(bbox[:, 2], lab - 1, row)
+    np.maximum.at(bbox[:, 3], lab - 1, stop - row * (w + 1) - 1)
+    return labels, bbox
 
 
 def connected_components(mask):
     """4-connected components of the safe pixels, ids in row-major discovery order."""
     m = _check_mask(mask)
-    labels, label_of, bbox = _label(m)
+    labels, bbox = _label(m)
     flat = labels.ravel()
     idx = np.flatnonzero(flat)
     # one stable sort groups the pixels by label, each group in row-major order
     grouped = idx[np.argsort(flat[idx], kind="stable")]
     coords = np.column_stack(np.divmod(grouped, m.shape[1]))
-    counts = np.bincount(flat, minlength=len(label_of) + 1)[1:]
+    counts = np.bincount(flat, minlength=len(bbox) + 1)[1:]
     ends = np.cumsum(counts)
     starts = ends - counts
-    return [Region(region_id=new_id, pixels=coords[starts[lab - 1]:ends[lab - 1]],
-                   bbox=tuple(box))
-            for new_id, (lab, box) in enumerate(zip(label_of.tolist(), bbox.tolist()), start=1)]
+    return [Region(region_id=i, pixels=coords[s:e], bbox=tuple(box))
+            for i, (s, e, box) in enumerate(zip(starts, ends, bbox.tolist()), start=1)]
 
 
 def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
@@ -133,14 +148,14 @@ def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_N
     d = np.asarray(depth)
     if d.shape != m.shape:
         raise ShapeMismatchError(f"depth shape {d.shape} != mask shape {m.shape}")
-    labels, label_of, bbox = _label(m)
+    labels, bbox = _label(m)
     areas, included = pixel_areas(d, normals, intr, n_z_min)
     flat = labels.ravel()
-    bins = len(label_of) + 1
-    area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[label_of]
-    size = np.bincount(flat, minlength=bins)[label_of]
-    excluded = np.bincount(flat[~included.ravel()], minlength=bins)[label_of]
-    return RegionStats(labels, label_of, bbox, area, size - excluded, excluded)
+    bins = len(bbox) + 1
+    area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
+    size = np.bincount(flat, minlength=bins)[1:]
+    excluded = np.bincount(flat[~included.ravel()], minlength=bins)[1:]
+    return RegionStats(labels, bbox, area, size - excluded, excluded)
 
 
 def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,

@@ -12,6 +12,7 @@ in another layout, so the tests compare the two bit for bit.
 """
 
 import numpy as np
+from scipy import ndimage
 from scipy.special import expit
 
 
@@ -121,6 +122,25 @@ def flood_fill_components(mask):
                         stack.append((rr, cc))
             components.append(sorted(pixels))
     return components
+
+
+def label_ref(mask):
+    """4-connected safe components from ``ndimage.label`` and ``find_objects``.
+
+    Returns the (H, W) labels renumbered so that label i + 1 is the i-th
+    component by first pixel in row-major scan order, and the (R, 4)
+    inclusive bboxes (min_row, min_col, max_row, max_col) in that order.
+    """
+    labels, count = ndimage.label(np.asarray(mask) == 0)
+    values, first = np.unique(labels.ravel(), return_index=True)
+    order = values[values > 0][np.argsort(first[values > 0], kind="stable")]
+    renumber = np.zeros(count + 1, labels.dtype)
+    renumber[order] = np.arange(1, count + 1)
+    boxes = ndimage.find_objects(labels)
+    bbox = np.array([(boxes[lab - 1][0].start, boxes[lab - 1][1].start,
+                      boxes[lab - 1][0].stop - 1, boxes[lab - 1][1].stop - 1)
+                     for lab in order.tolist()], dtype=np.int64).reshape(-1, 4)
+    return renumber[labels], bbox
 
 
 def dilate_ref(mask, radius):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io as std_io
 import os
@@ -319,6 +320,37 @@ def test_refine_demo_resume_of_a_malformed_state_entry_exits_2(capsys, tmp_path,
                            "--resume", str(finished_run))
     assert code == 2
     assert named in err
+
+
+@pytest.mark.parametrize("entry,line", [("state", "t=-3"), ("weights", "hidden_channels=0")])
+def test_refine_demo_resume_of_a_meta_value_out_of_range_exits_2(capsys, tmp_path, finished_run,
+                                                                  entry, line):
+    (finished_run / entry / "meta.txt").write_text(line + "\n")
+    code, _, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                           "--resume", str(finished_run))
+    assert code == 2
+    assert f"meta.txt: {line} must be >= " in err
+    assert not list((tmp_path / "b").glob("*.f32r"))
+
+
+def test_refine_demo_removes_the_step_rasters_of_an_earlier_run(capsys, tmp_path):
+    out = tmp_path / "x"
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "4", "--out", str(out))
+    assert code == 0
+    keep = ["depth_t12.f32r.bak", "depth_t.f32r", "notes_t3.f32r", "slz_t3.f32r.txt"]
+    for name in keep:
+        (out / name).write_text("mine\n")
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5", "--out", str(out))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5",
+                         "--out", str(tmp_path / "fresh"))
+    assert code == 0
+    steps = {f"{kind}_t{t}.f32r" for kind in ("depth", "normal", "slz") for t in range(3)}
+    assert {p.name for p in out.glob("*_t*")} == steps | set(keep)
+    for name in keep:
+        assert (out / name).read_text() == "mine\n"
+    for name in [*steps, "losses.csv"]:
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):
@@ -645,9 +677,25 @@ def test_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("command", ["combined", "vnl", "sequential", "dncl", "slz", "evaluate",
-                                     "refine-demo", "refine-demo-resume", "synth-buffer"])
+                                     "refine-demo", "refine-demo-resume", "synth-buffer",
+                                     "area", "area-derive-normals", "candidates-logits-dilate"])
 def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
-    if command == "evaluate":
+    if command.startswith(("area", "candidates")):
+        _three_blob_fixture(tmp_path)
+        frame = ["--depth", str(tmp_path / "depth.f32r"),
+                 "--intrinsics", str(tmp_path / "intr.txt")]
+        logits = np.zeros((32, 32, 2), dtype=np.float32)
+        logits[..., 1] = np.where(sio.read_mask(tmp_path / "mask.pgm") == 1, 1.0, -1.0)
+        sio.write_raster(logits, tmp_path / "logits.f32r")
+        argv = {"area": ["area", *frame, "--mask", str(tmp_path / "mask.pgm"),
+                         "--normals", str(tmp_path / "normals.f32r")],
+                "area-derive-normals": ["area", *frame, "--mask", str(tmp_path / "mask.pgm"),
+                                        "--derive-normals"],
+                "candidates-logits-dilate": ["candidates", *frame,
+                                             "--logits", str(tmp_path / "logits.f32r"),
+                                             "--normals", str(tmp_path / "normals.f32r"),
+                                             "--dilate", "2"]}[command]
+    elif command == "evaluate":
         for sub in ("pred", "gt"):
             (tmp_path / sub).mkdir()
             sio.write_mask(np.eye(8, dtype=np.uint8), tmp_path / sub / "a.pgm")
@@ -669,6 +717,24 @@ def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
     proc = _fresh_python("-c", _SCIPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stderr
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_scipy():
+    # static twin of the probes above: a lazy import inside any function counts too
+    modules = sorted(Path(slzkit.__file__).parent.rglob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = [name for name in _imported_modules(tree) if name.split(".")[0] == "scipy"]
+        assert imported == [], f"{path.name} imports {imported}"
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (14, 14), (56, 56),

@@ -343,6 +343,21 @@ def test_weight_bundle_missing_entry_is_named(tmp_path):
         load_weights(tmp_path / "bundle")
 
 
+@pytest.mark.parametrize("kind,key,value", [("weights", "hidden_channels", 0),
+                                            ("weights", "hidden_channels", -4),
+                                            ("state", "t", -1), ("state", "t", -3)])
+def test_meta_value_below_its_least_is_a_parse_error(tmp_path, kind, key, value):
+    weights = init_weights(hidden_channels=4, seed=20)
+    if kind == "weights":
+        save_weights(weights, tmp_path / kind)
+    else:
+        save_state(run_refinement(demo_state(28, 4, seed=20), weights, 1)[-1], tmp_path / kind)
+    (tmp_path / kind / "meta.txt").write_text(f"{key}={value}\n")
+    load = load_weights if kind == "weights" else load_state
+    with pytest.raises(sio.ParseError, match=rf"meta\.txt: {key}={value} must be >= "):
+        load(tmp_path / kind)
+
+
 def test_state_round_trip(tmp_path):
     weights = init_weights(hidden_channels=4, seed=17)
     state = run_refinement(demo_state(28, 4, seed=17), weights, 2)[-1]

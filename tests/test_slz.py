@@ -74,6 +74,110 @@ def test_components_ids_are_row_major_first_pixel_order():
     assert [r.region_id for r in regions] == [1, 2, 3]
 
 
+def test_runs_at_a_row_end_and_the_next_row_start_stay_apart():
+    mask = np.ones((3, 4), np.uint8)
+    mask[0, 3] = 0  # ends at column W - 1
+    mask[1, 0] = 0  # starts at column 0 of the next row, one flat index later
+    regions = connected_components(mask)
+    assert [r.pixels.tolist() for r in regions] == [[[0, 3]], [[1, 0]]]
+    sides = np.ones((5, 6), np.uint8)
+    sides[:, [0, 5]] = 0
+    assert [r.bbox for r in connected_components(sides)] == [(0, 0, 4, 0), (0, 5, 4, 5)]
+
+
+# Adversarial masks for the run labeller; each builds an (h, w) mask.
+
+def _spiral(h, w):
+    """One safe corridor winding inward, one unsafe pixel between its turns."""
+    mask = np.ones((h, w), np.uint8)
+    r = c = 0
+    mask[0, 0] = 0
+    for i, (dr, dc) in enumerate([(0, 1), (1, 0), (0, -1), (-1, 0)] * max(h, w)):
+        n = (w - 1 if i == 0 else w + 1 - i) if i % 2 == 0 else h - i
+        if n <= 0:
+            break
+        r1, c1 = r + dr * n, c + dc * n
+        mask[min(r, r1):max(r, r1) + 1, min(c, c1):max(c, c1) + 1] = 0
+        r, c = r1, c1
+    return mask
+
+
+def _comb(h, w, spine_row):
+    """Teeth on every other column, joined by a spine along one edge row."""
+    mask = np.ones((h, w), np.uint8)
+    mask[:, ::2] = 0
+    mask[spine_row, :] = 0
+    return mask
+
+
+def _serpentine(h, w):
+    """Safe rows joined at alternate ends into one path."""
+    mask = np.ones((h, w), np.uint8)
+    mask[::2, :] = 0
+    for r in range(1, h, 2):
+        mask[r, -1 if r % 4 == 1 else 0] = 0
+    return mask
+
+
+def _speckle(h, w, seed=61):
+    return (np.random.default_rng(seed).uniform(size=(h, w)) < 0.5).astype(np.uint8)
+
+
+ADVERSARIAL = {
+    "spiral": _spiral,
+    "comb-from-top": lambda h, w: _comb(h, w, 0),
+    "comb-from-bottom": lambda h, w: _comb(h, w, -1),
+    "checkerboard": lambda h, w: (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(np.uint8),
+    "serpentine": _serpentine,
+    "all-safe": lambda h, w: np.zeros((h, w), np.uint8),
+    "all-unsafe": lambda h, w: np.ones((h, w), np.uint8),
+    "speckle": _speckle,
+}
+# regions at 720p, where the structure fixes the count
+REGIONS_720P = {"spiral": 1, "comb-from-top": 1, "comb-from-bottom": 1, "checkerboard": 460800,
+                "serpentine": 1, "all-safe": 1, "all-unsafe": 0}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_720p_labels_and_bboxes_match_ndimage(name):
+    mask = ADVERSARIAL[name](720, 1280)
+    depth = np.full(mask.shape, 2.0)
+    normals = np.zeros(mask.shape + (3,))
+    normals[..., 2] = -1.0
+    stats = region_stats(mask, depth, normals, INTR)
+    labels, bbox = oracles.label_ref(mask)
+    assert len(stats.bbox) == REGIONS_720P.get(name, len(bbox))
+    if name == "speckle":
+        assert len(bbox) > 60000
+    assert np.array_equal(stats.labels, labels)
+    assert np.array_equal(stats.bbox, bbox)
+    assert stats.pixel_count.sum() == np.count_nonzero(mask == 0)
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 2), (7, 9), (12, 5)])
+def test_adversarial_small_masks_match_flood_fill(name, shape):
+    mask = ADVERSARIAL[name](*shape)
+    regions = connected_components(mask)
+    ref = oracles.flood_fill_components(mask)
+    assert [r.region_id for r in regions] == list(range(1, len(ref) + 1))
+    for region, ref_pixels in zip(regions, ref):
+        assert [tuple(p) for p in region.pixels] == ref_pixels
+        rows, cols = zip(*ref_pixels)
+        assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
+
+
+@pytest.mark.parametrize("shape", [(1, 1280), (720, 1)])
+@pytest.mark.parametrize("name", ["speckle", "all-safe", "all-unsafe", "checkerboard"])
+def test_strips_match_ndimage(shape, name):
+    mask = ADVERSARIAL[name](*shape)
+    regions = connected_components(mask)
+    labels, bbox = oracles.label_ref(mask)
+    assert [r.bbox for r in regions] == [tuple(b) for b in bbox.tolist()]
+    for i, region in enumerate(regions):
+        assert np.array_equal(region.pixels, np.argwhere(labels == i + 1))
+
+
 def _random_frame(seed, unsafe_fraction, size=64):
     """Seeded mask, depth and normals with invalid-depth and steep-normal pixels."""
     rng = np.random.default_rng(seed)
@@ -106,17 +210,11 @@ def test_components_match_flood_fill_oracle_on_random_masks(seed, unsafe_fractio
 
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
 def test_region_bbox_matches_find_objects(seed, unsafe_fraction):
-    from scipy import ndimage
-
     mask, depth, normals = _random_frame(seed, unsafe_fraction)
     stats = region_stats(mask, depth, normals, INTR)
-    labels, _ = ndimage.label(mask == 0)
-    boxes = ndimage.find_objects(labels)
-    ref = oracles.flood_fill_components(mask)
-    assert len(stats.bbox) == len(ref)
-    for box, ref_pixels in zip(stats.bbox.tolist(), ref):
-        rows, cols = boxes[labels[ref_pixels[0]] - 1]
-        assert box == [rows.start, cols.start, rows.stop - 1, cols.stop - 1]
+    labels, bbox = oracles.label_ref(mask)
+    assert np.array_equal(stats.labels, labels)
+    assert np.array_equal(stats.bbox, bbox)
 
 
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
