@@ -64,7 +64,7 @@ def _read_depth(path):
     d = slzio.read_raster(path)
     if d.ndim != 2:
         raise ShapeMismatchError(f"{path}: depth must be single-channel, got {d.shape[2]} channels")
-    return d.astype(np.float64)
+    return d
 
 
 def _read_frame(args):
@@ -84,7 +84,7 @@ def _read_frame(args):
     n = slzio.read_raster(args.normals)
     if n.ndim != 3 or n.shape[2] != 3:
         raise ShapeMismatchError(f"{args.normals}: normals must be 3-channel, got shape {n.shape}")
-    return intr, depth, mask, n.astype(np.float64)
+    return intr, depth, mask, n
 
 
 def _csv_out(rows):
@@ -259,9 +259,9 @@ def _print_grad_check(loss, seqs, grads):
 
 def cmd_loss_sequential(args):
     preds = [_read_depth(p) for p in args.preds]
-    confs = [slzio.read_raster(p).astype(np.float64) for p in args.confs]
+    confs = [slzio.read_raster(p) for p in args.confs]
     gt_d = _read_depth(args.gt_depth)
-    gt_c = slzio.read_raster(args.gt_conf).astype(np.float64)
+    gt_c = slzio.read_raster(args.gt_conf)
     w = losses.LossWeights(gamma=args.gamma, T=len(preds) - 1)
     valid = _read_valid(args)
     _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, w, valid))
@@ -275,7 +275,7 @@ def cmd_loss_sequential(args):
 def cmd_loss_dncl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
     depth = _read_depth(args.depth)
-    normals = slzio.read_raster(args.normals).astype(np.float64)
+    normals = slzio.read_raster(args.normals)
     _print_loss(losses.depth_normal_consistency(depth, normals, intr))
     if args.grad_check:
         _, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
@@ -285,7 +285,7 @@ def cmd_loss_dncl(args):
 
 
 def cmd_loss_slz(args):
-    logit_seq = [slzio.read_raster(p).astype(np.float64) for p in args.logits]
+    logit_seq = [slzio.read_raster(p) for p in args.logits]
     labels = slzio.read_mask(args.labels)
     cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)

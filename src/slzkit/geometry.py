@@ -59,9 +59,9 @@ def _ray_xy(u, v, intr: CameraIntrinsics):
 
 
 def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
-    """Camera-frame points, shape rows.shape + (3,), of the given pixels of a
-    float64 depth raster; invalid depths yield garbage points."""
-    d = depth[rows, cols]
+    """Camera-frame float64 points, shape rows.shape + (3,), of the given
+    pixels of a depth raster; invalid depths yield garbage points."""
+    d = depth[rows, cols].astype(np.float64)
     xs, ys = _ray_xy(cols.astype(np.float64), rows.astype(np.float64), intr)
     return np.stack([d * xs, d * ys, d], axis=-1)
 
@@ -79,54 +79,80 @@ def _neighbor_valid(valid):
     return vu, vv
 
 
+def _cross_plane(a, b, c, d):
+    """a * b - c * d, one plane of a cross product."""
+    out = a * b
+    out -= c * d
+    return out
+
+
 def _cross(a, b):
     """a x b for vectors given as (x, y, z) planes; the arithmetic of np.cross."""
-    out = []
-    for i, j in ((1, 2), (2, 0), (0, 1)):
-        c = a[i] * b[j]
-        c -= a[j] * b[i]
-        out.append(c)
-    return tuple(out)
+    return tuple(_cross_plane(a[i], b[j], a[j], b[i]) for i, j in ((1, 2), (2, 0), (0, 1)))
 
 
 class _NormalPlanes(NamedTuple):
-    """Forward pass of the depth -> normal conversion, one (H, W) plane per
-    vector component. The extras feed the depth-normal consistency gradient."""
+    """Forward pass of the depth -> normal conversion, one (H, W) float64
+    plane per vector component. The extras feed the depth-normal consistency
+    gradient, which recomputes the tangents with :func:`_tangents`."""
 
     xs: np.ndarray  # (W,) ray x component of each column
     ys: np.ndarray  # (H,) ray y component of each row
-    tu: tuple  # tangent along u (columns): x, y, z planes
-    tv: tuple  # tangent along v (rows)
-    cross: tuple  # tu x tv
-    norm: np.ndarray  # |tu x tv|
+    cross: tuple  # tu x tv: x, y, z planes
     ok: np.ndarray  # pixels with a defined normal
-    sign: np.ndarray  # orientation factor that makes n_z <= 0
+    scale: np.ndarray  # orientation sign / |tu x tv| where ok, NaN elsewhere
+
+
+def _difference(p, axis):
+    """np.gradient(p, axis=axis) of a 2-D p: central differences / 2 inside,
+    one-sided ones at the borders, written into one new plane."""
+    g = np.empty_like(p)
+    src, dst = (p, g) if axis == 0 else (p.T, g.T)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    dst[1:-1] /= 2.0
+    dst[0], dst[-1] = src[1] - src[0], src[-1] - src[-2]
+    return g
+
+
+def _tangents(d, ray):
+    """Tangents along u (columns) and v (rows) of the points depth * ray, as
+    float64 planes for any depth dtype."""
+    p = np.multiply(d, ray, dtype=np.float64)
+    return _difference(p, 1), _difference(p, 0)
 
 
 def _normal_planes(depth, intr: CameraIntrinsics):
-    d = np.asarray(depth, dtype=np.float64)
+    d = np.asarray(depth)
     if d.ndim != 2 or d.shape[0] < 3 or d.shape[1] < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
     xs, ys = _ray_xy(np.arange(d.shape[1], dtype=np.float64),
                      np.arange(d.shape[0], dtype=np.float64), intr)
-    tu, tv = [], []
-    for ray in (xs, ys[:, None], 1.0):
-        # points are depth * ray; np.gradient takes central differences /2 in
-        # the interior and one-sided ones at the borders
-        p = d * ray
-        tu.append(np.gradient(p, axis=1))
-        tv.append(np.gradient(p, axis=0))
-    cross = _cross(tu, tv)
+    # Each plane of tu x tv comes from the tangents of the other two
+    # components. Those of x are computed twice, so that at most four tangent
+    # planes are alive at once.
+    ux, vx = _tangents(d, xs)
+    uy, vy = _tangents(d, ys[:, None])
+    cz = _cross_plane(ux, vy, uy, vx)
+    del ux, vx
+    uz, vz = _tangents(d, 1.0)
+    cx = _cross_plane(uy, vz, uz, vy)
+    del uy, vy
+    ux, vx = _tangents(d, xs)
+    cy = _cross_plane(uz, vx, ux, vz)
+    del ux, vx, uz, vz
     # summed left to right, as np.linalg.norm reduces a last axis of 3
-    norm = cross[0] * cross[0]
-    norm += cross[1] * cross[1]
-    norm += cross[2] * cross[2]
+    norm = cx * cx
+    norm += cy * cy
+    norm += cz * cz
     np.sqrt(norm, out=norm)
     valid = valid_depth_mask(d)
     vu, vv = _neighbor_valid(valid)
     ok = valid & vu & vv & (norm > 0)
-    sign = np.where(cross[2] > 0, -1.0, 1.0)
-    return _NormalPlanes(xs, ys, tu, tv, cross, norm, ok, sign)
+    # the orientation sign makes n_z <= 0; NaN off the normals keeps every
+    # product with the scale there quiet
+    norm[~ok] = np.nan
+    scale = np.divide(np.where(cz > 0, -1.0, 1.0), norm, out=norm)
+    return _NormalPlanes(xs, ys, (cx, cy, cz), ok, scale)
 
 
 def normals_from_depth(depth, intr: CameraIntrinsics):
@@ -138,11 +164,15 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     invalid depth are marked invalid (zero vector).
     """
     f = _normal_planes(depth, intr)
-    scale = np.divide(f.sign, f.norm, out=np.zeros_like(f.norm), where=f.ok)
-    normals = np.zeros(f.norm.shape + (3,))
+    normals = np.zeros(f.ok.shape + (3,))
     for k, c in enumerate(f.cross):
-        np.multiply(c, scale, out=normals[..., k], where=f.ok)
+        np.multiply(c, f.scale, out=normals[..., k], where=f.ok)
     return normals
+
+
+def _check_n_z_min(n_z_min):
+    if not 0 < n_z_min <= 1:
+        raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
 
 
 def pixel_area(d, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
@@ -150,6 +180,7 @@ def pixel_area(d, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
 
     Returns None when |n_z| < n_z_min (pixel excluded from area sums).
     """
+    _check_n_z_min(n_z_min)
     if not (math.isfinite(d) and d > 0):
         raise ValueError(f"invalid depth {d}: must be finite and > 0")
     if abs(n_z) < n_z_min:
@@ -176,16 +207,19 @@ def _region_to_mask(region, shape):
 
 def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
-    valid and |n_z| >= n_z_min (``included``), 0 elsewhere."""
+    valid and |n_z| >= n_z_min (``included``), 0 elsewhere. n_z_min must be
+    in (0, 1]."""
+    _check_n_z_min(n_z_min)
     d = np.asarray(depth, dtype=np.float64)
-    n = np.asarray(normals, dtype=np.float64)
+    n = np.asarray(normals)
     if d.ndim != 2:
         raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
     if n.shape != d.shape + (3,):
         raise ShapeMismatchError(f"normals shape {n.shape} incompatible with depth {d.shape}")
-    nz = np.abs(n[..., 2])
+    nz = np.abs(n[..., 2], dtype=np.float64)  # the one plane of the normals in use
     included = valid_depth_mask(d) & (nz >= n_z_min)
-    areas = np.divide(d * d, intr.fx * intr.fy * nz, out=np.zeros_like(d), where=included)
+    nz *= intr.fx * intr.fy
+    areas = np.divide(d * d, nz, out=np.zeros_like(d), where=included)
     return areas, included
 
 

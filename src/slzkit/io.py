@@ -51,25 +51,28 @@ class MissingEntryError(ParseError):
 def read_raster(path):
     """Read an F32R file into a float32 array, shape (H, W) or (H, W, C)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    nl = data.find(b"\n")
-    if nl < 0 or not data.startswith(b"F32R"):
-        raise BadMagicError(f"{path}: not an F32R file")
-    m = _HEADER_RE.match(data[:nl])
-    if m is None:
-        raise DimensionError(f"{path}: malformed header {data[:nl]!r}")
-    width, height, channels = (int(g) for g in m.groups())
-    if width < 1 or height < 1 or channels < 1:
-        raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}x{channels}")
-    nbytes = width * height * channels * 4
-    if nbytes > _MAX_PAYLOAD_BYTES:
-        raise DimensionError(f"{path}: payload of {nbytes} bytes exceeds sanity limit")
-    payload = data[nl + 1:]
-    if len(payload) < nbytes:
-        raise TruncatedError(f"{path}: payload has {len(payload)} bytes, header declares {nbytes}")
-    if len(payload) > nbytes:
-        warnings.warn(f"{path}: {len(payload) - nbytes} trailing bytes ignored", stacklevel=2)
-    arr = np.frombuffer(payload[:nbytes], dtype="<f4").reshape(height, width, channels).copy()
+        line = fh.readline()
+        if not line.endswith(b"\n") or not line.startswith(b"F32R"):
+            raise BadMagicError(f"{path}: not an F32R file")
+        m = _HEADER_RE.match(line[:-1])
+        if m is None:
+            raise DimensionError(f"{path}: malformed header {line[:-1]!r}")
+        width, height, channels = (int(g) for g in m.groups())
+        if width < 1 or height < 1 or channels < 1:
+            raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}x{channels}")
+        nbytes = width * height * channels * 4
+        if nbytes > _MAX_PAYLOAD_BYTES:
+            raise DimensionError(f"{path}: payload of {nbytes} bytes exceeds sanity limit")
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        if size < nbytes:
+            raise TruncatedError(f"{path}: payload has {size} bytes, header declares {nbytes}")
+        if size > nbytes:
+            warnings.warn(f"{path}: {size - nbytes} trailing bytes ignored", stacklevel=2)
+        # the payload goes straight into the array: no copy of the file is held
+        arr = np.empty((height, width, channels), dtype="<f4")
+        got = fh.readinto(arr)
+        if got < nbytes:
+            raise TruncatedError(f"{path}: payload has {got} bytes, header declares {nbytes}")
     if channels == 1:
         return arr[..., 0]
     return arr

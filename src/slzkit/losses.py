@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import _backproject_pixels, _cross, _normal_planes
+from .geometry import _backproject_pixels, _cross, _normal_planes, _tangents
 from .io import _is_binary
 
 _LOG_FLOOR = 1e-12
@@ -97,8 +97,7 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
 
     Returns an (n_samples, 3, 2) int array of (row, col) coordinates.
     """
-    dp = np.asarray(d_pred, dtype=np.float64)
-    dg = np.asarray(d_gt, dtype=np.float64)
+    dp, dg = np.asarray(d_pred), np.asarray(d_gt)
     if dp.shape != dg.shape or dp.ndim != 2:
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
     if n_samples < 1:
@@ -143,8 +142,8 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     """
     tri = sample_triplets(d_pred, d_gt, intr, n_samples, seed)
     rows, cols = tri[..., 0], tri[..., 1]
-    n_p = _plane_normals(_backproject_pixels(np.asarray(d_pred, np.float64), rows, cols, intr))
-    n_g = _plane_normals(_backproject_pixels(np.asarray(d_gt, np.float64), rows, cols, intr))
+    n_p = _plane_normals(_backproject_pixels(np.asarray(d_pred), rows, cols, intr))
+    n_g = _plane_normals(_backproject_pixels(np.asarray(d_gt), rows, cols, intr))
     return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
 
 
@@ -173,8 +172,7 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
     if len(d_preds) != T + 1 or len(conf_preds) != T + 1:
         raise ShapeMismatchError(
             f"expected {T + 1} prediction steps, got {len(d_preds)} depth / {len(conf_preds)} confidence")
-    dg = np.asarray(d_gt, dtype=np.float64)
-    cg = np.asarray(c_gt, dtype=np.float64)
+    dg, cg = np.asarray(d_gt), np.asarray(c_gt)
     if dg.shape != cg.shape:
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
     v = _as_valid_mask(valid, dg.shape)
@@ -186,21 +184,22 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
     total = 0.0
     grads_d, grads_c = [], []
     for t in range(T + 1):
-        dp = np.asarray(d_preds[t], dtype=np.float64)
-        cp = np.asarray(conf_preds[t], dtype=np.float64)
+        dp, cp = np.asarray(d_preds[t]), np.asarray(conf_preds[t])
         if dp.shape != dg.shape or cp.shape != dg.shape:
             raise ShapeMismatchError(f"step {t}: prediction shape mismatch")
         decay = weights.gamma ** (T - t)
-        rd = dp - dg
-        rc = cp - cg
-        total += decay * (np.abs(rd.ravel()[kept]).mean() + np.abs(rc.ravel()[kept]).mean())
+        # residuals in float64, with no float64 copy of the inputs
+        rd = np.subtract(dp, dg, dtype=np.float64)
+        rc = np.subtract(cp, cg, dtype=np.float64)
         if need_grad:
-            gd = np.zeros_like(dp)
-            gc = np.zeros_like(cp)
+            gd = np.zeros(dg.shape)
+            gc = np.zeros(dg.shape)
             gd[v] = decay * np.sign(rd[v]) / n
             gc[v] = decay * np.sign(rc[v]) / n
             grads_d.append(gd)
             grads_c.append(gc)
+        total += decay * (np.abs(rd, out=rd).ravel()[kept].mean()
+                          + np.abs(rc, out=rc).ravel()[kept].mean())
     return float(total), grads_d, grads_c
 
 
@@ -240,43 +239,48 @@ def _stencil_adjoint(g_tu, g_tv):
 
 def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     f = _normal_planes(d_pred, intr)
-    n_in = np.asarray(n_pred, dtype=np.float64)
-    if n_in.shape != f.norm.shape + (3,):
-        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {f.norm.shape + (3,)}")
-    n_planes = [n_in[..., k] for k in range(3)]
-    # sums run left to right over x, y, z, as numpy reduces a last axis of 3
-    m = f.ok & (np.sqrt(n_planes[0] * n_planes[0] + n_planes[1] * n_planes[1]
-                        + n_planes[2] * n_planes[2]) > 1e-6)
+    n_in = np.asarray(n_pred)
+    if n_in.shape != f.ok.shape + (3,):
+        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {f.ok.shape + (3,)}")
+    # One float64 plane of the predicted normals at a time. Sums run left to
+    # right over x, y, z, as numpy reduces a last axis of 3: |target|^2, and
+    # derived . target with derived = cross * scale (NaN off the normals).
+    sq, dot = np.zeros_like(f.scale), np.zeros_like(f.scale)
+    t, term = np.empty_like(f.scale), np.empty_like(f.scale)
+    for k, c in enumerate(f.cross):
+        np.copyto(t, n_in[..., k])
+        np.multiply(c, f.scale, out=term)
+        term *= t
+        dot += term
+        t *= t
+        sq += t
+    del t, term
+    m = f.ok & (np.sqrt(sq, out=sq) > 1e-6)
+    del sq
     count = int(m.sum())
     if count == 0:
         raise DegenerateInputError("no pixel with both a derived and a predicted normal")
-
-    nn = f.norm[m]
-    scale = f.sign[m] / nn
-    # derived . target with derived = cross * scale, summed left to right
-    terms = ((c[m] * scale) * t[m] for c, t in zip(f.cross, n_planes))
-    dot = next(terms)
-    for term in terms:
-        dot += term
-    loss = float(np.mean(1.0 - dot))
+    loss = float(np.mean(np.subtract(1.0, dot, out=dot)[m]))
     if not need_grad:
         return loss, None
 
     # d loss / d cross at the masked pixels.
     c = [p[m] for p in f.cross]
-    target = [p[m] for p in n_planes]
+    target = [n_in[..., k][m].astype(np.float64) for k in range(3)]
+    nn = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
     q = cn / nn**3
-    a = f.sign[m] * (-1.0 / count)
+    a = np.where(c[2] > 0, -1.0, 1.0) * (-1.0 / count)
     g_c = []
     for ck, tk in zip(c, target):
-        plane = np.zeros_like(f.norm)
+        plane = np.zeros(m.shape)
         plane[m] = (tk / nn - ck * q) * a
         g_c.append(plane)
 
     # Through the cross product (cross = tu x tv), then the stencils. A pixel
     # outside the loss adds exactly 0, also where its tangents are not finite.
-    g_tu, g_tv = _cross(f.tv, g_c), _cross(g_c, f.tu)
+    tu, tv = zip(*(_tangents(np.asarray(d_pred), ray) for ray in (f.xs, f.ys[:, None], 1.0)))
+    g_tu, g_tv = _cross(tv, g_c), _cross(g_c, tu)
     for g in g_tu + g_tv:
         g[~m] = 0.0
     g_p = [_stencil_adjoint(gu, gv) for gu, gv in zip(g_tu, g_tv)]
@@ -315,28 +319,37 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     T = len(logit_seq) - 1
     safe = lab == 0
     w = np.where(safe, cw.w_safe, cw.w_unsafe)
-    w_kept = w.ravel()[kept]
     total = 0.0
     grads = []
+    # three float64 planes serve every step: the logits become their
+    # exponentials in place, and the larger logit the sum
+    e0, e1, s = np.empty(lab.shape), np.empty(lab.shape), np.empty(lab.shape)
     for t, logits in enumerate(logit_seq):
-        z = np.asarray(logits, dtype=np.float64)
+        z = np.asarray(logits)
         if z.shape != lab.shape + (2,):
             raise ShapeMismatchError(f"step {t}: logits shape {z.shape}, expected {lab.shape + (2,)}")
         # two-class softmax, stabilized by the larger logit
-        top = np.maximum(z[..., 0], z[..., 1])
-        e0 = np.exp(z[..., 0] - top)
-        e1 = np.exp(z[..., 1] - top)
-        s = e0 + e1
-        p_true = np.where(safe, e0, e1) / s
+        np.copyto(e0, z[..., 0])
+        np.copyto(e1, z[..., 1])
+        np.maximum(e0, e1, out=s)
+        e0 -= s
+        np.exp(e0, out=e0)
+        e1 -= s
+        np.exp(e1, out=e1)
+        np.add(e0, e1, out=s)
         decay = gamma ** (T - t)
-        total += decay * float(
-            (w_kept * -np.log(np.maximum(p_true.ravel()[kept], _LOG_FLOOR))).mean())
         if need_grad:
             p = np.stack([e0 / s, e1 / s], axis=-1)
             onehot = np.stack([safe, ~safe], axis=-1)
             g = (decay / n) * w[..., None] * (p - onehot)
             g[~v] = 0.0
             grads.append(g)
+        # w * log(max(p_true, floor)) per pixel, into e0; the loss is minus its mean
+        np.copyto(e0, e1, where=~safe)
+        e0 /= s
+        np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
+        e0 *= w
+        total -= decay * float(e0.ravel()[kept].mean())
     return float(total), grads
 
 

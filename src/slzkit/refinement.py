@@ -241,6 +241,8 @@ def _convs(weights: RefinementWeights):
 
 def init_weights(hidden_channels=8, seed=0) -> RefinementWeights:
     """Seeded demo weights, uniform in [-0.1, 0.1] (float32)."""
+    if hidden_channels < 1:
+        raise ValueError(f"hidden_channels must be >= 1, got {hidden_channels}")
     rng = np.random.default_rng(seed)
 
     def u(*shape):

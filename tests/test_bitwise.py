@@ -13,7 +13,7 @@ import pytest
 import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError
-from slzkit.geometry import normals_from_depth
+from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
     LossWeights,
@@ -26,6 +26,7 @@ from slzkit.losses import (
     slz_loss,
     slz_loss_grad,
 )
+from slzkit.slz import region_stats
 from slzkit.synth import plane_depth
 
 INTR = CameraIntrinsics(100.0, 110.0, 15.5, 12.25)
@@ -120,6 +121,84 @@ def test_sequential_value_matches_gather_reference(seed):
     want = oracles.sequential_loss_ref(preds, confs, gt, cgt, 0.8, valid)
     assert same_bits(sequential_depth_loss(preds, confs, gt, cgt, w, valid), want)
     assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, w, valid)[0], want)
+
+
+def float32_and_cast(a):
+    """A float32 raster and its float64 cast, which holds the same values."""
+    a32 = np.asarray(a, dtype=np.float32)
+    return a32, a32.astype(np.float64)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normals_and_areas_of_float32_rasters_match_their_float64_cast(seed):
+    rng = np.random.default_rng(500 + seed)
+    d32, d64 = float32_and_cast(depth_case(seed))
+    n32, n64 = float32_and_cast(normals_case(rng, d32.shape))
+    n32[0, 0], n64[0, 0] = np.nan, np.nan
+    assert same_bits(normals_from_depth(d32, INTR), normals_from_depth(d64, INTR))
+    areas32, included32 = pixel_areas(d32, n32, INTR)
+    areas64, included64 = pixel_areas(d64, n64, INTR)
+    assert same_bits(areas32, areas64) and np.array_equal(included32, included64)
+    mask = (rng.uniform(size=d32.shape) < 0.3).astype(np.uint8)
+    got, want = region_stats(mask, d32, n32, INTR), region_stats(mask, d64, n64, INTR)
+    assert np.array_equal(got.labels, want.labels) and np.array_equal(got.bbox, want.bbox)
+    assert same_bits(got.area, want.area)
+    assert np.array_equal(got.pixel_count, want.pixel_count)
+    assert np.array_equal(got.excluded_count, want.excluded_count)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dncl_of_float32_rasters_matches_their_float64_cast(seed):
+    d32, d64 = float32_and_cast(depth_case(seed))
+    n32, n64 = float32_and_cast(normals_case(np.random.default_rng(100 + seed), d32.shape))
+    loss, grad = depth_normal_consistency_grad(d32, n32, INTR)
+    want_loss, want_grad = depth_normal_consistency_grad(d64, n64, INTR)
+    assert grad.dtype == np.float64
+    assert same_bits(loss, want_loss) and same_bits(grad, want_grad)
+    assert same_bits(depth_normal_consistency(d32, n32, INTR), want_loss)
+    # float64 depth with float32 normals, as a caller may mix them
+    assert same_bits(depth_normal_consistency_grad(d64, n32, INTR)[1], want_grad)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_slz_of_float32_logits_matches_their_float64_cast(seed):
+    rng = np.random.default_rng(200 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 20, 2))
+    labels = (rng.uniform(size=shape) < 0.4).astype(np.uint8)
+    seq = [rng.normal(scale=6.0, size=shape + (2,)) for _ in range(int(rng.integers(1, 5)))]
+    seq[0].flat[:2] = (60.0, -60.0)  # a saturated step hits the log floor
+    if seed % 3 == 0:  # non-finite logits, in the loss on even seeds
+        seq[-1].flat[-3:] = (np.nan, np.inf, -np.inf)[:seq[-1].size]
+    seq32, seq64 = zip(*map(float32_and_cast, seq))
+    valid = valid_case(rng, shape, seed)
+    cw = ClassWeights(2.0, 1.0)
+    loss, grads = slz_loss_grad(list(seq32), labels, cw, 0.9, valid)
+    want_loss, want_grads = slz_loss_grad(list(seq64), labels, cw, 0.9, valid)
+    assert same_bits(loss, want_loss)
+    assert all(g.dtype == np.float64 and same_bits(g, w) for g, w in zip(grads, want_grads))
+    assert same_bits(slz_loss(list(seq32), labels, cw, 0.9, valid), want_loss)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sequential_of_float32_rasters_matches_their_float64_cast(seed):
+    rng = np.random.default_rng(300 + seed)
+    gt = depth_case(seed)
+    steps = int(rng.integers(1, 5))
+    preds = [gt * rng.uniform(0.9, 1.1, gt.shape) for _ in range(steps)]
+    confs = [rng.uniform(size=gt.shape) for _ in range(steps)]
+    cgt = rng.uniform(size=gt.shape)
+    # the holes make the loss NaN unless the valid mask leaves them out
+    valid = np.isfinite(gt).astype(np.uint8) if seed % 2 else None
+    preds32, preds64 = zip(*map(float32_and_cast, preds))
+    confs32, confs64 = zip(*map(float32_and_cast, confs))
+    w = LossWeights(T=steps - 1, gamma=0.8)
+    got = sequential_depth_loss_grad(preds32, confs32, gt.astype(np.float32), cgt, w, valid)
+    want = sequential_depth_loss_grad(preds64, confs64, float32_and_cast(gt)[1], cgt, w, valid)
+    assert same_bits(got[0], want[0])
+    for g, wg in zip(got[1] + got[2], want[1] + want[2]):
+        assert g.dtype == np.float64 and same_bits(g, wg)
+    assert same_bits(sequential_depth_loss(preds32, confs32, gt.astype(np.float32), cgt, w,
+                                           valid), want[0])
 
 
 def _triplet_cases():

@@ -751,3 +751,31 @@ def test_bilinear_x4_matches_ndimage_zoom_bitwise(shape):
     got = _bilinear_x4(raster)
     assert got.shape == want.shape == (4 * shape[0], 4 * shape[1]) + shape[2:]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["area", "candidates"])
+def test_n_z_min_outside_0_1_exits_2(capsys, flat_scene, command, source, value):
+    # at 0 or below, a pixel with a derived zero normal gave an infinite area
+    # with exit 0; at nan every pixel was excluded
+    depth = np.full((64, 64), 5.0, dtype=np.float32)
+    depth[:8] = np.nan  # a horizon: zero normals along its edge
+    sio.write_raster(depth, flat_scene / "horizon.f32r")
+    (flat_scene / "cfg.txt").write_text(f"n_z_min={value}\n")
+    setting = (["--n-z-min", value] if source == "flag"
+               else ["--config", str(flat_scene / "cfg.txt")])
+    code, out, err = run_cli(capsys, command, "--depth", str(flat_scene / "horizon.f32r"),
+                             "--mask", str(flat_scene / "mask.pgm"), "--derive-normals",
+                             "--intrinsics", str(flat_scene / "intr.txt"), *setting)
+    assert code == 2 and out == ""
+    assert f"n_z_min must be in (0, 1], got {float(value)}" in err
+
+
+@pytest.mark.parametrize("hidden", ["0", "-2"])
+def test_refine_demo_hidden_below_1_exits_2_naming_it(capsys, tmp_path, hidden):
+    code, out, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "x"),
+                             "--hidden", hidden)
+    assert code == 2 and out == ""
+    assert f"hidden_channels must be >= 1, got {hidden}" in err
+    assert not list((tmp_path / "x").glob("*.f32r"))

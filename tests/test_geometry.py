@@ -8,6 +8,7 @@ from slzkit.geometry import (
     backproject,
     normals_from_depth,
     pixel_area,
+    pixel_areas,
     project,
     region_area,
 )
@@ -95,6 +96,29 @@ def test_pixel_area_exclusions():
     assert pixel_area(2.0, -0.05, INTR) is None
     with pytest.raises(ValueError):
         pixel_area(-1.0, -1.0, INTR)
+
+
+@pytest.mark.parametrize("n_z_min", [0.0, -1.0, float("nan"), 1.5])
+def test_n_z_min_outside_0_1_is_rejected(n_z_min):
+    # at n_z_min <= 0 a pixel with a zero normal would divide by 0; NaN excludes every pixel
+    depth = np.full((4, 5), 2.0)
+    normals = np.zeros((4, 5, 3))
+    with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
+        pixel_area(2.0, -1.0, INTR, n_z_min=n_z_min)
+    with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
+        pixel_areas(depth, normals, INTR, n_z_min=n_z_min)
+    with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
+        region_area(np.ones((4, 5), bool), depth, normals, INTR, n_z_min=n_z_min)
+
+
+def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
+    normals = np.zeros((1, 2, 3))
+    normals[0, 0, 2] = -1.0
+    normals[0, 1] = (0.6, 0.0, -0.8)
+    areas, included = pixel_areas(np.full((1, 2), 2.0), normals, INTR, n_z_min=1.0)
+    assert included.tolist() == [[True, False]]
+    assert areas[0, 0] == pixel_area(2.0, -1.0, INTR, n_z_min=1.0) and areas[0, 1] == 0.0
+    assert pixel_area(2.0, -0.8, INTR, n_z_min=1.0) is None
 
 
 def test_region_area_fronto_parallel_closed_form():

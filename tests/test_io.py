@@ -77,6 +77,49 @@ def test_trailing_bytes_warn_not_fail(tmp_path):
     assert arr.shape == (1, 1)
 
 
+def test_trailing_bytes_warning_counts_them(tmp_path):
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R 2 1 1\n" + struct.pack("<2f", 1.5, -2.0) + b"junk!")
+    with pytest.warns(UserWarning, match=re.escape(f"{path}: 5 trailing bytes ignored")):
+        arr = sio.read_raster(path)
+    assert arr.tolist() == [[1.5, -2.0]]
+
+
+def test_truncated_payload_message_gives_both_byte_counts(tmp_path):
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R 2 2 3\n" + b"\x00" * 47)
+    with pytest.raises(sio.TruncatedError,
+                       match=re.escape(f"{path}: payload has 47 bytes, header declares 48")):
+        sio.read_raster(path)
+
+
+@pytest.mark.parametrize("blob", [b"", b"F32R", b"F32R 2 2 1", b"F32R 1 1 1" + b"\x00" * 64])
+def test_a_file_without_a_newline_is_bad_magic(tmp_path, blob):
+    path = tmp_path / "r.f32r"
+    path.write_bytes(blob)
+    with pytest.raises(sio.BadMagicError, match=re.escape(f"{path}: not an F32R file")):
+        sio.read_raster(path)
+
+
+def test_an_over_long_header_line_is_a_dimension_error_naming_the_file(tmp_path):
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R 2 2 1" + b" " * 10_000 + b"\n" + b"\x00" * 16)
+    with pytest.raises(sio.DimensionError, match=re.escape(f"{path}: malformed header")):
+        sio.read_raster(path)
+
+
+@pytest.mark.parametrize("shape,read_shape", [((3, 4), (3, 4)), ((3, 4, 1), (3, 4)),
+                                              ((3, 4, 2), (3, 4, 2))])
+def test_read_raster_returns_a_writeable_array(tmp_path, shape, read_shape):
+    path = tmp_path / "r.f32r"
+    arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+    sio.write_raster(arr, path)
+    back = sio.read_raster(path)
+    assert back.shape == read_shape and back.flags.writeable
+    back += 1.0
+    assert np.array_equal(back, (arr + 1.0).reshape(read_shape))
+
+
 def test_mask_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     mask = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)

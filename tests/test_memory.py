@@ -1,0 +1,88 @@
+"""Peak memory of the frame-sized CLI calls, in float64 (H, W) planes.
+
+Each call runs in-process under tracemalloc on a seeded 360x640 frame. The
+bounds hold the float32 frames and the few float64 planes the arithmetic
+needs at once, with one and a half planes or so to spare; a whole-raster float64 copy
+of an input, or a kernel that keeps its intermediates alive, goes past them.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from slzkit import io as sio
+from slzkit.camera import CameraIntrinsics, write_intrinsics
+from slzkit.cli import main
+from slzkit.geometry import normals_from_depth
+from slzkit.synth import plane_depth
+
+H, W = 360, 640
+PLANE = H * W * 8  # bytes of one float64 (H, W) plane
+STEPS = 5
+
+
+@pytest.fixture(scope="module")
+def frame(tmp_path_factory):
+    """Paths of a seeded frame: a tilted noisy plane, its normals, a mask,
+    logits, and five steps of depth, confidence and logit predictions."""
+    root = tmp_path_factory.mktemp("frame")
+    rng = np.random.default_rng(9)
+    intr = CameraIntrinsics(500.0, 500.0, 319.5, 179.5)
+    depth = plane_depth(H, W, intr, 0.1, -0.2, 8.0) * (1.0 + rng.uniform(-1e-3, 1e-3, (H, W)))
+    mask = np.ones((H, W), np.uint8)
+    for r0, c0 in rng.integers(0, (H - 40, W - 40), (12, 2)):
+        mask[r0:r0 + 40, c0:c0 + 40] = 0
+    paths = {"intrinsics": root / "intrinsics.txt", "depth": root / "depth.f32r",
+             "normals": root / "normals.f32r", "mask": root / "mask.pgm",
+             "logits": root / "logits.f32r", "gt_conf": root / "gt_conf.f32r"}
+    write_intrinsics(paths["intrinsics"], intr)
+    sio.write_raster(depth, paths["depth"])
+    sio.write_raster(normals_from_depth(depth, intr), paths["normals"])
+    sio.write_mask(mask, paths["mask"])
+    sio.write_raster(rng.normal(size=(H, W, 2)), paths["logits"])
+    sio.write_raster(rng.uniform(size=(H, W)), paths["gt_conf"])
+    for kind in ("pred", "conf", "logits"):
+        paths[kind + "s"] = []
+        for t in range(STEPS):
+            path = root / f"{kind}{t}.f32r"
+            shape = (H, W, 2) if kind == "logits" else (H, W)
+            raster = rng.uniform(size=shape) if kind == "conf" else rng.normal(size=shape)
+            sio.write_raster(depth + 0.05 * raster if kind == "pred" else raster, path)
+            paths[kind + "s"].append(path)
+    return {k: v if isinstance(v, list) else str(v) for k, v in paths.items()}
+
+
+def _frame_args(f):
+    return ["--depth", f["depth"], "--intrinsics", f["intrinsics"], "--derive-normals"]
+
+
+CALLS = {  # name -> (argv of the frame, bound in planes)
+    "loss dncl": (lambda f: ["loss", "dncl", "--depth", f["depth"], "--normals", f["normals"],
+                             "--intrinsics", f["intrinsics"]], 11.5),
+    "loss slz": (lambda f: ["loss", "slz", "--logits", *f["logitss"], "--labels", f["mask"]],
+                 11.0),
+    "loss sequential": (lambda f: ["loss", "sequential", "--preds", *f["preds"],
+                                   "--confs", *f["confs"], "--gt-depth", f["depth"],
+                                   "--gt-conf", f["gt_conf"]], 10.5),
+    "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 10.5),
+    "candidates": (lambda f: ["candidates", *_frame_args(f), "--logits", f["logits"],
+                              "--dilate", "2", "--k", "5"], 10.5),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_peak_memory_of_a_frame_call_is_bounded(capsys, frame, name):
+    argv, bound = CALLS[name]
+    argv = [str(a) for a in argv(frame)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and out
+    assert peak / PLANE <= bound, f"{name}: peak {peak / PLANE:.2f} planes > {bound}"

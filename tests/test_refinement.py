@@ -384,3 +384,9 @@ def test_pending_state_cannot_be_saved(tmp_path):
     mid = depth_normal_flow_step(demo_state(28, 4, seed=18), weights)
     with pytest.raises(ProtocolError):
         save_state(mid, tmp_path / "st")
+
+
+@pytest.mark.parametrize("hidden", [0, -2])
+def test_init_weights_rejects_a_channel_count_below_1(hidden):
+    with pytest.raises(ValueError, match=rf"hidden_channels must be >= 1, got {hidden}"):
+        init_weights(hidden_channels=hidden)
