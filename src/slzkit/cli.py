@@ -172,8 +172,6 @@ _STEP_RASTER = re.compile(r"(depth|normal|slz)_t-?\d+\.f32r")
 
 
 def cmd_refine_demo(args):
-    os.makedirs(args.out, exist_ok=True)
-
     if args.resume is not None:
         weights = refinement.load_weights(os.path.join(args.resume, "weights"))
         init = refinement.load_state(os.path.join(args.resume, "state"))
@@ -184,23 +182,12 @@ def cmd_refine_demo(args):
                                      seed=args.seed)
 
     states = refinement.run_refinement(init, weights, args.T)
-    rasters = {f"{kind}_t{state.t}.f32r": getattr(state, kind)
-               for state in states for kind in ("depth", "normal", "slz")}
-    # drop the per-step rasters an earlier run left in --out: they would pass for this run's
-    for name in os.listdir(args.out):
-        if _STEP_RASTER.fullmatch(name) and name not in rasters:
-            os.remove(os.path.join(args.out, name))
-    refinement.save_weights(weights, os.path.join(args.out, "weights"))
-    refinement.save_state(states[-1], os.path.join(args.out, "state"))
-    for name, raster in rasters.items():
-        slzio.write_raster(raster, os.path.join(args.out, name))
     final = states[-1]
-    slzio.write_raster(_bilinear_x4(final.depth), os.path.join(args.out, "depth_full.f32r"))
-    slzio.write_raster(_bilinear_x4(final.normal), os.path.join(args.out, "normal_full.f32r"))
-    slzio.write_raster(_bilinear_x4(final.slz), os.path.join(args.out, "slz_full.f32r"))
 
     # Per-step losses against a fixed synthetic target (constant depth 2.5,
     # unit confidence, all-safe labels). Demo confidences are identically 1.
+    # They come before the first write, so that a setting they reject leaves
+    # --out as it was.
     side = final.depth.shape[0]
     gt_depth = np.full((side, side), 2.5)
     gt_conf = np.ones((side, side))
@@ -210,15 +197,30 @@ def cmd_refine_demo(args):
     seq_total = losses.sequential_depth_loss(
         [s.depth for s in states], [ones] * len(states), gt_depth, gt_conf, w)
     slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=args.gamma)
+    table = [("t", "depth_l1", "slz_wce")]
+    for state in states:
+        l1 = float(np.abs(state.depth.astype(np.float64) - gt_depth).mean())
+        ce = losses.slz_loss([state.slz], labels, gamma=args.gamma)
+        table.append((state.t, f"{l1:.9g}", f"{ce:.9g}"))
+    table.append(("sequential_total", f"{seq_total:.9g}", ""))
+    table.append(("slz_total", f"{slz_total:.9g}", ""))
+
+    rasters = {f"{kind}_t{state.t}.f32r": getattr(state, kind)
+               for state in states for kind in ("depth", "normal", "slz")}
+    os.makedirs(args.out, exist_ok=True)
+    # drop the per-step rasters an earlier run left in --out: they would pass for this run's
+    for name in os.listdir(args.out):
+        if _STEP_RASTER.fullmatch(name) and name not in rasters:
+            os.remove(os.path.join(args.out, name))
+    refinement.save_weights(weights, os.path.join(args.out, "weights"))
+    refinement.save_state(final, os.path.join(args.out, "state"))
+    for name, raster in rasters.items():
+        slzio.write_raster(raster, os.path.join(args.out, name))
+    slzio.write_raster(_bilinear_x4(final.depth), os.path.join(args.out, "depth_full.f32r"))
+    slzio.write_raster(_bilinear_x4(final.normal), os.path.join(args.out, "normal_full.f32r"))
+    slzio.write_raster(_bilinear_x4(final.slz), os.path.join(args.out, "slz_full.f32r"))
     with open(os.path.join(args.out, "losses.csv"), "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("t", "depth_l1", "slz_wce"))
-        for state in states:
-            l1 = float(np.abs(state.depth.astype(np.float64) - gt_depth).mean())
-            ce = losses.slz_loss([state.slz], labels, gamma=args.gamma)
-            writer.writerow((state.t, f"{l1:.9g}", f"{ce:.9g}"))
-        writer.writerow(("sequential_total", f"{seq_total:.9g}", ""))
-        writer.writerow(("slz_total", f"{slz_total:.9g}", ""))
+        csv.writer(fh, lineterminator="\n").writerows(table)
     print(f"wrote t={states[0].t}..{final.t} rasters to {args.out}", file=sys.stderr)
     return 0
 

@@ -66,19 +66,6 @@ def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
     return np.stack([d * xs, d * ys, d], axis=-1)
 
 
-def _neighbor_valid(valid):
-    """Validity of the central/one-sided difference stencils per axis."""
-    vu = np.empty_like(valid)
-    vu[:, 1:-1] = valid[:, :-2] & valid[:, 2:]
-    vu[:, 0] = valid[:, 0] & valid[:, 1]
-    vu[:, -1] = valid[:, -2] & valid[:, -1]
-    vv = np.empty_like(valid)
-    vv[1:-1, :] = valid[:-2, :] & valid[2:, :]
-    vv[0, :] = valid[0, :] & valid[1, :]
-    vv[-1, :] = valid[-2, :] & valid[-1, :]
-    return vu, vv
-
-
 def _cross_plane(a, b, c, d):
     """a * b - c * d, one plane of a cross product."""
     out = a * b
@@ -93,11 +80,9 @@ def _cross(a, b):
 
 class _NormalPlanes(NamedTuple):
     """Forward pass of the depth -> normal conversion, one (H, W) float64
-    plane per vector component. The extras feed the depth-normal consistency
-    gradient, which recomputes the tangents with :func:`_tangents`."""
+    plane per vector component. The extras feed :func:`_cross_to_depth`."""
 
-    xs: np.ndarray  # (W,) ray x component of each column
-    ys: np.ndarray  # (H,) ray y component of each row
+    rays: tuple  # x, y, z ray components: (W,) per column, (H, 1) per row, 1.0
     cross: tuple  # tu x tv: x, y, z planes
     ok: np.ndarray  # pixels with a defined normal
     scale: np.ndarray  # orientation sign / |tu x tv| where ok, NaN elsewhere
@@ -114,6 +99,20 @@ def _difference(p, axis):
     return g
 
 
+def _difference_adjoint(g, axis, acc):
+    """acc += the transpose of :func:`_difference` along `axis` applied to g;
+    returns acc."""
+    src, dst = (g, acc) if axis == 0 else (g.T, acc.T)
+    half = 0.5 * src[1:-1]
+    dst[2:] += half
+    dst[:-2] -= half
+    dst[1] += src[0]
+    dst[0] -= src[0]
+    dst[-1] += src[-1]
+    dst[-2] -= src[-1]
+    return acc
+
+
 def _tangents(d, ray):
     """Tangents along u (columns) and v (rows) of the points depth * ray, as
     float64 planes for any depth dtype."""
@@ -125,19 +124,19 @@ def _normal_planes(depth, intr: CameraIntrinsics):
     d = np.asarray(depth)
     if d.ndim != 2 or d.shape[0] < 3 or d.shape[1] < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
-    xs, ys = _ray_xy(np.arange(d.shape[1], dtype=np.float64),
-                     np.arange(d.shape[0], dtype=np.float64), intr)
+    rays = _ray_xy(np.arange(d.shape[1], dtype=np.float64),
+                   np.arange(d.shape[0], dtype=np.float64)[:, None], intr) + (1.0,)
     # Each plane of tu x tv comes from the tangents of the other two
     # components. Those of x are computed twice, so that at most four tangent
     # planes are alive at once.
-    ux, vx = _tangents(d, xs)
-    uy, vy = _tangents(d, ys[:, None])
+    ux, vx = _tangents(d, rays[0])
+    uy, vy = _tangents(d, rays[1])
     cz = _cross_plane(ux, vy, uy, vx)
     del ux, vx
-    uz, vz = _tangents(d, 1.0)
+    uz, vz = _tangents(d, rays[2])
     cx = _cross_plane(uy, vz, uz, vy)
     del uy, vy
-    ux, vx = _tangents(d, xs)
+    ux, vx = _tangents(d, rays[0])
     cy = _cross_plane(uz, vx, ux, vz)
     del ux, vx, uz, vz
     # summed left to right, as np.linalg.norm reduces a last axis of 3
@@ -146,13 +145,35 @@ def _normal_planes(depth, intr: CameraIntrinsics):
     norm += cz * cz
     np.sqrt(norm, out=norm)
     valid = valid_depth_mask(d)
-    vu, vv = _neighbor_valid(valid)
-    ok = valid & vu & vv & (norm > 0)
+    # a normal needs every depth its difference stencils read
+    ok = valid & (norm > 0)
+    ok[:, 1:] &= valid[:, :-1]
+    ok[:, :-1] &= valid[:, 1:]
+    ok[1:] &= valid[:-1]
+    ok[:-1] &= valid[1:]
     # the orientation sign makes n_z <= 0; NaN off the normals keeps every
     # product with the scale there quiet
     norm[~ok] = np.nan
     scale = np.divide(np.where(cz > 0, -1.0, 1.0), norm, out=norm)
-    return _NormalPlanes(xs, ys, (cx, cy, cz), ok, scale)
+    return _NormalPlanes(rays, (cx, cy, cz), ok, scale)
+
+
+def _cross_to_depth(depth, f: _NormalPlanes, g_cross, m):
+    """Gradient w.r.t. the depth raster of a loss whose gradient w.r.t. the
+    planes of ``f.cross`` is ``g_cross``, zero outside the pixel mask m.
+
+    Chains through the cross product, the difference stencils and the rays
+    (point = depth * ray). A pixel outside m adds exactly 0, also where its
+    tangents are not finite.
+    """
+    tu, tv = zip(*(_tangents(np.asarray(depth), ray) for ray in f.rays))
+    g_tu = [np.where(m, g, 0.0) for g in _cross(tv, g_cross)]
+    g_tv = [np.where(m, g, 0.0) for g in _cross(g_cross, tu)]
+    # per point component, the u stencil's adjoint and then the v stencil's
+    # add into one zero plane
+    g_p = [_difference_adjoint(gv, 0, _difference_adjoint(gu, 1, np.zeros(m.shape)))
+           for gu, gv in zip(g_tu, g_tv)]
+    return g_p[0] * f.rays[0] + g_p[1] * f.rays[1] + g_p[2] * f.rays[2]
 
 
 def normals_from_depth(depth, intr: CameraIntrinsics):

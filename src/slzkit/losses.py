@@ -20,7 +20,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import _backproject_pixels, _cross, _normal_planes, _tangents
+from .geometry import _backproject_pixels, _cross_to_depth, _normal_planes
 from .io import _is_binary
 
 _LOG_FLOOR = 1e-12
@@ -40,10 +40,11 @@ class LossWeights:
     T: int = 4
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be >= 0")
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        _decays(self.gamma, 0)  # checks gamma
         if self.T < 0:
             raise ValueError(f"T must be >= 0, got {self.T}")
 
@@ -56,17 +57,30 @@ class ClassWeights:
     w_unsafe: float = 1.0
 
     def __post_init__(self):
-        if self.w_safe <= 0 or self.w_unsafe <= 0:
-            raise ValueError("class weights must be > 0")
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _as_valid_mask(valid, shape):
-    if valid is None:
-        return np.ones(shape, dtype=bool)
-    v = np.asarray(valid)
+def _decays(gamma, T):
+    """The weights gamma^(T-t) of steps t = 0..T of a temporally decayed loss."""
+    if not 0 < gamma <= 1:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    return [gamma ** (T - t) for t in range(T + 1)]
+
+
+def _valid_set(valid, shape):
+    """``(mask, count, index)`` of the pixels a loss averages over: those
+    nonzero in `valid`, or all of them when it is None. The index gathers
+    them from a raveled raster; when every pixel is valid it is a slice,
+    which skips the boolean gather."""
+    v = np.ones(shape, dtype=bool) if valid is None else np.asarray(valid) != 0
     if v.shape != shape:
         raise ShapeMismatchError(f"valid mask shape {v.shape} != raster shape {shape}")
-    return v != 0
+    n = int(v.sum())
+    if n == 0:
+        raise DegenerateInputError("empty valid set")
+    return v, n, slice(None) if n == v.size else v.ravel()
 
 
 def _collinear(pts):
@@ -102,8 +116,8 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
     if n_samples < 1:
         raise DegenerateInputError(f"n_samples must be >= 1, got {n_samples}")
-    coords = np.argwhere(valid_depth_mask(dp) & valid_depth_mask(dg))
-    if coords.shape[0] == 0:
+    pixels = np.flatnonzero(valid_depth_mask(dp) & valid_depth_mask(dg))
+    if pixels.size == 0:
         raise DegenerateInputError("no pixel is valid in both depth rasters")
     rng = np.random.Generator(np.random.Philox(seed))
     limit = 100 * n_samples
@@ -117,7 +131,8 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
         # batches replay the one-triplet-at-a-time sequence; they double in
         # size while rejections leave triplets missing.
         k = min(limit - attempts, max(n_samples - accepted, attempts))
-        tri = coords[rng.integers(0, coords.shape[0], size=3 * k)].reshape(k, 3, 2)
+        drawn = pixels[rng.integers(0, pixels.size, size=3 * k)]
+        tri = np.stack(np.divmod(drawn, dp.shape[1]), axis=-1).reshape(k, 3, 2)
         attempts += k
         rows, cols = tri[..., 0], tri[..., 1]
         rejected = (_collinear(_backproject_pixels(dg, rows, cols, intr))
@@ -147,12 +162,6 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
 
 
-def _kept(v, n):
-    """Index of the valid pixels in a raveled raster: all of them when every
-    pixel is valid, which skips the boolean gather."""
-    return slice(None) if n == v.size else v.ravel()
-
-
 def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights, valid=None):
     """Temporally decayed sum of per-step depth and confidence L1 losses.
 
@@ -175,19 +184,14 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
     dg, cg = np.asarray(d_gt), np.asarray(c_gt)
     if dg.shape != cg.shape:
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
-    v = _as_valid_mask(valid, dg.shape)
-    n = int(v.sum())
-    if n == 0:
-        raise DegenerateInputError("empty valid set")
-    kept = _kept(v, n)
+    v, n, kept = _valid_set(valid, dg.shape)
 
     total = 0.0
     grads_d, grads_c = [], []
-    for t in range(T + 1):
+    for t, decay in enumerate(_decays(weights.gamma, T)):
         dp, cp = np.asarray(d_preds[t]), np.asarray(conf_preds[t])
         if dp.shape != dg.shape or cp.shape != dg.shape:
             raise ShapeMismatchError(f"step {t}: prediction shape mismatch")
-        decay = weights.gamma ** (T - t)
         # residuals in float64, with no float64 copy of the inputs
         rd = np.subtract(dp, dg, dtype=np.float64)
         rc = np.subtract(cp, cg, dtype=np.float64)
@@ -216,25 +220,6 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
     set and orientation signs are held fixed (they are locally constant).
     """
     return _depth_normal_consistency(d_pred, n_pred, intr, need_grad=True)
-
-
-def _stencil_adjoint(g_tu, g_tv):
-    """Adjoint of the difference stencils (central /2 interior, one-sided
-    borders) for one component plane."""
-    g_p = np.zeros_like(g_tu)
-    g_p[:, 2:] += 0.5 * g_tu[:, 1:-1]
-    g_p[:, :-2] -= 0.5 * g_tu[:, 1:-1]
-    g_p[:, 1] += g_tu[:, 0]
-    g_p[:, 0] -= g_tu[:, 0]
-    g_p[:, -1] += g_tu[:, -1]
-    g_p[:, -2] -= g_tu[:, -1]
-    g_p[2:, :] += 0.5 * g_tv[1:-1, :]
-    g_p[:-2, :] -= 0.5 * g_tv[1:-1, :]
-    g_p[1, :] += g_tv[0, :]
-    g_p[0, :] -= g_tv[0, :]
-    g_p[-1, :] += g_tv[-1, :]
-    g_p[-2, :] -= g_tv[-1, :]
-    return g_p
 
 
 def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
@@ -270,26 +255,18 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     nn = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
     q = cn / nn**3
-    a = np.where(c[2] > 0, -1.0, 1.0) * (-1.0 / count)
+    # the orientation sign of each normal is that of its scale
+    a = np.copysign(1.0, f.scale[m]) * (-1.0 / count)
     g_c = []
     for ck, tk in zip(c, target):
         plane = np.zeros(m.shape)
         plane[m] = (tk / nn - ck * q) * a
         g_c.append(plane)
-
-    # Through the cross product (cross = tu x tv), then the stencils. A pixel
-    # outside the loss adds exactly 0, also where its tangents are not finite.
-    tu, tv = zip(*(_tangents(np.asarray(d_pred), ray) for ray in (f.xs, f.ys[:, None], 1.0)))
-    g_tu, g_tv = _cross(tv, g_c), _cross(g_c, tu)
-    for g in g_tu + g_tv:
-        g[~m] = 0.0
-    g_p = [_stencil_adjoint(gu, gv) for gu, gv in zip(g_tu, g_tv)]
-    # Points are depth * ray, so d point / d depth = ray = (xs, ys, 1).
-    grad_d = g_p[0] * f.xs + g_p[1] * f.ys[:, None] + g_p[2]
-    return loss, grad_d
+    return loss, _cross_to_depth(d_pred, f, g_c, m)
 
 
-def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, valid=None):
+def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=LossWeights.gamma,
+             valid=None):
     """Temporally decayed weighted cross-entropy over a logit sequence.
 
     Each step holds (H, W, 2) logits for the safe(0)/unsafe(1) classes;
@@ -299,7 +276,8 @@ def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, va
     return _slz(logit_seq, labels, cw, gamma, valid, need_grad=False)[0]
 
 
-def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=0.9, valid=None):
+def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=LossWeights.gamma,
+                  valid=None):
     """Loss plus analytic gradient w.r.t. each step's logits."""
     return _slz(logit_seq, labels, cw, gamma, valid, need_grad=True)
 
@@ -310,13 +288,8 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     lab = np.asarray(labels)
     if lab.ndim != 2 or not _is_binary(lab):
         raise ShapeMismatchError("labels must be a 2-D mask of 0/1 values")
-    v = _as_valid_mask(valid, lab.shape)
-    n = int(v.sum())
-    if n == 0:
-        raise DegenerateInputError("empty valid set")
-    kept = _kept(v, n)
-
-    T = len(logit_seq) - 1
+    v, n, kept = _valid_set(valid, lab.shape)
+    decays = _decays(gamma, len(logit_seq) - 1)
     safe = lab == 0
     w = np.where(safe, cw.w_safe, cw.w_unsafe)
     total = 0.0
@@ -324,7 +297,7 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     # three float64 planes serve every step: the logits become their
     # exponentials in place, and the larger logit the sum
     e0, e1, s = np.empty(lab.shape), np.empty(lab.shape), np.empty(lab.shape)
-    for t, logits in enumerate(logit_seq):
+    for t, (logits, decay) in enumerate(zip(logit_seq, decays)):
         z = np.asarray(logits)
         if z.shape != lab.shape + (2,):
             raise ShapeMismatchError(f"step {t}: logits shape {z.shape}, expected {lab.shape + (2,)}")
@@ -337,7 +310,6 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         e1 -= s
         np.exp(e1, out=e1)
         np.add(e0, e1, out=s)
-        decay = gamma ** (T - t)
         if need_grad:
             p = np.stack([e0 / s, e1 / s], axis=-1)
             onehot = np.stack([safe, ~safe], axis=-1)

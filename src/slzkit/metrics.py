@@ -3,8 +3,9 @@
 Per-class ratios with a zero denominator are reported as NaN and left
 out of the class means, so degenerate images (e.g. all-safe ground
 truth) do not bias the averages. Fscore per class is the Dice value
-(2TP / (2TP + FP + FN)); reports conventionally carry both columns, so
-``MetricsReport.fscore`` derives the second from ``dice``.
+(2TP / (2TP + FP + FN)) and Acc per class the recall; reports
+conventionally carry all four columns, so ``MetricsReport.fscore`` and
+``MetricsReport.acc`` derive theirs from ``dice`` and ``recall``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class MetricsReport:
 
     aAcc: float
     iou: np.ndarray
-    acc: np.ndarray
     dice: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
@@ -34,6 +34,11 @@ class MetricsReport:
     def fscore(self):
         """Per-class Fscore (F1), which equals the Dice value."""
         return self.dice
+
+    @property
+    def acc(self):
+        """Per-class accuracy, which equals the recall."""
+        return self.recall
 
     def _mean(self, values):
         defined = values[~np.isnan(values)]
@@ -114,7 +119,6 @@ def evaluate(cm) -> MetricsReport:
     return MetricsReport(
         aAcc=float(tp.sum() / total) * 100.0,
         iou=iou * 100.0,
-        acc=recall * 100.0,
         dice=dice * 100.0,
         precision=precision * 100.0,
         recall=recall * 100.0,

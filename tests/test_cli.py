@@ -353,6 +353,24 @@ def test_refine_demo_removes_the_step_rasters_of_an_earlier_run(capsys, tmp_path
         assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+def test_refine_demo_rejected_gamma_leaves_out_as_it_was(capsys, tmp_path):
+    out = tmp_path / "x"
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "4", "--seed", "1", "--out", str(out))
+    assert code == 0
+
+    def tree():
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    before = tree()
+    for target in (out, tmp_path / "fresh"):
+        code, stdout, err = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5",
+                                    "--gamma", "-1", "--out", str(target))
+        assert code == 2 and stdout == ""
+        assert "gamma must be in (0, 1], got -1.0" in err
+    assert tree() == before
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):
     weights = refinement.zero_projection_heads(refinement.init_weights(8, seed=2))
     refinement.save_weights(weights, tmp_path / "bundle")
@@ -430,6 +448,32 @@ def test_loss_computes_gradient_only_under_grad_check(capsys, tmp_path, monkeypa
     assert code == 0
     assert calls == [grad_fn]
     assert checked.splitlines()[0] == out.strip()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind", ["slz", "sequential"])
+def test_loss_gamma_outside_0_1_exits_2(capsys, tmp_path, kind, source, value):
+    (tmp_path / "cfg.txt").write_text(f"gamma={value}\n")
+    setting = (["--gamma", value] if source == "flag"
+               else ["--config", str(tmp_path / "cfg.txt")])
+    code, out, err = run_cli(capsys, *_loss_argvs(tmp_path)[kind], *setting)
+    assert code == 2 and out == ""
+    assert f"gamma must be in (0, 1], got {float(value)}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind,key", [("slz", "w_safe"), ("slz", "w_unsafe"),
+                                      ("combined", "lambda1"), ("combined", "lambda2"),
+                                      ("combined", "lambda3")])
+def test_loss_non_finite_weight_exits_2_naming_it(capsys, tmp_path, kind, key, source, value):
+    (tmp_path / "cfg.txt").write_text(f"{key}={value}\n")
+    setting = ([f"--{key.replace('_', '-')}", value] if source == "flag"
+               else ["--config", str(tmp_path / "cfg.txt")])
+    code, out, err = run_cli(capsys, *_loss_argvs(tmp_path)[kind], *setting)
+    assert code == 2 and out == ""
+    assert f"{key} must be finite" in err
 
 
 def test_loss_combined_default_weights(capsys):

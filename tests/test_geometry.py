@@ -5,6 +5,8 @@ from slzkit.camera import CameraIntrinsics
 from slzkit.errors import ShapeMismatchError
 from slzkit.geometry import (
     AreaReport,
+    _difference,
+    _difference_adjoint,
     backproject,
     normals_from_depth,
     pixel_area,
@@ -69,6 +71,21 @@ def test_normals_unit_norm_and_orientation():
 def test_normals_too_small():
     with pytest.raises(ShapeMismatchError):
         normals_from_depth(np.full((2, 2), 1.0), INTR)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 8), (7, 4), (10, 11), (16, 16), (17, 9)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_difference_adjoint_is_the_transpose_of_the_stencil(shape, axis):
+    # <D p, g> = <p, D^T g>: the DNCL gradient chains through D^T
+    rng = np.random.default_rng(10 * shape[0] + shape[1] + axis)
+    p, g = rng.normal(size=shape), rng.normal(size=shape)
+    adjoint = _difference_adjoint(g, axis, np.zeros(shape))
+    assert np.vdot(_difference(p, axis), g) == pytest.approx(np.vdot(p, adjoint), rel=1e-12,
+                                                             abs=1e-12)
+    # it adds into the plane it is given
+    base = rng.normal(size=shape)
+    added = _difference_adjoint(g, axis, base.copy())
+    assert np.allclose(added - base, adjoint, rtol=0, atol=1e-12)
 
 
 def test_normals_invalid_neighbor_propagation():

@@ -240,6 +240,22 @@ def test_fine_tune_rejects_non_finite():
         fine_tune_loss(np.inf, 0.0, 0.0, LossWeights())
 
 
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf, 1.5])
+@pytest.mark.parametrize("loss", [slz_loss, slz_loss_grad,
+                                  lambda seq, labels, gamma: LossWeights(gamma=gamma)])
+def test_decayed_losses_reject_gamma_outside_0_1(loss, gamma):
+    with pytest.raises(ValueError, match=rf"gamma must be in \(0, 1\], got {gamma}"):
+        loss([np.zeros((3, 3, 2))], np.zeros((3, 3), np.uint8), gamma=gamma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["w_safe", "w_unsafe", "lambda1", "lambda2", "lambda3"])
+def test_weights_reject_a_non_finite_value_naming_it(name, bad):
+    weights = ClassWeights if name.startswith("w_") else LossWeights
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        weights(**{name: bad})
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         LossWeights(lambda1=-0.1)

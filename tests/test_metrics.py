@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ def test_evaluate_perfect():
     assert rep.aAcc == 100.0
     for value in (rep.mIoU, rep.mAcc, rep.mDice, rep.mFscore, rep.mPrecision, rep.mRecall):
         assert value == 100.0
+
+
+def test_acc_is_the_recall():
+    rep = evaluate(np.array([[2, 1], [1, 4]]))
+    assert "acc" not in {f.name for f in dataclasses.fields(rep)}
+    assert np.array_equal(rep.acc, rep.recall) and rep.mAcc == rep.mRecall
 
 
 def test_evaluate_hand_example():
