@@ -8,14 +8,7 @@ from .camera import (
     read_intrinsics,
     to_canonical,
 )
-from .geometry import (
-    AreaReport,
-    Point3,
-    backproject,
-    normals_from_depth,
-    pixel_area,
-    region_area,
-)
+from .geometry import AreaReport, normals_from_depth, region_area
 from .losses import (
     ClassWeights,
     LossWeights,
@@ -35,7 +28,7 @@ from .refinement import (
     run_refinement,
     slz_flow_step,
 )
-from .slz import LandingCandidate, binarize, connected_components, dilate_unsafe, top_k_candidates
+from .slz import Region, binarize, connected_components, dilate_unsafe, top_k_candidates
 
 __version__ = "0.1.0"
 
@@ -44,13 +37,11 @@ __all__ = [
     "CameraIntrinsics",
     "CanonicalSpec",
     "ClassWeights",
-    "LandingCandidate",
     "LossWeights",
     "MetricsReport",
-    "Point3",
     "RefinementState",
     "RefinementWeights",
-    "backproject",
+    "Region",
     "binarize",
     "canonical_scale",
     "confusion",
@@ -65,7 +56,6 @@ __all__ = [
     "from_canonical",
     "grad_check",
     "normals_from_depth",
-    "pixel_area",
     "read_intrinsics",
     "region_area",
     "run_refinement",

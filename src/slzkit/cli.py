@@ -46,7 +46,7 @@ def _fill_defaults(args):
     """Set each DEFAULTS flag of the command that was not given, from --config or DEFAULTS.
 
     Flags that the command rejects together are checked first, while an
-    unset flag still reads None.
+    unset flag still reads None; the resolved seed is checked last.
     """
     for flag, others in getattr(args, "conflicts", {}).items():
         for other in others:
@@ -58,6 +58,8 @@ def _fill_defaults(args):
     for key, default in DEFAULTS.items():
         if getattr(args, key, default) is None:
             setattr(args, key, config.get(key, default))
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
 def _read_depth(path):

@@ -1,4 +1,4 @@
-"""Backprojection, normals from depth, and tilt-corrected area sums.
+"""Normals from depth and tilt-corrected area sums.
 
 Normals follow the camera-facing convention: the camera looks along +Z,
 so a valid unit normal always has n_z <= 0 (a fronto-parallel ground
@@ -7,7 +7,6 @@ plane yields (0, 0, -1)). Invalid pixels carry the all-zero vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,12 +20,6 @@ from .errors import ShapeMismatchError
 DEFAULT_NZ_MIN = 0.1
 
 
-class Point3(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-
 @dataclass(frozen=True)
 class AreaReport:
     """Result of summing per-pixel areas over a region."""
@@ -34,23 +27,6 @@ class AreaReport:
     total_area: float  # m^2
     pixel_count: int  # pixels that contributed to the sum
     excluded_count: int  # region pixels skipped (invalid depth or |n_z| < threshold)
-
-
-def backproject(u, v, d, intr: CameraIntrinsics) -> Point3:
-    """Lift pixel (u, v) at depth d to a 3D point in camera coordinates."""
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"invalid depth {d}: must be finite and > 0")
-    x = (u - intr.cx) * d / intr.fx
-    y = (v - intr.cy) * d / intr.fy
-    return Point3(x, y, d)
-
-
-def project(p, intr: CameraIntrinsics):
-    """Perspective-project a camera-frame point back to (u, v, depth)."""
-    x, y, z = p
-    if z <= 0:
-        raise ValueError(f"point behind camera (z={z})")
-    return x * intr.fx / z + intr.cx, y * intr.fy / z + intr.cy, z
 
 
 def _ray_xy(u, v, intr: CameraIntrinsics):
@@ -194,19 +170,6 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
 def _check_n_z_min(n_z_min):
     if not 0 < n_z_min <= 1:
         raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
-
-
-def pixel_area(d, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
-    """Ground area covered by one pixel: d^2 / (fx * fy * |n_z|).
-
-    Returns None when |n_z| < n_z_min (pixel excluded from area sums).
-    """
-    _check_n_z_min(n_z_min)
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"invalid depth {d}: must be finite and > 0")
-    if abs(n_z) < n_z_min:
-        return None
-    return d * d / (intr.fx * intr.fy * abs(n_z))
 
 
 def _region_to_mask(region, shape):

@@ -115,7 +115,7 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     if dp.shape != dg.shape or dp.ndim != 2:
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
     if n_samples < 1:
-        raise DegenerateInputError(f"n_samples must be >= 1, got {n_samples}")
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     pixels = np.flatnonzero(valid_depth_mask(dp) & valid_depth_mask(dg))
     if pixels.size == 0:
         raise DegenerateInputError("no pixel is valid in both depth rasters")

@@ -24,37 +24,55 @@ UNSAFE = 1
 
 @dataclass(frozen=True)
 class Region:
-    """One 4-connected component of safe pixels."""
+    """One 4-connected component of safe pixels; a landing candidate also
+    carries its area."""
 
     region_id: int
     pixels: np.ndarray  # (N, 2) array of (row, col), row-major order
     bbox: tuple  # (min_row, min_col, max_row, max_col), inclusive
-
-
-@dataclass(frozen=True)
-class LandingCandidate:
-    region_id: int
-    pixels: np.ndarray
-    bbox: tuple
-    area: AreaReport
+    area: AreaReport | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class RegionStats:
     """Every safe region of a mask from one labelling pass; entry i is region id i + 1."""
 
-    labels: np.ndarray  # (H, W) region id of each safe pixel, 0 = unsafe
-    bbox: np.ndarray  # (R, 4) min_row, min_col, max_row, max_col, inclusive
+    shape: tuple  # (H, W) of the mask
+    runs: np.ndarray  # (4, N) int32: row, start col, stop col (exclusive), region id per run
+    bbox: np.ndarray  # (R, 4) int32 min_row, min_col, max_row, max_col, inclusive
     area: np.ndarray  # (R,) float64 m^2
     pixel_count: np.ndarray  # (R,) pixels that contributed to the area
     excluded_count: np.ndarray  # (R,) region pixels skipped
 
+    def labels(self):
+        """(H, W) region id of each safe pixel, 0 = unsafe."""
+        return _paint(*self.runs, self.shape)
+
     def pixels(self, i):
         """(N, 2) array of the (row, col) pixels of region id i + 1, row-major."""
-        r0, c0, r1, c1 = self.bbox[i]
-        pixels = np.argwhere(self.labels[r0:r1 + 1, c0:c1 + 1] == i + 1)
-        pixels += (r0, c0)
-        return pixels
+        r0, _, r1, _ = self.bbox[i]
+        # the runs of the bbox's rows are one slice of the row-major table;
+        # int32 keys keep searchsorted from casting the whole row column
+        lo, hi = np.searchsorted(self.runs[0], (r0, r1 + 1))
+        runs = self.runs[:, lo:hi]
+        return _run_pixels(*runs[:3, runs[3] == i + 1])
+
+
+def _run_pixels(row, start, stop):
+    """(N, 2) array of the (row, col) pixels of the given runs, run by run."""
+    n = stop - start
+    cols = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
+    return np.column_stack((np.repeat(row, n), cols))
+
+
+def _paint(row, start, stop, label, shape):
+    """(H, W) intp plane of the runs' region ids, 0 = unsafe."""
+    # +id at each run start and -id at its stop, then one running sum
+    plane = np.zeros(shape[0] * shape[1] + 1, np.intp)
+    base = row * np.intp(shape[1])
+    plane[base + start] = label
+    plane[base + stop] -= label
+    return np.cumsum(plane, out=plane)[:-1].reshape(shape)
 
 
 def _check_mask(mask):
@@ -77,11 +95,14 @@ def binarize(logits):
 
 
 def _label(m):
-    """Safe-pixel labels and each region's bbox; label i + 1 is region id i + 1.
+    """The run table of the safe pixels and each region's bbox.
 
     Run-based two-pass labelling: find the row runs of safe pixels, link each
     run to the runs it overlaps in the row above, then merge linked runs by
-    min-hooking and pointer jumping.
+    min-hooking and pointer jumping. The (4, N) int32 table holds the row,
+    start column, stop column (exclusive) and region id of each run, in
+    row-major order; region id i + 1 is bbox row i. int32 holds every
+    value of a frame of fewer than 2**31 pixels.
     """
     h, w = m.shape
     # the unsafe pad column ends every run within its row
@@ -106,35 +127,27 @@ def _label(m):
         while not np.array_equal(up := parent[parent], parent):
             parent = up
     root = parent == np.arange(len(parent))
-    lab = np.cumsum(root)[parent]
-    # paint +id at each run start and -id at its stop, then one running sum
-    delta = np.zeros(h * w + 1, np.intp)
-    delta[start - row] = lab
-    delta[stop - row] -= lab
-    labels = np.cumsum(delta[:-1]).reshape(h, w)
-    bbox = np.zeros((int(root.sum()), 4), np.intp)
+    first = row * (w + 1)
+    runs = np.array([row, start - first, stop - first, np.cumsum(root)[parent]], np.int32)
+    row, start, stop, label = runs
+    bbox = np.zeros((int(root.sum()), 4), np.int32)
     bbox[:, 0] = row[root]
     bbox[:, 1] = w
-    np.minimum.at(bbox[:, 1], lab - 1, start - row * (w + 1))
-    np.maximum.at(bbox[:, 2], lab - 1, row)
-    np.maximum.at(bbox[:, 3], lab - 1, stop - row * (w + 1) - 1)
-    return labels, bbox
+    np.minimum.at(bbox[:, 1], label - 1, start)
+    np.maximum.at(bbox[:, 2], label - 1, row)
+    np.maximum.at(bbox[:, 3], label - 1, stop - 1)
+    return runs, bbox
 
 
 def connected_components(mask):
     """4-connected components of the safe pixels, ids in row-major discovery order."""
-    m = _check_mask(mask)
-    labels, bbox = _label(m)
-    flat = labels.ravel()
-    idx = np.flatnonzero(flat)
-    # one stable sort groups the pixels by label, each group in row-major order
-    grouped = idx[np.argsort(flat[idx], kind="stable")]
-    coords = np.column_stack(np.divmod(grouped, m.shape[1]))
-    counts = np.bincount(flat, minlength=len(bbox) + 1)[1:]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return [Region(region_id=i, pixels=coords[s:e], bbox=tuple(box))
-            for i, (s, e, box) in enumerate(zip(starts, ends, bbox.tolist()), start=1)]
+    runs, bbox = _label(_check_mask(mask))
+    # one stable sort groups the runs by region, each group in row-major order
+    runs = runs[:, np.argsort(runs[3], kind="stable")]
+    ends = np.cumsum(runs[2] - runs[1])[np.flatnonzero(np.diff(runs[3], append=0))].tolist()
+    pixels = _run_pixels(*runs[:3])
+    return [Region(i, pixels[s:e], tuple(box))
+            for i, (s, e, box) in enumerate(zip([0] + ends, ends, bbox.tolist()), start=1)]
 
 
 def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
@@ -145,17 +158,16 @@ def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_N
     flat row-major order, so it may differ from ``region_area`` in the last bits.
     """
     m = _check_mask(mask)
-    d = np.asarray(depth)
-    if d.shape != m.shape:
-        raise ShapeMismatchError(f"depth shape {d.shape} != mask shape {m.shape}")
-    labels, bbox = _label(m)
-    areas, included = pixel_areas(d, normals, intr, n_z_min)
-    flat = labels.ravel()
+    if np.shape(depth) != m.shape:
+        raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {m.shape}")
+    runs, bbox = _label(m)
+    areas, included = pixel_areas(depth, normals, intr, n_z_min)
+    flat = _paint(*runs, m.shape).ravel()
     bins = len(bbox) + 1
     area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
     size = np.bincount(flat, minlength=bins)[1:]
     excluded = np.bincount(flat[~included.ravel()], minlength=bins)[1:]
-    return RegionStats(labels, bbox, area, size - excluded, excluded)
+    return RegionStats(m.shape, runs, bbox, area, size - excluded, excluded)
 
 
 def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
@@ -166,9 +178,9 @@ def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
     stats = region_stats(mask, depth, normals, intr, n_z_min=n_z_min)
     # a stable sort on -area keeps equal areas in ascending id order
     best = np.argsort(-stats.area, kind="stable")[:k]
-    return [LandingCandidate(i + 1, stats.pixels(i), tuple(stats.bbox[i].tolist()),
-                             AreaReport(float(stats.area[i]), int(stats.pixel_count[i]),
-                                        int(stats.excluded_count[i])))
+    return [Region(i + 1, stats.pixels(i), tuple(stats.bbox[i].tolist()),
+                   AreaReport(float(stats.area[i]), int(stats.pixel_count[i]),
+                              int(stats.excluded_count[i])))
             for i in best.tolist()]
 
 

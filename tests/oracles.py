@@ -11,6 +11,8 @@ slz and sequential loss values. The package computes the same arithmetic
 in another layout, so the tests compare the two bit for bit.
 """
 
+import math
+
 import numpy as np
 from scipy import ndimage
 from scipy.special import expit
@@ -161,6 +163,23 @@ def confusion_ref(pred, gt):
         for j in range(pred.shape[1]):
             cm[gt[i, j], pred[i, j]] += 1
     return cm
+
+
+def backproject_ref(u, v, d, intr):
+    """Pinhole lift of pixel (u, v) at depth d to a camera-frame (x, y, z)."""
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"invalid depth {d}: must be finite and > 0")
+    return (u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d
+
+
+def pixel_area_ref(d, n_z, intr, n_z_min=0.1):
+    """Ground area of one pixel, d^2 / (fx * fy * |n_z|); None when
+    |n_z| < n_z_min (the pixel is left out of area sums)."""
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"invalid depth {d}: must be finite and > 0")
+    if abs(n_z) < n_z_min:
+        return None
+    return d * d / (intr.fx * intr.fy * abs(n_z))
 
 
 def plane_patch_area_ref(height, width, intr, a, b, c):

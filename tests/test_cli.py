@@ -823,3 +823,38 @@ def test_refine_demo_hidden_below_1_exits_2_naming_it(capsys, tmp_path, hidden):
     assert code == 2 and out == ""
     assert f"hidden_channels must be >= 1, got {hidden}" in err
     assert not list((tmp_path / "x").glob("*.f32r"))
+
+
+OUT_OF_RANGE = [  # (command, flag, value, the flag or setting the message names)
+    ("candidates", "--k", "-1", "k must be >= 0, got -1"),
+    ("candidates", "--dilate", "-1", "radius must be >= 0, got -1"),
+    ("area", "--region-id", "0", "no safe region with id 0"),
+    *[("area", "--n-z-min", v, "n_z_min must be in (0, 1]") for v in ("0", "1.5", "nan")],
+    *[("vnl", "--samples", v, f"n_samples must be >= 1, got {v}") for v in ("0", "-3")],
+    ("vnl", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("refine-demo", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("refine-demo", "--T", "-1", "steps must be >= 0, got -1"),
+    *[("refine-demo", "--base", v, "base resolution must be a positive multiple of 28")
+      for v in ("0", "30")],
+    ("refine-demo", "--hidden", "0", "hidden_channels must be >= 1, got 0"),
+    *[(kind, "--gamma", v, "gamma must be in (0, 1]")
+      for kind in ("refine-demo", "slz", "sequential") for v in ("0", "nan")],
+]
+
+
+@pytest.mark.parametrize("command,flag,value,named", OUT_OF_RANGE)
+def test_out_of_range_numeric_flag_exits_2_naming_it(capsys, flat_scene, command, flag, value,
+                                                     named):
+    if command in ("area", "candidates"):
+        argv = [command, "--depth", str(flat_scene / "depth.f32r"),
+                "--mask", str(flat_scene / "mask.pgm"),
+                "--normals", str(flat_scene / "normals.f32r"),
+                "--intrinsics", str(flat_scene / "intr.txt")]
+    elif command == "refine-demo":
+        argv = [command, "--out", str(flat_scene / "out")]
+    else:
+        argv = _loss_argvs(flat_scene)[command]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+    assert "Traceback" not in err

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import ShapeMismatchError
 from slzkit.geometry import (
     AreaReport,
+    _backproject_pixels,
     _difference,
     _difference_adjoint,
-    backproject,
     normals_from_depth,
-    pixel_area,
     pixel_areas,
-    project,
     region_area,
 )
 from slzkit.synth import plane_depth, plane_unit_normal
@@ -19,29 +18,34 @@ from slzkit.synth import plane_depth, plane_unit_normal
 INTR = CameraIntrinsics(100, 100, 50, 50)
 
 
+def _backproject(u, v, d):
+    """The package's point of integer pixel (u, v) at depth d."""
+    depth = np.zeros((v + 1, u + 1))
+    depth[v, u] = d
+    return tuple(_backproject_pixels(depth, np.array([v]), np.array([u]), INTR)[0])
+
+
 def test_backproject_principal_point():
-    assert backproject(50, 50, 5.0, INTR) == (0.0, 0.0, 5.0)
+    assert _backproject(50, 50, 5.0) == (0.0, 0.0, 5.0)
+    assert oracles.backproject_ref(50, 50, 5.0, INTR) == (0.0, 0.0, 5.0)
 
 
 def test_backproject_hand_value():
-    p = backproject(150, 50, 2.0, INTR)
-    assert p == (2.0, 0.0, 2.0)
+    assert _backproject(150, 50, 2.0) == (2.0, 0.0, 2.0)
+    assert oracles.backproject_ref(150, 50, 2.0, INTR) == (2.0, 0.0, 2.0)
+    rng = np.random.default_rng(0)
+    for u, v in rng.integers(0, 200, (50, 2)).tolist():
+        d = rng.uniform(0.1, 50)
+        assert _backproject(u, v, d) == pytest.approx(oracles.backproject_ref(u, v, d, INTR),
+                                                      rel=1e-15)
 
 
 def test_backproject_invalid_depth():
+    # the reference refuses a depth the package's kernels leave out
     with pytest.raises(ValueError):
-        backproject(10, 10, 0.0, INTR)
+        oracles.backproject_ref(10, 10, 0.0, INTR)
     with pytest.raises(ValueError):
-        backproject(10, 10, np.nan, INTR)
-
-
-def test_backproject_project_round_trip():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        u, v = rng.uniform(0, 100, 2)
-        d = rng.uniform(0.1, 50)
-        uu, vv, dd = project(backproject(u, v, d, INTR), INTR)
-        assert abs(uu - u) <= 1e-6 and abs(vv - v) <= 1e-6 and abs(dd - d) <= 1e-6
+        oracles.backproject_ref(10, 10, np.nan, INTR)
 
 
 def test_normals_constant_depth():
@@ -98,21 +102,30 @@ def test_normals_invalid_neighbor_propagation():
     assert norms[1, 1] > 0.99
 
 
+def _pixel_area(d, n_z, n_z_min=0.1):
+    """The package's area of one pixel at depth d with normal z component n_z."""
+    normals = np.array([[[0.0, 0.0, n_z]]])
+    areas, included = pixel_areas(np.array([[d]]), normals, INTR, n_z_min)
+    return float(areas[0, 0]) if included[0, 0] else None
+
+
 def test_pixel_area_hand_value():
-    assert pixel_area(2.0, -1.0, INTR) == pytest.approx(4e-4, rel=1e-12)
+    assert _pixel_area(2.0, -1.0) == pytest.approx(4e-4, rel=1e-12)
+    assert _pixel_area(2.0, -1.0) == oracles.pixel_area_ref(2.0, -1.0, INTR)
 
 
 def test_pixel_area_tilt_scaling():
-    a_flat = pixel_area(3.0, -1.0, INTR)
-    a_tilt = pixel_area(3.0, -0.5, INTR)
-    assert a_tilt == 2.0 * a_flat
+    a_flat = _pixel_area(3.0, -1.0)
+    a_tilt = _pixel_area(3.0, -0.5)
+    assert a_tilt == 2.0 * a_flat == 2.0 * oracles.pixel_area_ref(3.0, -1.0, INTR)
 
 
 def test_pixel_area_exclusions():
-    assert pixel_area(2.0, 0.0, INTR) is None
-    assert pixel_area(2.0, -0.05, INTR) is None
+    assert _pixel_area(2.0, 0.0) is None is oracles.pixel_area_ref(2.0, 0.0, INTR)
+    assert _pixel_area(2.0, -0.05) is None is oracles.pixel_area_ref(2.0, -0.05, INTR)
+    assert _pixel_area(-1.0, -1.0) is None
     with pytest.raises(ValueError):
-        pixel_area(-1.0, -1.0, INTR)
+        oracles.pixel_area_ref(-1.0, -1.0, INTR)
 
 
 @pytest.mark.parametrize("n_z_min", [0.0, -1.0, float("nan"), 1.5])
@@ -120,8 +133,6 @@ def test_n_z_min_outside_0_1_is_rejected(n_z_min):
     # at n_z_min <= 0 a pixel with a zero normal would divide by 0; NaN excludes every pixel
     depth = np.full((4, 5), 2.0)
     normals = np.zeros((4, 5, 3))
-    with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
-        pixel_area(2.0, -1.0, INTR, n_z_min=n_z_min)
     with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
         pixel_areas(depth, normals, INTR, n_z_min=n_z_min)
     with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
@@ -134,8 +145,9 @@ def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
     normals[0, 1] = (0.6, 0.0, -0.8)
     areas, included = pixel_areas(np.full((1, 2), 2.0), normals, INTR, n_z_min=1.0)
     assert included.tolist() == [[True, False]]
-    assert areas[0, 0] == pixel_area(2.0, -1.0, INTR, n_z_min=1.0) and areas[0, 1] == 0.0
-    assert pixel_area(2.0, -0.8, INTR, n_z_min=1.0) is None
+    assert areas[0, 0] == oracles.pixel_area_ref(2.0, -1.0, INTR, n_z_min=1.0)
+    assert areas[0, 1] == 0.0
+    assert oracles.pixel_area_ref(2.0, -0.8, INTR, n_z_min=1.0) is None
 
 
 def test_region_area_fronto_parallel_closed_form():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError, ShapeMismatchError
-from slzkit.geometry import backproject, normals_from_depth
+from slzkit.geometry import normals_from_depth
 from slzkit.losses import (
     ClassWeights,
     LossWeights,
@@ -41,7 +42,7 @@ def test_vnl_matches_brute_force_over_shared_triplets():
     dists = []
     for tri in triplets:
         def unit_normal(depth):
-            p = [np.array(backproject(c, r, depth[r, c], INTR)) for r, c in tri]
+            p = [np.array(oracles.backproject_ref(c, r, depth[r, c], INTR)) for r, c in tri]
             cr = np.cross(p[1] - p[0], p[2] - p[0])
             return cr / np.linalg.norm(cr)
 
@@ -71,8 +72,10 @@ def test_vnl_global_scale_invariance():
 
 def test_vnl_argument_errors():
     depth = np.full((8, 8), 2.0)
-    with pytest.raises(DegenerateInputError):
+    # a sample count below 1 is a bad argument (CLI exit 2), not degenerate data
+    with pytest.raises(ValueError, match=r"n_samples must be >= 1, got 0") as exc:
         virtual_normal_loss(depth, depth, INTR, 0, seed=0)
+    assert not isinstance(exc.value, DegenerateInputError)
     with pytest.raises(DegenerateInputError):
         virtual_normal_loss(np.full((8, 8), -1.0), depth, INTR, 4, seed=0)
     with pytest.raises(ShapeMismatchError):

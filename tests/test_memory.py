@@ -71,6 +71,10 @@ CALLS = {  # name -> (argv of the frame, bound in planes)
                                    "--confs", *f["confs"], "--gt-depth", f["depth"],
                                    "--gt-conf", f["gt_conf"]], 10.5),
     "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 10.5),
+    # region_stats paints its (H, W) id plane after the per-pixel areas; a
+    # label plane kept beside them brought the peak to 7.4 planes
+    "area --normals": (lambda f: ["area", "--depth", f["depth"], "--intrinsics", f["intrinsics"],
+                                  "--normals", f["normals"], "--mask", f["mask"]], 7.0),
     "candidates": (lambda f: ["candidates", *_frame_args(f), "--logits", f["logits"],
                               "--dilate", "2", "--k", "5"], 10.5),
 }

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,9 +151,22 @@ def test_adversarial_720p_labels_and_bboxes_match_ndimage(name):
     assert len(stats.bbox) == REGIONS_720P.get(name, len(bbox))
     if name == "speckle":
         assert len(bbox) > 60000
-    assert np.array_equal(stats.labels, labels)
+    assert np.array_equal(stats.labels(), labels)
     assert np.array_equal(stats.bbox, bbox)
     assert stats.pixel_count.sum() == np.count_nonzero(mask == 0)
+
+
+def test_region_stats_keep_runs_not_a_label_plane():
+    # the 720p checkerboard is the worst case: one run per safe pixel
+    mask = ADVERSARIAL["checkerboard"](720, 1280)
+    depth = np.full(mask.shape, 2.0)
+    normals = np.zeros(mask.shape + (3,))
+    normals[..., 2] = -1.0
+    stats = region_stats(mask, depth, normals, INTR)
+    fields = [getattr(stats, f.name) for f in dataclasses.fields(stats)]
+    assert not [f for f in fields if np.ndim(f) == 2 and np.shape(f) == mask.shape]
+    assert stats.runs.nbytes <= 8 * mask.size
+    assert np.array_equal(stats.labels(), oracles.label_ref(mask)[0])
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
@@ -213,7 +228,7 @@ def test_region_bbox_matches_find_objects(seed, unsafe_fraction):
     mask, depth, normals = _random_frame(seed, unsafe_fraction)
     stats = region_stats(mask, depth, normals, INTR)
     labels, bbox = oracles.label_ref(mask)
-    assert np.array_equal(stats.labels, labels)
+    assert np.array_equal(stats.labels(), labels)
     assert np.array_equal(stats.bbox, bbox)
 
 
