@@ -142,7 +142,7 @@ def root(tmp_path_factory):
     return path
 
 
-def test_inputs_exercise_exclusions_ties_and_many_regions(root):
+def test_inputs_exercise_exclusions_and_many_regions(root):
     from slzkit.slz import connected_components
 
     speckle = sio.read_mask(root / "speckle.pgm")
