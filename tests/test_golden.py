@@ -1,11 +1,12 @@
-"""Golden pins of the `area` and `candidates` CSVs.
+"""Golden pins of the `area`, `candidates`, `evaluate` and `synth` outputs.
 
 Each case runs one CLI call in-process on seeded inputs built here and
-compares its exit code, the SHA-256 of its stdout and its stderr with
-``golden.json``. These CSVs come from IEEE add, multiply, divide and sqrt
-and a sequential ``np.bincount`` only, so the bytes are the same on every
-machine. A change that alters any of them, even in the last printed
-digit, fails here.
+compares its exit code, the SHA-256 of its stdout, its stderr (with the
+input directory written as ``<root>``) and the SHA-256 of every file it
+writes under ``--out`` with ``golden.json``. These outputs come from IEEE
+add, multiply, divide and sqrt, integer counts and fixed-order sums only,
+so the bytes are the same on every machine. A change that alters any of
+them, even in the last printed digit, fails here.
 
 After a deliberate output change, regenerate the manifest with
 
@@ -88,6 +89,41 @@ def build_inputs(root):
     order_mask = np.ones((3, 8), np.uint8)
     order_mask[1, 2:5] = 0
     sio.write_mask(order_mask, root / "order.pgm")
+    # evaluation pairs: three predictions against their ground truth, and an
+    # all-safe ground truth whose unsafe ratios are undefined
+    blocks = np.kron(speckle[:12, :20], np.ones((10, 10), np.uint8))
+    truth = {"grid": grid, "speckle": speckle, "blocks": blocks}
+    for name, gt in truth.items():
+        flip = rng.uniform(size=(H, W)) < 0.1
+        for sub, mask in (("gt", gt), ("pred", np.where(flip, 1 - gt, gt))):
+            (root / sub).mkdir(exist_ok=True)
+            sio.write_mask(mask, root / sub / f"{name}.pgm")
+    for sub, mask in (("safe_gt", np.zeros((H, W), np.uint8)), ("safe_pred", speckle)):
+        (root / sub).mkdir()
+        sio.write_mask(mask, root / sub / "frame.pgm")
+    for name, spec in SCENES.items():
+        (root / f"{name}.txt").write_text(spec)
+
+
+_SCENE = f"[scene]\nwidth={W}\nheight={H}\nfx=150\nfy=150\ncx={(W - 1) / 2}\ncy={(H - 1) / 2}\n"
+
+
+def _spec(buffer, plane, *boxes):
+    return (_SCENE + f"buffer={buffer}\n[plane]\na={plane[0]}\nb={plane[1]}\nc={plane[2]}\n"
+            + "".join(f"[box]\nu0={u0}\nv0={v0}\nu1={u1}\nv1={v1}\nheight={h}\n"
+                      for u0, v0, u1, v1, h in boxes))
+
+
+# scene specs: overlapping boxes, boxes on the frame edge, a box across the
+# horizon (its top covers cells that see no ground) and one centred past it
+SCENES = {
+    "scene-plain": _spec(0, (0, 0, 4)),
+    "scene-boxes": _spec(2, (0.1, 0.3, 5), (20, 10, 60, 50, 1.5), (40, 30, 90, 70, 0.5),
+                         (0, 100, 30, 119, 2), (150, 0, 199, 15, 0.25), (120, 60, 120, 60, 1)),
+    "scene-horizon": _spec(1, (0.2, 2.8, 6), (30, 100, 70, 118, 2), (100, 20, 140, 60, 3),
+                           (110, 40, 160, 90, 1), (180, 5, 199, 25, 0.75)),
+    "scene-past-horizon": _spec(0, (0.2, 2.8, 6), (190, 110, 199, 119, 1)),
+}
 
 
 def _frame(depth, normals=None):
@@ -122,17 +158,32 @@ CASES = {
                                 "--mask", "order.pgm"],
     "candidates-logits-dilate-normals": ["candidates", *_frame("tilted", "normals"),
                                          "--logits", "logits.f32r", "--dilate", "2"],
+    "evaluate-pairs": ["evaluate", "--pred-dir", "pred/", "--gt-dir", "gt/"],
+    "evaluate-all-safe-truth": ["evaluate", "--pred-dir", "safe_pred/", "--gt-dir", "safe_gt/"],
+    "evaluate-missing-counterpart": ["evaluate", "--pred-dir", "pred/", "--gt-dir", "safe_gt/"],
+    **{f"synth-{name[6:]}": ["synth", "--spec", f"{name}.txt", "--out", f"out-{name}/"]
+       for name in SCENES},
 }
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def run_case(root, name):
-    """Exit code, stdout SHA-256 and stderr of one case, run in root."""
-    argv = [str(root / a) if a.endswith((".f32r", ".pgm", ".txt")) else a for a in CASES[name]]
+    """Exit code, stdout SHA-256, stderr and the SHA-256 of each file
+    written under --out of one case, run in root."""
+    argv = [str(root / a) if a.endswith((".f32r", ".pgm", ".txt", "/")) else a
+            for a in CASES[name]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return {"code": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": err.getvalue()}
+    pin = {"code": code, "stdout_sha256": _sha256(out.getvalue().encode()),
+           "stderr": err.getvalue().replace(str(root), "<root>")}
+    if "--out" in argv:
+        written = Path(argv[argv.index("--out") + 1])
+        pin["files"] = {p.name: _sha256(p.read_bytes()) for p in sorted(written.glob("*"))}
+    return pin
 
 
 @pytest.fixture(scope="module")
