@@ -81,8 +81,6 @@ def _read_frame(args):
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
     if args.derive_normals:
         return intr, depth, mask, geometry.normals_from_depth(depth, intr)
-    if args.normals is None:
-        raise ValueError("either --normals or --derive-normals is required")
     n = slzio.read_raster(args.normals)
     if n.ndim != 3 or n.shape[2] != 3:
         raise ShapeMismatchError(f"{args.normals}: normals must be 3-channel, got shape {n.shape}")
@@ -228,6 +226,8 @@ def cmd_refine_demo(args):
 
 
 def _print_loss(value):
+    if not np.isfinite(value):
+        raise DegenerateInputError(f"loss is {value}, not a finite number")
     print(f"loss={value:.12g}")
 
 
@@ -333,9 +333,10 @@ def build_parser():
     frame = argparse.ArgumentParser(add_help=False, parents=[config])
     frame.add_argument("--depth", required=True)
     frame.add_argument("--intrinsics", required=True)
-    frame.add_argument("--normals")
-    frame.add_argument("--derive-normals", action="store_true",
-                       help="derive normals from the depth raster")
+    normals = frame.add_mutually_exclusive_group(required=True)
+    normals.add_argument("--normals")
+    normals.add_argument("--derive-normals", action="store_true",
+                         help="derive normals from the depth raster")
     frame.add_argument("--n-z-min", type=float)
 
     p = sub.add_parser("area", parents=[frame], help="tilt-corrected areas of safe regions")

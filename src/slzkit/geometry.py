@@ -207,21 +207,30 @@ def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     return areas, included
 
 
+def _area_sums(ids, bins, areas, included):
+    """``(area, pixel_count, excluded_count)`` arrays of ids 1 .. bins - 1
+    of an (H, W) id plane, 0 = no region, from the planes of
+    :func:`pixel_areas`.
+
+    Each id's area adds its pixels' areas one at a time in flat row-major
+    order: the one summation rule of every region area.
+    """
+    flat = ids.ravel()
+    area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
+    size = np.bincount(flat, minlength=bins)[1:]
+    excluded = np.bincount(flat[~included.ravel()], minlength=bins)[1:]
+    return area, size - excluded, excluded
+
+
 def region_area(region, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """Sum per-pixel tilt-corrected areas over a pixel region.
 
     `region` is a boolean inclusion mask or an (N, 2) array of (row, col)
     pixels. Pixels with invalid depth or |n_z| < n_z_min are skipped and
-    reported in ``excluded_count``. Summation runs in row-major raster
-    order over float64 values (numpy pairwise reduction), which is
-    deterministic across runs; area identities are therefore asserted to
-    1e-6 relative rather than bitwise.
+    reported in ``excluded_count``. The area adds the pixels' float64
+    areas one at a time in row-major raster order, as
+    :func:`slzkit.slz.region_stats` does for each region.
     """
     areas, included = pixel_areas(depth, normals, intr, n_z_min)
-    mask = _region_to_mask(region, areas.shape)
-    included &= mask
-    region_count = int(mask.sum())
-    pixel_count = int(included.sum())
-    total = float(areas[included].sum())
-    return AreaReport(total_area=total, pixel_count=pixel_count,
-                      excluded_count=region_count - pixel_count)
+    area, count, excluded = _area_sums(_region_to_mask(region, areas.shape), 2, areas, included)
+    return AreaReport(float(area[0]), int(count[0]), int(excluded[0]))

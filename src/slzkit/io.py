@@ -20,6 +20,8 @@ import warnings
 
 import numpy as np
 
+from .errors import ShapeMismatchError
+
 # W*H*C*4 above this is rejected as a corrupt header rather than attempted.
 _MAX_PAYLOAD_BYTES = 1 << 33
 
@@ -146,18 +148,21 @@ def read_mask(path):
     return (gray >= 128).astype(np.uint8)
 
 
-def _is_binary(arr):
-    """True when every value of the array is 0 or 1; much cheaper than np.isin."""
-    return bool(((arr == 0) | (arr == 1)).all())
+def _check_mask(mask, name="mask"):
+    """The mask as an array, checked to be a 2-D grid of 0 (safe) and 1
+    (unsafe) values; ``name`` is the argument the errors name."""
+    m = np.asarray(mask)
+    if m.ndim != 2:
+        raise ShapeMismatchError(f"{name} must be 2-D, got shape {m.shape}")
+    # much cheaper than np.isin
+    if not ((m == 0) | (m == 1)).all():
+        raise ValueError(f"{name} values must be 0 (safe) or 1 (unsafe)")
+    return m
 
 
 def write_mask(mask, path):
     """Write a {0, 1} mask as P5 PGM (0 -> 0, 1 -> 255)."""
-    arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-    if not _is_binary(arr):
-        raise ValueError("mask values must be 0 (safe) or 1 (unsafe)")
+    arr = _check_mask(mask)
     height, width = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -21,7 +21,7 @@ import numpy as np
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
 from .geometry import _backproject_pixels, _cross_to_depth, _normal_planes
-from .io import _is_binary
+from .io import _check_mask
 
 _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
@@ -285,9 +285,7 @@ def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=Lo
 def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     if len(logit_seq) == 0:
         raise DegenerateInputError("empty logit sequence")
-    lab = np.asarray(labels)
-    if lab.ndim != 2 or not _is_binary(lab):
-        raise ShapeMismatchError("labels must be a 2-D mask of 0/1 values")
+    lab = _check_mask(labels, "labels")
     v, n, kept = _valid_set(valid, lab.shape)
     decays = _decays(gamma, len(logit_seq) - 1)
     safe = lab == 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeMismatchError
-from .io import _is_binary
+from .io import _check_mask
 
 _CLASS_NAMES = ("safe", "unsafe")
 
@@ -71,12 +71,10 @@ class MetricsReport:
 
 def confusion(pred, gt, ignore=None):
     """2x2 confusion counts indexed [gt class][pred class]."""
-    p = np.asarray(pred)
-    g = np.asarray(gt)
-    if p.shape != g.shape or p.ndim != 2:
+    p = _check_mask(pred, "pred")
+    g = _check_mask(gt, "gt")
+    if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    if not (_is_binary(p) and _is_binary(g)):
-        raise ValueError("masks must contain only 0/1 values")
     keep = np.ones(p.shape, dtype=bool)
     if ignore is not None:
         ig = np.asarray(ignore)

@@ -15,8 +15,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
-from .geometry import DEFAULT_NZ_MIN, AreaReport, pixel_areas
-from .io import _is_binary
+from .geometry import DEFAULT_NZ_MIN, AreaReport, _area_sums, pixel_areas
+from .io import _check_mask
 
 SAFE = 0
 UNSAFE = 1
@@ -73,15 +73,6 @@ def _paint(row, start, stop, label, shape):
     plane[base + start] = label
     plane[base + stop] -= label
     return np.cumsum(plane, out=plane)[:-1].reshape(shape)
-
-
-def _check_mask(mask):
-    m = np.asarray(mask)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"mask must be 2-D, got shape {m.shape}")
-    if not _is_binary(m):
-        raise ValueError("mask values must be 0 (safe) or 1 (unsafe)")
-    return m.astype(np.uint8)
 
 
 def binarize(logits):
@@ -153,21 +144,18 @@ def connected_components(mask):
 def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """Area, pixel counts and bbox of every safe region, from one labelling pass.
 
-    Region ids and pixel inclusion are those of :func:`connected_components`
-    and :func:`slzkit.geometry.region_area`. Each region's area is summed in
-    flat row-major order, so it may differ from ``region_area`` in the last bits.
+    Region ids are those of :func:`connected_components`; each region's
+    area, pixel count and excluded count equal those of
+    :func:`slzkit.geometry.region_area` over its pixels, bit for bit.
     """
     m = _check_mask(mask)
     if np.shape(depth) != m.shape:
         raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {m.shape}")
     runs, bbox = _label(m)
+    # the areas come before the painted id plane, which keeps the peak low
     areas, included = pixel_areas(depth, normals, intr, n_z_min)
-    flat = _paint(*runs, m.shape).ravel()
-    bins = len(bbox) + 1
-    area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
-    size = np.bincount(flat, minlength=bins)[1:]
-    excluded = np.bincount(flat[~included.ravel()], minlength=bins)[1:]
-    return RegionStats(m.shape, runs, bbox, area, size - excluded, excluded)
+    sums = _area_sums(_paint(*runs, m.shape), len(bbox) + 1, areas, included)
+    return RegionStats(m.shape, runs, bbox, *sums)
 
 
 def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
@@ -176,8 +164,12 @@ def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     stats = region_stats(mask, depth, normals, intr, n_z_min=n_z_min)
+    area, ids = stats.area, np.arange(len(stats.area))
+    if 0 < k < len(area):
+        # only regions at least as large as the k-th largest can rank in the first k
+        ids = ids[area >= np.partition(area, -k)[-k]]
     # a stable sort on -area keeps equal areas in ascending id order
-    best = np.argsort(-stats.area, kind="stable")[:k]
+    best = ids[np.argsort(-area[ids], kind="stable")[:k]]
     return [Region(i + 1, stats.pixels(i), tuple(stats.bbox[i].tolist()),
                    AreaReport(float(stats.area[i]), int(stats.pixel_count[i]),
                               int(stats.excluded_count[i])))
@@ -188,7 +180,7 @@ def dilate_unsafe(mask, radius):
     """Grow the unsafe set by a square (Chebyshev) element of radius `radius`."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    m = _check_mask(mask)
+    m = _check_mask(mask).astype(np.uint8)
     # the square element is separable: a running max along each axis in turn,
     # over windows padded with SAFE (0)
     for axis in (0, 1):

@@ -151,18 +151,16 @@ def render_scene(scene: Scene) -> SceneRender:
         z_top = c / g_center - box.height
         if z_top <= 0:
             raise ValueError(f"box {box} top would sit behind the camera")
-        region = np.zeros_like(footprint, dtype=bool)
-        region[box.v0:box.v1 + 1, box.u0:box.u1 + 1] = True
-        wins = region & (~ground_visible | (z_top < depth))
-        depth[wins] = z_top
-        normals[wins] = (0.0, 0.0, -1.0)
-        exact[wins] = z_top * z_top / (intr.fx * intr.fy)
-        footprint[region] = 1
-        box_areas.append(float(exact[wins].sum()))
+        win = np.s_[box.v0:box.v1 + 1, box.u0:box.u1 + 1]
+        wins = ~ground_visible[win] | (z_top < depth[win])
+        depth[win][wins] = z_top
+        normals[win][wins] = (0.0, 0.0, -1.0)
+        exact[win][wins] = z_top * z_top / (intr.fx * intr.fy)
+        footprint[win] = 1
+        box_areas.append(float(exact[win][wins].sum()))
 
-    unsafe = dilate_unsafe(footprint, scene.buffer_radius)
-    unsafe[depth <= 0] = UNSAFE
-    mask = np.where(unsafe == 1, UNSAFE, SAFE).astype(np.uint8)
+    mask = dilate_unsafe(footprint, scene.buffer_radius)
+    mask[depth <= 0] = UNSAFE
 
     visible = depth > 0
     sidecar = {

@@ -858,3 +858,46 @@ def test_out_of_range_numeric_flag_exits_2_naming_it(capsys, flat_scene, command
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def _exit_code(capsys, *argv):
+    """Exit code, stdout and stderr of one call, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("normals", [["--normals", "missing.f32r", "--derive-normals"], []],
+                         ids=["both", "neither"])
+@pytest.mark.parametrize("command", ["area", "candidates"])
+def test_normals_and_derive_normals_are_one_required_choice(capsys, flat_scene, command,
+                                                            normals):
+    # --normals beside --derive-normals used to be ignored, a missing file with exit 0
+    code, out, err = _exit_code(capsys, command, "--depth", str(flat_scene / "depth.f32r"),
+                                "--mask", str(flat_scene / "mask.pgm"),
+                                "--intrinsics", str(flat_scene / "intr.txt"),
+                                *[str(flat_scene / a) if a.endswith(".f32r") else a
+                                  for a in normals])
+    assert code == 2 and out == ""
+    assert "--normals" in err and "--derive-normals" in err
+
+
+@pytest.mark.parametrize("grad_check", [[], ["--grad-check"]])
+@pytest.mark.parametrize("kind,raster", [("sequential", "p.f32r"), ("slz", "z.f32r")])
+def test_a_non_finite_loss_exits_4_before_any_output(capsys, tmp_path, kind, raster,
+                                                     grad_check):
+    argv = _loss_argvs(tmp_path)
+    # one NaN in a depth prediction, or in one logit
+    if kind == "sequential":
+        bad = np.full((12, 12), 3.0, dtype=np.float32)
+        argv[kind][argv[kind].index("--preds") + 1] = str(tmp_path / raster)
+    else:
+        bad = sio.read_raster(tmp_path / raster)
+    bad.flat[100] = np.nan
+    sio.write_raster(bad, tmp_path / raster)
+    code, out, err = run_cli(capsys, *argv[kind], *grad_check)
+    assert code == 4 and out == ""
+    assert err == "error: loss is nan, not a finite number\n"

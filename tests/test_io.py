@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -5,6 +6,11 @@ import numpy as np
 import pytest
 
 from slzkit import io as sio
+from slzkit.camera import CameraIntrinsics
+from slzkit.errors import ShapeMismatchError
+from slzkit.losses import slz_loss
+from slzkit.metrics import confusion
+from slzkit.slz import connected_components, dilate_unsafe, region_stats, top_k_candidates
 
 
 def _nan_with_payload():
@@ -164,6 +170,41 @@ def test_mask_errors(tmp_path):
 def test_write_mask_rejects_other_values(tmp_path):
     with pytest.raises(ValueError):
         sio.write_mask(np.array([[0, 3]]), tmp_path / "m.pgm")
+
+
+_OK = np.zeros((4, 4), np.uint8)
+_DEPTH = np.full((4, 4), 2.0)
+_NORMALS = np.broadcast_to([0.0, 0.0, -1.0], (4, 4, 3))
+_INTR = CameraIntrinsics(100, 100, 1.5, 1.5)
+
+# consumer -> (the argument it names, a call that passes the mask there)
+MASK_CONSUMERS = {
+    "connected_components": ("mask", connected_components),
+    "region_stats": ("mask", lambda m: region_stats(m, _DEPTH, _NORMALS, _INTR)),
+    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, _DEPTH, _NORMALS, _INTR, 3)),
+    "dilate_unsafe": ("mask", lambda m: dilate_unsafe(m, 1)),
+    "confusion-pred": ("pred", lambda m: confusion(m, _OK)),
+    "confusion-gt": ("gt", lambda m: confusion(_OK, m)),
+    "slz_loss": ("labels", lambda m: slz_loss([np.zeros((4, 4, 2))], m)),
+    "write_mask": ("mask", lambda m: sio.write_mask(m, os.devnull)),
+}
+_NOT_BINARY = np.zeros((4, 4), np.uint8)
+_NOT_BINARY[1, 2] = 2
+BAD_MASKS = {
+    "3-D": (np.zeros((4, 4, 1), np.uint8), ShapeMismatchError, "{} must be 2-D, got shape (4, 4, 1)"),
+    "holds 2": (_NOT_BINARY, ValueError, "{} values must be 0 (safe) or 1 (unsafe)"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+@pytest.mark.parametrize("consumer", MASK_CONSUMERS)
+def test_every_mask_consumer_rejects_a_bad_mask_naming_its_argument(consumer, bad):
+    name, call = MASK_CONSUMERS[consumer]
+    mask, error, message = BAD_MASKS[bad]
+    with pytest.raises(ValueError) as exc:
+        call(mask)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(name)
 
 
 def test_raster_dir_round_trip(tmp_path):

@@ -250,7 +250,7 @@ def test_candidates_match_region_area_per_oracle_component(seed, unsafe_fraction
         assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
         assert c.area.pixel_count == want.pixel_count
         assert c.area.excluded_count == want.excluded_count
-        assert c.area.total_area == pytest.approx(want.total_area, rel=1e-6)
+        assert c.area.total_area == want.total_area
 
 
 def test_top_k_fewer_components_than_k():
@@ -300,6 +300,26 @@ def test_top_k_candidates_disjoint_and_safe():
             seen.add((r, col))
     areas = [c.area.total_area for c in cands]
     assert areas == sorted(areas, reverse=True)
+
+
+@pytest.mark.parametrize("k", [1, 5, -1])
+def test_top_k_ranks_ties_across_the_kth_place_by_id(k):
+    # 60 runs of 1 to 3 pixels on a fronto-parallel plane: only three
+    # distinct areas, so equal areas straddle every k-th place
+    rng = np.random.default_rng(3)
+    mask = np.ones((12, 40), np.uint8)
+    for r in range(0, 12, 2):
+        for c in range(0, 40, 4):
+            mask[r, c:c + rng.integers(1, 4)] = 0
+    depth = np.full(mask.shape, 2.0)
+    normals = np.broadcast_to([0.0, 0.0, -1.0], mask.shape + (3,))
+    area = region_stats(mask, depth, normals, INTR).area
+    k %= len(area)
+    want = np.argsort(-area, kind="stable")
+    assert area[want[k - 1]] == area[want[k]]
+    cands = top_k_candidates(mask, depth, normals, INTR, k)
+    assert [c.region_id for c in cands] == (want[:k] + 1).tolist()
+    assert [c.area.total_area for c in cands] == area[want[:k]].tolist()
 
 
 def test_top_k_shape_mismatch():
