@@ -164,12 +164,8 @@ def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     stats = region_stats(mask, depth, normals, intr, n_z_min=n_z_min)
-    area, ids = stats.area, np.arange(len(stats.area))
-    if 0 < k < len(area):
-        # only regions at least as large as the k-th largest can rank in the first k
-        ids = ids[area >= np.partition(area, -k)[-k]]
     # a stable sort on -area keeps equal areas in ascending id order
-    best = ids[np.argsort(-area[ids], kind="stable")[:k]]
+    best = np.argsort(-stats.area, kind="stable")[:k]
     return [Region(i + 1, stats.pixels(i), tuple(stats.bbox[i].tolist()),
                    AreaReport(float(stats.area[i]), int(stats.pixel_count[i]),
                               int(stats.excluded_count[i])))

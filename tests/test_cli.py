@@ -21,7 +21,11 @@ INTR = CameraIntrinsics(100, 100, 31.5, 31.5)
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one call, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -860,27 +864,17 @@ def test_out_of_range_numeric_flag_exits_2_naming_it(capsys, flat_scene, command
     assert "Traceback" not in err
 
 
-def _exit_code(capsys, *argv):
-    """Exit code, stdout and stderr of one call, argparse's own exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("normals", [["--normals", "missing.f32r", "--derive-normals"], []],
                          ids=["both", "neither"])
 @pytest.mark.parametrize("command", ["area", "candidates"])
 def test_normals_and_derive_normals_are_one_required_choice(capsys, flat_scene, command,
                                                             normals):
     # --normals beside --derive-normals used to be ignored, a missing file with exit 0
-    code, out, err = _exit_code(capsys, command, "--depth", str(flat_scene / "depth.f32r"),
-                                "--mask", str(flat_scene / "mask.pgm"),
-                                "--intrinsics", str(flat_scene / "intr.txt"),
-                                *[str(flat_scene / a) if a.endswith(".f32r") else a
-                                  for a in normals])
+    code, out, err = run_cli(capsys, command, "--depth", str(flat_scene / "depth.f32r"),
+                             "--mask", str(flat_scene / "mask.pgm"),
+                             "--intrinsics", str(flat_scene / "intr.txt"),
+                             *[str(flat_scene / a) if a.endswith(".f32r") else a
+                               for a in normals])
     assert code == 2 and out == ""
     assert "--normals" in err and "--derive-normals" in err
 
