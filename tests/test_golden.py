@@ -1,12 +1,20 @@
-"""Golden pins of the `area`, `candidates`, `evaluate` and `synth` outputs.
+"""Golden pins of the `area`, `candidates`, `evaluate`, `synth`, `loss` and
+`refine-demo` outputs.
 
 Each case runs one CLI call in-process on seeded inputs built here and
-compares its exit code, the SHA-256 of its stdout, its stderr (with the
-input directory written as ``<root>``) and the SHA-256 of every file it
-writes under ``--out`` with ``golden.json``. These outputs come from IEEE
-add, multiply, divide and sqrt, integer counts and fixed-order sums only,
-so the bytes are the same on every machine. A change that alters any of
-them, even in the last printed digit, fails here.
+compares its exit code, the SHA-256 of its stdout (a `loss` call's stdout
+itself), its stderr (with the input directory written as ``<root>``) and
+the SHA-256 of every file it writes under ``--out`` with ``golden.json``.
+The `area`, `candidates`, `evaluate`, `synth` and `loss combined` outputs
+come from IEEE add, multiply, divide and sqrt, integer counts and
+fixed-order sums only, so the bytes are the same on every machine. A
+change that alters any of them, even in the last printed digit, fails here.
+
+The other `loss` and the `refine-demo` outputs also go through exp, log,
+BLAS and SIMD-dispatched reductions, so their bytes hold for one numpy
+build. The manifest records that build's fingerprint: on the same build
+they are compared byte for byte, on another by value at the tolerances the
+oracle tests use, and a resumed refinement must still equal the direct run.
 
 After a deliberate output change, regenerate the manifest with
 
@@ -15,6 +23,7 @@ After a deliberate output change, regenerate the manifest with
 and review the entries that changed in the diff.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -103,6 +112,26 @@ def build_inputs(root):
         sio.write_mask(mask, root / sub / "frame.pgm")
     for name, spec in SCENES.items():
         (root / f"{name}.txt").write_text(spec)
+    build_loss_inputs(root)
+
+
+def build_loss_inputs(root):
+    """Write small seeded crops for the `loss` cases into root."""
+    rng = np.random.Generator(np.random.PCG64(20252))
+    gt = plane_depth(H, W, INTR, 0.1, 0.4, 5.0)[40:64, 60:100]
+    sio.write_raster(gt, root / "vnl_gt.f32r")
+    sio.write_raster(gt * (1.0 + rng.uniform(-0.05, 0.05, gt.shape)), root / "vnl_pred.f32r")
+    # the grad-check cases perturb every element, so their crops are 6x8
+    crop = gt[:6, :8]
+    sio.write_raster(crop, root / "crop_gt.f32r")
+    sio.write_raster(rng.uniform(0.5, 1.0, crop.shape), root / "crop_conf.f32r")
+    for t in range(3):
+        sio.write_raster(crop + rng.normal(0, 0.2, crop.shape), root / f"seq_depth{t}.f32r")
+        sio.write_raster(rng.uniform(0.2, 1.0, crop.shape), root / f"seq_conf{t}.f32r")
+        sio.write_raster(rng.normal(size=(6, 8, 2)), root / f"slz_logits{t}.f32r")
+    sio.write_mask((rng.uniform(size=crop.shape) < 0.8).astype(np.uint8), root / "crop_valid.pgm")
+    sio.write_mask((rng.uniform(size=crop.shape) < 0.4).astype(np.uint8), root / "crop_labels.pgm")
+    sio.write_raster(_unit(rng.normal([0.0, 0.0, -3.0], 1.0, (6, 8, 3))), root / "crop_normals.f32r")
 
 
 _SCENE = f"[scene]\nwidth={W}\nheight={H}\nfx=150\nfy=150\ncx={(W - 1) / 2}\ncy={(H - 1) / 2}\n"
@@ -163,26 +192,72 @@ CASES = {
     "evaluate-missing-counterpart": ["evaluate", "--pred-dir", "pred/", "--gt-dir", "safe_gt/"],
     **{f"synth-{name[6:]}": ["synth", "--spec", f"{name}.txt", "--out", f"out-{name}/"]
        for name in SCENES},
+    "loss-vnl": ["loss", "vnl", "--pred", "vnl_pred.f32r", "--gt", "vnl_gt.f32r",
+                 "--intrinsics", "intr.txt", "--samples", "200", "--seed", "3"],
+    "loss-sequential": ["loss", "sequential", "--preds", *(f"seq_depth{t}.f32r" for t in range(3)),
+                        "--confs", *(f"seq_conf{t}.f32r" for t in range(3)),
+                        "--gt-depth", "crop_gt.f32r", "--gt-conf", "crop_conf.f32r",
+                        "--valid", "crop_valid.pgm", "--grad-check"],
+    "loss-dncl": ["loss", "dncl", "--depth", "seq_depth0.f32r", "--normals", "crop_normals.f32r",
+                  "--intrinsics", "intr.txt", "--grad-check"],
+    "loss-slz": ["loss", "slz", "--logits", *(f"slz_logits{t}.f32r" for t in range(3)),
+                 "--labels", "crop_labels.pgm", "--valid", "crop_valid.pgm", "--grad-check"],
+    "loss-combined": ["loss", "combined", "--vnl", "0.3", "--seq", "1.7", "--dncl", "0.25",
+                      "--lambda2", "0.35"],
+    "refine-demo": ["refine-demo", "--base", "56", "--T", "4", "--out", "refine-direct/"],
+    "refine-demo-resume": ["refine-demo", "--resume", "refine-half/", "--T", "2",
+                           "--out", "refine-resumed/"],
 }
+
+# calls run, their output unpinned, before a case
+BEFORE = {"refine-demo-resume": ["refine-demo", "--base", "56", "--T", "2", "--out", "refine-half/"]}
+
+# cases whose bytes hold for one numpy build only
+BUILD_BOUND = {"loss-vnl", "loss-sequential", "loss-dncl", "loss-slz", "refine-demo",
+               "refine-demo-resume"}
+# the oracle tests' tolerances: loss values against their loop oracles, the
+# grad-check bound of each loss, a refinement step against its oracle
+LOSS_TOL = 1e-9
+GRAD_CHECK_BOUND = {"loss-sequential": 1e-4, "loss-dncl": 1e-3, "loss-slz": 1e-4}
+REFINE_TOL = 1e-5
+
+
+def build_fingerprint():
+    """The numpy version, BLAS and SIMD targets that the build-bound bytes depend on."""
+    config = np.show_config(mode="dicts")
+    return {"numpy": np.__version__, "blas": config["Build Dependencies"]["blas"]["name"],
+            "simd": config["SIMD Extensions"]}
 
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(root, name):
-    """Exit code, stdout SHA-256, stderr and the SHA-256 of each file
-    written under --out of one case, run in root."""
-    argv = [str(root / a) if a.endswith((".f32r", ".pgm", ".txt", "/")) else a
-            for a in CASES[name]]
+def _call(root, args):
+    argv = [str(root / a) if a.endswith((".f32r", ".pgm", ".txt", "/")) else a for a in args]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    pin = {"code": code, "stdout_sha256": _sha256(out.getvalue().encode()),
-           "stderr": err.getvalue().replace(str(root), "<root>")}
+    return argv, code, out.getvalue(), err.getvalue().replace(str(root), "<root>")
+
+
+def run_case(root, name):
+    """Exit code, stdout (or its SHA-256), stderr and the SHA-256 of each
+    file written under --out of one case, run in root."""
+    if name in BEFORE:
+        _call(root, BEFORE[name])
+    argv, code, out, err = _call(root, CASES[name])
+    pin = {"code": code, "stderr": err}
+    if argv[0] == "loss":
+        pin["stdout"] = out
+    else:
+        pin["stdout_sha256"] = _sha256(out.encode())
     if "--out" in argv:
         written = Path(argv[argv.index("--out") + 1])
-        pin["files"] = {p.name: _sha256(p.read_bytes()) for p in sorted(written.glob("*"))}
+        pin["files"] = {p.relative_to(written).as_posix(): _sha256(p.read_bytes())
+                        for p in sorted(written.rglob("*")) if p.is_file()}
+        if (written / "losses.csv").exists():
+            pin["losses_csv"] = (written / "losses.csv").read_text()
     return pin
 
 
@@ -211,13 +286,49 @@ def test_order_run_prints_its_summation_order():
 
 
 def test_manifest_covers_every_case():
-    assert sorted(json.loads(MANIFEST.read_text())) == sorted(CASES)
+    assert sorted(json.loads(MANIFEST.read_text())) == sorted([*CASES, "fingerprint"])
+
+
+def _key_values(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def assert_same_values(name, got, want):
+    """Compare a build-bound pin made on another numpy build by value."""
+    assert (got["code"], got["stderr"]) == (want["code"], want["stderr"])
+    if "stdout" in want:
+        got_kv, want_kv = _key_values(got["stdout"]), _key_values(want["stdout"])
+        assert got_kv.keys() == want_kv.keys()
+        assert float(got_kv["loss"]) == pytest.approx(float(want_kv["loss"]),
+                                                      rel=LOSS_TOL, abs=LOSS_TOL)
+        if "grad_check_max_rel_err" in want_kv:
+            assert float(got_kv["grad_check_max_rel_err"]) <= GRAD_CHECK_BOUND[name]
+    if "files" in want:
+        assert sorted(got["files"]) == sorted(want["files"])
+        got_rows, want_rows = (list(csv.reader(io.StringIO(pin["losses_csv"])))
+                               for pin in (got, want))
+        assert [r[0] for r in got_rows] == [r[0] for r in want_rows]
+        for g, w in zip(got_rows[1:], want_rows[1:]):
+            assert [float(v) for v in g[1:] if v] == pytest.approx(
+                [float(v) for v in w[1:] if v], rel=REFINE_TOL, abs=REFINE_TOL)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_cli_output_matches_golden_pin(root, name):
-    want = json.loads(MANIFEST.read_text())[name]
-    assert run_case(root, name) == want
+    manifest = json.loads(MANIFEST.read_text())
+    got, want = run_case(root, name), manifest[name]
+    if name in BUILD_BOUND and manifest["fingerprint"] != build_fingerprint():
+        assert_same_values(name, got, want)
+    else:
+        assert got == want
+
+
+def test_resumed_refinement_equals_the_direct_run(root):
+    direct = run_case(root, "refine-demo")["files"]
+    resumed = run_case(root, "refine-demo-resume")["files"]
+    shared = sorted(set(direct) & set(resumed) - {"losses.csv"})
+    assert {"depth_t4.f32r", "slz_full.f32r", "state/meta.txt", "weights/meta.txt"} <= set(shared)
+    assert [direct[n] for n in shared] == [resumed[n] for n in shared]
 
 
 def regenerate():
@@ -225,6 +336,7 @@ def regenerate():
         root = Path(tmp)
         build_inputs(root)
         pins = {name: run_case(root, name) for name in CASES}
+    pins["fingerprint"] = build_fingerprint()
     MANIFEST.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {os.path.relpath(MANIFEST)}", file=sys.stderr)
 
