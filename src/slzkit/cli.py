@@ -2,8 +2,9 @@
 
 Subcommands: area, candidates, evaluate, refine-demo, loss, synth.
 stdout carries machine-parseable CSV / key=value output, stderr carries
-human-readable messages. Exit codes: 0 success, 2 input/parse errors,
-3 shape/consistency errors, 4 numeric degeneracy.
+human-readable messages. Exit codes: 0 success, 2 input/parse errors
+(an allocation too large for the machine too), 3 shape/consistency
+errors, 4 numeric degeneracy.
 
 Each setting in DEFAULTS resolves once per call: flag, else the --config
 file, else the default. The paper's settings are the library's own
@@ -441,7 +442,7 @@ def main(argv=None):
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

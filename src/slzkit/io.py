@@ -9,7 +9,11 @@ The header is a single ASCII line with single spaces. Round trips are
 bitwise, including NaN payloads and infinities.
 
 Masks travel as binary PGM (P5, maxval 255): pixel < 128 decodes to
-class 0 (safe), >= 128 to class 1 (unsafe); encoding writes 0/255.
+class 0 (safe), >= 128 to class 1 (unsafe); encoding writes 0/255. The
+file starts with ``P5``; width, height and maxval follow, each after
+whitespace and ``#`` comments (which run to the end of their line and
+start only where whitespace could), and one whitespace byte ends the
+header.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ _MAX_PAYLOAD_BYTES = 1 << 33
 
 # at most 18 digits per dimension: int() of a much longer field is slow or fails
 _HEADER_RE = re.compile(rb"^F32R ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})$")
+# Netpbm P5: width, height and maxval, each after whitespace or "#...\n"
+# comments that start where a field could, then one whitespace byte
+_PGM_RE = re.compile(rb"P5" + rb"(?=[ \t\r\n])(?:[ \t\r\n]|#[^\n]*\n)+([0-9]{1,18})" * 3
+                     + rb"[ \t\r\n]")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
@@ -50,6 +58,15 @@ class MissingEntryError(ParseError):
     """A weight bundle lacks a required named raster."""
 
 
+def _check_payload(path, size, nbytes):
+    """Raise TruncatedError if a payload of ``size`` bytes is shorter than
+    the ``nbytes`` its header declares; warn if it is longer."""
+    if size < nbytes:
+        raise TruncatedError(f"{path}: payload has {size} bytes, header declares {nbytes}")
+    if size > nbytes:
+        warnings.warn(f"{path}: {size - nbytes} trailing bytes ignored", stacklevel=3)
+
+
 def read_raster(path):
     """Read an F32R file into a float32 array, shape (H, W) or (H, W, C)."""
     with open(path, "rb") as fh:
@@ -65,16 +82,10 @@ def read_raster(path):
         nbytes = width * height * channels * 4
         if nbytes > _MAX_PAYLOAD_BYTES:
             raise DimensionError(f"{path}: payload of {nbytes} bytes exceeds sanity limit")
-        size = os.fstat(fh.fileno()).st_size - len(line)
-        if size < nbytes:
-            raise TruncatedError(f"{path}: payload has {size} bytes, header declares {nbytes}")
-        if size > nbytes:
-            warnings.warn(f"{path}: {size - nbytes} trailing bytes ignored", stacklevel=2)
+        _check_payload(path, os.fstat(fh.fileno()).st_size - len(line), nbytes)
         # the payload goes straight into the array: no copy of the file is held
         arr = np.empty((height, width, channels), dtype="<f4")
-        got = fh.readinto(arr)
-        if got < nbytes:
-            raise TruncatedError(f"{path}: payload has {got} bytes, header declares {nbytes}")
+        _check_payload(path, fh.readinto(arr), nbytes)
     if channels == 1:
         return arr[..., 0]
     return arr
@@ -96,56 +107,23 @@ def write_raster(raster, path):
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _pgm_token(data, pos, path):
-    while pos < len(data):
-        c = data[pos]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise TruncatedError(f"{path}: unterminated comment in header")
-            pos = nl + 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and data[pos] not in b" \t\r\n":
-        pos += 1
-    if start == pos:
-        raise TruncatedError(f"{path}: unexpected end of header")
-    return data[start:pos], pos
-
-
 def read_mask(path):
     """Read a P5 PGM into a {0, 1} uint8 mask (threshold at 128)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, pos = _pgm_token(data, 0, path)
-    if magic != b"P5":
-        raise BadMagicError(f"{path}: expected P5 magic, got {magic!r}")
-    fields = []
-    for _ in range(3):
-        tok, pos = _pgm_token(data, pos, path)
-        if not tok.isdigit():
-            raise ParseError(f"{path}: non-numeric header field {tok!r}")
-        if len(tok) > 18:
-            raise DimensionError(f"{path}: header field of {len(tok)} digits")
-        fields.append(int(tok))
-    width, height, maxval = fields
+    if not data.startswith(b"P5"):
+        raise BadMagicError(f"{path}: not a P5 PGM file")
+    m = _PGM_RE.match(data)
+    if m is None:
+        raise DimensionError(f"{path}: malformed header {data[:32]!r}")
+    width, height, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise ParseError(f"{path}: maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}")
-    # Exactly one whitespace byte separates the header from the payload.
-    if pos >= len(data) or data[pos] not in b" \t\r\n":
-        raise ParseError(f"{path}: missing separator after maxval")
-    payload = data[pos + 1:]
-    if len(payload) < width * height:
-        raise TruncatedError(f"{path}: payload has {len(payload)} bytes, expected {width * height}")
-    if len(payload) > width * height:
-        warnings.warn(f"{path}: {len(payload) - width * height} trailing bytes ignored", stacklevel=2)
-    gray = np.frombuffer(payload[:width * height], dtype=np.uint8).reshape(height, width)
-    return (gray >= 128).astype(np.uint8)
+    _check_payload(path, len(data) - m.end(), width * height)
+    gray = np.frombuffer(data, np.uint8, width * height, m.end()).reshape(height, width)
+    return (gray >= 128).view(np.uint8)
 
 
 def _check_mask(mask, name="mask"):
@@ -199,8 +177,8 @@ def read_sections(path, casts):
     holds the keys allowed before the first ``[name]`` line, and its block
     comes first in the result when present. Section names are
     case-insensitive and ``#`` starts a comment. A line that is neither, an
-    unknown section or key, or a value its cast rejects raises ``ValueError``
-    naming the file and line.
+    unknown section or key, a key given twice in one block, or a value its
+    cast rejects raises ``ValueError`` naming the file and line.
     """
     sections = [("", {})]
     try:
@@ -227,9 +205,12 @@ def read_sections(path, casts):
         if key not in casts[name]:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = casts[name][key](val)
+            value = casts[name][key](val)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return sections if "" in casts else sections[1:]
 
 

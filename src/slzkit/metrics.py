@@ -75,14 +75,14 @@ def confusion(pred, gt, ignore=None):
     g = _check_mask(gt, "gt")
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    keep = np.ones(p.shape, dtype=bool)
+    # uint8 casts: the masks may be float, which bincount refuses
+    idx = 2 * g.astype(np.uint8, copy=False) + p.astype(np.uint8, copy=False)
     if ignore is not None:
         ig = np.asarray(ignore)
         if ig.shape != p.shape:
             raise ShapeMismatchError(f"ignore shape {ig.shape} != mask shape {p.shape}")
-        keep = ig == 0
-    idx = g[keep].astype(np.int64) * 2 + p[keep].astype(np.int64)
-    return np.bincount(idx, minlength=4).reshape(2, 2)
+        idx = idx[ig == 0]
+    return np.bincount(idx.ravel(), minlength=4).reshape(2, 2)
 
 
 def _ratio(num, den):

@@ -157,11 +157,12 @@ def dilate_ref(mask, radius):
     return out
 
 
-def confusion_ref(pred, gt):
+def confusion_ref(pred, gt, ignore=None):
     cm = np.zeros((2, 2), dtype=np.int64)
     for i in range(pred.shape[0]):
         for j in range(pred.shape[1]):
-            cm[gt[i, j], pred[i, j]] += 1
+            if ignore is None or ignore[i, j] == 0:
+                cm[int(gt[i, j]), int(pred[i, j])] += 1
     return cm
 
 

@@ -692,6 +692,30 @@ def test_synth_unknown_key_exits_2(capsys, tmp_path, section, line):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("case", ["intrinsics", "config", "scene", "state"])
+def test_a_key_given_twice_exits_2_naming_the_file_and_line(capsys, flat_scene, case):
+    # the later value used to win silently
+    if case == "intrinsics":
+        path, key, text = flat_scene / "intr.txt", "fx", "fx=100\nfy=100\ncx=31.5\nfx=5\ncy=31.5\n"
+        argv = _area_argv(flat_scene)
+    elif case == "config":
+        path, key, text = flat_scene / "cfg.txt", "seed", "seed=1\n# again\nseed=2\n"
+        argv = [*_loss_argvs(flat_scene)["vnl"], "--config", str(path)]
+    elif case == "scene":
+        path, key = flat_scene / "scene.txt", "width"
+        text = "[scene]\nwidth=8\nheight=6\nfx=10\nfy=10\ncx=4\ncy=3\nwidth=9\n[plane]\na=0\nb=0\nc=4\n"
+        argv = ["synth", "--spec", str(path), "--out", str(flat_scene / "x")]
+    else:
+        assert main(["refine-demo", "--out", str(flat_scene / "a"), "--T", "1"]) == 0
+        path, key, text = flat_scene / "a" / "state" / "meta.txt", "t", "t=1\nt=1\n"
+        argv = ["refine-demo", "--resume", str(flat_scene / "a"), "--out", str(flat_scene / "b")]
+    path.write_text(text)
+    lineno = max(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key + "="))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{path}:{lineno}: duplicate key {key!r}" in err
+
+
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
 # scipy modules loaded by the time the command returned.
 _SCIPY_PROBE = """
@@ -861,6 +885,23 @@ def test_out_of_range_numeric_flag_exits_2_naming_it(capsys, flat_scene, command
     code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["vnl-samples", "synth-size"])
+def test_an_allocation_too_large_exits_2_without_a_traceback(capsys, tmp_path, case):
+    # Both ask for more than the 128 TiB user address space (2.13 PiB and
+    # 728 TiB), which fails at once whatever the overcommit policy.
+    if case == "vnl-samples":
+        argv = [*_loss_argvs(tmp_path)["vnl"], "--samples", "100000000000000"]
+    else:
+        spec = tmp_path / "scene.txt"
+        spec.write_text("[scene]\nwidth=10000000\nheight=10000000\nfx=100\nfy=100\ncx=5\ncy=5\n"
+                        "[plane]\na=0\nb=0\nc=4\n")
+        argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

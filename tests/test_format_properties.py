@@ -45,6 +45,29 @@ def test_f32r_round_trips_every_float32_bit_pattern(tmp_path_factory, bits):
     assert np.array_equal(back.view(np.uint32), raster.view(np.uint32))
 
 
+_PGM_WS = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
+# what may come before a PGM header field: whitespace, then whitespace and
+# comments running to the end of their line
+_PGM_GAP = st.tuples(_PGM_WS, st.lists(st.one_of(
+    _PGM_WS, st.binary(max_size=8).map(lambda c: b"#" + c.replace(b"\n", b"") + b"\n")),
+    max_size=4)).map(lambda gap: gap[0] + b"".join(gap[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pgm_header_gaps_read_the_payload_thresholded(tmp_path_factory, data):
+    height, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    fields = [b"0" * data.draw(st.integers(0, 2)) + b"%d" % v for v in (width, height, 255)]
+    payload = data.draw(st.binary(min_size=height * width, max_size=height * width))
+    blob = (b"P5" + b"".join(data.draw(_PGM_GAP) + field for field in fields)
+            + data.draw(_PGM_WS) + payload)
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    path.write_bytes(blob)
+    mask = sio.read_mask(path)
+    assert mask.dtype == np.uint8 and mask.flags.writeable
+    assert np.array_equal(mask, np.frombuffer(payload, np.uint8).reshape(height, width) >= 128)
+
+
 # --- fuzzed files ----------------------------------------------------------------
 
 TOKENS = [b"0", b"-1", b"255", b"256", b"nan", b"inf", b"-inf", b"1e999", b"99999999999",

@@ -153,18 +153,25 @@ def test_mask_comments_in_header(tmp_path):
 
 
 def test_mask_errors(tmp_path):
-    p6 = tmp_path / "p6.pgm"
-    p6.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-    with pytest.raises(sio.BadMagicError):
-        sio.read_mask(p6)
-    badmax = tmp_path / "badmax.pgm"
-    badmax.write_bytes(b"P5\n1 1\n254\n\x00")
-    with pytest.raises(sio.ParseError):
-        sio.read_mask(badmax)
-    short = tmp_path / "short.pgm"
-    short.write_bytes(b"P5\n2 2\n255\n\x00")
-    with pytest.raises(sio.TruncatedError):
-        sio.read_mask(short)
+    # each file against the exact class it raises; every message names the file
+    cases = {
+        "p6": (b"P6\n1 1\n255\n\x00\x00\x00", sio.BadMagicError),
+        "leading-space": (b" P5\n1 1\n255\n\x00", sio.BadMagicError),
+        "badmax": (b"P5\n1 1\n254\n\x00", sio.ParseError),
+        "short": (b"P5\n2 2\n255\n\x00", sio.TruncatedError),
+        "comment-after-magic": (b"P5#c\n1 1\n255\n\x00", sio.DimensionError),
+        "comment-after-field": (b"P5\n2#c\n 1\n255\n\x00\x00", sio.DimensionError),
+        "19-digit-field": (b"P5\n" + b"1" * 19 + b" 1\n255\n\x00", sio.DimensionError),
+        "header-cut-short": (b"P5\n2 2\n", sio.DimensionError),
+        "no-separator": (b"P5 1 1 255\xff", sio.DimensionError),
+        "zero-width": (b"P5\n0 1\n255\n", sio.DimensionError),
+    }
+    for name, (blob, error) in cases.items():
+        path = tmp_path / f"{name}.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(error, match=re.escape(str(path))) as info:
+            sio.read_mask(path)
+        assert info.type is error, name
 
 
 def test_write_mask_rejects_other_values(tmp_path):

@@ -29,6 +29,17 @@ def test_confusion_matches_per_pixel_tally():
     assert np.array_equal(confusion(pred, gt), oracles.confusion_ref(pred, gt))
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+@pytest.mark.parametrize("with_ignore", [False, True])
+def test_confusion_of_any_mask_dtype_matches_the_loop_count(dtype, with_ignore):
+    rng = np.random.default_rng(7)
+    pred, gt, ignore = rng.uniform(size=(3, 9, 11)) < np.array([0.4, 0.6, 0.3])[:, None, None]
+    ignore = ignore.astype(np.uint8) if with_ignore else None
+    cm = confusion(pred.astype(dtype), gt.astype(dtype), ignore)
+    assert cm.dtype == np.int64
+    assert np.array_equal(cm, oracles.confusion_ref(pred.astype(dtype), gt.astype(dtype), ignore))
+
+
 def test_confusion_ignore_mask():
     pred = np.array([[0, 1], [1, 0]], np.uint8)
     gt = np.array([[0, 0], [1, 1]], np.uint8)
