@@ -205,8 +205,9 @@ CASES = {
     "loss-combined": ["loss", "combined", "--vnl", "0.3", "--seq", "1.7", "--dncl", "0.25",
                       "--lambda2", "0.35"],
     "refine-demo": ["refine-demo", "--base", "56", "--T", "4", "--out", "refine-direct/"],
+    # resumed into the directory it continues: the t0 and t1 rasters there go
     "refine-demo-resume": ["refine-demo", "--resume", "refine-half/", "--T", "2",
-                           "--out", "refine-resumed/"],
+                           "--out", "refine-half/"],
 }
 
 # calls run, their output unpinned, before a case
