@@ -67,11 +67,15 @@ def canonical_scale(intr: CameraIntrinsics, spec: CanonicalSpec) -> float:
     return spec.f_c / f_eff
 
 
-def _as_float(depth):
+def _rescale(depth, op, s):
+    """``op(depth, s)`` on the valid pixels of a float copy of ``depth``."""
     depth = np.asarray(depth)
     if not np.issubdtype(depth.dtype, np.floating):
         depth = depth.astype(np.float64)
-    return depth
+    valid = valid_depth_mask(depth)
+    out = depth.copy()
+    out[valid] = op(depth[valid], s)
+    return out
 
 
 def to_canonical(depth, intr: CameraIntrinsics, spec: CanonicalSpec):
@@ -80,22 +84,12 @@ def to_canonical(depth, intr: CameraIntrinsics, spec: CanonicalSpec):
     Valid pixels are multiplied by ``canonical_scale``; invalid pixels
     (non-finite or <= 0) keep their original value.
     """
-    depth = _as_float(depth)
-    s = canonical_scale(intr, spec)
-    valid = valid_depth_mask(depth)
-    out = depth.copy()
-    out[valid] = depth[valid] * s
-    return out
+    return _rescale(depth, np.multiply, canonical_scale(intr, spec))
 
 
 def from_canonical(depth_c, intr: CameraIntrinsics, spec: CanonicalSpec):
     """Inverse of :func:`to_canonical`: divide valid pixels by the scale."""
-    depth_c = _as_float(depth_c)
-    s = canonical_scale(intr, spec)
-    valid = valid_depth_mask(depth_c)
-    out = depth_c.copy()
-    out[valid] = depth_c[valid] / s
-    return out
+    return _rescale(depth_c, np.divide, canonical_scale(intr, spec))
 
 
 def read_intrinsics(path):

@@ -146,11 +146,11 @@ def cmd_evaluate(args):
     pairs = ((slzio.read_mask(os.path.join(args.pred_dir, n)),
               slzio.read_mask(os.path.join(args.gt_dir, n))) for n in pred_names)
     report = metrics.evaluate_dataset(pairs)
-    _csv_out(metrics.to_csv_rows(report))
-    print(f"{len(pred_names)} pairs: aAcc={report.aAcc:.2f} mIoU={report.mIoU:.2f} "
-          f"mAcc={report.mAcc:.2f} mDice={report.mDice:.2f} mFscore={report.mFscore:.2f} "
-          f"mPrecision={report.mPrecision:.2f} mRecall={report.mRecall:.2f}",
-          file=sys.stderr)
+    rows = metrics.to_csv_rows(report)
+    _csv_out(rows)
+    # the mean column; a per-class metric's mean is m-prefixed, aAcc has no classes
+    means = (f"{'m' if safe else ''}{name}={mean}" for name, safe, _, mean in rows[1:])
+    print(f"{len(pred_names)} pairs: {' '.join(means)}", file=sys.stderr)
     return 0
 
 

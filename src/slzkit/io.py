@@ -35,7 +35,6 @@ _HEADER_RE = re.compile(rb"^F32R ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})$")
 # comments that start where a field could, then one whitespace byte
 _PGM_RE = re.compile(rb"P5" + rb"(?=[ \t\r\n])(?:[ \t\r\n]|#[^\n]*\n)+([0-9]{1,18})" * 3
                      + rb"[ \t\r\n]")
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
 
 class ParseError(ValueError):
@@ -55,7 +54,7 @@ class DimensionError(ParseError):
 
 
 class MissingEntryError(ParseError):
-    """A weight bundle lacks a required named raster."""
+    """A saved weight or state directory lacks a required file."""
 
 
 def _check_payload(path, size, nbytes):
@@ -101,10 +100,14 @@ def write_raster(raster, path):
     height, width, channels = arr.shape
     if height < 1 or width < 1 or channels < 1:
         raise ValueError(f"raster dimensions must be >= 1, got shape {arr.shape}")
-    header = f"F32R {width} {height} {channels}\n".encode("ascii")
+    try:  # a finite value past the float32 range would be stored as inf
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(arr, dtype="<f4")
+    except FloatingPointError:
+        raise ValueError(f"{path}: a value exceeds the float32 range") from None
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(f"F32R {width} {height} {channels}\n".encode("ascii"))
+        fh.write(payload.tobytes())
 
 
 def read_mask(path):
@@ -145,29 +148,6 @@ def write_mask(mask, path):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write((arr.astype(np.uint8) * 255).tobytes())
-
-
-def write_raster_dir(dirpath, entries):
-    """Write a name -> array mapping as a directory of F32R files."""
-    os.makedirs(dirpath, exist_ok=True)
-    for name, arr in entries.items():
-        if not _NAME_RE.match(name):
-            raise ValueError(f"bad bundle entry name {name!r}")
-        write_raster(arr, os.path.join(dirpath, name + ".f32r"))
-
-
-def read_raster_dir(dirpath, required=()):
-    """Read every F32R file in a directory into a name -> array dict."""
-    if not os.path.isdir(dirpath):
-        raise ParseError(f"{dirpath}: not a directory")
-    entries = {}
-    for fn in sorted(os.listdir(dirpath)):
-        if fn.endswith(".f32r"):
-            entries[fn[:-len(".f32r")]] = read_raster(os.path.join(dirpath, fn))
-    missing = [name for name in required if name not in entries]
-    if missing:
-        raise MissingEntryError(f"{dirpath}: missing entries: {', '.join(missing)}")
-    return entries
 
 
 def read_sections(path, casts):

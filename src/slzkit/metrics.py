@@ -141,15 +141,8 @@ def to_csv_rows(report: MetricsReport):
     def fmt(x):
         return "nan" if np.isnan(x) else f"{x:.2f}"
 
-    rows = [("metric",) + _CLASS_NAMES + ("mean",)]
-    rows.append(("aAcc", "", "", fmt(report.aAcc)))
-    for name, values, mean in (
-        ("IoU", report.iou, report.mIoU),
-        ("Acc", report.acc, report.mAcc),
-        ("Dice", report.dice, report.mDice),
-        ("Fscore", report.fscore, report.mFscore),
-        ("Precision", report.precision, report.mPrecision),
-        ("Recall", report.recall, report.mRecall),
-    ):
-        rows.append((name, fmt(values[0]), fmt(values[1]), fmt(mean)))
+    rows = [("metric",) + _CLASS_NAMES + ("mean",), ("aAcc", "", "", fmt(report.aAcc))]
+    for name in ("IoU", "Acc", "Dice", "Fscore", "Precision", "Recall"):
+        values = getattr(report, name.lower())
+        rows.append((name, fmt(values[0]), fmt(values[1]), fmt(getattr(report, "m" + name))))
     return rows

@@ -268,43 +268,47 @@ def demo_state(base=56, hidden_channels=8, seed=0) -> RefinementState:
     if base % 28 != 0 or base <= 0:
         raise ValueError(f"base resolution must be a positive multiple of 28, got {base}")
     rng = np.random.default_rng(seed)
-    h4, h7, h14 = base // 4, base // 7, base // 14
+    h4 = base // 4
+    shapes = _state_shapes(h4, h4, hidden_channels)
 
     def u(lo, hi, *shape):
         return rng.uniform(lo, hi, shape).astype(np.float32)
 
-    hidden_q = u(-0.1, 0.1, h4, h4, hidden_channels)
-    hidden_s = u(-0.1, 0.1, h7, h7, hidden_channels)
-    hidden_f = u(-0.1, 0.1, h14, h14, hidden_channels)
-    slz_hidden = u(-0.1, 0.1, h4, h4, hidden_channels)
+    hidden = {name: u(-0.1, 0.1, *shapes[name]) for name in
+              ("hidden_quarter", "hidden_seventh", "hidden_fourteenth", "slz_hidden")}
     depth = u(1.0, 5.0, h4, h4)
     tilt = u(-0.3, 0.3, h4, h4, 2)
     normal = np.concatenate([tilt, -np.ones((h4, h4, 1), dtype=np.float32)], axis=-1)
     normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
     slz = u(-1.0, 1.0, h4, h4, 2)
-    return RefinementState(hidden_quarter=hidden_q, hidden_seventh=hidden_s,
-                           hidden_fourteenth=hidden_f, slz_hidden=slz_hidden,
-                           depth=depth, normal=normal.astype(np.float32), slz=slz)
+    return RefinementState(depth=depth, normal=normal.astype(np.float32), slz=slz, **hidden)
 
 
 # --- serialization -----------------------------------------------------------
 
-def required_entry_names():
-    # entry names do not depend on the channel count
-    return [f"{name}.{part}" for _, name, *_ in _layout(1) for part in ("kernel", "bias")]
+def _bundle_shapes(hc):
+    """Stored shape of every weight-bundle entry, in layout order.
+
+    A kh x kw kernel with cin inputs and cout outputs is a kh x kw raster
+    of cin*cout channels, and its bias a 1-row raster of cout values.
+    """
+    shapes = {}
+    for _, name, _, _, (kh, kw, cin, cout) in _layout(hc):
+        shapes[name + ".kernel"] = (kh, kw, cin * cout)
+        shapes[name + ".bias"] = (1, cout, 1)
+    return shapes
 
 
-def _read_meta(dirpath, key, least):
-    """The integer `key` of a directory's meta.txt, which must be >= `least`."""
-    path = os.path.join(dirpath, "meta.txt")
-    if not os.path.exists(path):
-        raise slzio.MissingEntryError(f"{path}: missing")
-    meta = slzio.read_key_values(path, {key: int})
-    if key not in meta:
-        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid {key}")
-    if meta[key] < least:
-        raise slzio.ParseError(f"{path}: {key}={meta[key]} must be >= {least}")
-    return meta[key]
+def _state_shapes(h, w, c):
+    """Stored shape of every state entry for an h x w 1/4-scale level and
+    c hidden channels; the 1/7 and 1/14 levels are 4/7 and 2/7 of it."""
+    return {"hidden_quarter": (h, w, c),
+            "hidden_seventh": (4 * h // 7, 4 * w // 7, c),
+            "hidden_fourteenth": (2 * h // 7, 2 * w // 7, c),
+            "slz_hidden": (h, w, c), "depth": (h, w), "normal": (h, w, 3), "slz": (h, w, 2)}
+
+
+_STATE_ENTRIES = tuple(_state_shapes(0, 0, 0))
 
 
 def _save_dir(dirpath, entries, meta):
@@ -314,46 +318,63 @@ def _save_dir(dirpath, entries, meta):
     so a save that stops midway leaves a directory that fails to load
     instead of one that mixes the old and the new contents.
     """
+    os.makedirs(dirpath, exist_ok=True)
     meta_path = os.path.join(dirpath, "meta.txt")
     with contextlib.suppress(FileNotFoundError):
         os.remove(meta_path)
-    slzio.write_raster_dir(dirpath, entries)
+    for name, arr in entries.items():
+        slzio.write_raster(arr, os.path.join(dirpath, name + ".f32r"))
     slzio.write_key_values(meta_path, meta)
+
+
+def _load_dir(dirpath, key, least, names, shapes):
+    """The integer `key` of a saved directory's meta.txt, which must be >=
+    `least`, and its `names` entries, each in the shape that
+    `shapes(value, entries)` gives.
+
+    `shapes` returns a name -> stored shape table and the basis of those
+    shapes, which an error names. A one-channel entry, which reads back
+    2-D, is returned in its stored shape. Files not in `names` are not read.
+    """
+    path = os.path.join(dirpath, "meta.txt")
+    if not os.path.exists(path):
+        raise slzio.MissingEntryError(f"{path}: missing")
+    value = slzio.read_key_values(path, {key: int}).get(key)
+    if value is None:
+        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid {key}")
+    if value < least:
+        raise slzio.ParseError(f"{path}: {key}={value} must be >= {least}")
+    paths = {name: os.path.join(dirpath, name + ".f32r") for name in names}
+    missing = [name for name, p in paths.items() if not os.path.exists(p)]
+    if missing:
+        raise slzio.MissingEntryError(f"{dirpath}: missing entries: {', '.join(missing)}")
+    entries = {name: slzio.read_raster(p) for name, p in paths.items()}
+    table, basis = shapes(value, entries)
+    for name, shape in table.items():
+        arr = entries[name]
+        if arr.shape != shape and arr.shape + (1,) != shape:
+            raise slzio.ParseError(f"{dirpath}: {name} has shape {arr.shape}, "
+                                   f"expected {shape} from {basis}")
+        entries[name] = arr.reshape(shape)
+    return value, entries
 
 
 def save_weights(weights: RefinementWeights, dirpath):
     """Write a weight bundle: one F32R per kernel/bias plus meta.txt."""
-    entries = {}
-    for _, name, k, b in _convs(weights):
-        entries[name + ".kernel"] = k.reshape(k.shape[0], k.shape[1], -1)
-        entries[name + ".bias"] = b.reshape(1, -1)
+    arrays = (arr for _, _, k, b in _convs(weights) for arr in (k, b))
+    entries = {name: arr.reshape(shape) for (name, shape), arr
+               in zip(_bundle_shapes(weights.hidden_channels).items(), arrays)}
     _save_dir(dirpath, entries, {"hidden_channels": weights.hidden_channels})
 
 
 def load_weights(dirpath) -> RefinementWeights:
     """Load a weight bundle; raises MissingEntryError naming absent keys and
     ParseError naming an entry of the wrong shape."""
-    hc = _read_meta(dirpath, "hidden_channels", 1)
-    entries = slzio.read_raster_dir(dirpath, required=required_entry_names())
-
-    def conv(name, shape):
-        kh, kw, cin, cout = shape
-        kernel, bias = entries[name + ".kernel"], entries[name + ".bias"]
-        # a kernel is a kh x kw raster with cin*cout channels, 2-D for one channel
-        want = (kh, kw) if cin * cout == 1 else (kh, kw, cin * cout)
-        if kernel.shape != want:
-            raise slzio.ParseError(f"{dirpath}: {name}.kernel has shape {kernel.shape}, "
-                                   f"expected {want}")
-        if bias.size != cout:
-            raise slzio.ParseError(f"{dirpath}: {name}.bias has {bias.size} values, "
-                                   f"expected {cout}")
-        return kernel.reshape(shape), bias.reshape(cout)
-
-    return _assemble(hc, (conv(name, shape) for _, name, _, _, shape in _layout(hc)))
-
-
-_STATE_ENTRIES = ("hidden_quarter", "hidden_seventh", "hidden_fourteenth",
-                  "slz_hidden", "depth", "normal", "slz")
+    hc, entries = _load_dir(dirpath, "hidden_channels", 1, _bundle_shapes(1),
+                            lambda hc, _: (_bundle_shapes(hc), f"hidden_channels={hc}"))
+    return _assemble(hc, ((entries[name + ".kernel"].reshape(shape),
+                           entries[name + ".bias"].reshape(shape[3]))
+                          for _, name, _, _, shape in _layout(hc)))
 
 
 def save_state(state: RefinementState, dirpath):
@@ -363,23 +384,17 @@ def save_state(state: RefinementState, dirpath):
     _save_dir(dirpath, {name: getattr(state, name) for name in _STATE_ENTRIES}, {"t": state.t})
 
 
+def _state_basis(_, entries):
+    """Stored state shapes from the depth raster's (H, W) and the hidden
+    channel count of hidden_quarter."""
+    depth, hidden = entries["depth"], entries["hidden_quarter"]
+    c = hidden.shape[2] if hidden.ndim == 3 else 1
+    return (_state_shapes(*depth.shape[:2], c),
+            f"depth {depth.shape} and {c} hidden channels")
+
+
 def load_state(dirpath) -> RefinementState:
     """Load a saved state; raises ParseError naming an entry whose shape does
     not fit the depth raster's (H, W) and the hidden channel count."""
-    t = _read_meta(dirpath, "t", 0)
-    entries = slzio.read_raster_dir(dirpath, required=_STATE_ENTRIES)
-    depth, hidden = entries["depth"], entries["hidden_quarter"]
-    h, w = depth.shape[:2]
-    c = hidden.shape[2] if hidden.ndim == 3 else 1
-    expect = {"depth": (h, w), "normal": (h, w, 3), "slz": (h, w, 2),
-              "hidden_quarter": (h, w, c), "slz_hidden": (h, w, c),
-              "hidden_seventh": (None, None, c), "hidden_fourteenth": (None, None, c)}
-    for name, shape in expect.items():
-        arr = entries[name]
-        if arr.ndim == 2 and shape[2:] == (1,):  # a single channel reads back 2-D
-            arr = entries[name] = arr[..., None]
-        if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
-            want = ", ".join("*" if n is None else str(n) for n in shape)
-            raise slzio.ParseError(f"{dirpath}: {name} has shape {arr.shape}, expected ({want}) "
-                                   f"from depth {depth.shape} and {c} hidden channels")
-    return RefinementState(t=t, **{name: entries[name] for name in _STATE_ENTRIES})
+    t, entries = _load_dir(dirpath, "t", 0, _STATE_ENTRIES, _state_basis)
+    return RefinementState(t=t, **entries)

@@ -17,6 +17,10 @@ from slzkit import refinement
 from slzkit.camera import CameraIntrinsics, write_intrinsics
 from slzkit.cli import DEFAULTS, build_parser, main
 
+# a numpy overflow or invalid-value warning in a pinned call is an error,
+# not a message that pytest would capture out of the compared stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 INTR = CameraIntrinsics(100, 100, 31.5, 31.5)
 
 
@@ -315,6 +319,11 @@ def test_refine_demo_resume_of_a_reshaped_gate_kernel_exits_2(capsys, tmp_path, 
                  id="hidden_seventh"),
     pytest.param("hidden_fourteenth", lambda a: a[..., 0], "hidden_fourteenth has shape (4, 4)",
                  id="hidden_fourteenth"),
+    pytest.param("hidden_seventh", lambda a: a[:3, :3],
+                 "hidden_seventh has shape (3, 3, 8), expected (8, 8, 8)", id="hidden_seventh_3x3"),
+    pytest.param("hidden_fourteenth", lambda a: np.resize(a, (5, 2, 8)),
+                 "hidden_fourteenth has shape (5, 2, 8), expected (4, 4, 8)",
+                 id="hidden_fourteenth_5x2"),
 ])
 def test_refine_demo_resume_of_a_malformed_state_entry_exits_2(capsys, tmp_path, finished_run,
                                                                entry, edit, named):
@@ -324,6 +333,22 @@ def test_refine_demo_resume_of_a_malformed_state_entry_exits_2(capsys, tmp_path,
                            "--resume", str(finished_run))
     assert code == 2
     assert named in err
+
+
+def test_refine_demo_resume_reads_only_the_named_entries(capsys, tmp_path, finished_run):
+    code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "plain"),
+                         "--resume", str(finished_run))
+    assert code == 0
+    for sub in ("weights", "state"):
+        (finished_run / sub / "junk.f32r").write_bytes(b"F32R 2 2 1\nshort")
+    code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "junk"),
+                         "--resume", str(finished_run))
+    assert code == 0
+    files = sorted(p.relative_to(tmp_path / "plain") for p in (tmp_path / "plain").rglob("*"))
+    assert files == sorted(p.relative_to(tmp_path / "junk") for p in (tmp_path / "junk").rglob("*"))
+    for rel in files:
+        if (tmp_path / "plain" / rel).is_file():
+            assert (tmp_path / "junk" / rel).read_bytes() == (tmp_path / "plain" / rel).read_bytes()
 
 
 @pytest.mark.parametrize("entry,line", [("state", "t=-3"), ("weights", "hidden_channels=0")])
@@ -533,6 +558,17 @@ def test_synth_malformed_spec_exits_2(capsys, tmp_path):
     spec.write_text("[scene]\nwidth=32\n")
     code, _, _ = run_cli(capsys, "synth", "--spec", str(spec), "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+def test_synth_depth_past_the_float32_range_exits_2_writing_no_raster(capsys, tmp_path):
+    spec = tmp_path / "scene.txt"
+    spec.write_text("[scene]\nwidth=8\nheight=8\nfx=10\nfy=10\ncx=3.5\ncy=3.5\n"
+                    "[plane]\na=0\nb=0\nc=1e39\n")
+    out = tmp_path / "x"
+    code, stdout, err = run_cli(capsys, "synth", "--spec", str(spec), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: {out / 'depth.f32r'}: a value exceeds the float32 range\n"
+    assert not list(out.iterdir())
 
 
 @pytest.mark.skipif(shutil.which("slzkit") is None, reason="console script not installed")

@@ -41,6 +41,10 @@ from slzkit.camera import CameraIntrinsics, write_intrinsics
 from slzkit.cli import main
 from slzkit.synth import plane_depth
 
+# a numpy overflow or invalid-value warning in a pinned call is an error,
+# not a message that pytest would capture out of the compared stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 MANIFEST = Path(__file__).with_name("golden.json")
 H, W = 120, 200
 INTR = CameraIntrinsics(150.0, 150.0, (W - 1) / 2, (H - 1) / 2)

@@ -37,6 +37,24 @@ def test_raster_multichannel_round_trip(tmp_path):
     assert np.array_equal(arr, back)
 
 
+def test_raster_of_non_finite_float64_values_round_trips_bitwise(tmp_path):
+    # inf, -inf, NaN and the float32 extremes cast without overflow
+    path = tmp_path / "r.f32r"
+    big = float(np.finfo(np.float32).max)
+    values = np.array([[np.inf, -np.inf, np.nan], [big, -big, 1e-50]])
+    sio.write_raster(values, path)
+    assert np.array_equal(sio.read_raster(path).view(np.uint32),
+                          values.astype(np.float32).view(np.uint32))
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+def test_raster_value_past_the_float32_range_is_rejected_before_the_file(tmp_path, value):
+    path = tmp_path / "r.f32r"
+    with pytest.raises(ValueError, match=r"r\.f32r: a value exceeds the float32 range"):
+        sio.write_raster(np.array([[1.0, value]]), path)
+    assert not path.exists()
+
+
 def test_hand_constructed_header(tmp_path):
     path = tmp_path / "r.f32r"
     payload = struct.pack("<4f", 1.5, -2.0, 0.25, 8.0)
@@ -212,24 +230,6 @@ def test_every_mask_consumer_rejects_a_bad_mask_naming_its_argument(consumer, ba
         call(mask)
     assert type(exc.value) is error
     assert str(exc.value) == message.format(name)
-
-
-def test_raster_dir_round_trip(tmp_path):
-    entries = {
-        "alpha": np.arange(6, dtype=np.float32).reshape(2, 3),
-        "beta.bias": np.ones((1, 4), dtype=np.float32),
-    }
-    sio.write_raster_dir(tmp_path / "bundle", entries)
-    back = sio.read_raster_dir(tmp_path / "bundle", required=("alpha", "beta.bias"))
-    assert set(back) == {"alpha", "beta.bias"}
-    assert np.array_equal(back["alpha"], entries["alpha"])
-
-
-def test_raster_dir_missing_entry(tmp_path):
-    sio.write_raster_dir(tmp_path / "bundle", {"alpha": np.zeros((2, 2), np.float32)})
-    with pytest.raises(sio.MissingEntryError, match="gamma"):
-        sio.read_raster_dir(tmp_path / "bundle", required=("alpha", "gamma"))
-
 
 
 SECTION_CASTS = {"scene": {"w": int}, "box": {"u": int, "h": float}}

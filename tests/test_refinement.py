@@ -301,6 +301,15 @@ def test_weight_bundle_rejects_a_kernel_raster_of_the_wrong_shape(tmp_path):
         load_weights(tmp_path / "bundle")
 
 
+def test_weight_bundle_rejects_a_bias_stored_as_a_column(tmp_path):
+    save_weights(init_weights(hidden_channels=4, seed=20), tmp_path / "bundle")
+    path = tmp_path / "bundle" / "gru_slz.z.bias.f32r"
+    sio.write_raster(sio.read_raster(path).reshape(4, 1), path)
+    with pytest.raises(sio.ParseError, match=r"gru_slz\.z\.bias has shape \(4, 1\), "
+                                             r"expected \(1, 4, 1\) from hidden_channels=4"):
+        load_weights(tmp_path / "bundle")
+
+
 def _state_pair():
     weights = init_weights(hidden_channels=4, seed=21)
     states = run_refinement(demo_state(28, 4, seed=21), weights, 2)
@@ -358,9 +367,10 @@ def test_meta_value_below_its_least_is_a_parse_error(tmp_path, kind, key, value)
         load(tmp_path / kind)
 
 
-def test_state_round_trip(tmp_path):
-    weights = init_weights(hidden_channels=4, seed=17)
-    state = run_refinement(demo_state(28, 4, seed=17), weights, 2)[-1]
+@pytest.mark.parametrize("base,hidden", [(224, 8), (448, 16), (28, 1)])
+def test_state_round_trip(tmp_path, base, hidden):
+    weights = init_weights(hidden_channels=hidden, seed=17)
+    state = run_refinement(demo_state(base, hidden, seed=17), weights, 2)[-1]
     save_state(state, tmp_path / "st")
     back = load_state(tmp_path / "st")
     assert back.t == 2
