@@ -8,7 +8,8 @@ errors, 4 numeric degeneracy.
 
 Each setting in DEFAULTS resolves once per call: flag, else the --config
 file, else the default. The paper's settings are the library's own
-defaults (losses.LossWeights, losses.ClassWeights, geometry.DEFAULT_NZ_MIN);
+defaults (losses.LossWeights, losses.DEFAULT_GAMMA, losses.ClassWeights,
+geometry.DEFAULT_NZ_MIN);
 ``slzkit --help`` lists every default.
 """
 
@@ -20,6 +21,7 @@ import dataclasses
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,6 +35,8 @@ EXIT_NUMERIC = 4
 
 DEFAULTS = {
     **dataclasses.asdict(losses.LossWeights()),
+    "gamma": losses.DEFAULT_GAMMA,
+    "T": 4,
     **dataclasses.asdict(losses.ClassWeights()),
     "n_z_min": geometry.DEFAULT_NZ_MIN,
     "k": 5,
@@ -143,9 +147,14 @@ def cmd_evaluate(args):
         if name not in pred_names:
             raise ValueError(f"missing prediction counterpart for {name}")
 
-    pairs = ((slzio.read_mask(os.path.join(args.pred_dir, n)),
-              slzio.read_mask(os.path.join(args.gt_dir, n))) for n in pred_names)
-    report = metrics.evaluate_dataset(pairs)
+    def pairs():
+        for n in pred_names:
+            pred, gt = (slzio.read_mask(os.path.join(d, n)) for d in (args.pred_dir, args.gt_dir))
+            if pred.shape != gt.shape:
+                raise ShapeMismatchError(f"{n}: pred shape {pred.shape} != gt shape {gt.shape}")
+            yield pred, gt
+
+    report = metrics.evaluate_dataset(pairs())
     rows = metrics.to_csv_rows(report)
     _csv_out(rows)
     # the mean column; a per-class metric's mean is m-prefixed, aAcc has no classes
@@ -175,7 +184,7 @@ _STEP_RASTER = re.compile(r"(depth|normal|slz)_t-?\d+\.f32r")
 def cmd_refine_demo(args):
     if args.resume is not None:
         weights = refinement.load_weights(os.path.join(args.resume, "weights"))
-        init = refinement.load_state(os.path.join(args.resume, "state"))
+        init = refinement.load_state(os.path.join(args.resume, "state"), weights.hidden_channels)
     else:
         weights = (refinement.load_weights(args.weights) if args.weights is not None
                    else refinement.init_weights(hidden_channels=args.hidden, seed=args.seed))
@@ -186,21 +195,19 @@ def cmd_refine_demo(args):
     final = states[-1]
 
     # Per-step losses against a fixed synthetic target (constant depth 2.5,
-    # unit confidence, all-safe labels). Demo confidences are identically 1.
-    # They come before the first write, so that a setting they reject leaves
-    # --out as it was.
+    # unit confidence, all-safe labels). Demo confidences are identically 1,
+    # so a one-step sequential loss is the step's depth L1. They come before
+    # the first write, so that a setting they reject leaves --out as it was.
     side = final.depth.shape[0]
     gt_depth = np.full((side, side), 2.5)
-    gt_conf = np.ones((side, side))
-    labels = np.zeros((side, side), dtype=np.uint8)
     ones = np.ones((side, side))
-    w = losses.LossWeights(gamma=args.gamma, T=len(states) - 1)
+    labels = np.zeros((side, side), dtype=np.uint8)
     seq_total = losses.sequential_depth_loss(
-        [s.depth for s in states], [ones] * len(states), gt_depth, gt_conf, w)
+        [s.depth for s in states], [ones] * len(states), gt_depth, ones, args.gamma)
     slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=args.gamma)
     table = [("t", "depth_l1", "slz_wce")]
     for state in states:
-        l1 = float(np.abs(state.depth.astype(np.float64) - gt_depth).mean())
+        l1 = losses.sequential_depth_loss([state.depth], [ones], gt_depth, ones)
         ce = losses.slz_loss([state.slz], labels, gamma=args.gamma)
         table.append((state.t, f"{l1:.9g}", f"{ce:.9g}"))
     table.append(("sequential_total", f"{seq_total:.9g}", ""))
@@ -267,13 +274,13 @@ def cmd_loss_sequential(args):
     confs = [slzio.read_raster(p) for p in args.confs]
     gt_d = _read_depth(args.gt_depth)
     gt_c = slzio.read_raster(args.gt_conf)
-    w = losses.LossWeights(gamma=args.gamma, T=len(preds) - 1)
     valid = _read_valid(args)
-    _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, w, valid))
+    _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, args.gamma, valid))
     if args.grad_check:
-        _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, w, valid)
-        _print_grad_check(lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, w, valid),
-                          [preds, confs], [gd, gc])
+        _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, args.gamma, valid)
+        _print_grad_check(
+            lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, args.gamma, valid),
+            [preds, confs], [gd, gc])
     return 0
 
 
@@ -433,18 +440,21 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        _fill_defaults(args)
-        return args.func(args)
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # a warning prints as one line, like an error, without its source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            _fill_defaults(args)
+            return args.func(args)
+        except ShapeMismatchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SHAPE
+        except DegenerateInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except (OSError, ValueError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ def write_raster(raster, path):
         raise ValueError(f"{path}: a value exceeds the float32 range") from None
     with open(path, "wb") as fh:
         fh.write(f"F32R {width} {height} {channels}\n".encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_mask(path):

@@ -23,6 +23,7 @@ from .errors import DegenerateInputError, ShapeMismatchError
 from .geometry import _backproject_pixels, _cross_to_depth, _normal_planes
 from .io import _check_mask
 
+DEFAULT_GAMMA = 0.9  # temporal decay of the sequential and safe-zone losses
 _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
 # shorter than this fraction of the product of the edge lengths.
@@ -31,22 +32,16 @@ _COLLINEAR_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Balancing coefficients, temporal decay, and step count."""
+    """Balancing coefficients of the vnl, sequential and dncl components."""
 
     lambda1: float = 0.2
     lambda2: float = 0.5
     lambda3: float = 0.01
-    gamma: float = 0.9
-    T: int = 4
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        _decays(self.gamma, 0)  # checks gamma
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -162,25 +157,26 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
 
 
-def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights, valid=None):
+def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, gamma=DEFAULT_GAMMA, valid=None):
     """Temporally decayed sum of per-step depth and confidence L1 losses.
 
-    Step t contributes gamma^(T-t) * (mean |D_t - D_gt| + mean |C_t - C_gt|)
+    Step t of T+1 contributes gamma^(T-t) * (mean |D_t - D_gt| + mean |C_t - C_gt|)
     over the valid pixels; t=0 is the initial (pre-refinement) prediction.
     """
-    return _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad=False)[0]
+    return _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad=False)[0]
 
 
-def sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, weights: LossWeights, valid=None):
+def sequential_depth_loss_grad(d_preds, conf_preds, d_gt, c_gt, gamma=DEFAULT_GAMMA, valid=None):
     """Loss plus analytic gradients w.r.t. each step's depth and confidence."""
-    return _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad=True)
+    return _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad=True)
 
 
-def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
-    T = weights.T
-    if len(d_preds) != T + 1 or len(conf_preds) != T + 1:
+def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
+    if len(d_preds) != len(conf_preds):
         raise ShapeMismatchError(
-            f"expected {T + 1} prediction steps, got {len(d_preds)} depth / {len(conf_preds)} confidence")
+            f"{len(d_preds)} depth steps != {len(conf_preds)} confidence steps")
+    if len(d_preds) == 0:
+        raise DegenerateInputError("empty prediction sequence")
     dg, cg = np.asarray(d_gt), np.asarray(c_gt)
     if dg.shape != cg.shape:
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
@@ -188,7 +184,7 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, weights, valid, need_grad):
 
     total = 0.0
     grads_d, grads_c = [], []
-    for t, decay in enumerate(_decays(weights.gamma, T)):
+    for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
         dp, cp = np.asarray(d_preds[t]), np.asarray(conf_preds[t])
         if dp.shape != dg.shape or cp.shape != dg.shape:
             raise ShapeMismatchError(f"step {t}: prediction shape mismatch")
@@ -265,7 +261,7 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     return loss, _cross_to_depth(d_pred, f, g_c, m)
 
 
-def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=LossWeights.gamma,
+def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=DEFAULT_GAMMA,
              valid=None):
     """Temporally decayed weighted cross-entropy over a logit sequence.
 
@@ -276,7 +272,7 @@ def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=LossWei
     return _slz(logit_seq, labels, cw, gamma, valid, need_grad=False)[0]
 
 
-def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=LossWeights.gamma,
+def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=DEFAULT_GAMMA,
                   valid=None):
     """Loss plus analytic gradient w.r.t. each step's logits."""
     return _slz(logit_seq, labels, cw, gamma, valid, need_grad=True)

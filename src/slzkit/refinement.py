@@ -384,17 +384,11 @@ def save_state(state: RefinementState, dirpath):
     _save_dir(dirpath, {name: getattr(state, name) for name in _STATE_ENTRIES}, {"t": state.t})
 
 
-def _state_basis(_, entries):
-    """Stored state shapes from the depth raster's (H, W) and the hidden
-    channel count of hidden_quarter."""
-    depth, hidden = entries["depth"], entries["hidden_quarter"]
-    c = hidden.shape[2] if hidden.ndim == 3 else 1
-    return (_state_shapes(*depth.shape[:2], c),
-            f"depth {depth.shape} and {c} hidden channels")
-
-
-def load_state(dirpath) -> RefinementState:
-    """Load a saved state; raises ParseError naming an entry whose shape does
-    not fit the depth raster's (H, W) and the hidden channel count."""
-    t, entries = _load_dir(dirpath, "t", 0, _STATE_ENTRIES, _state_basis)
+def load_state(dirpath, hidden_channels) -> RefinementState:
+    """Load a saved state of `hidden_channels` hidden channels; raises
+    ParseError naming an entry whose shape does not fit the depth raster's
+    (H, W) and that channel count."""
+    t, entries = _load_dir(dirpath, "t", 0, _STATE_ENTRIES, lambda _, read: (
+        _state_shapes(*read["depth"].shape[:2], hidden_channels),
+        f"depth {read['depth'].shape} and hidden_channels={hidden_channels}"))
     return RefinementState(t=t, **entries)

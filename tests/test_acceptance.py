@@ -89,7 +89,7 @@ def test_c03_loss_zero_points():
     depth = plane_depth(16, 16, INTR, 0.1, 0.05, 4.0)
     conf = np.full((16, 16), 0.75)
     assert virtual_normal_loss(depth, depth, INTR, 50, seed=0) <= 1e-6
-    assert sequential_depth_loss([depth], [conf], depth, conf, LossWeights(T=0)) <= 1e-6
+    assert sequential_depth_loss([depth], [conf], depth, conf) <= 1e-6
     assert depth_normal_consistency(depth, normals_from_depth(depth, INTR), INTR) <= 1e-6
     labels = np.zeros((16, 16), dtype=np.uint8)
     confident = np.zeros((16, 16, 2))
@@ -117,7 +117,7 @@ def test_c04_gradient_checks():
     cgt = rng.uniform(0.2, 0.8, (6, 6))
     preds = [gt + rng.uniform(0.2, 0.6, (6, 6)), gt - rng.uniform(0.2, 0.6, (6, 6))]
     confs = [cgt + 0.1, cgt - 0.2]
-    w = LossWeights(T=1)
+    w = 0.9  # gamma
     _, gd, gc = sequential_depth_loss_grad(preds, confs, gt, cgt, w)
     for i in range(2):
         def f_d(x, i=i):
@@ -184,7 +184,7 @@ def test_c06_temporal_decay():
     preds = [gt + 0.4, gt + 0.4]
     confs = [cgt - 0.1, cgt - 0.1]
     per_step = 0.5
-    total = sequential_depth_loss(preds, confs, gt, cgt, LossWeights(T=1, gamma=0.9))
+    total = sequential_depth_loss(preds, confs, gt, cgt, gamma=0.9)
     assert abs(total - 1.9 * per_step) <= 1e-12
 
     labels = np.zeros((8, 8), dtype=np.uint8)
@@ -195,7 +195,7 @@ def test_c06_temporal_decay():
     rng = np.random.default_rng(7)
     preds = [gt + rng.uniform(-1, 1, (8, 8)) for _ in range(4)]
     confs = [cgt + rng.uniform(-1, 1, (8, 8)) for _ in range(4)]
-    plain = sequential_depth_loss(preds, confs, gt, cgt, LossWeights(T=3, gamma=1.0))
+    plain = sequential_depth_loss(preds, confs, gt, cgt, gamma=1.0)
     direct = sum(np.abs(p - gt).mean() + np.abs(c - cgt).mean()
                  for p, c in zip(preds, confs))
     assert abs(plain - direct) <= 1e-12 * max(1.0, direct)

@@ -16,7 +16,6 @@ from slzkit.errors import DegenerateInputError
 from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
-    LossWeights,
     _collinear,
     depth_normal_consistency,
     depth_normal_consistency_grad,
@@ -117,10 +116,10 @@ def test_sequential_value_matches_gather_reference(seed):
     preds = [gt + rng.normal(size=shape) for _ in range(steps)]
     confs = [rng.uniform(size=shape) for _ in range(steps)]
     valid = valid_case(rng, shape, seed)
-    w = LossWeights(T=steps - 1, gamma=0.8)
-    want = oracles.sequential_loss_ref(preds, confs, gt, cgt, 0.8, valid)
-    assert same_bits(sequential_depth_loss(preds, confs, gt, cgt, w, valid), want)
-    assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, w, valid)[0], want)
+    gamma = 0.8
+    want = oracles.sequential_loss_ref(preds, confs, gt, cgt, gamma, valid)
+    assert same_bits(sequential_depth_loss(preds, confs, gt, cgt, gamma, valid), want)
+    assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, gamma, valid)[0], want)
 
 
 def float32_and_cast(a):
@@ -191,13 +190,13 @@ def test_sequential_of_float32_rasters_matches_their_float64_cast(seed):
     valid = np.isfinite(gt).astype(np.uint8) if seed % 2 else None
     preds32, preds64 = zip(*map(float32_and_cast, preds))
     confs32, confs64 = zip(*map(float32_and_cast, confs))
-    w = LossWeights(T=steps - 1, gamma=0.8)
-    got = sequential_depth_loss_grad(preds32, confs32, gt.astype(np.float32), cgt, w, valid)
-    want = sequential_depth_loss_grad(preds64, confs64, float32_and_cast(gt)[1], cgt, w, valid)
+    gamma = 0.8
+    got = sequential_depth_loss_grad(preds32, confs32, gt.astype(np.float32), cgt, gamma, valid)
+    want = sequential_depth_loss_grad(preds64, confs64, float32_and_cast(gt)[1], cgt, gamma, valid)
     assert same_bits(got[0], want[0])
     for g, wg in zip(got[1] + got[2], want[1] + want[2]):
         assert g.dtype == np.float64 and same_bits(g, wg)
-    assert same_bits(sequential_depth_loss(preds32, confs32, gt.astype(np.float32), cgt, w,
+    assert same_bits(sequential_depth_loss(preds32, confs32, gt.astype(np.float32), cgt, gamma,
                                            valid), want[0])
 
 

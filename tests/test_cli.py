@@ -229,6 +229,26 @@ def test_evaluate_missing_counterpart_exits_2(capsys, tmp_path):
     assert "only.pgm" in err
 
 
+def test_evaluate_shape_mismatch_names_the_pair(capsys, tmp_path):
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        sio.write_mask(np.zeros((4, 4), np.uint8), tmp_path / d / "a.pgm")
+    sio.write_mask(np.zeros((4, 4), np.uint8), tmp_path / "pred" / "b.pgm")
+    sio.write_mask(np.zeros((5, 4), np.uint8), tmp_path / "gt" / "b.pgm")
+    code, out, err = run_cli(capsys, "evaluate", "--pred-dir", str(tmp_path / "pred"),
+                             "--gt-dir", str(tmp_path / "gt"))
+    assert (code, out, err) == (3, "", "error: b.pgm: pred shape (4, 4) != gt shape (5, 4)\n")
+
+
+def test_a_warning_prints_one_line_without_its_source(capsys, flat_scene):
+    path = flat_scene / "mask.pgm"
+    path.write_bytes(path.read_bytes() + b"\0\0")
+    code, _, err = run_cli(capsys, "area", "--depth", str(flat_scene / "depth.f32r"),
+                           "--mask", str(path), "--normals", str(flat_scene / "normals.f32r"),
+                           "--intrinsics", str(flat_scene / "intr.txt"))
+    assert (code, err) == (0, f"warning: {path}: 2 trailing bytes ignored\n")
+
+
 def test_evaluate_empty_dirs_exit_2(capsys, tmp_path):
     (tmp_path / "pred").mkdir()
     (tmp_path / "gt").mkdir()
@@ -349,6 +369,21 @@ def test_refine_demo_resume_reads_only_the_named_entries(capsys, tmp_path, finis
     for rel in files:
         if (tmp_path / "plain" / rel).is_file():
             assert (tmp_path / "junk" / rel).read_bytes() == (tmp_path / "plain" / rel).read_bytes()
+
+
+def test_refine_demo_resume_of_a_state_with_another_channel_count_exits_2(capsys, tmp_path):
+    for name, hidden in (("a", "4"), ("b", "8")):
+        code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / name),
+                             "--hidden", hidden, "--T", "1")
+        assert code == 0
+    shutil.rmtree(tmp_path / "a" / "weights")
+    shutil.copytree(tmp_path / "b" / "weights", tmp_path / "a" / "weights")
+    code, out, err = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "c"),
+                             "--resume", str(tmp_path / "a"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {tmp_path / 'a' / 'state'}: hidden_quarter has shape (14, 14, 4), "
+                   "expected (14, 14, 8) from depth (14, 14) and hidden_channels=8\n")
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("entry,line", [("state", "t=-3"), ("weights", "hidden_channels=0")])
@@ -662,6 +697,14 @@ def _dests(parser):
 
 def test_every_default_is_the_dest_of_a_subcommand_flag():
     assert sorted(set(DEFAULTS) - _dests(build_parser())) == []
+
+
+def test_defaults_are_pinned_in_order():
+    # the --help epilog and the --config value types come from this table
+    want = [("lambda1", 0.2), ("lambda2", 0.5), ("lambda3", 0.01), ("gamma", 0.9), ("T", 4),
+            ("w_safe", 2.0), ("w_unsafe", 1.0), ("n_z_min", 0.1), ("k", 5), ("dilate", 0),
+            ("seed", 0), ("hidden", 8), ("base", 56)]
+    assert [(k, v, type(v)) for k, v in DEFAULTS.items()] == [(k, v, type(v)) for k, v in want]
 
 
 def test_grad_check_of_a_nan_depth_hole_exits_0(capsys, tmp_path):

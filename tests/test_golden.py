@@ -20,7 +20,8 @@ After a deliberate output change, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the entries that changed in the diff.
+which prints the names of the pins that differ from the manifest it
+replaces (or ``no pin changed``), and review those entries in the diff.
 """
 
 import csv
@@ -337,6 +338,7 @@ def test_resumed_refinement_equals_the_direct_run(root):
 
 
 def regenerate():
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         build_inputs(root)
@@ -344,6 +346,8 @@ def regenerate():
     pins["fingerprint"] = build_fingerprint()
     MANIFEST.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {os.path.relpath(MANIFEST)}", file=sys.stderr)
+    changed = sorted(name for name in pins.keys() | old.keys() if pins.get(name) != old.get(name))
+    print(f"changed: {', '.join(changed)}" if changed else "no pin changed", file=sys.stderr)
 
 
 if __name__ == "__main__":

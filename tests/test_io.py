@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_raster_value_past_the_float32_range_is_rejected_before_the_file(tmp_pat
     with pytest.raises(ValueError, match=r"r\.f32r: a value exceeds the float32 range"):
         sio.write_raster(np.array([[1.0, value]]), path)
     assert not path.exists()
+
+
+def test_writing_a_float32_raster_makes_no_copy_of_it(tmp_path):
+    raster = np.random.default_rng(3).uniform(size=(720, 1280, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        sio.write_raster(raster, tmp_path / "r.f32r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < raster.nbytes / 10
+    # a strided view writes the bytes of its contiguous copy
+    sio.write_raster(raster[::2, ::-3], tmp_path / "view.f32r")
+    sio.write_raster(raster[::2, ::-3].copy(), tmp_path / "copy.f32r")
+    assert (tmp_path / "view.f32r").read_bytes() == (tmp_path / "copy.f32r").read_bytes()
+    assert np.array_equal(sio.read_raster(tmp_path / "view.f32r"), raster[::2, ::-3])
 
 
 def test_hand_constructed_header(tmp_path):

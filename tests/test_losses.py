@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax
@@ -95,8 +97,7 @@ def test_vnl_degenerate_when_all_triplets_collinear():
 def test_sequential_zero_on_perfect_predictions():
     gt = np.full((6, 6), 2.0)
     conf = np.full((6, 6), 0.7)
-    w = LossWeights(T=0)
-    assert sequential_depth_loss([gt], [conf], gt, conf, w) == 0.0
+    assert sequential_depth_loss([gt], [conf], gt, conf) == 0.0
 
 
 def test_sequential_decay_sum_hand_value():
@@ -105,8 +106,7 @@ def test_sequential_decay_sum_hand_value():
     # constant per-step loss L = 0.3 + 0.2 = 0.5
     preds = [gt + 0.3, gt + 0.3]
     confs = [cgt - 0.2, cgt - 0.2]
-    w = LossWeights(T=1, gamma=0.9)
-    total = sequential_depth_loss(preds, confs, gt, cgt, w)
+    total = sequential_depth_loss(preds, confs, gt, cgt, gamma=0.9)
     assert total == pytest.approx(1.9 * 0.5, abs=1e-12)
 
 
@@ -116,8 +116,7 @@ def test_sequential_gamma_one_is_plain_sum():
     cgt = rng.uniform(0, 1, (5, 5))
     preds = [gt + rng.uniform(-1, 1, (5, 5)) for _ in range(4)]
     confs = [cgt + rng.uniform(-1, 1, (5, 5)) for _ in range(4)]
-    w = LossWeights(T=3, gamma=1.0)
-    total = sequential_depth_loss(preds, confs, gt, cgt, w)
+    total = sequential_depth_loss(preds, confs, gt, cgt, gamma=1.0)
     direct = sum(np.abs(p - gt).mean() + np.abs(c - cgt).mean()
                  for p, c in zip(preds, confs))
     assert total == pytest.approx(direct, rel=1e-12)
@@ -130,12 +129,24 @@ def test_sequential_valid_mask_and_errors():
     confs = [cgt]
     valid = np.zeros((4, 4), np.uint8)
     valid[0, 0] = 1
-    w = LossWeights(T=0)
-    assert sequential_depth_loss(preds, confs, gt, cgt, w, valid) == pytest.approx(1.0)
+    assert sequential_depth_loss(preds, confs, gt, cgt, valid=valid) == pytest.approx(1.0)
     with pytest.raises(DegenerateInputError):
-        sequential_depth_loss(preds, confs, gt, cgt, w, np.zeros((4, 4), np.uint8))
+        sequential_depth_loss(preds, confs, gt, cgt, valid=np.zeros((4, 4), np.uint8))
     with pytest.raises(ShapeMismatchError):
-        sequential_depth_loss(preds * 2, confs * 2, gt, cgt, w)  # length 2, T=0
+        sequential_depth_loss(preds, confs, gt, cgt[:3])
+
+
+@pytest.mark.parametrize("loss", [sequential_depth_loss, sequential_depth_loss_grad])
+def test_sequential_takes_its_step_count_from_the_sequence(loss):
+    gt = np.full((4, 4), 2.0)
+    cgt = np.ones((4, 4))
+    with pytest.raises(ShapeMismatchError, match="2 depth steps != 1 confidence steps"):
+        loss([gt, gt], [cgt], gt, cgt)
+    with pytest.raises(DegenerateInputError, match="empty prediction sequence"):
+        loss([], [], gt, cgt)
+    # three steps decay as gamma^2, gamma, 1
+    total = loss([gt + 1.0, gt, gt + 1.0], [cgt] * 3, gt, cgt, gamma=0.5)
+    assert (total[0] if isinstance(total, tuple) else total) == 0.25 + 1.0
 
 
 # --- depth-normal consistency -------------------------------------------------
@@ -244,8 +255,11 @@ def test_fine_tune_rejects_non_finite():
 
 
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, np.nan, np.inf, 1.5])
-@pytest.mark.parametrize("loss", [slz_loss, slz_loss_grad,
-                                  lambda seq, labels, gamma: LossWeights(gamma=gamma)])
+@pytest.mark.parametrize("loss", [
+    slz_loss, slz_loss_grad,
+    lambda seq, labels, gamma: sequential_depth_loss([labels], [labels], labels, labels, gamma),
+    pytest.param(lambda seq, labels, gamma: sequential_depth_loss_grad(
+        [labels], [labels], labels, labels, gamma), id="sequential_depth_loss_grad")])
 def test_decayed_losses_reject_gamma_outside_0_1(loss, gamma):
     with pytest.raises(ValueError, match=rf"gamma must be in \(0, 1\], got {gamma}"):
         loss([np.zeros((3, 3, 2))], np.zeros((3, 3), np.uint8), gamma=gamma)
@@ -259,13 +273,13 @@ def test_weights_reject_a_non_finite_value_naming_it(name, bad):
         weights(**{name: bad})
 
 
+def test_loss_weights_hold_only_the_three_balancing_coefficients():
+    assert [f.name for f in dataclasses.fields(LossWeights)] == ["lambda1", "lambda2", "lambda3"]
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         LossWeights(lambda1=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(gamma=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(T=-1)
     with pytest.raises(ValueError):
         ClassWeights(0.0, 1.0)
 
@@ -299,17 +313,16 @@ def test_grad_check_sequential():
     # keep residuals away from the |.| kink
     preds = [gt + rng.uniform(0.2, 0.6, (4, 4)), gt - rng.uniform(0.2, 0.6, (4, 4))]
     confs = [cgt + 0.1, cgt - 0.15]
-    w = LossWeights(T=1)
-    _, gd, gc = sequential_depth_loss_grad(preds, confs, gt, cgt, w)
+    _, gd, gc = sequential_depth_loss_grad(preds, confs, gt, cgt)
     for i in range(2):
         def fd(x, i=i):
             return sequential_depth_loss([x if j == i else p for j, p in enumerate(preds)],
-                                         confs, gt, cgt, w)
+                                         confs, gt, cgt)
 
         def fc(x, i=i):
             return sequential_depth_loss(preds,
                                          [x if j == i else c for j, c in enumerate(confs)],
-                                         gt, cgt, w)
+                                         gt, cgt)
 
         assert grad_check(fd, preds[i], gd[i], eps=1e-5) <= 1e-4
         assert grad_check(fc, confs[i], gc[i], eps=1e-5) <= 1e-4

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from slzkit import io as sio
 from slzkit.errors import ProtocolError, ShapeMismatchError
-from slzkit.losses import LossWeights, sequential_depth_loss, slz_loss
+from slzkit.losses import sequential_depth_loss, slz_loss
 from slzkit.refinement import (
     ConvGruWeights,
     conv2d,
@@ -247,8 +248,7 @@ def test_sequence_feeds_losses_without_nans():
     side = states[0].depth.shape[0]
     gt = np.full((side, side), 2.0)
     conf = np.ones((side, side))
-    w = LossWeights(T=4)
-    seq = sequential_depth_loss([s.depth for s in states], [conf] * 5, gt, conf, w)
+    seq = sequential_depth_loss([s.depth for s in states], [conf] * 5, gt, conf)
     labels = np.zeros((side, side), np.uint8)
     ce = slz_loss([s.slz for s in states], labels)
     assert np.isfinite(seq) and np.isfinite(ce)
@@ -313,7 +313,7 @@ def test_weight_bundle_rejects_a_bias_stored_as_a_column(tmp_path):
 def _state_pair():
     weights = init_weights(hidden_channels=4, seed=21)
     states = run_refinement(demo_state(28, 4, seed=21), weights, 2)
-    return save_state, load_state, states[1], states[2]
+    return save_state, lambda d: load_state(d, 4), states[1], states[2]
 
 
 def _weights_pair():
@@ -362,7 +362,7 @@ def test_meta_value_below_its_least_is_a_parse_error(tmp_path, kind, key, value)
     else:
         save_state(run_refinement(demo_state(28, 4, seed=20), weights, 1)[-1], tmp_path / kind)
     (tmp_path / kind / "meta.txt").write_text(f"{key}={value}\n")
-    load = load_weights if kind == "weights" else load_state
+    load = load_weights if kind == "weights" else lambda d: load_state(d, 4)
     with pytest.raises(sio.ParseError, match=rf"meta\.txt: {key}={value} must be >= "):
         load(tmp_path / kind)
 
@@ -372,18 +372,27 @@ def test_state_round_trip(tmp_path, base, hidden):
     weights = init_weights(hidden_channels=hidden, seed=17)
     state = run_refinement(demo_state(base, hidden, seed=17), weights, 2)[-1]
     save_state(state, tmp_path / "st")
-    back = load_state(tmp_path / "st")
+    back = load_state(tmp_path / "st", hidden)
     assert back.t == 2
     for field in ("depth", "normal", "slz", "hidden_quarter",
                   "hidden_seventh", "hidden_fourteenth", "slz_hidden"):
         assert np.array_equal(getattr(back, field), getattr(state, field))
 
 
+def test_state_of_another_channel_count_is_a_parse_error_naming_the_entry(tmp_path):
+    weights = init_weights(hidden_channels=4, seed=17)
+    save_state(run_refinement(demo_state(56, 4, seed=17), weights, 1)[-1], tmp_path / "st")
+    with pytest.raises(sio.ParseError, match=re.escape(
+            "st: hidden_quarter has shape (14, 14, 4), expected (14, 14, 8) "
+            "from depth (14, 14) and hidden_channels=8")):
+        load_state(tmp_path / "st", 8)
+
+
 def test_state_round_trip_single_hidden_channel(tmp_path):
     weights = init_weights(hidden_channels=1, seed=19)
     state = run_refinement(demo_state(28, 1, seed=19), weights, 1)[-1]
     save_state(state, tmp_path / "st")
-    back = load_state(tmp_path / "st")
+    back = load_state(tmp_path / "st", 1)
     assert back.hidden_quarter.shape == state.hidden_quarter.shape
     assert np.array_equal(run_refinement(back, weights, 1)[-1].slz,
                           run_refinement(state, weights, 1)[-1].slz)
