@@ -254,8 +254,9 @@ def _read_valid(args):
 def _print_grad_check(loss, seqs, grads):
     """Print the max grad_check error over the rasters of parallel step sequences.
 
-    ``loss(*seqs)`` is the loss value and ``grads[j][i]`` its analytic
-    gradient with respect to ``seqs[j][i]``.
+    ``loss(*seqs)`` is the loss value, one per raster where an entry is a
+    stack, and ``grads[j][i]`` its analytic gradient with respect to
+    ``seqs[j][i]``.
     """
     err = 0.0
     for i, step in enumerate(zip(*seqs)):

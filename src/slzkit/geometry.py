@@ -56,7 +56,8 @@ def _cross(a, b):
 
 class _NormalPlanes(NamedTuple):
     """Forward pass of the depth -> normal conversion, one (H, W) float64
-    plane per vector component. The extras feed :func:`_cross_to_depth`."""
+    plane per vector component, (b, H, W) for a stack of depth rasters.
+    The extras feed :func:`_cross_to_depth`."""
 
     rays: tuple  # x, y, z ray components: (W,) per column, (H, 1) per row, 1.0
     cross: tuple  # tu x tv: x, y, z planes
@@ -64,11 +65,18 @@ class _NormalPlanes(NamedTuple):
     scale: np.ndarray  # orientation sign / |tu x tv| where ok, NaN elsewhere
 
 
+def _along(p, axis):
+    """View of p with the row (axis 0) or column (axis 1) axis of its
+    trailing (H, W) pair moved first."""
+    return p.swapaxes(axis - 2, 0)
+
+
 def _difference(p, axis):
-    """np.gradient(p, axis=axis) of a 2-D p: central differences / 2 inside,
-    one-sided ones at the borders, written into one new plane."""
+    """np.gradient(p, axis=axis - 2) of a p whose trailing two axes are
+    (H, W): central differences / 2 inside, one-sided ones at the borders,
+    written into one new array."""
     g = np.empty_like(p)
-    src, dst = (p, g) if axis == 0 else (p.T, g.T)
+    src, dst = _along(p, axis), _along(g, axis)
     np.subtract(src[2:], src[:-2], out=dst[1:-1])
     dst[1:-1] /= 2.0
     dst[0], dst[-1] = src[1] - src[0], src[-1] - src[-2]
@@ -78,7 +86,7 @@ def _difference(p, axis):
 def _difference_adjoint(g, axis, acc):
     """acc += the transpose of :func:`_difference` along `axis` applied to g;
     returns acc."""
-    src, dst = (g, acc) if axis == 0 else (g.T, acc.T)
+    src, dst = _along(g, axis), _along(acc, axis)
     half = 0.5 * src[1:-1]
     dst[2:] += half
     dst[:-2] -= half
@@ -97,11 +105,13 @@ def _tangents(d, ray):
 
 
 def _normal_planes(depth, intr: CameraIntrinsics):
+    """The planes of an (H, W) depth raster, or of each raster of a (b, H, W)
+    stack, whose planes then are (b, H, W) as well."""
     d = np.asarray(depth)
-    if d.ndim != 2 or d.shape[0] < 3 or d.shape[1] < 3:
+    if d.ndim not in (2, 3) or min(d.shape[-2:]) < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
-    rays = _ray_xy(np.arange(d.shape[1], dtype=np.float64),
-                   np.arange(d.shape[0], dtype=np.float64)[:, None], intr) + (1.0,)
+    rays = _ray_xy(np.arange(d.shape[-1], dtype=np.float64),
+                   np.arange(d.shape[-2], dtype=np.float64)[:, None], intr) + (1.0,)
     # Each plane of tu x tv comes from the tangents of the other two
     # components. Those of x are computed twice, so that at most four tangent
     # planes are alive at once.
@@ -123,10 +133,10 @@ def _normal_planes(depth, intr: CameraIntrinsics):
     valid = valid_depth_mask(d)
     # a normal needs every depth its difference stencils read
     ok = valid & (norm > 0)
-    ok[:, 1:] &= valid[:, :-1]
-    ok[:, :-1] &= valid[:, 1:]
-    ok[1:] &= valid[:-1]
-    ok[:-1] &= valid[1:]
+    ok[..., 1:] &= valid[..., :-1]
+    ok[..., :-1] &= valid[..., 1:]
+    ok[..., 1:, :] &= valid[..., :-1, :]
+    ok[..., :-1, :] &= valid[..., 1:, :]
     # the orientation sign makes n_z <= 0; NaN off the normals keeps every
     # product with the scale there quiet
     norm[~ok] = np.nan
@@ -158,7 +168,8 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     Tangent vectors come from central differences of the backprojected
     point grid (one-sided at borders); the normal is their normalized
     cross product, oriented so n_z <= 0. Pixels whose stencil touches an
-    invalid depth are marked invalid (zero vector).
+    invalid depth are marked invalid (zero vector). A (b, H, W) stack of
+    depth rasters gives the (b, H, W, 3) normals of each.
     """
     f = _normal_planes(depth, intr)
     normals = np.zeros(f.ok.shape + (3,))

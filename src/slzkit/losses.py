@@ -9,6 +9,11 @@ Everything is pure numpy, computed in float64, and deterministic given a
 seed. Analytic gradients (w.r.t. the prediction inputs) are provided for
 the sequential, consistency, and cross-entropy losses; the checker
 verifies them against central differences.
+
+The sequential, consistency and cross-entropy values also take a (b, ...)
+stack of prediction rasters and return one value per raster, each equal
+bit for bit to the value of that raster alone; the checker hands them its
+perturbed rasters that way. Their gradients take one raster per input.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
 # shorter than this fraction of the product of the edge lengths.
 _COLLINEAR_TOL = 1e-6
+# float64 elements in one stack of perturbed rasters that grad_check hands to
+# its loss: 32-64 rasters a stack measured fastest on 24x24 and 18x18x2 checks
+_GRAD_CHECK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,33 @@ def _valid_set(valid, shape):
     if n == 0:
         raise DegenerateInputError("empty valid set")
     return v, n, slice(None) if n == v.size else v.ravel()
+
+
+def _batch(x, shape, lead, what):
+    """The batch shape of a prediction input x: () for one raster of
+    `shape`, (b,) for a stack of b of them. `lead` is the batch shape of
+    the call's inputs so far, which a stack must match; None allows no
+    stack (the gradients take one raster)."""
+    got = x.shape[:max(x.ndim - len(shape), 0)]
+    stack_ok = lead is not None and len(got) == 1 and lead in ((), got)
+    if x.shape[len(got):] != shape or got and not stack_ok:
+        raise ShapeMismatchError(f"{what} shape {x.shape}, expected {shape}"
+                                 + ("" if lead is None else f" or a stack of b {shape}"))
+    return got or lead
+
+
+def _mean(x, kept):
+    """Mean of the kept pixels (see :func:`_valid_set`) over x's trailing
+    (H, W) axes: a float64 for one raster, one per raster of a stack. A
+    stack's gather is made row-contiguous, so that each row is summed
+    pairwise as one raster is; a column-major gather sums it sequentially."""
+    rows = x.reshape(x.shape[:-2] + (-1,))[..., kept]
+    return np.ascontiguousarray(rows).mean(axis=-1)
+
+
+def _value(total):
+    """A loss value: a float for one raster, the (b,) array of a stack."""
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _collinear(pts):
@@ -182,12 +217,14 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
     v, n, kept = _valid_set(valid, dg.shape)
 
+    # the total turns into one value per raster at the first stacked step
     total = 0.0
+    lead = None if need_grad else ()
     grads_d, grads_c = [], []
     for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
         dp, cp = np.asarray(d_preds[t]), np.asarray(conf_preds[t])
-        if dp.shape != dg.shape or cp.shape != dg.shape:
-            raise ShapeMismatchError(f"step {t}: prediction shape mismatch")
+        lead = _batch(dp, dg.shape, lead, f"step {t}: depth")
+        lead = _batch(cp, dg.shape, lead, f"step {t}: confidence")
         # residuals in float64, with no float64 copy of the inputs
         rd = np.subtract(dp, dg, dtype=np.float64)
         rc = np.subtract(cp, cg, dtype=np.float64)
@@ -198,9 +235,8 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
             gc[v] = decay * np.sign(rc[v]) / n
             grads_d.append(gd)
             grads_c.append(gc)
-        total += decay * (np.abs(rd, out=rd).ravel()[kept].mean()
-                          + np.abs(rc, out=rc).ravel()[kept].mean())
-    return float(total), grads_d, grads_c
+        total += decay * (_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
+    return _value(total), grads_d, grads_c
 
 
 def depth_normal_consistency(d_pred, n_pred, intr: CameraIntrinsics):
@@ -219,15 +255,19 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
 
 
 def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
+    if need_grad and np.ndim(d_pred) != 2:
+        raise ShapeMismatchError(f"the gradient takes one depth raster, got shape {np.shape(d_pred)}")
     f = _normal_planes(d_pred, intr)
+    hw = f.ok.shape[-2:]
     n_in = np.asarray(n_pred)
-    if n_in.shape != f.ok.shape + (3,):
-        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {f.ok.shape + (3,)}")
+    if n_in.shape != hw + (3,):
+        raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {hw + (3,)}")
     # One float64 plane of the predicted normals at a time. Sums run left to
-    # right over x, y, z, as numpy reduces a last axis of 3: |target|^2, and
-    # derived . target with derived = cross * scale (NaN off the normals).
-    sq, dot = np.zeros_like(f.scale), np.zeros_like(f.scale)
-    t, term = np.empty_like(f.scale), np.empty_like(f.scale)
+    # right over x, y, z, as numpy reduces a last axis of 3: |target|^2, once
+    # for a stack of depths, and derived . target with derived = cross * scale
+    # (NaN off the normals).
+    sq, t = np.zeros(hw), np.empty(hw)
+    dot, term = np.zeros_like(f.scale), np.empty_like(f.scale)
     for k, c in enumerate(f.cross):
         np.copyto(t, n_in[..., k])
         np.multiply(c, f.scale, out=term)
@@ -238,12 +278,18 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     del t, term
     m = f.ok & (np.sqrt(sq, out=sq) > 1e-6)
     del sq
-    count = int(m.sum())
-    if count == 0:
+    kept = m.reshape(-1, hw[0] * hw[1])  # the pixels of each raster's mean
+    counts = kept.sum(axis=1)
+    if not counts.all():
         raise DegenerateInputError("no pixel with both a derived and a predicted normal")
-    loss = float(np.mean(np.subtract(1.0, dot, out=dot)[m]))
+    np.subtract(1.0, dot, out=dot)
+    if m.ndim == 2 or (kept == kept[0]).all():  # one gather serves every raster
+        loss = _value(_mean(dot, kept[0]))
+    else:  # a depth of some raster left the valid range: one gather each
+        loss = np.array([_mean(row, k) for row, k in zip(dot, kept)])
     if not need_grad:
         return loss, None
+    count = int(counts[0])
 
     # d loss / d cross at the masked pixels.
     c = [p[m] for p in f.cross]
@@ -286,15 +332,18 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     decays = _decays(gamma, len(logit_seq) - 1)
     safe = lab == 0
     w = np.where(safe, cw.w_safe, cw.w_unsafe)
+    # the total turns into one value per raster at the first stacked step
     total = 0.0
+    lead = None if need_grad else ()
     grads = []
-    # three float64 planes serve every step: the logits become their
-    # exponentials in place, and the larger logit the sum
-    e0, e1, s = np.empty(lab.shape), np.empty(lab.shape), np.empty(lab.shape)
+    # three float64 planes serve every step of one shape: the logits become
+    # their exponentials in place, and the larger logit the sum
+    e0 = e1 = s = np.empty(0)
     for t, (logits, decay) in enumerate(zip(logit_seq, decays)):
         z = np.asarray(logits)
-        if z.shape != lab.shape + (2,):
-            raise ShapeMismatchError(f"step {t}: logits shape {z.shape}, expected {lab.shape + (2,)}")
+        lead = _batch(z, lab.shape + (2,), lead, f"step {t}: logits")
+        if e0.shape != z.shape[:-1]:
+            e0, e1, s = (np.empty(z.shape[:-1]) for _ in range(3))
         # two-class softmax, stabilized by the larger logit
         np.copyto(e0, z[..., 0])
         np.copyto(e1, z[..., 1])
@@ -315,8 +364,8 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         e0 /= s
         np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
         e0 *= w
-        total -= decay * float(e0.ravel()[kept].mean())
-    return float(total), grads
+        total -= decay * _mean(e0, kept)
+    return _value(total), grads
 
 
 def fine_tune_loss(vnl, sequential, dncl, weights: LossWeights = LossWeights()):
@@ -333,33 +382,51 @@ def fine_tune_loss(vnl, sequential, dncl, weights: LossWeights = LossWeights()):
 def grad_check(f, x, analytic_grad, eps=1e-5):
     """Max relative error between central differences of f and a gradient.
 
-    The relative error per element uses max(|fd|, |analytic|, 1e-8) as
-    denominator. f must return a finite scalar for each perturbed raster,
-    and every analytic element must be finite; otherwise the check raises
-    DegenerateInputError naming the first offending element.
+    f maps a (b, *x.shape) stack of rasters to its b loss values, as the
+    sequential, consistency and cross-entropy values do for a stack of
+    prediction rasters. The check perturbs each element of x by +eps and
+    by -eps and hands f these copies of x a chunk at a time, about 2^15
+    float64 elements a stack (two rasters for a larger x), so its memory
+    does not grow with x.size^2. The relative error per element uses
+    max(|fd|, |analytic|, 1e-8) as denominator.
+
+    f must return a finite value for each perturbed raster, and every
+    analytic element must be finite; otherwise the check raises
+    DegenerateInputError naming the first offending element in flat
+    order. An f that returns any shape other than (b,) raises
+    ShapeMismatchError.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64)).copy()
+    shape = np.shape(x)
+    flat_x = np.asarray(x, dtype=np.float64).reshape(-1)
     g = np.asarray(analytic_grad, dtype=np.float64)
-    if g.shape != x.shape:
-        raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {x.shape}")
-    flat_x = x.reshape(-1)
+    if g.shape != shape:
+        raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {shape}")
     flat_g = g.reshape(-1)
     bad = np.flatnonzero(~np.isfinite(flat_g))
     if bad.size:
         raise DegenerateInputError(f"non-finite analytic gradient at element {bad[0]}")
+    n = flat_x.size
+    per = max(1, _GRAD_CHECK_ELEMENTS // max(2 * n, 1))  # elements perturbed per call of f
     max_err = 0.0
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + eps
-        fp = f(x)
-        flat_x[i] = orig - eps
-        fm = f(x)
-        flat_x[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise DegenerateInputError(f"non-finite loss at element {i}")
+    for start in range(0, n, per):
+        k = min(per, n - start)
+        # row r < k adds eps to element start + r, row k + r subtracts it
+        rows = np.arange(k)
+        stack = np.tile(flat_x, (2 * k, 1))
+        stack[rows, start + rows] += eps
+        stack[k + rows, start + rows] -= eps
+        values = np.asarray(f(stack.reshape((2 * k,) + shape)), dtype=np.float64)
+        if values.shape != (2 * k,):
+            raise ShapeMismatchError(
+                f"f returned shape {values.shape} for a stack of {2 * k} rasters, expected ({2 * k},)")
+        fp, fm = values[:k], values[k:]
+        bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+        if bad.size:
+            raise DegenerateInputError(f"non-finite loss at element {start + bad[0]}")
         fd = (fp - fm) / (2.0 * eps)
-        denom = max(abs(fd), abs(flat_g[i]), 1e-8)
-        max_err = max(max_err, abs(fd - flat_g[i]) / denom)
+        gi = flat_g[start:start + k]
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(gi)), 1e-8)
+        max_err = max(max_err, float((np.abs(fd - gi) / denom).max()))
     return max_err

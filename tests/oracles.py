@@ -6,9 +6,10 @@ compare two independent routes to the same value.
 
 The loss references at the end are earlier package implementations kept
 verbatim: the (H, W, 3) normal pipeline with the depth-normal consistency
-value and gradient, the one-triplet-per-iteration VNL sampler, and the
-slz and sequential loss values. The package computes the same arithmetic
-in another layout, so the tests compare the two bit for bit.
+value and gradient, the one-triplet-per-iteration VNL sampler, the slz
+and sequential loss values, and the one-element-at-a-time gradient check.
+The package computes the same arithmetic in another layout, so the tests
+compare the two bit for bit.
 """
 
 import math
@@ -360,3 +361,27 @@ def sequential_loss_ref(d_preds, conf_preds, d_gt, c_gt, gamma, valid=None):
         rc = np.asarray(conf_preds[t], dtype=np.float64) - cg
         total += gamma ** (T - t) * (np.abs(rd[v]).mean() + np.abs(rc[v]).mean())
     return float(total)
+
+
+def grad_check_ref(f, x, analytic_grad, eps=1e-5):
+    """Max relative error of central differences, two scalar calls of f per
+    element of x; raises ValueError on a non-finite loss or gradient."""
+    x = np.array(x, dtype=np.float64)
+    flat_x = x.reshape(-1)
+    flat_g = np.asarray(analytic_grad, dtype=np.float64).reshape(-1)
+    if not np.isfinite(flat_g).all():
+        raise ValueError("non-finite analytic gradient")
+    max_err = 0.0
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        flat_x[i] = orig + eps
+        fp = f(x)
+        flat_x[i] = orig - eps
+        fm = f(x)
+        flat_x[i] = orig
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise ValueError(f"non-finite loss at element {i}")
+        fd = (fp - fm) / (2.0 * eps)
+        denom = max(abs(fd), abs(flat_g[i]), 1e-8)
+        max_err = max(max_err, abs(fd - flat_g[i]) / denom)
+    return max_err

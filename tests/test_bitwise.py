@@ -122,6 +122,83 @@ def test_sequential_value_matches_gather_reference(seed):
     assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, gamma, valid)[0], want)
 
 
+# --- a stack of prediction rasters: each row as the raster alone ---------------
+
+BATCHES = [1, 2, 7, 64]
+
+
+def rows_match(got, b, alone):
+    """got is one value per row of a b-stack, each with the bits of alone(row)."""
+    return got.shape == (b,) and all(same_bits(v, alone(r)) for r, v in enumerate(got))
+
+
+@pytest.mark.parametrize("b", BATCHES)
+@pytest.mark.parametrize("seed", range(4))
+def test_dncl_rows_of_a_stack_equal_the_one_raster_value(seed, b):
+    depth = depth_case(seed)
+    rng = np.random.default_rng(400 + seed)
+    normals = normals_case(rng, depth.shape)
+    stack = depth * (1.0 + rng.uniform(-1e-3, 1e-3, (b,) + depth.shape))
+    got = depth_normal_consistency(stack, normals, INTR)
+    assert rows_match(got, b, lambda r: depth_normal_consistency(stack[r], normals, INTR))
+    assert same_bits(normals_from_depth(stack, INTR),
+                     np.stack([normals_from_depth(row, INTR) for row in stack]))
+
+
+@pytest.mark.parametrize("b", BATCHES[1:])
+def test_dncl_row_whose_pixel_set_differs_is_gathered_alone(b):
+    depth = depth_case(2)
+    normals = normals_case(np.random.default_rng(402), depth.shape)
+    stack = np.repeat(depth[None], b, axis=0)
+    r, c = np.argwhere(np.isfinite(depth) & (depth > 0))[len(depth) // 2]
+    stack[1, r, c] = -1e-5  # this row loses the pixels whose stencils read it
+    alone = [depth_normal_consistency(row, normals, INTR) for row in stack]
+    assert alone[1] != alone[0]
+    assert rows_match(depth_normal_consistency(stack, normals, INTR), b, alone.__getitem__)
+
+
+@pytest.mark.parametrize("b", BATCHES)
+@pytest.mark.parametrize("seed", range(4))
+def test_sequential_rows_of_a_stack_equal_the_one_raster_value(seed, b):
+    rng = np.random.default_rng(500 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 20, 2))
+    steps = 3
+    gt, cgt = 4.0 + rng.normal(size=shape), rng.uniform(size=shape)
+    preds = [gt + rng.normal(size=shape) for _ in range(steps)]
+    confs = [rng.uniform(size=shape) for _ in range(steps)]
+    valid = valid_case(rng, shape, seed)  # odd seeds gather a partial mask
+    # one stacked depth step and one stacked confidence step among plain ones
+    kd, kc = seed % steps, (seed + 1) % steps
+    d_stack = gt + rng.normal(size=(b,) + shape)
+    c_stack = rng.uniform(size=(b,) + shape)
+
+    def call(d, c):
+        ds = [d if t == kd else p for t, p in enumerate(preds)]
+        cs = [c if t == kc else p for t, p in enumerate(confs)]
+        return sequential_depth_loss(ds, cs, gt, cgt, 0.8, valid)
+
+    assert rows_match(call(d_stack, c_stack), b, lambda r: call(d_stack[r], c_stack[r]))
+
+
+@pytest.mark.parametrize("b", BATCHES)
+@pytest.mark.parametrize("seed", range(4))
+def test_slz_rows_of_a_stack_equal_the_one_raster_value(seed, b):
+    rng = np.random.default_rng(600 + seed)
+    shape = tuple(int(x) for x in rng.integers(1, 20, 2))
+    labels = (rng.uniform(size=shape) < 0.4).astype(np.uint8)
+    seq = [rng.normal(scale=6.0, size=shape + (2,)) for _ in range(3)]
+    valid = valid_case(rng, shape, seed)
+    k = seed % 3
+    stack = rng.normal(scale=6.0, size=(b,) + shape + (2,))
+    stack[0].flat[:2] = (60.0, -60.0)  # a saturated row hits the log floor
+    cw = ClassWeights(2.0, 1.0)
+
+    def call(z):
+        return slz_loss([z if t == k else p for t, p in enumerate(seq)], labels, cw, 0.9, valid)
+
+    assert rows_match(call(stack), b, lambda r: call(stack[r]))
+
+
 def float32_and_cast(a):
     """A float32 raster and its float64 cast, which holds the same values."""
     a32 = np.asarray(a, dtype=np.float32)

@@ -1,10 +1,13 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import log_softmax
 
 import oracles
+from slzkit import losses
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError, ShapeMismatchError
 from slzkit.geometry import normals_from_depth
@@ -289,7 +292,7 @@ def test_weight_validation():
 
 def test_grad_check_quadratic():
     x = np.random.default_rng(5).normal(size=(4, 4))
-    err = grad_check(lambda v: float((v**2).sum()), x, 2 * x, eps=1e-4)
+    err = grad_check(lambda v: (v**2).sum(axis=(-2, -1)), x, 2 * x, eps=1e-4)
     assert err <= 1e-6
 
 
@@ -341,13 +344,13 @@ def test_grad_check_dncl():
 def test_grad_check_api_errors():
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        grad_check(lambda v: 0.0, x, x, eps=0.0)
+        grad_check(lambda v: np.zeros(len(v)), x, x, eps=0.0)
     with pytest.raises(ShapeMismatchError):
-        grad_check(lambda v: 0.0, x, np.zeros((3, 3)))
+        grad_check(lambda v: np.zeros(len(v)), x, np.zeros((3, 3)))
     with pytest.raises(DegenerateInputError):
-        grad_check(lambda v: float("nan"), x, x)
+        grad_check(lambda v: np.full(len(v), np.nan), x, x)
     with pytest.raises(DegenerateInputError, match="non-finite analytic gradient at element 0"):
-        grad_check(lambda v: 0.0, x, np.full((2, 2), np.nan))
+        grad_check(lambda v: np.zeros(len(v)), x, np.full((2, 2), np.nan))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -356,7 +359,151 @@ def test_grad_check_rejects_a_non_finite_analytic_element(bad):
     grad = 2 * x
     grad[1, 2] = bad
     with pytest.raises(DegenerateInputError, match="non-finite analytic gradient at element 6"):
-        grad_check(lambda v: float((v**2).sum()), x, grad)
+        grad_check(lambda v: (v**2).sum(axis=(-2, -1)), x, grad)
+
+
+def test_stacks_of_one_call_share_their_size_and_gradients_take_one_raster():
+    gt, cgt = np.full((4, 4), 2.0), np.ones((4, 4))
+    two, three = np.full((2, 4, 4), 2.5), np.full((3, 4, 4), 2.5)
+    assert sequential_depth_loss([two, gt], [cgt, two], gt, cgt).shape == (2,)
+    with pytest.raises(ShapeMismatchError, match=r"step 1: depth shape \(3, 4, 4\)"):
+        sequential_depth_loss([two, three], [cgt, cgt], gt, cgt)
+    with pytest.raises(ShapeMismatchError, match=r"step 0: confidence shape \(3, 4, 4\)"):
+        sequential_depth_loss([two], [three], gt, cgt)
+    with pytest.raises(ShapeMismatchError, match=r"step 0: depth shape \(1, 2, 4, 4\)"):
+        sequential_depth_loss([two[None]], [cgt], gt, cgt)
+    with pytest.raises(ShapeMismatchError, match=r"step 0: depth shape \(2, 4, 4\), expected \(4, 4\)$"):
+        sequential_depth_loss_grad([two], [cgt], gt, cgt)
+    labels = np.zeros((4, 4), np.uint8)
+    with pytest.raises(ShapeMismatchError, match=r"step 1: logits shape \(3, 4, 4, 2\)"):
+        slz_loss([np.zeros((2, 4, 4, 2)), np.zeros((3, 4, 4, 2))], labels)
+    with pytest.raises(ShapeMismatchError, match=r"step 0: logits shape \(2, 4, 4, 2\)"):
+        slz_loss_grad([np.zeros((2, 4, 4, 2))], labels)
+    depth, target = np.full((8, 8), 2.0), np.zeros((8, 8, 3))
+    target[..., 2] = -1.0
+    with pytest.raises(ShapeMismatchError, match="the gradient takes one depth raster"):
+        depth_normal_consistency_grad(np.stack([depth, depth]), target, INTR)
+    with pytest.raises(ShapeMismatchError, match="at least a 3x3 depth raster"):
+        depth_normal_consistency(depth[None, None], target, INTR)
+
+
+def _crop_checks():
+    """A noisy 24x24 ground-plane crop seen from afar, as the benchmark's."""
+    rng = np.random.default_rng(16)
+    depth = plane_depth(24, 24, INTR, 0.1, -0.2, 40.0) * (1.0 + rng.uniform(-5e-4, 5e-4, (24, 24)))
+    target = np.broadcast_to(plane_unit_normal(0.1, -0.2), (24, 24, 3)).copy()
+    grad = depth_normal_consistency_grad(depth, target, INTR)[1]
+    return [(lambda x: depth_normal_consistency(x, target, INTR), depth, grad)]
+
+
+def _nan_hole_checks():
+    rng = np.random.default_rng(8)
+    depth = 4.0 + rng.uniform(-0.3, 0.3, (10, 10))
+    depth[4, 5] = np.nan
+    target = np.zeros((10, 10, 3))
+    target[..., 2] = -1.0
+    grad = depth_normal_consistency_grad(depth, target, INTR)[1]
+    return [(lambda x: depth_normal_consistency(x, target, INTR), depth, grad)]
+
+
+def _slz_checks(with_valid):
+    rng = np.random.default_rng(6)
+    labels = (rng.uniform(size=(5, 6)) > 0.5).astype(np.uint8)
+    seq = [rng.normal(size=(5, 6, 2)) for _ in range(2)]
+    valid = (rng.uniform(size=(5, 6)) > 0.3).astype(np.uint8) if with_valid else None
+    grads = slz_loss_grad(seq, labels, valid=valid)[1]
+    return [(lambda x, i=i: slz_loss([x if j == i else z for j, z in enumerate(seq)], labels,
+                                     valid=valid), seq[i], grads[i]) for i in range(2)]
+
+
+def _sequential_checks():
+    rng = np.random.default_rng(7)
+    gt = 3.0 + rng.uniform(-0.5, 0.5, (5, 6))
+    cgt = rng.uniform(0.2, 0.8, (5, 6))
+    preds = [gt + rng.uniform(0.2, 0.6, (5, 6)), gt - rng.uniform(0.2, 0.6, (5, 6))]
+    confs = [cgt + 0.1, cgt - 0.15]
+    valid = (rng.uniform(size=(5, 6)) > 0.3).astype(np.uint8)
+    _, gd, gc = sequential_depth_loss_grad(preds, confs, gt, cgt, valid=valid)
+    checks = []
+    for i in range(2):
+        checks.append((lambda x, i=i: sequential_depth_loss(
+            [x if j == i else p for j, p in enumerate(preds)], confs, gt, cgt, valid=valid),
+            preds[i], gd[i]))
+        checks.append((lambda x, i=i: sequential_depth_loss(
+            preds, [x if j == i else c for j, c in enumerate(confs)], gt, cgt, valid=valid),
+            confs[i], gc[i]))
+    return checks
+
+
+GRAD_CHECK_CASES = {
+    "dncl-crop-24x24": _crop_checks,
+    "dncl-nan-hole": _nan_hole_checks,
+    "slz-two-steps": lambda: _slz_checks(False),
+    "slz-two-steps-valid": lambda: _slz_checks(True),
+    "sequential-valid": _sequential_checks,
+}
+
+
+@pytest.mark.parametrize("per_call", [None, 1, 7, "all"])
+@pytest.mark.parametrize("case", GRAD_CHECK_CASES)
+def test_grad_check_equals_the_per_element_oracle(monkeypatch, case, per_call):
+    # per_call elements perturbed per call of f; 7 divides none of the sizes,
+    # so the last chunk is short
+    for f, x, grad in GRAD_CHECK_CASES[case]():
+        assert x.size % 7
+        if per_call is not None:
+            k = x.size if per_call == "all" else per_call
+            monkeypatch.setattr(losses, "_GRAD_CHECK_ELEMENTS", 2 * k * x.size)
+        assert grad_check(f, x, grad) == oracles.grad_check_ref(f, x, grad)
+
+
+@pytest.mark.parametrize("per_call", [None, 1, 7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grad_check_names_the_first_non_finite_element_in_flat_order(monkeypatch, per_call, sign):
+    x = np.random.default_rng(3).normal(size=(6, 6))
+    if per_call is not None:
+        monkeypatch.setattr(losses, "_GRAD_CHECK_ELEMENTS", 2 * per_call * x.size)
+
+    def f(v):  # NaN where element 17 or 30 moves by sign * eps
+        moved = (v.reshape(len(v), -1) - x.reshape(-1)) * sign > 0
+        return np.where(moved[:, 17] | moved[:, 30], np.nan, (v**2).sum(axis=(-2, -1)))
+
+    with pytest.raises(DegenerateInputError, match=r"non-finite loss at element 17$"):
+        grad_check(f, x, 2 * x)
+
+
+@pytest.mark.parametrize("result", [
+    lambda v: float((v**2).sum()),  # one scalar for the whole stack
+    lambda v: (v**2).sum(axis=-1),  # (b, H)
+    lambda v: (v**2).sum(axis=(-2, -1))[:-1],  # one value short
+    lambda v: (v**2).sum(axis=(-2, -1))[:, None],  # (b, 1)
+])
+def test_grad_check_rejects_an_f_of_another_shape(result):
+    x = np.random.default_rng(4).normal(size=(3, 4))
+    with pytest.raises(ShapeMismatchError, match=r"f returned shape .* expected \("):
+        grad_check(result, x, 2 * x)
+
+
+def test_grad_check_memory_is_bounded_by_its_element_budget():
+    # A stack of perturbed rasters holds _GRAD_CHECK_ELEMENTS float64
+    # elements, and the consistency loss keeps about 9 arrays of its size
+    # alive; one whole (2N, N) stack of a 40x40 raster is 160 of them.
+    side = 40
+    rng = np.random.default_rng(10)
+    depth = 4.0 + rng.uniform(-0.3, 0.3, (side, side))
+    target = np.zeros((side, side, 3))
+    target[..., 2] = -1.0
+    grad = depth_normal_consistency_grad(depth, target, INTR)[1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grad_check(lambda x: depth_normal_consistency(x, target, INTR), depth, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 8 * losses._GRAD_CHECK_ELEMENTS
+    assert 2 * side**2 * side**2 * 8 > 100 * stack
+    assert peak <= 12 * stack, f"peak {peak / stack:.1f} stacks of the element budget"
 
 
 def test_dncl_gradient_is_zero_outside_the_loss_for_an_invalid_depth_pixel():
