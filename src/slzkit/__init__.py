@@ -28,7 +28,7 @@ from .refinement import (
     run_refinement,
     slz_flow_step,
 )
-from .slz import Region, binarize, connected_components, dilate_unsafe, top_k_candidates
+from .slz import binarize, connected_components, dilate_unsafe, top_k_candidates
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "MetricsReport",
     "RefinementState",
     "RefinementWeights",
-    "Region",
     "binarize",
     "canonical_scale",
     "confusion",

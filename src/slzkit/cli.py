@@ -98,21 +98,28 @@ def _csv_out(rows):
         writer.writerow(row)
 
 
+def _region_rows(stats, sel, *columns):
+    """CSV rows of the regions at rows `sel` of `stats`: id, the given
+    per-row columns, pixels, excluded, area."""
+    return zip((sel + 1).tolist(), *(c.tolist() for c in columns),
+               stats.pixel_count[sel].tolist(), stats.excluded_count[sel].tolist(),
+               (f"{a:.9g}" for a in stats.area[sel].tolist()))
+
+
 def cmd_area(args):
     intr, depth, mask, normals = _read_frame(args)
     stats = slz.region_stats(mask, depth, normals, intr, n_z_min=args.n_z_min)
-    sel = np.arange(len(stats.area))
+    sel = np.arange(len(stats))
     if args.region_id is not None:
         if not 1 <= args.region_id <= len(sel):
             raise ValueError(f"no safe region with id {args.region_id}")
         sel = sel[args.region_id - 1:args.region_id]
-    area, pixels, excluded = stats.area[sel], stats.pixel_count[sel], stats.excluded_count[sel]
+    area = stats.area[sel]
     # the total adds the region rows left to right in id order
     total = float(np.cumsum(area)[-1]) if len(area) else 0.0
-    _csv_out([("region", "pixels", "excluded", "area_m2"),
-              *zip((sel + 1).tolist(), pixels.tolist(), excluded.tolist(),
-                   (f"{a:.9g}" for a in area.tolist())),
-              ("total", int(pixels.sum()), int(excluded.sum()), f"{total:.9g}")])
+    _csv_out([("region", "pixels", "excluded", "area_m2"), *_region_rows(stats, sel),
+              ("total", int(stats.pixel_count[sel].sum()), int(stats.excluded_count[sel].sum()),
+               f"{total:.9g}")])
     return 0
 
 
@@ -120,13 +127,9 @@ def cmd_candidates(args):
     intr, depth, mask, normals = _read_frame(args)
     if args.dilate:
         mask = slz.dilate_unsafe(mask, args.dilate)
-    cands = slz.top_k_candidates(mask, depth, normals, intr, args.k, n_z_min=args.n_z_min)
-    rows = [("region", "min_row", "min_col", "max_row", "max_col",
-             "pixels", "excluded", "area_m2")]
-    for c in cands:
-        rows.append((c.region_id, *c.bbox, c.area.pixel_count, c.area.excluded_count,
-                     f"{c.area.total_area:.9g}"))
-    _csv_out(rows)
+    order, stats = slz.top_k_candidates(mask, depth, normals, intr, args.k, n_z_min=args.n_z_min)
+    _csv_out([("region", "min_row", "min_col", "max_row", "max_col", "pixels", "excluded",
+               "area_m2"), *_region_rows(stats, order, *stats.bbox[order].T)])
     return 0
 
 

@@ -190,6 +190,8 @@ def _region_to_mask(region, shape):
             raise ShapeMismatchError(f"region shape {region.shape} != raster shape {shape}")
         return region
     if region.ndim == 2 and region.shape[1] == 2:
+        if region.dtype.kind not in "iu":
+            raise ShapeMismatchError(f"region pixel coordinates must be integers, got {region.dtype}")
         mask = np.zeros(shape, dtype=bool)
         if region.shape[0]:
             rows, cols = region[:, 0], region[:, 1]

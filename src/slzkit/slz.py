@@ -15,34 +15,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
-from .geometry import DEFAULT_NZ_MIN, AreaReport, _area_sums, pixel_areas
+from .geometry import DEFAULT_NZ_MIN, _area_sums, pixel_areas
 from .io import _check_mask
 
 SAFE = 0
 UNSAFE = 1
 
 
-@dataclass(frozen=True)
-class Region:
-    """One 4-connected component of safe pixels; a landing candidate also
-    carries its area."""
-
-    region_id: int
-    pixels: np.ndarray  # (N, 2) array of (row, col), row-major order
-    bbox: tuple  # (min_row, min_col, max_row, max_col), inclusive
-    area: AreaReport | None = None
-
-
 @dataclass(frozen=True, eq=False)
-class RegionStats:
-    """Every safe region of a mask from one labelling pass; entry i is region id i + 1."""
+class Labelling:
+    """The 4-connected safe regions of a mask from one labelling pass; row i is region id i + 1."""
 
     shape: tuple  # (H, W) of the mask
     runs: np.ndarray  # (4, N) int32: row, start col, stop col (exclusive), region id per run
     bbox: np.ndarray  # (R, 4) int32 min_row, min_col, max_row, max_col, inclusive
-    area: np.ndarray  # (R,) float64 m^2
-    pixel_count: np.ndarray  # (R,) pixels that contributed to the area
-    excluded_count: np.ndarray  # (R,) region pixels skipped
+
+    def __len__(self):
+        """The number of regions."""
+        return len(self.bbox)
 
     def labels(self):
         """(H, W) region id of each safe pixel, 0 = unsafe."""
@@ -50,12 +40,23 @@ class RegionStats:
 
     def pixels(self, i):
         """(N, 2) array of the (row, col) pixels of region id i + 1, row-major."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"region row {i} out of range for {len(self)} regions")
         r0, _, r1, _ = self.bbox[i]
         # the runs of the bbox's rows are one slice of the row-major table;
         # int32 keys keep searchsorted from casting the whole row column
         lo, hi = np.searchsorted(self.runs[0], (r0, r1 + 1))
         runs = self.runs[:, lo:hi]
         return _run_pixels(*runs[:3, runs[3] == i + 1])
+
+
+@dataclass(frozen=True, eq=False)
+class RegionStats(Labelling):
+    """A labelling with the area columns of its regions; entry i is region id i + 1."""
+
+    area: np.ndarray  # (R,) float64 m^2
+    pixel_count: np.ndarray  # (R,) pixels that contributed to the area
+    excluded_count: np.ndarray  # (R,) region pixels skipped
 
 
 def _run_pixels(row, start, stop):
@@ -132,13 +133,8 @@ def _label(m):
 
 def connected_components(mask):
     """4-connected components of the safe pixels, ids in row-major discovery order."""
-    runs, bbox = _label(_check_mask(mask))
-    # one stable sort groups the runs by region, each group in row-major order
-    runs = runs[:, np.argsort(runs[3], kind="stable")]
-    ends = np.cumsum(runs[2] - runs[1])[np.flatnonzero(np.diff(runs[3], append=0))].tolist()
-    pixels = _run_pixels(*runs[:3])
-    return [Region(i, pixels[s:e], tuple(box))
-            for i, (s, e, box) in enumerate(zip([0] + ends, ends, bbox.tolist()), start=1)]
+    m = _check_mask(mask)
+    return Labelling(m.shape, *_label(m))
 
 
 def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
@@ -148,28 +144,25 @@ def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_N
     area, pixel count and excluded count equal those of
     :func:`slzkit.geometry.region_area` over its pixels, bit for bit.
     """
-    m = _check_mask(mask)
-    if np.shape(depth) != m.shape:
-        raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {m.shape}")
-    runs, bbox = _label(m)
+    lab = connected_components(mask)
+    if np.shape(depth) != lab.shape:
+        raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {lab.shape}")
     # the areas come before the painted id plane, which keeps the peak low
     areas, included = pixel_areas(depth, normals, intr, n_z_min)
-    sums = _area_sums(_paint(*runs, m.shape), len(bbox) + 1, areas, included)
-    return RegionStats(m.shape, runs, bbox, *sums)
+    sums = _area_sums(lab.labels(), len(lab) + 1, areas, included)
+    return RegionStats(lab.shape, lab.runs, lab.bbox, *sums)
 
 
 def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
                      n_z_min=DEFAULT_NZ_MIN):
-    """Safe components ranked by estimated area (descending, id breaks ties)."""
+    """``(order, stats)``: the :func:`region_stats` of the mask and the rows of
+    its k largest regions by area (descending, id breaks ties); row i is
+    region id i + 1."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     stats = region_stats(mask, depth, normals, intr, n_z_min=n_z_min)
     # a stable sort on -area keeps equal areas in ascending id order
-    best = np.argsort(-stats.area, kind="stable")[:k]
-    return [Region(i + 1, stats.pixels(i), tuple(stats.bbox[i].tolist()),
-                   AreaReport(float(stats.area[i]), int(stats.pixel_count[i]),
-                              int(stats.excluded_count[i])))
-            for i in best.tolist()]
+    return np.argsort(-stats.area, kind="stable")[:k], stats
 
 
 def dilate_unsafe(mask, radius):

@@ -240,16 +240,16 @@ def test_c08_post_processing():
     depth[2:6, 2:6] = 8.0  # small blob made large by depth
     normals = np.zeros((32, 32, 3))
     normals[..., 2] = -1.0
-    cands = top_k_candidates(mask, depth, normals, INTR, k=5)
+    order, stats = top_k_candidates(mask, depth, normals, INTR, k=5)
     brute = []
     for pixels in oracles.flood_fill_components(mask):
         area = sum(depth[r, c] ** 2 / (100.0 * 100.0) for r, c in pixels)
         brute.append((area, pixels[0]))
     brute.sort(key=lambda t: -t[0])
-    assert len(cands) == len(brute)
-    for cand, (area, first_pixel) in zip(cands, brute):
-        assert tuple(cand.pixels[0]) == first_pixel
-        assert cand.area.total_area == pytest.approx(area, rel=1e-9)
+    assert len(order) == len(brute)
+    for i, (area, first_pixel) in zip(order, brute):
+        assert tuple(stats.pixels(i)[0]) == first_pixel
+        assert stats.area[i] == pytest.approx(area, rel=1e-9)
 
     diag = np.ones((4, 4), np.uint8)
     diag[1, 1] = 0

@@ -173,6 +173,8 @@ def test_region_area_shape_mismatch():
         region_area(np.ones((9, 8), bool), depth, normals, INTR)
     with pytest.raises(ShapeMismatchError):
         region_area(np.ones((8, 8), bool), depth, normals[:7], INTR)
+    with pytest.raises(ShapeMismatchError, match="got float64"):
+        region_area(np.array([[1.0, 2.0]]), depth, normals, INTR)
 
 
 def test_region_area_pixel_list_matches_mask():

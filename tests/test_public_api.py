@@ -4,7 +4,7 @@ import slzkit
 
 PUBLIC = [
     "AreaReport", "CameraIntrinsics", "CanonicalSpec", "ClassWeights", "LossWeights",
-    "MetricsReport", "RefinementState", "RefinementWeights", "Region", "binarize",
+    "MetricsReport", "RefinementState", "RefinementWeights", "binarize",
     "canonical_scale", "confusion", "connected_components", "conv_gru_step",
     "depth_normal_consistency", "depth_normal_flow_step", "dilate_unsafe", "evaluate",
     "evaluate_dataset", "fine_tune_loss", "from_canonical", "grad_check", "normals_from_depth",

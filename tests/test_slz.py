@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -48,21 +46,27 @@ def test_components_diagonal_pixels_split():
 
 
 def test_components_all_safe():
-    regions = connected_components(np.zeros((3, 3), np.uint8))
-    assert len(regions) == 1
-    assert len(regions[0].pixels) == 9
-    assert regions[0].bbox == (0, 0, 2, 2)
+    lab = connected_components(np.zeros((3, 3), np.uint8))
+    assert len(lab) == 1
+    assert len(lab.pixels(0)) == 9
+    assert tuple(lab.bbox[0]) == (0, 0, 2, 2)
+
+
+def _assert_flood_fill(lab, mask):
+    """Row i of the labelling holds the pixels and bbox of the oracle's component i."""
+    ref = oracles.flood_fill_components(mask)
+    assert len(lab) == len(ref)
+    for i, ref_pixels in enumerate(ref):
+        assert [tuple(p) for p in lab.pixels(i)] == ref_pixels
+        rows, cols = zip(*ref_pixels)
+        assert tuple(lab.bbox[i]) == (min(rows), min(cols), max(rows), max(cols))
 
 
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         mask = (rng.uniform(size=(8, 8)) > 0.55).astype(np.uint8)
-        regions = connected_components(mask)
-        ref = oracles.flood_fill_components(mask)
-        assert len(regions) == len(ref)
-        for region, ref_pixels in zip(regions, ref):
-            assert [tuple(p) for p in region.pixels] == ref_pixels
+        _assert_flood_fill(connected_components(mask), mask)
 
 
 def test_components_ids_are_row_major_first_pixel_order():
@@ -70,21 +74,30 @@ def test_components_ids_are_row_major_first_pixel_order():
     mask[4, 0] = 0  # later in scan order
     mask[0, 3] = 0
     mask[2, 2] = 0
-    regions = connected_components(mask)
-    firsts = [tuple(r.pixels[0]) for r in regions]
+    lab = connected_components(mask)
+    firsts = [tuple(lab.pixels(i)[0]) for i in range(len(lab))]
     assert firsts == [(0, 3), (2, 2), (4, 0)]
-    assert [r.region_id for r in regions] == [1, 2, 3]
+    assert [lab.labels()[p] for p in firsts] == [1, 2, 3]
+
+
+def test_pixels_rejects_a_row_outside_the_labelling():
+    # safe where row + col is even: six one-pixel regions, the last at (2, 2)
+    lab = connected_components((np.add.outer(np.arange(3), np.arange(4)) % 2).astype(np.uint8))
+    assert lab.pixels(5).tolist() == [[2, 2]]
+    for i in (-1, len(lab)):
+        with pytest.raises(IndexError, match=f"region row {i} out of range for 6 regions"):
+            lab.pixels(i)
 
 
 def test_runs_at_a_row_end_and_the_next_row_start_stay_apart():
     mask = np.ones((3, 4), np.uint8)
     mask[0, 3] = 0  # ends at column W - 1
     mask[1, 0] = 0  # starts at column 0 of the next row, one flat index later
-    regions = connected_components(mask)
-    assert [r.pixels.tolist() for r in regions] == [[[0, 3]], [[1, 0]]]
+    lab = connected_components(mask)
+    assert [lab.pixels(i).tolist() for i in range(len(lab))] == [[[0, 3]], [[1, 0]]]
     sides = np.ones((5, 6), np.uint8)
     sides[:, [0, 5]] = 0
-    assert [r.bbox for r in connected_components(sides)] == [(0, 0, 4, 0), (0, 5, 4, 5)]
+    assert connected_components(sides).bbox.tolist() == [[0, 0, 4, 0], [0, 5, 4, 5]]
 
 
 # Adversarial masks for the run labeller; each builds an (h, w) mask.
@@ -156,41 +169,43 @@ def test_adversarial_720p_labels_and_bboxes_match_ndimage(name):
     assert stats.pixel_count.sum() == np.count_nonzero(mask == 0)
 
 
-def test_region_stats_keep_runs_not_a_label_plane():
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda m, d, n: connected_components(m), id="connected_components"),
+    pytest.param(lambda m, d, n: region_stats(m, d, n, INTR), id="region_stats"),
+])
+def test_region_stats_keep_runs_not_a_label_plane(build):
     # the 720p checkerboard is the worst case: one run per safe pixel
     mask = ADVERSARIAL["checkerboard"](720, 1280)
     depth = np.full(mask.shape, 2.0)
     normals = np.zeros(mask.shape + (3,))
     normals[..., 2] = -1.0
-    stats = region_stats(mask, depth, normals, INTR)
-    fields = [getattr(stats, f.name) for f in dataclasses.fields(stats)]
-    assert not [f for f in fields if np.ndim(f) == 2 and np.shape(f) == mask.shape]
-    assert stats.runs.nbytes <= 8 * mask.size
-    assert np.array_equal(stats.labels(), oracles.label_ref(mask)[0])
+    lab = build(mask, depth, normals)
+    assert len(lab) == REGIONS_720P["checkerboard"]
+    shape, *columns = vars(lab).values()
+    assert shape == mask.shape
+    # arrays, not one Python object per region, and no (H, W) plane
+    assert all(isinstance(c, np.ndarray) and c.dtype != object and c.shape != mask.shape
+               for c in columns)
+    assert lab.runs.nbytes <= 8 * mask.size
+    assert np.array_equal(lab.labels(), oracles.label_ref(mask)[0])
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
 @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 2), (7, 9), (12, 5)])
 def test_adversarial_small_masks_match_flood_fill(name, shape):
     mask = ADVERSARIAL[name](*shape)
-    regions = connected_components(mask)
-    ref = oracles.flood_fill_components(mask)
-    assert [r.region_id for r in regions] == list(range(1, len(ref) + 1))
-    for region, ref_pixels in zip(regions, ref):
-        assert [tuple(p) for p in region.pixels] == ref_pixels
-        rows, cols = zip(*ref_pixels)
-        assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
+    _assert_flood_fill(connected_components(mask), mask)
 
 
 @pytest.mark.parametrize("shape", [(1, 1280), (720, 1)])
 @pytest.mark.parametrize("name", ["speckle", "all-safe", "all-unsafe", "checkerboard"])
 def test_strips_match_ndimage(shape, name):
     mask = ADVERSARIAL[name](*shape)
-    regions = connected_components(mask)
+    lab = connected_components(mask)
     labels, bbox = oracles.label_ref(mask)
-    assert [r.bbox for r in regions] == [tuple(b) for b in bbox.tolist()]
-    for i, region in enumerate(regions):
-        assert np.array_equal(region.pixels, np.argwhere(labels == i + 1))
+    assert lab.bbox.tolist() == bbox.tolist()
+    for i in range(len(lab)):
+        assert np.array_equal(lab.pixels(i), np.argwhere(labels == i + 1))
 
 
 def _random_frame(seed, unsafe_fraction, size=64):
@@ -214,13 +229,7 @@ MASK_CASES = [(seed, fraction) for fraction in (0.02, 0.3, 0.45, 0.55, 0.7)
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
 def test_components_match_flood_fill_oracle_on_random_masks(seed, unsafe_fraction):
     mask, _, _ = _random_frame(seed, unsafe_fraction)
-    regions = connected_components(mask)
-    ref = oracles.flood_fill_components(mask)
-    assert [r.region_id for r in regions] == list(range(1, len(ref) + 1))
-    for region, ref_pixels in zip(regions, ref):
-        assert [tuple(p) for p in region.pixels] == ref_pixels
-        rows, cols = zip(*ref_pixels)
-        assert region.bbox == (min(rows), min(cols), max(rows), max(cols))
+    _assert_flood_fill(connected_components(mask), mask)
 
 
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
@@ -238,19 +247,16 @@ def test_candidates_match_region_area_per_oracle_component(seed, unsafe_fraction
     ref = oracles.flood_fill_components(mask)
     if unsafe_fraction >= 0.45:
         assert len(ref) > 100
-    cands = top_k_candidates(mask, depth, normals, INTR, k=len(ref) + 1)
-    assert sorted(c.region_id for c in cands) == list(range(1, len(ref) + 1))
-    assert [c.region_id for c in cands] == [
-        c.region_id for c in sorted(cands, key=lambda c: (-c.area.total_area, c.region_id))]
-    for c in cands:
-        ref_pixels = ref[c.region_id - 1]
-        want = region_area(np.array(ref_pixels), depth, normals, INTR)
-        assert [tuple(p) for p in c.pixels] == ref_pixels
-        rows, cols = zip(*ref_pixels)
-        assert c.bbox == (min(rows), min(cols), max(rows), max(cols))
-        assert c.area.pixel_count == want.pixel_count
-        assert c.area.excluded_count == want.excluded_count
-        assert c.area.total_area == want.total_area
+    order, stats = top_k_candidates(mask, depth, normals, INTR, k=len(ref) + 1)
+    order = order.tolist()
+    assert sorted(order) == list(range(len(ref)))
+    assert order == sorted(order, key=lambda i: (-stats.area[i], i))
+    _assert_flood_fill(stats, mask)
+    for i in order:
+        want = region_area(np.array(ref[i]), depth, normals, INTR)
+        assert stats.pixel_count[i] == want.pixel_count
+        assert stats.excluded_count[i] == want.excluded_count
+        assert stats.area[i] == want.total_area
 
 
 def test_top_k_fewer_components_than_k():
@@ -260,8 +266,8 @@ def test_top_k_fewer_components_than_k():
     mask[7, 0] = 0
     depth = np.full((8, 8), 2.0)
     normals = normals_from_depth(depth, INTR)
-    cands = top_k_candidates(mask, depth, normals, INTR, k=5)
-    assert len(cands) == 3
+    order, _ = top_k_candidates(mask, depth, normals, INTR, k=5)
+    assert len(order) == 3
 
 
 def test_top_k_depth_ranks_equal_pixel_counts():
@@ -272,18 +278,20 @@ def test_top_k_depth_ranks_equal_pixel_counts():
     depth[5:7, 5:7] = 4.0
     normals = np.zeros((8, 8, 3))
     normals[..., 2] = -1.0
-    cands = top_k_candidates(mask, depth, normals, INTR, k=5)
-    assert [tuple(c.pixels[0]) for c in cands] == [(5, 5), (0, 0)]
-    assert cands[0].area.total_area == pytest.approx(4.0 * cands[1].area.total_area, rel=1e-9)
-    assert cands[0].bbox == (5, 5, 6, 6)
+    order, stats = top_k_candidates(mask, depth, normals, INTR, k=5)
+    assert [tuple(stats.pixels(i)[0]) for i in order] == [(5, 5), (0, 0)]
+    area = stats.area[order]
+    assert area[0] == pytest.approx(4.0 * area[1], rel=1e-9)
+    assert tuple(stats.bbox[order[0]]) == (5, 5, 6, 6)
 
 
 def test_top_k_empty_safe_set_and_k_zero():
     depth = np.full((4, 4), 2.0)
     normals = normals_from_depth(depth, INTR)
-    assert top_k_candidates(np.ones((4, 4), np.uint8), depth, normals, INTR, 5) == []
-    mask = np.zeros((4, 4), np.uint8)
-    assert top_k_candidates(mask, depth, normals, INTR, 0) == []
+    order, stats = top_k_candidates(np.ones((4, 4), np.uint8), depth, normals, INTR, 5)
+    assert len(order) == len(stats) == 0
+    order, stats = top_k_candidates(np.zeros((4, 4), np.uint8), depth, normals, INTR, 0)
+    assert len(order) == 0 and len(stats) == 1
 
 
 def test_top_k_candidates_disjoint_and_safe():
@@ -291,14 +299,14 @@ def test_top_k_candidates_disjoint_and_safe():
     mask = (rng.uniform(size=(12, 12)) > 0.45).astype(np.uint8)
     depth = 3.0 + rng.uniform(-0.5, 0.5, (12, 12))
     normals = normals_from_depth(depth, INTR)
-    cands = top_k_candidates(mask, depth, normals, INTR, k=100)
+    order, stats = top_k_candidates(mask, depth, normals, INTR, k=100)
     seen = set()
-    for c in cands:
-        for r, col in c.pixels:
+    for i in order:
+        for r, col in stats.pixels(i):
             assert mask[r, col] == 0
             assert (r, col) not in seen
             seen.add((r, col))
-    areas = [c.area.total_area for c in cands]
+    areas = stats.area[order].tolist()
     assert areas == sorted(areas, reverse=True)
 
 
@@ -317,9 +325,9 @@ def test_top_k_ranks_ties_across_the_kth_place_by_id(k):
     k %= len(area)
     want = np.argsort(-area, kind="stable")
     assert area[want[k - 1]] == area[want[k]]
-    cands = top_k_candidates(mask, depth, normals, INTR, k)
-    assert [c.region_id for c in cands] == (want[:k] + 1).tolist()
-    assert [c.area.total_area for c in cands] == area[want[:k]].tolist()
+    order, stats = top_k_candidates(mask, depth, normals, INTR, k)
+    assert order.tolist() == want[:k].tolist()
+    assert stats.area[order].tolist() == area[want[:k]].tolist()
 
 
 def test_top_k_shape_mismatch():
