@@ -99,10 +99,8 @@ def read_intrinsics(path):
     ``#`` starts a comment. Returns ``(CameraIntrinsics, f_c or None)``.
     """
     values = read_key_values(path, {"fx": float, "fy": float, "cx": float, "cy": float,
-                                    "f_c": lambda text: CanonicalSpec(float(text)).f_c})
-    missing = [k for k in ("fx", "fy", "cx", "cy") if k not in values]
-    if missing:
-        raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
+                                    "f_c": lambda text: CanonicalSpec(float(text)).f_c},
+                             ("fx", "fy", "cx", "cy"))
     try:
         intr = CameraIntrinsics(values["fx"], values["fy"], values["cx"], values["cy"])
     except InvalidIntrinsicsError as exc:

@@ -183,25 +183,6 @@ def _check_n_z_min(n_z_min):
         raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
 
 
-def _region_to_mask(region, shape):
-    region = np.asarray(region)
-    if region.dtype == bool:
-        if region.shape != shape:
-            raise ShapeMismatchError(f"region shape {region.shape} != raster shape {shape}")
-        return region
-    if region.ndim == 2 and region.shape[1] == 2:
-        if region.dtype.kind not in "iu":
-            raise ShapeMismatchError(f"region pixel coordinates must be integers, got {region.dtype}")
-        mask = np.zeros(shape, dtype=bool)
-        if region.shape[0]:
-            rows, cols = region[:, 0], region[:, 1]
-            if rows.min() < 0 or cols.min() < 0 or rows.max() >= shape[0] or cols.max() >= shape[1]:
-                raise ShapeMismatchError("region pixel coordinates fall outside the raster")
-            mask[rows, cols] = True
-        return mask
-    raise ShapeMismatchError("region must be a boolean mask or an (N, 2) array of (row, col)")
-
-
 def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
     valid and |n_z| >= n_z_min (``included``), 0 elsewhere. n_z_min must be
@@ -238,12 +219,17 @@ def _area_sums(ids, bins, areas, included):
 def region_area(region, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """Sum per-pixel tilt-corrected areas over a pixel region.
 
-    `region` is a boolean inclusion mask or an (N, 2) array of (row, col)
-    pixels. Pixels with invalid depth or |n_z| < n_z_min are skipped and
+    `region` is a boolean inclusion mask of the depth raster's shape; for
+    (N, 2) (row, col) pixels, build it with ``m[tuple(pixels.T)] = True``.
+    Pixels with invalid depth or |n_z| < n_z_min are skipped and
     reported in ``excluded_count``. The area adds the pixels' float64
     areas one at a time in row-major raster order, as
     :func:`slzkit.slz.region_stats` does for each region.
     """
     areas, included = pixel_areas(depth, normals, intr, n_z_min)
-    area, count, excluded = _area_sums(_region_to_mask(region, areas.shape), 2, areas, included)
+    region = np.asarray(region)
+    if region.dtype != bool or region.shape != areas.shape:
+        raise ShapeMismatchError(f"region must be a boolean mask of shape {areas.shape}, "
+                                 f"got {region.dtype} of shape {region.shape}")
+    area, count, excluded = _area_sums(region, 2, areas, included)
     return AreaReport(float(area[0]), int(count[0]), int(excluded[0]))

@@ -150,7 +150,7 @@ def write_mask(mask, path):
         fh.write((arr.astype(np.uint8) * 255).tobytes())
 
 
-def read_sections(path, casts):
+def read_sections(path, casts, required=None):
     """Parse ``[name]`` blocks of ``key=value`` lines into ``[(name, {key: value}), ...]``.
 
     ``casts`` maps each known section name to ``{key: cast}``; the name ``""``
@@ -159,6 +159,8 @@ def read_sections(path, casts):
     case-insensitive and ``#`` starts a comment. A line that is neither, an
     unknown section or key, a key given twice in one block, or a value its
     cast rejects raises ``ValueError`` naming the file and line.
+    ``required`` maps a section name to the keys each of its blocks must
+    give; a block that lacks any raises one ParseError naming them all.
     """
     sections = [("", {})]
     try:
@@ -191,15 +193,21 @@ def read_sections(path, casts):
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
+    for name, values in sections:
+        missing = [key for key in (required or {}).get(name, ()) if key not in values]
+        if missing:
+            block = f" in [{name}]" if name else ""
+            raise ParseError(f"{path}: missing required keys{block}: {', '.join(missing)}")
     return sections if "" in casts else sections[1:]
 
 
-def read_key_values(path, casts):
+def read_key_values(path, casts, required=()):
     """Parse a text file of ``key=value`` lines into ``{key: casts[key](value)}``.
 
-    Errors are those of :func:`read_sections`; a ``[name]`` line is one.
+    Errors are those of :func:`read_sections`; a ``[name]`` line is one, and
+    so is a missing key of ``required``.
     """
-    return read_sections(path, {"": casts})[0][1]
+    return read_sections(path, {"": casts}, {"": required})[0][1]
 
 
 def write_key_values(path, mapping):

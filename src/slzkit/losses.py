@@ -396,8 +396,8 @@ def grad_check(f, x, analytic_grad, eps=1e-5):
     order. An f that returns any shape other than (b,) raises
     ShapeMismatchError.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     shape = np.shape(x)
     flat_x = np.asarray(x, dtype=np.float64).reshape(-1)
     g = np.asarray(analytic_grad, dtype=np.float64)

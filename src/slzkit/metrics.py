@@ -69,19 +69,14 @@ class MetricsReport:
         return self._mean(self.recall)
 
 
-def confusion(pred, gt, ignore=None):
-    """2x2 confusion counts indexed [gt class][pred class]."""
+def confusion(pred, gt):
+    """2x2 confusion counts of two same-shape masks, indexed [gt class][pred class]."""
     p = _check_mask(pred, "pred")
     g = _check_mask(gt, "gt")
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
     # uint8 casts: the masks may be float, which bincount refuses
     idx = 2 * g.astype(np.uint8, copy=False) + p.astype(np.uint8, copy=False)
-    if ignore is not None:
-        ig = np.asarray(ignore)
-        if ig.shape != p.shape:
-            raise ShapeMismatchError(f"ignore shape {ig.shape} != mask shape {p.shape}")
-        idx = idx[ig == 0]
     return np.bincount(idx.ravel(), minlength=4).reshape(2, 2)
 
 

@@ -339,9 +339,7 @@ def _load_dir(dirpath, key, least, names, shapes):
     path = os.path.join(dirpath, "meta.txt")
     if not os.path.exists(path):
         raise slzio.MissingEntryError(f"{path}: missing")
-    value = slzio.read_key_values(path, {key: int}).get(key)
-    if value is None:
-        raise slzio.ParseError(f"{dirpath}: meta.txt lacks a valid {key}")
+    value = slzio.read_key_values(path, {key: int}, (key,))[key]
     if value < least:
         raise slzio.ParseError(f"{path}: {key}={value} must be >= {least}")
     paths = {name: os.path.join(dirpath, name + ".f32r") for name in names}

@@ -187,27 +187,20 @@ _SCENE_KEYS = {
 
 def parse_scene(path) -> Scene:
     """Parse a scene-spec file (see module docstring for the format)."""
-    sections = read_sections(path, _SCENE_KEYS)
+    sections = read_sections(path, _SCENE_KEYS,
+                             {name: [k for k in keys if k != "buffer"]
+                              for name, keys in _SCENE_KEYS.items()})
     names = [name for name, _ in sections]
     for name in ("scene", "plane"):
         if names.count(name) != 1:
             raise ValueError(f"{path}: expected one [{name}] section, got {names.count(name)}")
     scene_kv = sections[names.index("scene")][1]
     plane_kv = sections[names.index("plane")][1]
-
-    def take(name, kv, *keys):
-        for key in keys:
-            if key not in kv:
-                raise ValueError(f"{path}: [{name}] is missing key {key!r}")
-        return [kv[key] for key in keys]
-
-    width, height, *intr = take("scene", scene_kv, "width", "height", "fx", "fy", "cx", "cy")
-    plane = tuple(take("plane", plane_kv, "a", "b", "c"))
-    boxes = [take("box", kv, "u0", "v0", "u1", "v1", "height")
-             for name, kv in sections if name == "box"]
     try:
-        return Scene(width=width, height=height, intr=CameraIntrinsics(*intr), plane=plane,
-                     boxes=tuple(Box(*box) for box in boxes),
+        return Scene(width=scene_kv["width"], height=scene_kv["height"],
+                     intr=CameraIntrinsics(*(scene_kv[k] for k in ("fx", "fy", "cx", "cy"))),
+                     plane=(plane_kv["a"], plane_kv["b"], plane_kv["c"]),
+                     boxes=tuple(Box(**kv) for name, kv in sections if name == "box"),
                      buffer_radius=scene_kv.get("buffer", 0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -14,8 +14,9 @@ import pytest
 import slzkit
 from slzkit import io as sio
 from slzkit import refinement
-from slzkit.camera import CameraIntrinsics, write_intrinsics
+from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.cli import DEFAULTS, build_parser, main
+from slzkit.synth import parse_scene
 
 # a numpy overflow or invalid-value warning in a pinned call is an error,
 # not a message that pytest would capture out of the compared stderr
@@ -793,6 +794,33 @@ def test_a_key_given_twice_exits_2_naming_the_file_and_line(capsys, flat_scene, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"{path}:{lineno}: duplicate key {key!r}" in err
+
+
+@pytest.mark.parametrize("case", ["intrinsics", "scene", "state"])
+def test_a_missing_required_key_exits_2_naming_the_file_block_and_keys(capsys, flat_scene,
+                                                                         case):
+    if case == "intrinsics":
+        path, text, missing = flat_scene / "intr.txt", "fx=100\nfy=100\ncx=31.5\n", ": cy"
+        argv = _area_argv(flat_scene)
+    elif case == "scene":
+        path, missing = flat_scene / "scene.txt", " in [box]: v1, height"
+        text = "[scene]\nwidth=8\nheight=6\nfx=10\nfy=10\ncx=4\ncy=3\n[plane]\na=0\nb=0\nc=4\n" \
+               "[box]\nu0=1\nv0=1\nu1=2\n"
+        argv = ["synth", "--spec", str(path), "--out", str(flat_scene / "x")]
+    else:
+        assert main(["refine-demo", "--out", str(flat_scene / "a"), "--T", "1"]) == 0
+        path, text, missing = flat_scene / "a" / "state" / "meta.txt", "# no t\n", ": t"
+        argv = ["refine-demo", "--resume", str(flat_scene / "a"), "--out", str(flat_scene / "b")]
+    load = {"intrinsics": lambda: read_intrinsics(path), "scene": lambda: parse_scene(path),
+            "state": lambda: refinement.load_state(path.parent, 8)}[case]
+    path.write_text(text)
+    message = f"{path}: missing required keys{missing}"
+    with pytest.raises(sio.ParseError) as exc:
+        load()
+    assert str(exc.value) == message
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message + "\n" in err
 
 
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,16 +177,12 @@ def test_region_area_shape_mismatch():
         region_area(np.ones((8, 8), bool), depth, normals[:7], INTR)
     with pytest.raises(ShapeMismatchError, match="got float64"):
         region_area(np.array([[1.0, 2.0]]), depth, normals, INTR)
-
-
-def test_region_area_pixel_list_matches_mask():
-    rng = np.random.default_rng(2)
-    depth = 4.0 + rng.uniform(-0.5, 0.5, (12, 12))
-    normals = normals_from_depth(depth, INTR)
-    mask = rng.uniform(size=(12, 12)) > 0.4
-    via_mask = region_area(mask, depth, normals, INTR)
-    via_list = region_area(np.argwhere(mask), depth, normals, INTR)
-    assert via_mask == via_list
+    # a pixel list or a 0/1 mask of another dtype is not a region
+    expected = re.escape("region must be a boolean mask of shape (8, 8), got ")
+    with pytest.raises(ShapeMismatchError, match=expected + re.escape("int64 of shape (3, 2)")):
+        region_area(np.array([[0, 0], [1, 2], [7, 7]]), depth, normals, INTR)
+    with pytest.raises(ShapeMismatchError, match=expected + re.escape("uint8 of shape (8, 8)")):
+        region_area(np.ones((8, 8), np.uint8), depth, normals, INTR)
 
 
 def test_region_area_additive_over_disjoint_regions():

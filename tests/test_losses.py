@@ -345,6 +345,9 @@ def test_grad_check_api_errors():
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):
         grad_check(lambda v: np.zeros(len(v)), x, x, eps=0.0)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            grad_check(lambda v: np.zeros(len(v)), x, np.full((2, 2), 5.0), eps=eps)
     with pytest.raises(ShapeMismatchError):
         grad_check(lambda v: np.zeros(len(v)), x, np.zeros((3, 3)))
     with pytest.raises(DegenerateInputError):

@@ -253,7 +253,9 @@ def test_candidates_match_region_area_per_oracle_component(seed, unsafe_fraction
     assert order == sorted(order, key=lambda i: (-stats.area[i], i))
     _assert_flood_fill(stats, mask)
     for i in order:
-        want = region_area(np.array(ref[i]), depth, normals, INTR)
+        region = np.zeros(mask.shape, bool)
+        region[tuple(np.array(ref[i]).T)] = True
+        want = region_area(region, depth, normals, INTR)
         assert stats.pixel_count[i] == want.pixel_count
         assert stats.excluded_count[i] == want.excluded_count
         assert stats.area[i] == want.total_area
