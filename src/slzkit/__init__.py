@@ -24,9 +24,8 @@ from .refinement import (
     RefinementState,
     RefinementWeights,
     conv_gru_step,
-    depth_normal_flow_step,
+    refinement_step,
     run_refinement,
-    slz_flow_step,
 )
 from .slz import binarize, connected_components, dilate_unsafe, top_k_candidates
 
@@ -47,7 +46,6 @@ __all__ = [
     "connected_components",
     "conv_gru_step",
     "depth_normal_consistency",
-    "depth_normal_flow_step",
     "dilate_unsafe",
     "evaluate",
     "evaluate_dataset",
@@ -56,11 +54,11 @@ __all__ = [
     "grad_check",
     "normals_from_depth",
     "read_intrinsics",
+    "refinement_step",
     "region_area",
     "run_refinement",
     "sequential_depth_loss",
     "slz_loss",
-    "slz_flow_step",
     "to_canonical",
     "top_k_candidates",
     "virtual_normal_loss",

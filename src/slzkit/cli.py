@@ -67,17 +67,18 @@ def _fill_defaults(args):
         raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
-def _read_depth(path):
+def _read_plane(path, what):
     d = slzio.read_raster(path)
     if d.ndim != 2:
-        raise ShapeMismatchError(f"{path}: depth must be single-channel, got {d.shape[2]} channels")
+        raise ShapeMismatchError(
+            f"{path}: {what} must be single-channel, got {d.shape[2]} channels")
     return d
 
 
 def _read_frame(args):
     """Intrinsics, depth, mask (--mask or binarized --logits) and normals of a frame."""
     intr, _ = camera.read_intrinsics(args.intrinsics)
-    depth = _read_depth(args.depth)
+    depth = _read_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
         mask = slz.binarize(slzio.read_raster(args.logits))
     else:
@@ -201,10 +202,9 @@ def cmd_refine_demo(args):
     # unit confidence, all-safe labels). Demo confidences are identically 1,
     # so a one-step sequential loss is the step's depth L1. They come before
     # the first write, so that a setting they reject leaves --out as it was.
-    side = final.depth.shape[0]
-    gt_depth = np.full((side, side), 2.5)
-    ones = np.ones((side, side))
-    labels = np.zeros((side, side), dtype=np.uint8)
+    gt_depth = np.full(final.depth.shape, 2.5)
+    ones = np.ones(final.depth.shape)
+    labels = np.zeros(final.depth.shape, dtype=np.uint8)
     seq_total = losses.sequential_depth_loss(
         [s.depth for s in states], [ones] * len(states), gt_depth, ones, args.gamma)
     slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=args.gamma)
@@ -244,8 +244,8 @@ def _print_loss(value):
 
 def cmd_loss_vnl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
-    value = losses.virtual_normal_loss(_read_depth(args.pred), _read_depth(args.gt),
-                                       intr, args.samples, args.seed)
+    pred, gt = _read_plane(args.pred, "depth"), _read_plane(args.gt, "depth")
+    value = losses.virtual_normal_loss(pred, gt, intr, args.samples, args.seed)
     _print_loss(value)
     return 0
 
@@ -274,10 +274,10 @@ def _print_grad_check(loss, seqs, grads):
 
 
 def cmd_loss_sequential(args):
-    preds = [_read_depth(p) for p in args.preds]
-    confs = [slzio.read_raster(p) for p in args.confs]
-    gt_d = _read_depth(args.gt_depth)
-    gt_c = slzio.read_raster(args.gt_conf)
+    preds = [_read_plane(p, "depth") for p in args.preds]
+    confs = [_read_plane(p, "confidence") for p in args.confs]
+    gt_d = _read_plane(args.gt_depth, "depth")
+    gt_c = _read_plane(args.gt_conf, "confidence")
     valid = _read_valid(args)
     _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, args.gamma, valid))
     if args.grad_check:
@@ -290,7 +290,7 @@ def cmd_loss_sequential(args):
 
 def cmd_loss_dncl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
-    depth = _read_depth(args.depth)
+    depth = _read_plane(args.depth, "depth")
     normals = slzio.read_raster(args.normals)
     _print_loss(losses.depth_normal_consistency(depth, normals, intr))
     if args.grad_check:

@@ -15,7 +15,3 @@ class ShapeMismatchError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input leaves an operation without a well-defined value (e.g. empty valid set)."""
-
-
-class ProtocolError(RuntimeError):
-    """Refinement steps invoked out of order."""

@@ -1,6 +1,7 @@
 """Dual-flow iterative refinement over a three-scale hidden pyramid.
 
-One iteration runs two residual updates at desk scale, all float32:
+One iteration, `refinement_step`, runs two residual updates in order,
+all float32:
 
 * depth-normal flow: three ConvGRU sub-blocks update hidden features at
   1/4, 1/7 and 1/14 of the base resolution (coarse to fine, with the
@@ -8,8 +9,8 @@ One iteration runs two residual updates at desk scale, all float32:
   state); two projection heads read the 1/4 hidden state and emit depth
   and normal residuals.
 * safe-zone flow: a single ConvGRU with its own 1/4-scale hidden state
-  consumes the *updated* depth/normal plus the current logits and emits
-  a logit residual.
+  consumes the depth/normal the first flow just updated plus the current
+  logits and emits a logit residual.
 
 Everything is deterministic given weights and inputs; keeping the whole
 state in float32 makes save/resume round trips bitwise.
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import io as slzio
-from .errors import ProtocolError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 DN_INPUT_CHANNELS = 4  # depth (1) + normal (3)
 SLZ_INPUT_CHANNELS = 6  # depth (1) + normal (3) + logits (2)
@@ -112,9 +113,8 @@ class RefinementWeights:
 class RefinementState:
     """Hidden pyramid plus current predictions, all at their own scales.
 
-    `depth`, `normal` and `slz` live at 1/4 of the base resolution;
-    `pending_slz` tracks that a depth-normal step awaits its paired
-    safe-zone step before `t` may advance.
+    `depth`, `normal` and `slz` live at 1/4 of the base resolution; `t`
+    counts the completed iterations.
     """
 
     hidden_quarter: np.ndarray
@@ -125,7 +125,6 @@ class RefinementState:
     normal: np.ndarray
     slz: np.ndarray
     t: int = 0
-    pending_slz: bool = False
 
 
 def conv_gru_step(w: ConvGruWeights, h, x):
@@ -152,58 +151,44 @@ def project(head: ProjectionHead, h):
     return conv2d(mid, head.w2, head.b2)
 
 
-def _resize_nearest(x, out_h, out_w):
+def _resize_nearest(x, like):
+    """Nearest-neighbour resize of `x` to the (H, W) of the level `like`."""
     h, w = x.shape[:2]
+    out_h, out_w = like.shape[:2]
     rows = np.arange(out_h) * h // out_h
     cols = np.arange(out_w) * w // out_w
     return x[rows[:, None], cols[None, :]]
 
 
-def depth_normal_flow_step(state: RefinementState, weights: RefinementWeights) -> RefinementState:
-    """Update the hidden pyramid from (D_t, N_t) and apply depth/normal residuals."""
-    if state.pending_slz:
-        raise ProtocolError("slz_flow_step must complete the previous iteration first")
+def refinement_step(state: RefinementState, weights: RefinementWeights) -> RefinementState:
+    """One iteration: the depth-normal flow, then the safe-zone flow on its updated geometry."""
     x_q = np.concatenate([state.depth[..., None], state.normal], axis=-1)
-    h7, w7 = state.hidden_seventh.shape[:2]
-    h14, w14 = state.hidden_fourteenth.shape[:2]
-    h4, w4 = state.hidden_quarter.shape[:2]
-
     new_f = conv_gru_step(weights.gru_fourteenth, state.hidden_fourteenth,
-                          _resize_nearest(x_q, h14, w14))
+                          _resize_nearest(x_q, state.hidden_fourteenth))
     new_s = conv_gru_step(weights.gru_seventh,
-                          state.hidden_seventh + _resize_nearest(new_f, h7, w7),
-                          _resize_nearest(x_q, h7, w7))
+                          state.hidden_seventh + _resize_nearest(new_f, state.hidden_seventh),
+                          _resize_nearest(x_q, state.hidden_seventh))
     new_q = conv_gru_step(weights.gru_quarter,
-                          state.hidden_quarter + _resize_nearest(new_s, h4, w4),
+                          state.hidden_quarter + _resize_nearest(new_s, state.hidden_quarter),
                           x_q)
-    delta_d = project(weights.proj_depth, new_q)[..., 0]
-    delta_n = project(weights.proj_normal, new_q)
+    depth = state.depth + project(weights.proj_depth, new_q)[..., 0]
+    normal = state.normal + project(weights.proj_normal, new_q)
+
+    new_h = conv_gru_step(weights.gru_slz, state.slz_hidden,
+                          np.concatenate([depth[..., None], normal, state.slz], axis=-1))
     return replace(state,
                    hidden_quarter=new_q, hidden_seventh=new_s, hidden_fourteenth=new_f,
-                   depth=state.depth + delta_d, normal=state.normal + delta_n,
-                   pending_slz=True)
-
-
-def slz_flow_step(state: RefinementState, weights: RefinementWeights) -> RefinementState:
-    """Update the safe-zone hidden state from the refreshed geometry and apply the logit residual."""
-    if not state.pending_slz:
-        raise ProtocolError("depth_normal_flow_step must run before slz_flow_step")
-    x = np.concatenate([state.depth[..., None], state.normal, state.slz], axis=-1)
-    new_h = conv_gru_step(weights.gru_slz, state.slz_hidden, x)
-    delta = project(weights.proj_slz, new_h)
-    return replace(state, slz_hidden=new_h, slz=state.slz + delta,
-                   t=state.t + 1, pending_slz=False)
+                   slz_hidden=new_h, depth=depth, normal=normal,
+                   slz=state.slz + project(weights.proj_slz, new_h), t=state.t + 1)
 
 
 def run_refinement(init: RefinementState, weights: RefinementWeights, steps: int):
-    """Run `steps` paired flow updates; returns all states t = t0 .. t0+steps."""
+    """Run `steps` iterations of `refinement_step`; returns all states t = t0 .. t0+steps."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     states = [init]
-    state = init
     for _ in range(steps):
-        state = slz_flow_step(depth_normal_flow_step(state, weights), weights)
-        states.append(state)
+        states.append(refinement_step(states[-1], weights))
     return states
 
 
@@ -377,8 +362,6 @@ def load_weights(dirpath) -> RefinementWeights:
 
 def save_state(state: RefinementState, dirpath):
     """Persist a refinement state (float32, bitwise) for later resumption."""
-    if state.pending_slz:
-        raise ProtocolError("cannot save a state mid-iteration")
     _save_dir(dirpath, {name: getattr(state, name) for name in _STATE_ENTRIES}, {"t": state.t})
 
 

@@ -169,8 +169,7 @@ def test_c05_refinement_invariants():
         wh=np.zeros((3, 3, 4, 2), np.float32), bh=np.zeros(2, np.float32))
     assert np.array_equal(refinement.conv_gru_step(closed, hidden, x_in), hidden)
 
-    stepped = refinement.slz_flow_step(refinement.depth_normal_flow_step(state, weights),
-                                       weights)
+    stepped = refinement.refinement_step(state, weights)
     ref_d, ref_n, ref_s = oracles.refinement_iteration_ref(state, weights)
     assert np.abs(stepped.depth - ref_d).max() <= 1e-5
     assert np.abs(stepped.normal - ref_n).max() <= 1e-5

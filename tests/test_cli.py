@@ -387,6 +387,26 @@ def test_refine_demo_resume_of_a_state_with_another_channel_count_exits_2(capsys
     assert not (tmp_path / "c").exists()
 
 
+def test_refine_demo_resume_of_a_non_square_state(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+
+    def u(*shape):
+        return rng.uniform(-0.1, 0.1, shape).astype(np.float32)
+
+    state = refinement.RefinementState(
+        hidden_quarter=u(14, 21, 4), hidden_seventh=u(8, 12, 4), hidden_fourteenth=u(4, 6, 4),
+        slz_hidden=u(14, 21, 4), depth=u(14, 21) + np.float32(2.5), normal=u(14, 21, 3),
+        slz=u(14, 21, 2))
+    refinement.save_state(state, tmp_path / "a" / "state")
+    refinement.save_weights(refinement.init_weights(4), tmp_path / "a" / "weights")
+    code, out, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "b"),
+                           "--resume", str(tmp_path / "a"), "--T", "2")
+    assert (code, out) == (0, "")
+    table = parse_csv((tmp_path / "b" / "losses.csv").read_text())
+    assert [row[0] for row in table] == ["t", "0", "1", "2", "sequential_total", "slz_total"]
+    assert sio.read_raster(tmp_path / "b" / "depth_t2.f32r").shape == (14, 21)
+
+
 @pytest.mark.parametrize("entry,line", [("state", "t=-3"), ("weights", "hidden_channels=0")])
 def test_refine_demo_resume_of_a_meta_value_out_of_range_exits_2(capsys, tmp_path, finished_run,
                                                                   entry, line):
@@ -572,6 +592,29 @@ def test_loss_numeric_degeneracy_exits_4(capsys, tmp_path):
                          "--intrinsics", str(tmp_path / "intr.txt"),
                          "--samples", "4", "--seed", "0")
     assert code == 4
+
+
+@pytest.mark.parametrize("flag", ["--confs", "--gt-conf"])
+def test_loss_sequential_multi_channel_confidence_exits_3(capsys, tmp_path, flag):
+    argv = _loss_argvs(tmp_path)["sequential"]
+    stack = tmp_path / "c3.f32r"
+    sio.write_raster(np.full((3, 12, 12), 0.5, dtype=np.float32), stack)
+    argv[argv.index(flag) + 1] = str(stack)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {stack}: confidence must be single-channel, got 12 channels\n"
+
+
+def test_every_slzkit_exception_maps_to_an_exit_code():
+    """main handles ValueError, OSError and MemoryError; any other exception is a traceback."""
+    from slzkit import errors
+
+    defined = [cls for mod in (errors, sio) for cls in vars(mod).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == mod.__name__]
+    assert defined
+    for cls in defined:
+        assert issubclass(cls, (ValueError, OSError, MemoryError)), cls.__name__
 
 
 def test_synth_command_round_trip(capsys, tmp_path):

@@ -6,10 +6,10 @@ PUBLIC = [
     "AreaReport", "CameraIntrinsics", "CanonicalSpec", "ClassWeights", "LossWeights",
     "MetricsReport", "RefinementState", "RefinementWeights", "binarize",
     "canonical_scale", "confusion", "connected_components", "conv_gru_step",
-    "depth_normal_consistency", "depth_normal_flow_step", "dilate_unsafe", "evaluate",
-    "evaluate_dataset", "fine_tune_loss", "from_canonical", "grad_check", "normals_from_depth",
-    "read_intrinsics", "region_area", "run_refinement", "sequential_depth_loss", "slz_flow_step",
-    "slz_loss", "to_canonical", "top_k_candidates", "virtual_normal_loss",
+    "depth_normal_consistency", "dilate_unsafe", "evaluate", "evaluate_dataset",
+    "fine_tune_loss", "from_canonical", "grad_check", "normals_from_depth", "read_intrinsics",
+    "refinement_step", "region_area", "run_refinement", "sequential_depth_loss", "slz_loss",
+    "to_canonical", "top_k_candidates", "virtual_normal_loss",
 ]
 
 

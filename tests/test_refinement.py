@@ -7,22 +7,21 @@ import pytest
 
 import oracles
 from slzkit import io as sio
-from slzkit.errors import ProtocolError, ShapeMismatchError
+from slzkit.errors import ShapeMismatchError
 from slzkit.losses import sequential_depth_loss, slz_loss
 from slzkit.refinement import (
     ConvGruWeights,
     conv2d,
     conv_gru_step,
     demo_state,
-    depth_normal_flow_step,
     init_weights,
     load_state,
     load_weights,
+    refinement_step,
     run_refinement,
     save_state,
     save_weights,
     sigmoid,
-    slz_flow_step,
     zero_projection_heads,
 )
 
@@ -149,7 +148,7 @@ def test_conv_gru_shape_errors():
 def test_zeroed_projection_heads_fix_predictions():
     weights = zero_projection_heads(init_weights(hidden_channels=8, seed=5))
     state = demo_state(base=56, hidden_channels=8, seed=5)
-    step = slz_flow_step(depth_normal_flow_step(state, weights), weights)
+    step = refinement_step(state, weights)
     assert np.array_equal(step.depth, state.depth)
     assert np.array_equal(step.normal, state.normal)
     assert np.array_equal(step.slz, state.slz)
@@ -161,7 +160,7 @@ def test_shape_preservation():
     for base in (28, 56, 84):
         weights = init_weights(hidden_channels=4, seed=6)
         state = demo_state(base=base, hidden_channels=4, seed=6)
-        out = slz_flow_step(depth_normal_flow_step(state, weights), weights)
+        out = refinement_step(state, weights)
         q = base // 4
         assert out.depth.shape == (q, q)
         assert out.normal.shape == (q, q, 3)
@@ -174,7 +173,7 @@ def test_shape_preservation():
 def test_full_iteration_matches_independent_recomputation():
     weights = init_weights(hidden_channels=8, seed=7)
     state = demo_state(base=56, hidden_channels=8, seed=7)
-    stepped = slz_flow_step(depth_normal_flow_step(state, weights), weights)
+    stepped = refinement_step(state, weights)
     ref_depth, ref_normal, ref_slz = oracles.refinement_iteration_ref(state, weights)
     assert np.abs(stepped.depth - ref_depth).max() <= 1e-5
     assert np.abs(stepped.normal - ref_normal).max() <= 1e-5
@@ -184,22 +183,10 @@ def test_full_iteration_matches_independent_recomputation():
 def test_slz_hidden_depends_on_updated_depth():
     weights = init_weights(hidden_channels=8, seed=8)
     state = demo_state(base=56, hidden_channels=8, seed=8)
-    mid = depth_normal_flow_step(state, weights)
-    out = slz_flow_step(mid, weights)
-    from dataclasses import replace
-    perturbed = replace(mid, depth=mid.depth + np.float32(0.25))
-    out2 = slz_flow_step(perturbed, weights)
-    assert not np.array_equal(out.slz_hidden, out2.slz_hidden)
-
-
-def test_step_ordering_protocol():
-    weights = init_weights(hidden_channels=4, seed=9)
-    state = demo_state(base=28, hidden_channels=4, seed=9)
-    with pytest.raises(ProtocolError):
-        slz_flow_step(state, weights)
-    mid = depth_normal_flow_step(state, weights)
-    with pytest.raises(ProtocolError):
-        depth_normal_flow_step(mid, weights)
+    out = refinement_step(state, weights)
+    x = np.concatenate([out.depth[..., None], out.normal, state.slz], axis=-1)
+    assert not np.array_equal(out.depth, state.depth)
+    assert np.array_equal(out.slz_hidden, conv_gru_step(weights.gru_slz, state.slz_hidden, x))
 
 
 def test_run_refinement_lengths_and_t():
@@ -396,13 +383,6 @@ def test_state_round_trip_single_hidden_channel(tmp_path):
     assert back.hidden_quarter.shape == state.hidden_quarter.shape
     assert np.array_equal(run_refinement(back, weights, 1)[-1].slz,
                           run_refinement(state, weights, 1)[-1].slz)
-
-
-def test_pending_state_cannot_be_saved(tmp_path):
-    weights = init_weights(hidden_channels=4, seed=18)
-    mid = depth_normal_flow_step(demo_state(28, 4, seed=18), weights)
-    with pytest.raises(ProtocolError):
-        save_state(mid, tmp_path / "st")
 
 
 @pytest.mark.parametrize("hidden", [0, -2])
