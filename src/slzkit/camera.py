@@ -68,14 +68,12 @@ def canonical_scale(intr: CameraIntrinsics, spec: CanonicalSpec) -> float:
 
 
 def _rescale(depth, op, s):
-    """``op(depth, s)`` on the valid pixels of a float copy of ``depth``."""
+    """A new float raster: ``op(depth, s)`` on the valid pixels of ``depth``,
+    the pixel as it is elsewhere."""
     depth = np.asarray(depth)
     if not np.issubdtype(depth.dtype, np.floating):
         depth = depth.astype(np.float64)
-    valid = valid_depth_mask(depth)
-    out = depth.copy()
-    out[valid] = op(depth[valid], s)
-    return out
+    return np.where(valid_depth_mask(depth), op(depth, s), depth)
 
 
 def to_canonical(depth, intr: CameraIntrinsics, spec: CanonicalSpec):

@@ -67,11 +67,14 @@ def _fill_defaults(args):
         raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
-def _read_plane(path, what):
+def _read_plane(path, what, channels=1):
+    """An F32R raster of `channels` channels: (H, W) for one, else (H, W, channels)."""
     d = slzio.read_raster(path)
-    if d.ndim != 2:
+    got = d.shape[2] if d.ndim == 3 else 1
+    if got != channels:
+        kind = "single" if channels == 1 else channels
         raise ShapeMismatchError(
-            f"{path}: {what} must be single-channel, got {d.shape[2]} channels")
+            f"{path}: {what} must be {kind}-channel, got {got} channel{'s' * (got > 1)}")
     return d
 
 
@@ -80,17 +83,14 @@ def _read_frame(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
-        mask = slz.binarize(slzio.read_raster(args.logits))
+        mask = slz.binarize(_read_plane(args.logits, "logits", 2))
     else:
         mask = slzio.read_mask(args.mask)
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
     if args.derive_normals:
         return intr, depth, mask, geometry.normals_from_depth(depth, intr)
-    n = slzio.read_raster(args.normals)
-    if n.ndim != 3 or n.shape[2] != 3:
-        raise ShapeMismatchError(f"{args.normals}: normals must be 3-channel, got shape {n.shape}")
-    return intr, depth, mask, n
+    return intr, depth, mask, _read_plane(args.normals, "normals", 3)
 
 
 def _csv_out(rows):
@@ -291,7 +291,7 @@ def cmd_loss_sequential(args):
 def cmd_loss_dncl(args):
     intr, _ = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
-    normals = slzio.read_raster(args.normals)
+    normals = _read_plane(args.normals, "normals", 3)
     _print_loss(losses.depth_normal_consistency(depth, normals, intr))
     if args.grad_check:
         _, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
@@ -301,7 +301,7 @@ def cmd_loss_dncl(args):
 
 
 def cmd_loss_slz(args):
-    logit_seq = [slzio.read_raster(p) for p in args.logits]
+    logit_seq = [_read_plane(p, "logits", 2) for p in args.logits]
     labels = slzio.read_mask(args.labels)
     cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)

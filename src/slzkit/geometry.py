@@ -114,17 +114,18 @@ def _normal_planes(depth, intr: CameraIntrinsics):
                    np.arange(d.shape[-2], dtype=np.float64)[:, None], intr) + (1.0,)
     # Each plane of tu x tv comes from the tangents of the other two
     # components. Those of x are computed twice, so that at most four tangent
-    # planes are alive at once.
-    ux, vx = _tangents(d, rays[0])
-    uy, vy = _tangents(d, rays[1])
-    cz = _cross_plane(ux, vy, uy, vx)
-    del ux, vx
-    uz, vz = _tangents(d, rays[2])
-    cx = _cross_plane(uy, vz, uz, vy)
-    del uy, vy
-    ux, vx = _tangents(d, rays[0])
-    cy = _cross_plane(uz, vx, ux, vz)
-    del ux, vx, uz, vz
+    # planes are alive at once. An infinite depth makes NaN there, as NaN does.
+    with np.errstate(invalid="ignore"):
+        ux, vx = _tangents(d, rays[0])
+        uy, vy = _tangents(d, rays[1])
+        cz = _cross_plane(ux, vy, uy, vx)
+        del ux, vx
+        uz, vz = _tangents(d, rays[2])
+        cx = _cross_plane(uy, vz, uz, vy)
+        del uy, vy
+        ux, vx = _tangents(d, rays[0])
+        cy = _cross_plane(uz, vx, ux, vz)
+        del ux, vx, uz, vz
     # summed left to right, as np.linalg.norm reduces a last axis of 3
     norm = cx * cx
     norm += cy * cy
@@ -146,15 +147,17 @@ def _normal_planes(depth, intr: CameraIntrinsics):
 
 def _cross_to_depth(depth, f: _NormalPlanes, g_cross, m):
     """Gradient w.r.t. the depth raster of a loss whose gradient w.r.t. the
-    planes of ``f.cross`` is ``g_cross``, zero outside the pixel mask m.
+    planes of ``f.cross`` is ``g_cross`` on the pixel mask m.
 
-    Chains through the cross product, the difference stencils and the rays
-    (point = depth * ray). A pixel outside m adds exactly 0, also where its
-    tangents are not finite.
+    ``g_cross`` may hold any value outside m: this is the one place that
+    applies the mask. Chains through the cross product, the difference
+    stencils and the rays (point = depth * ray). A pixel outside m adds
+    exactly 0, also where its tangents or ``g_cross`` are not finite.
     """
-    tu, tv = zip(*(_tangents(np.asarray(depth), ray) for ray in f.rays))
-    g_tu = [np.where(m, g, 0.0) for g in _cross(tv, g_cross)]
-    g_tv = [np.where(m, g, 0.0) for g in _cross(g_cross, tu)]
+    with np.errstate(invalid="ignore"):
+        tu, tv = zip(*(_tangents(np.asarray(depth), ray) for ray in f.rays))
+        g_tu = [np.where(m, g, 0.0) for g in _cross(tv, g_cross)]
+        g_tv = [np.where(m, g, 0.0) for g in _cross(g_cross, tu)]
     # per point component, the u stencil's adjoint and then the v stencil's
     # add into one zero plane
     g_p = [_difference_adjoint(gv, 0, _difference_adjoint(gu, 1, np.zeros(m.shape)))

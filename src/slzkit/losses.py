@@ -229,12 +229,8 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
         rd = np.subtract(dp, dg, dtype=np.float64)
         rc = np.subtract(cp, cg, dtype=np.float64)
         if need_grad:
-            gd = np.zeros(dg.shape)
-            gc = np.zeros(dg.shape)
-            gd[v] = decay * np.sign(rd[v]) / n
-            gc[v] = decay * np.sign(rc[v]) / n
-            grads_d.append(gd)
-            grads_c.append(gc)
+            grads_d.append(np.where(v, decay * np.sign(rd) / n, 0.0))
+            grads_c.append(np.where(v, decay * np.sign(rc) / n, 0.0))
         total += decay * (_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
     return _value(total), grads_d, grads_c
 
@@ -289,21 +285,17 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         loss = np.array([_mean(row, k) for row, k in zip(dot, kept)])
     if not need_grad:
         return loss, None
-    count = int(counts[0])
 
-    # d loss / d cross at the masked pixels.
-    c = [p[m] for p in f.cross]
-    target = [n_in[..., k][m].astype(np.float64) for k in range(3)]
-    nn = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
-    q = cn / nn**3
-    # the orientation sign of each normal is that of its scale
-    a = np.copysign(1.0, f.scale[m]) * (-1.0 / count)
-    g_c = []
-    for ck, tk in zip(c, target):
-        plane = np.zeros(m.shape)
-        plane[m] = (tk / nn - ck * q) * a
-        g_c.append(plane)
+    # d loss / d cross on the whole planes; _cross_to_depth keeps the pixels in m
+    c = f.cross
+    target = [n_in[..., k].astype(np.float64) for k in range(3)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nn = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+        cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
+        q = cn / nn**3
+        # the orientation sign of each normal is that of its scale
+        a = np.copysign(1.0, f.scale) * (-1.0 / counts[0])
+        g_c = [(tk / nn - ck * q) * a for ck, tk in zip(c, target)]
     return loss, _cross_to_depth(d_pred, f, g_c, m)
 
 

@@ -81,12 +81,8 @@ def confusion(pred, gt):
 
 
 def _ratio(num, den):
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    out = np.full(num.shape, np.nan)
-    nz = den > 0
-    out[nz] = num[nz] / den[nz]
-    return out
+    """num / den of float64 arrays where den > 0, NaN elsewhere."""
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
 
 
 def evaluate(cm) -> MetricsReport:

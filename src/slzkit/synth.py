@@ -78,10 +78,7 @@ def plane_depth(height, width, intr: CameraIntrinsics, a, b, c):
     """Pinhole depth raster of the plane Z = a X + b Y + c; 0 beyond the horizon."""
     xs, ys = _ray_xy(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64), intr)
     g = 1.0 - a * xs[None, :] - b * ys[:, None]
-    depth = np.zeros((height, width), dtype=np.float64)
-    vis = g > 0
-    depth[vis] = c / g[vis]
-    return depth
+    return np.divide(c, g, out=np.zeros_like(g), where=g > 0)
 
 
 def plane_unit_normal(a, b):

@@ -7,7 +7,8 @@ compare two independent routes to the same value.
 The loss references at the end are earlier package implementations kept
 verbatim: the (H, W, 3) normal pipeline with the depth-normal consistency
 value and gradient, the one-triplet-per-iteration VNL sampler, the slz
-and sequential loss values, and the one-element-at-a-time gradient check.
+and sequential loss values and their gradients in gather-and-scatter form,
+and the one-element-at-a-time gradient check.
 The package computes the same arithmetic in another layout, so the tests
 compare the two bit for bit.
 """
@@ -349,6 +350,27 @@ def slz_loss_ref(logit_seq, labels, w_safe=2.0, w_unsafe=1.0, gamma=0.9, valid=N
     return float(total)
 
 
+def slz_grad_ref(logit_seq, labels, w_safe=2.0, w_unsafe=1.0, gamma=0.9, valid=None):
+    """Gradient of slz_loss_ref w.r.t. each step's logits, gathered at the
+    valid pixels and scattered into zero rasters."""
+    lab = np.asarray(labels)
+    v = np.ones(lab.shape, bool) if valid is None else np.asarray(valid) != 0
+    n = int(v.sum())
+    T = len(logit_seq) - 1
+    w = np.where(lab == 0, w_safe, w_unsafe)[v]
+    onehot = np.stack([lab == 0, lab != 0], axis=-1)[v]
+    grads = []
+    for t, logits in enumerate(logit_seq):
+        z = np.asarray(logits, dtype=np.float64)[v]
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        g = np.zeros(lab.shape + (2,))
+        g[v] = (gamma ** (T - t) / n) * w[:, None] * (p - onehot)
+        grads.append(g)
+    return grads
+
+
 def sequential_loss_ref(d_preds, conf_preds, d_gt, c_gt, gamma, valid=None):
     """Decayed depth + confidence L1 over the valid pixels, T = len - 1."""
     dg = np.asarray(d_gt, dtype=np.float64)
@@ -361,6 +383,23 @@ def sequential_loss_ref(d_preds, conf_preds, d_gt, c_gt, gamma, valid=None):
         rc = np.asarray(conf_preds[t], dtype=np.float64) - cg
         total += gamma ** (T - t) * (np.abs(rd[v]).mean() + np.abs(rc[v]).mean())
     return float(total)
+
+
+def sequential_grad_ref(d_preds, conf_preds, d_gt, c_gt, gamma, valid=None):
+    """Gradients of sequential_loss_ref w.r.t. each step's depth and
+    confidence, gathered at the valid pixels and scattered into zero rasters."""
+    dg = np.asarray(d_gt, dtype=np.float64)
+    cg = np.asarray(c_gt, dtype=np.float64)
+    v = np.ones(dg.shape, bool) if valid is None else np.asarray(valid) != 0
+    n = int(v.sum())
+    T = len(d_preds) - 1
+    grads_d, grads_c = [], []
+    for t in range(T + 1):
+        for pred, gt, grads in ((d_preds[t], dg, grads_d), (conf_preds[t], cg, grads_c)):
+            g = np.zeros(dg.shape)
+            g[v] = gamma ** (T - t) * np.sign(np.asarray(pred, dtype=np.float64)[v] - gt[v]) / n
+            grads.append(g)
+    return grads_d, grads_c
 
 
 def grad_check_ref(f, x, analytic_grad, eps=1e-5):

@@ -104,7 +104,11 @@ def test_slz_value_matches_softmax_reference(seed):
     cw = ClassWeights(2.0, 1.0)
     want = oracles.slz_loss_ref(seq, labels, cw.w_safe, cw.w_unsafe, 0.9, valid)
     assert same_bits(slz_loss(seq, labels, cw, 0.9, valid), want)
-    assert same_bits(slz_loss_grad(seq, labels, cw, 0.9, valid)[0], want)
+    loss, grads = slz_loss_grad(seq, labels, cw, 0.9, valid)
+    assert same_bits(loss, want)
+    want_grads = oracles.slz_grad_ref(seq, labels, cw.w_safe, cw.w_unsafe, 0.9, valid)
+    assert len(grads) == len(want_grads)
+    assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -119,7 +123,11 @@ def test_sequential_value_matches_gather_reference(seed):
     gamma = 0.8
     want = oracles.sequential_loss_ref(preds, confs, gt, cgt, gamma, valid)
     assert same_bits(sequential_depth_loss(preds, confs, gt, cgt, gamma, valid), want)
-    assert same_bits(sequential_depth_loss_grad(preds, confs, gt, cgt, gamma, valid)[0], want)
+    loss, grads_d, grads_c = sequential_depth_loss_grad(preds, confs, gt, cgt, gamma, valid)
+    assert same_bits(loss, want)
+    want_d, want_c = oracles.sequential_grad_ref(preds, confs, gt, cgt, gamma, valid)
+    assert len(grads_d) == len(grads_c) == steps
+    assert all(same_bits(g, w) for g, w in zip(grads_d + grads_c, want_d + want_c))
 
 
 # --- a stack of prediction rasters: each row as the raster alone ---------------

@@ -605,6 +605,29 @@ def test_loss_sequential_multi_channel_confidence_exits_3(capsys, tmp_path, flag
     assert err == f"error: {stack}: confidence must be single-channel, got 12 channels\n"
 
 
+@pytest.mark.parametrize("argv,flag,channels,message", [
+    ("area --mask lab.pgm --normals n.f32r", "--normals", 1,
+     "normals must be 3-channel, got 1 channel"),
+    ("candidates --logits z.f32r --normals n.f32r", "--logits", 3,
+     "logits must be 2-channel, got 3 channels"),
+    ("loss dncl --normals n.f32r", "--normals", 1, "normals must be 3-channel, got 1 channel"),
+    ("loss slz --logits z.f32r --labels lab.pgm", "--logits", 3,
+     "logits must be 2-channel, got 3 channels"),
+])
+def test_a_raster_with_the_wrong_channel_count_exits_3_naming_its_file(
+        capsys, tmp_path, argv, flag, channels, message):
+    _loss_argvs(tmp_path)  # writes the 12x12 fixtures
+    argv = [str(tmp_path / a) if a.endswith((".f32r", ".pgm")) else a for a in argv.split()]
+    if argv[0] != "loss" or argv[1] == "dncl":
+        argv += ["--depth", str(tmp_path / "d.f32r"), "--intrinsics", str(tmp_path / "intr.txt")]
+    bad = tmp_path / "bad.f32r"
+    sio.write_raster(np.zeros((12, 12, channels), dtype=np.float32), bad)
+    argv[argv.index(flag) + 1] = str(bad)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {bad}: {message}\n"
+
+
 def test_every_slzkit_exception_maps_to_an_exit_code():
     """main handles ValueError, OSError and MemoryError; any other exception is a traceback."""
     from slzkit import errors
@@ -764,6 +787,34 @@ def test_grad_check_of_a_nan_depth_hole_exits_0(capsys, tmp_path):
                              "--intrinsics", str(tmp_path / "intr.txt"), "--grad-check")
     assert code == 0, err
     assert out.startswith("loss=") and "grad_check_max_rel_err=" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "area --derive-normals --mask mask.pgm",
+    "candidates --derive-normals --logits z.f32r",
+    "loss dncl --normals n.f32r",
+    "loss dncl --normals n.f32r --grad-check",
+])
+def test_an_infinite_depth_pixel_runs_as_a_nan_one(capsys, tmp_path, argv):
+    """Both are invalid depth: the same stdout, and no numpy warning on stderr."""
+    write_intrinsics(tmp_path / "intr.txt", CameraIntrinsics(100, 110, 11.5, 12.0))
+    depth = np.add.outer(np.linspace(4.0, 5.0, 24), np.linspace(0.0, 0.3, 24)).astype(np.float32)
+    normals = np.zeros((24, 24, 3), dtype=np.float32)
+    normals[..., 2] = -1.0
+    logits = np.zeros((24, 24, 2), dtype=np.float32)
+    logits[..., 0] = 4.0
+    sio.write_raster(normals, tmp_path / "n.f32r")
+    sio.write_raster(logits, tmp_path / "z.f32r")
+    sio.write_mask(np.zeros((24, 24), np.uint8), tmp_path / "mask.pgm")
+    argv = [str(tmp_path / a) if "." in a else a for a in argv.split()]
+    argv += ["--depth", str(tmp_path / "d.f32r"), "--intrinsics", str(tmp_path / "intr.txt")]
+    runs = []
+    for hole in (np.nan, np.inf):
+        depth[10, 10] = hole
+        sio.write_raster(depth, tmp_path / "d.f32r")
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1] == runs[0]
 
 
 def test_config_unknown_key_exits_2(capsys, tmp_path):
