@@ -1,4 +1,4 @@
-"""Pinhole intrinsics and canonical/real depth-space transforms.
+"""Pinhole intrinsics, their text files, and canonical/real depth-space transforms.
 
 Coordinate conventions (OpenCV style): the camera looks along +Z,
 u grows to the right, v grows downward, (cx, cy) is the principal point
@@ -7,12 +7,16 @@ in pixels. Depth values are metric distances along the optical axis.
 A depth value d is *valid* when it is finite and strictly positive;
 anything else is treated as an invalid-pixel sentinel and passed through
 transforms untouched.
+
+An intrinsics file gives the four fields of :class:`CameraIntrinsics`
+and nothing else. The canonical focal length is no part of it: the
+canonical transforms take a :class:`CanonicalSpec` from their caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -91,24 +95,20 @@ def from_canonical(depth_c, intr: CameraIntrinsics, spec: CanonicalSpec):
 
 
 def read_intrinsics(path):
-    """Parse a plain-text intrinsics file.
+    """Parse a plain-text intrinsics file into a :class:`CameraIntrinsics`.
 
-    One ``key=value`` per line with keys fx, fy, cx, cy and optional f_c;
-    ``#`` starts a comment. Returns ``(CameraIntrinsics, f_c or None)``.
+    One ``key=value`` per line, one for each field of the dataclass (fx,
+    fy, cx, cy) and every one required; ``#`` starts a comment, and any
+    other key is an error.
     """
-    values = read_key_values(path, {"fx": float, "fy": float, "cx": float, "cy": float,
-                                    "f_c": lambda text: CanonicalSpec(float(text)).f_c},
-                             ("fx", "fy", "cx", "cy"))
+    names = [f.name for f in fields(CameraIntrinsics)]
+    values = read_key_values(path, dict.fromkeys(names, float), names)
     try:
-        intr = CameraIntrinsics(values["fx"], values["fy"], values["cx"], values["cy"])
+        return CameraIntrinsics(**values)
     except InvalidIntrinsicsError as exc:
         raise InvalidIntrinsicsError(f"{path}: {exc}") from None
-    return intr, values.get("f_c")
 
 
-def write_intrinsics(path, intr: CameraIntrinsics, f_c=None):
+def write_intrinsics(path, intr: CameraIntrinsics):
     """Write an intrinsics file readable by :func:`read_intrinsics`."""
-    values = asdict(intr)
-    if f_c is not None:
-        values["f_c"] = float(f_c)
-    write_key_values(path, values)
+    write_key_values(path, asdict(intr))

@@ -80,7 +80,7 @@ def _read_plane(path, what, channels=1):
 
 def _read_frame(args):
     """Intrinsics, depth, mask (--mask or binarized --logits) and normals of a frame."""
-    intr, _ = camera.read_intrinsics(args.intrinsics)
+    intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
         mask = slz.binarize(_read_plane(args.logits, "logits", 2))
@@ -243,7 +243,7 @@ def _print_loss(value):
 
 
 def cmd_loss_vnl(args):
-    intr, _ = camera.read_intrinsics(args.intrinsics)
+    intr = camera.read_intrinsics(args.intrinsics)
     pred, gt = _read_plane(args.pred, "depth"), _read_plane(args.gt, "depth")
     value = losses.virtual_normal_loss(pred, gt, intr, args.samples, args.seed)
     _print_loss(value)
@@ -289,7 +289,7 @@ def cmd_loss_sequential(args):
 
 
 def cmd_loss_dncl(args):
-    intr, _ = camera.read_intrinsics(args.intrinsics)
+    intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     normals = _read_plane(args.normals, "normals", 3)
     _print_loss(losses.depth_normal_consistency(depth, normals, intr))

@@ -346,11 +346,9 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         np.exp(e1, out=e1)
         np.add(e0, e1, out=s)
         if need_grad:
-            p = np.stack([e0 / s, e1 / s], axis=-1)
-            onehot = np.stack([safe, ~safe], axis=-1)
-            g = (decay / n) * w[..., None] * (p - onehot)
-            g[~v] = 0.0
-            grads.append(g)
+            # d loss / d z_c = (decay / n) w (p_c - [c is the label]) on the valid pixels
+            grads.append(np.stack([np.where(v, (decay / n) * w * (e / s - c), 0.0)
+                                   for e, c in ((e0, safe), (e1, ~safe))], axis=-1))
         # w * log(max(p_true, floor)) per pixel, into e0; the loss is minus its mean
         np.copyto(e0, e1, where=~safe)
         e0 /= s

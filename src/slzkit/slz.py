@@ -8,6 +8,7 @@ landing surfaces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,16 +166,28 @@ def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
     return np.argsort(-stats.area, kind="stable")[:k], stats
 
 
+def _check_radius(radius, name="radius"):
+    """`radius` as an int, checked to be a whole number >= 0: a fractional
+    radius would round to another element without saying so."""
+    try:
+        r = operator.index(radius)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {radius}") from None
+    if r < 0:
+        raise ValueError(f"{name} must be >= 0, got {r}")
+    return r
+
+
 def dilate_unsafe(mask, radius):
-    """Grow the unsafe set by a square (Chebyshev) element of radius `radius`."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    """Grow the unsafe set by a square (Chebyshev) element of radius `radius`,
+    a whole number of pixels."""
+    radius = _check_radius(radius)
     m = _check_mask(mask).astype(np.uint8)
     # the square element is separable: a running max along each axis in turn,
     # over windows padded with SAFE (0)
     for axis in (0, 1):
         # a radius past the axis length covers it all; the cap bounds the padding
-        r = min(int(radius), m.shape[axis])
+        r = min(radius, m.shape[axis])
         pad = [(0, 0), (0, 0)]
         pad[axis] = (r, r)
         win = sliding_window_view(np.pad(m, pad), 2 * r + 1, axis=axis)

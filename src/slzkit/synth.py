@@ -23,7 +23,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .geometry import _ray_xy
 from .io import read_sections
-from .slz import SAFE, UNSAFE, dilate_unsafe
+from .slz import SAFE, UNSAFE, _check_radius, dilate_unsafe
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class Scene:
         a, b, c = self.plane
         if not all(math.isfinite(v) for v in (a, b, c)) or c <= 0:
             raise ValueError(f"plane needs finite a, b and c > 0, got {self.plane}")
-        if self.buffer_radius < 0:
-            raise ValueError(f"buffer radius must be >= 0, got {self.buffer_radius}")
+        _check_radius(self.buffer_radius, "buffer radius")
         for box in self.boxes:
             if box.u1 >= self.width or box.v1 >= self.height:
                 raise ValueError(f"box {box} exceeds the {self.width}x{self.height} frame")

@@ -673,10 +673,17 @@ def test_synth_depth_past_the_float32_range_exits_2_writing_no_raster(capsys, tm
     assert not list(out.iterdir())
 
 
-@pytest.mark.skipif(shutil.which("slzkit") is None, reason="console script not installed")
 def test_console_script_smoke():
-    proc = subprocess.run(["slzkit", "loss", "combined", "--vnl", "1", "--seq", "1",
-                           "--dncl", "1"], capture_output=True, text=True)
+    # the [project.scripts] entry, run as the wrapper an install generates runs it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; 3.10 is still supported
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        module, func = tomllib.load(fh)["project"]["scripts"]["slzkit"].split(":")
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", wrapper, "loss", "combined", "--vnl", "1",
+                           "--seq", "1", "--dncl", "1"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "loss=0.71"
 
@@ -818,7 +825,7 @@ def test_an_infinite_depth_pixel_runs_as_a_nan_one(capsys, tmp_path, argv):
 
 
 def test_config_unknown_key_exits_2(capsys, tmp_path):
-    # f_c belongs in intrinsics files; no command reads it from a config
+    # no command reads a canonical focal length, from a config or an intrinsics file
     for text, line, key in (("# weights\nlambda1=0.3\nlamda1=5\n", 3, "lamda1"),
                             ("gamma=0.9\nf_c=1000\n", 2, "f_c")):
         (tmp_path / "cfg.txt").write_text(text)
@@ -843,12 +850,13 @@ def test_config_malformed_line_exits_2(capsys, tmp_path, text, line):
     assert f"cfg.txt:{line}:" in err
 
 
-def test_intrinsics_bad_fc_exits_2(capsys, flat_scene):
-    (flat_scene / "intr.txt").write_text("fx=100\nfy=100\ncx=31.5\ncy=31.5\nf_c=-5\n")
+def test_intrinsics_f_c_is_an_unknown_key_exits_2(capsys, flat_scene):
+    # a canonical focal length was read, checked and then ignored by every command
+    (flat_scene / "intr.txt").write_text("fx=100\nfy=100\ncx=31.5\ncy=31.5\nf_c=1000\n")
     code, out, err = run_cli(capsys, *_area_argv(flat_scene))
     assert code == 2
     assert out == ""
-    assert "intr.txt:5: bad value for f_c: f_c must be finite and > 0" in err
+    assert f"{flat_scene / 'intr.txt'}:5: unknown key 'f_c'\n" in err
 
 
 @pytest.mark.parametrize("section,line", [("scene", "zoom=7"), ("plane", "bogus=1"),

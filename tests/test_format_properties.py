@@ -102,7 +102,7 @@ def _pgm_bytes():
     return b"P5\n# comment\n3 2\n255\n" + bytes([0, 255, 127, 128, 0, 0])
 
 
-INTRINSICS = b"fx=100.0\nfy=110.0  # focal\ncx=1.5\ncy=2.5\nf_c=1000\n"
+INTRINSICS = b"fx=100.0\nfy=110.0  # focal\ncx=1.5\ncy=2.5\n"
 SCENE = (b"[scene]\nwidth=8\nheight=6\nfx=10\nfy=10\ncx=4\ncy=3\nbuffer=1\n"
          b"[plane]\na=0.1\nb=-0.2\nc=5\n[box]\nu0=1\nv0=1\nu1=2\nv1=2\nheight=0.5\n")
 

@@ -1,4 +1,4 @@
-"""Peak memory of the frame-sized CLI calls, in float64 (H, W) planes.
+"""Peak memory of the frame-sized CLI calls and gradients, in float64 (H, W) planes.
 
 Each call runs in-process under tracemalloc on a seeded 360x640 frame. The
 bounds hold the float32 frames and the few float64 planes the arithmetic
@@ -16,6 +16,7 @@ from slzkit import io as sio
 from slzkit.camera import CameraIntrinsics, write_intrinsics
 from slzkit.cli import main
 from slzkit.geometry import normals_from_depth
+from slzkit.losses import slz_loss_grad
 from slzkit.synth import plane_depth
 
 H, W = 360, 640
@@ -94,3 +95,20 @@ def test_peak_memory_of_a_frame_call_is_bounded(capsys, frame, name):
     out = capsys.readouterr().out
     assert code == 0 and out
     assert peak / PLANE <= bound, f"{name}: peak {peak / PLANE:.2f} planes > {bound}"
+
+
+def test_peak_memory_of_the_slz_gradient_is_bounded(frame):
+    # five returned (H, W, 2) gradients are 10 planes of the 16.25 measured;
+    # a per-step stack of the probabilities and of the one-hot labels, zeroed
+    # outside the valid set afterwards, brought the peak to 19.5 planes
+    logits = [sio.read_raster(p) for p in frame["logitss"]]
+    labels = sio.read_mask(frame["mask"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, grads = slz_loss_grad(logits, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == STEPS
+    assert peak / PLANE <= 17.5, f"peak {peak / PLANE:.2f} planes > 17.5"

@@ -416,3 +416,17 @@ def test_dilate_semigroup():
 def test_dilate_rejects_negative_radius():
     with pytest.raises(ValueError):
         dilate_unsafe(np.zeros((3, 3), np.uint8), -1)
+
+
+@pytest.mark.parametrize("radius", [1.5, 0.9, 2.0, np.float64(1.0), "1"])
+def test_dilate_rejects_a_radius_that_is_not_a_whole_number(radius):
+    # int() truncated it: 1.5 gave the radius-1 result and 0.9 no dilation
+    with pytest.raises(ValueError, match=f"radius must be an integer, got {radius}$"):
+        dilate_unsafe(np.zeros((3, 3), np.uint8), radius)
+
+
+def test_dilate_takes_numpy_integer_radii():
+    mask = np.zeros((5, 5), np.uint8)
+    mask[2, 2] = 1
+    for radius in (np.int64(1), np.uint8(1)):
+        assert np.array_equal(dilate_unsafe(mask, radius), dilate_unsafe(mask, 1))

@@ -69,6 +69,9 @@ def test_scene_validation():
         Scene(32, 32, INTR, (0, 0, -1.0))
     with pytest.raises(ValueError):
         Scene(32, 32, INTR, (0, 0, 5.0), boxes=(Box(0, 0, 40, 4, 1.0),))
+    # 0.5 rendered with no buffer, and the sidecar still said buffer_radius=0.5
+    with pytest.raises(ValueError, match=r"buffer radius must be an integer, got 0.5$"):
+        Scene(32, 32, INTR, (0, 0, 5.0), buffer_radius=0.5)
     with pytest.raises(ValueError):
         Box(5, 5, 4, 9, 1.0)
     with pytest.raises(ValueError):
