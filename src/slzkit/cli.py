@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -250,6 +251,20 @@ def cmd_loss_vnl(args):
     return 0
 
 
+class _Steps(Sequence):
+    """The rasters of a step sequence's files, each read when indexed, so
+    that a loss holds one step at a time."""
+
+    def __init__(self, paths, what, channels=1):
+        self._paths, self._what, self._channels = paths, what, channels
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __getitem__(self, t):
+        return _read_plane(self._paths[t], self._what, self._channels)
+
+
 def _read_valid(args):
     return None if args.valid is None else slzio.read_mask(args.valid)
 
@@ -274,11 +289,12 @@ def _print_grad_check(loss, seqs, grads):
 
 
 def cmd_loss_sequential(args):
-    preds = [_read_plane(p, "depth") for p in args.preds]
-    confs = [_read_plane(p, "confidence") for p in args.confs]
     gt_d = _read_plane(args.gt_depth, "depth")
     gt_c = _read_plane(args.gt_conf, "confidence")
     valid = _read_valid(args)
+    preds, confs = _Steps(args.preds, "depth"), _Steps(args.confs, "confidence")
+    if args.grad_check:
+        preds, confs = list(preds), list(confs)
     _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, args.gamma, valid))
     if args.grad_check:
         _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, args.gamma, valid)
@@ -301,10 +317,12 @@ def cmd_loss_dncl(args):
 
 
 def cmd_loss_slz(args):
-    logit_seq = [_read_plane(p, "logits", 2) for p in args.logits]
     labels = slzio.read_mask(args.labels)
     cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
+    logit_seq = _Steps(args.logits, "logits", 2)
+    if args.grad_check:
+        logit_seq = list(logit_seq)
     _print_loss(losses.slz_loss(logit_seq, labels, cw, args.gamma, valid))
     if args.grad_check:
         _, grads = losses.slz_loss_grad(logit_seq, labels, cw, args.gamma, valid)

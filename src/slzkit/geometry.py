@@ -49,17 +49,20 @@ def _cross_plane(a, b, c, d):
     return out
 
 
-def _cross(a, b):
-    """a x b for vectors given as (x, y, z) planes; the arithmetic of np.cross."""
-    return tuple(_cross_plane(a[i], b[j], a[j], b[i]) for i, j in ((1, 2), (2, 0), (0, 1)))
+# the two components that plane i of a cross product reads
+_CROSS = ((1, 2), (2, 0), (0, 1))
+
+# float64 elements of one plane of a row band of the normal kernel: about 25
+# rows at 1280 columns, which measured fastest
+_BAND_ELEMENTS = 2 ** 15
 
 
 class _NormalPlanes(NamedTuple):
-    """Forward pass of the depth -> normal conversion, one (H, W) float64
-    plane per vector component, (b, H, W) for a stack of depth rasters.
-    The extras feed :func:`_cross_to_depth`."""
+    """Forward pass of the depth -> normal conversion over a band of rows,
+    one (rows, W) float64 plane per vector component, (b, rows, W) for a
+    stack of depth rasters. The extras feed :func:`_cross_to_depth`."""
 
-    rays: tuple  # x, y, z ray components: (W,) per column, (H, 1) per row, 1.0
+    rays: tuple  # x, y, z ray components: (W,) per column, (rows, 1) per row, 1.0
     cross: tuple  # tu x tv: x, y, z planes
     ok: np.ndarray  # pixels with a defined normal
     scale: np.ndarray  # orientation sign / |tu x tv| where ok, NaN elsewhere
@@ -104,29 +107,51 @@ def _tangents(d, ray):
     return _difference(p, 1), _difference(p, 0)
 
 
-def _normal_planes(depth, intr: CameraIntrinsics):
-    """The planes of an (H, W) depth raster, or of each raster of a (b, H, W)
-    stack, whose planes then are (b, H, W) as well."""
+def _tangent_pairs(d, rays):
+    """``(i, (tu_j, tv_j), (tu_k, tv_k))`` for i = 0, 1, 2 with (j, k) =
+    ``_CROSS[i]``: the tangents that plane i of a cross product of them
+    reads. Four tangent computations serve the three planes; a caller that
+    drops its references before the next item holds at most four tangent
+    planes at once."""
+    held = {}
+    for i, (j, k) in enumerate(_CROSS):
+        held = {c: held[c] for c in (j, k) if c in held}
+        for c in (j, k):
+            if c not in held:
+                held[c] = _tangents(d, rays[c])
+        yield i, held[j], held[k]
+
+
+def _depth_stack(depth):
+    """depth as an array: an (H, W) raster or a (b, H, W) stack of them."""
     d = np.asarray(depth)
     if d.ndim not in (2, 3) or min(d.shape[-2:]) < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
+    return d
+
+
+def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
+    """The planes of frame rows ``rows`` (a slice with step 1) of a depth
+    raster from :func:`_depth_stack`, or of each raster of a stack, whose
+    planes then are (b, rows, W).
+
+    They read the depth of one more row on each side, so they are bit for
+    bit those rows of the whole frame's planes: the one-sided differences
+    apply only at the frame's first and last rows.
+    """
+    lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, d.shape[-2])
+    d = d[..., lo:hi, :]
     rays = _ray_xy(np.arange(d.shape[-1], dtype=np.float64),
-                   np.arange(d.shape[-2], dtype=np.float64)[:, None], intr) + (1.0,)
-    # Each plane of tu x tv comes from the tangents of the other two
-    # components. Those of x are computed twice, so that at most four tangent
-    # planes are alive at once. An infinite depth makes NaN there, as NaN does.
+                   np.arange(lo, hi, dtype=np.float64)[:, None], intr) + (1.0,)
+    # Plane i of tu x tv comes from the tangents of the other two components.
+    # An infinite depth makes NaN there, as NaN does.
+    cross = [None] * 3
     with np.errstate(invalid="ignore"):
-        ux, vx = _tangents(d, rays[0])
-        uy, vy = _tangents(d, rays[1])
-        cz = _cross_plane(ux, vy, uy, vx)
-        del ux, vx
-        uz, vz = _tangents(d, rays[2])
-        cx = _cross_plane(uy, vz, uz, vy)
-        del uy, vy
-        ux, vx = _tangents(d, rays[0])
-        cy = _cross_plane(uz, vx, ux, vz)
-        del ux, vx, uz, vz
+        for i, (uj, vj), (uk, vk) in _tangent_pairs(d, rays):
+            cross[i] = _cross_plane(uj, vk, uk, vj)
+            del uj, vj, uk, vk
     # summed left to right, as np.linalg.norm reduces a last axis of 3
+    cx, cy, cz = cross
     norm = cx * cx
     norm += cy * cy
     norm += cz * cz
@@ -142,27 +167,51 @@ def _normal_planes(depth, intr: CameraIntrinsics):
     # product with the scale there quiet
     norm[~ok] = np.nan
     scale = np.divide(np.where(cz > 0, -1.0, 1.0), norm, out=norm)
-    return _NormalPlanes(rays, (cx, cy, cz), ok, scale)
+    keep = (..., slice(rows.start - lo, rows.stop - lo), slice(None))  # drop the halo rows
+    return _NormalPlanes((rays[0], rays[1][keep[1:]], 1.0), tuple(c[keep] for c in cross),
+                         ok[keep], scale[keep])
 
 
-def _cross_to_depth(depth, f: _NormalPlanes, g_cross, m):
+def _bands(d, intr: CameraIntrinsics):
+    """``(rows, planes)`` of successive row bands of a depth raster from
+    :func:`_depth_stack`: the frame rows ``rows`` and their planes (see
+    :func:`_normal_planes`), about ``_BAND_ELEMENTS`` elements a plane."""
+    height = d.shape[-2]
+    step = max(1, _BAND_ELEMENTS // (d.size // height))
+    for start in range(0, height, step):
+        rows = slice(start, min(start + step, height))
+        yield rows, _normal_planes(d, intr, rows)
+
+
+def _cross_to_depth(depth, rays, g_cross, m):
     """Gradient w.r.t. the depth raster of a loss whose gradient w.r.t. the
-    planes of ``f.cross`` is ``g_cross`` on the pixel mask m.
+    planes of tu x tv (the whole frame's ``_NormalPlanes.cross``, whose
+    ``rays`` these are) is ``g_cross`` on the pixel mask m.
 
     ``g_cross`` may hold any value outside m: this is the one place that
     applies the mask. Chains through the cross product, the difference
-    stencils and the rays (point = depth * ray). A pixel outside m adds
-    exactly 0, also where its tangents or ``g_cross`` are not finite.
+    stencils and the rays (point = depth * ray), one point component at a
+    time. A pixel outside m adds exactly 0, also where its tangents or
+    ``g_cross`` are not finite.
     """
+    outside = ~m
+    grad = None
     with np.errstate(invalid="ignore"):
-        tu, tv = zip(*(_tangents(np.asarray(depth), ray) for ray in f.rays))
-        g_tu = [np.where(m, g, 0.0) for g in _cross(tv, g_cross)]
-        g_tv = [np.where(m, g, 0.0) for g in _cross(g_cross, tu)]
-    # per point component, the u stencil's adjoint and then the v stencil's
-    # add into one zero plane
-    g_p = [_difference_adjoint(gv, 0, _difference_adjoint(gu, 1, np.zeros(m.shape)))
-           for gu, gv in zip(g_tu, g_tv)]
-    return g_p[0] * f.rays[0] + g_p[1] * f.rays[1] + g_p[2] * f.rays[2]
+        for i, (uj, vj), (uk, vk) in _tangent_pairs(depth, rays):
+            j, k = _CROSS[i]
+            g_u = _cross_plane(vj, g_cross[k], vk, g_cross[j])  # plane i of tv x g
+            g_v = _cross_plane(g_cross[j], uk, g_cross[k], uj)  # plane i of g x tu
+            del uj, vj, uk, vk
+            np.copyto(g_u, 0.0, where=outside)
+            np.copyto(g_v, 0.0, where=outside)
+            # the u stencil's adjoint and then the v stencil's add into one zero plane
+            g_p = _difference_adjoint(g_v, 0, _difference_adjoint(g_u, 1, np.zeros(m.shape)))
+            del g_u, g_v
+            # the components add left to right: g_p . ray
+            g_p *= rays[i]
+            grad = g_p if grad is None else np.add(grad, g_p, out=grad)
+            del g_p
+    return grad
 
 
 def normals_from_depth(depth, intr: CameraIntrinsics):
@@ -174,10 +223,12 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     invalid depth are marked invalid (zero vector). A (b, H, W) stack of
     depth rasters gives the (b, H, W, 3) normals of each.
     """
-    f = _normal_planes(depth, intr)
-    normals = np.zeros(f.ok.shape + (3,))
-    for k, c in enumerate(f.cross):
-        np.multiply(c, f.scale, out=normals[..., k], where=f.ok)
+    d = _depth_stack(depth)
+    normals = np.zeros(d.shape + (3,))
+    for rows, f in _bands(d, intr):
+        band = normals[..., rows, :, :]
+        for k, c in enumerate(f.cross):
+            np.multiply(c, f.scale, out=band[..., k], where=f.ok)
     return normals
 
 
@@ -191,7 +242,7 @@ def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     valid and |n_z| >= n_z_min (``included``), 0 elsewhere. n_z_min must be
     in (0, 1]."""
     _check_n_z_min(n_z_min)
-    d = np.asarray(depth, dtype=np.float64)
+    d = np.asarray(depth)
     n = np.asarray(normals)
     if d.ndim != 2:
         raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
@@ -200,7 +251,10 @@ def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     nz = np.abs(n[..., 2], dtype=np.float64)  # the one plane of the normals in use
     included = valid_depth_mask(d) & (nz >= n_z_min)
     nz *= intr.fx * intr.fy
-    areas = np.divide(d * d, nz, out=np.zeros_like(d), where=included)
+    # two float64 planes: d^2, divided in place where included and zeroed elsewhere
+    areas = np.square(d, dtype=np.float64)
+    np.divide(areas, nz, out=areas, where=included)
+    areas[~included] = 0.0
     return areas, included
 
 

@@ -14,6 +14,11 @@ The sequential, consistency and cross-entropy values also take a (b, ...)
 stack of prediction rasters and return one value per raster, each equal
 bit for bit to the value of that raster alone; the checker hands them its
 perturbed rasters that way. Their gradients take one raster per input.
+
+The sequential and cross-entropy losses take their steps as any sequence
+with len and indexing. They index step t once, when they reach it, and drop
+its arrays before step t + 1, so a sequence that reads each raster from its
+file when indexed holds one step at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import _backproject_pixels, _cross_to_depth, _normal_planes
+from .geometry import (_backproject_pixels, _bands, _cross_to_depth, _depth_stack,
+                       _normal_planes)
 from .io import _check_mask
 
 DEFAULT_GAMMA = 0.9  # temporal decay of the sequential and safe-zone losses
@@ -222,16 +228,20 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
     lead = None if need_grad else ()
     grads_d, grads_c = [], []
     for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
-        dp, cp = np.asarray(d_preds[t]), np.asarray(conf_preds[t])
+        dp = np.asarray(d_preds[t])
         lead = _batch(dp, dg.shape, lead, f"step {t}: depth")
-        lead = _batch(cp, dg.shape, lead, f"step {t}: confidence")
         # residuals in float64, with no float64 copy of the inputs
         rd = np.subtract(dp, dg, dtype=np.float64)
+        del dp
+        cp = np.asarray(conf_preds[t])
+        lead = _batch(cp, dg.shape, lead, f"step {t}: confidence")
         rc = np.subtract(cp, cg, dtype=np.float64)
+        del cp
         if need_grad:
             grads_d.append(np.where(v, decay * np.sign(rd) / n, 0.0))
             grads_c.append(np.where(v, decay * np.sign(rc) / n, 0.0))
         total += decay * (_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
+        del rd, rc  # before the next step's read
     return _value(total), grads_d, grads_c
 
 
@@ -253,27 +263,32 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
 def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     if need_grad and np.ndim(d_pred) != 2:
         raise ShapeMismatchError(f"the gradient takes one depth raster, got shape {np.shape(d_pred)}")
-    f = _normal_planes(d_pred, intr)
-    hw = f.ok.shape[-2:]
+    d = _depth_stack(d_pred)
+    hw = d.shape[-2:]
     n_in = np.asarray(n_pred)
     if n_in.shape != hw + (3,):
         raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {hw + (3,)}")
-    # One float64 plane of the predicted normals at a time. Sums run left to
-    # right over x, y, z, as numpy reduces a last axis of 3: |target|^2, once
-    # for a stack of depths, and derived . target with derived = cross * scale
-    # (NaN off the normals).
-    sq, t = np.zeros(hw), np.empty(hw)
-    dot, term = np.zeros_like(f.scale), np.empty_like(f.scale)
-    for k, c in enumerate(f.cross):
-        np.copyto(t, n_in[..., k])
-        np.multiply(c, f.scale, out=term)
-        term *= t
-        dot += term
-        t *= t
-        sq += t
-    del t, term
-    m = f.ok & (np.sqrt(sq, out=sq) > 1e-6)
-    del sq
+    # The value needs only the dot plane and the pixel mask, so it runs band
+    # by band; the gradient reads the whole frame's planes, one band.
+    whole = slice(0, hw[0])
+    bands = [(whole, _normal_planes(d, intr, whole))] if need_grad else _bands(d, intr)
+    dot, m = np.zeros(d.shape), np.empty(d.shape, dtype=bool)
+    for rows, f in bands:
+        # One float64 plane of the predicted normals at a time. Sums run left
+        # to right over x, y, z, as numpy reduces a last axis of 3: |target|^2,
+        # once for a stack of depths, and derived . target with derived =
+        # cross * scale (NaN off the normals).
+        sq, t = np.zeros(f.ok.shape[-2:]), np.empty(f.ok.shape[-2:])
+        band, term = dot[..., rows, :], np.empty_like(f.scale)
+        for k, c in enumerate(f.cross):
+            np.copyto(t, n_in[rows, :, k])
+            np.multiply(c, f.scale, out=term)
+            term *= t
+            band += term
+            t *= t
+            sq += t
+        np.logical_and(f.ok, np.sqrt(sq, out=sq) > 1e-6, out=m[..., rows, :])
+        del sq, t, band, term
     kept = m.reshape(-1, hw[0] * hw[1])  # the pixels of each raster's mean
     counts = kept.sum(axis=1)
     if not counts.all():
@@ -285,18 +300,33 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         loss = np.array([_mean(row, k) for row, k in zip(dot, kept)])
     if not need_grad:
         return loss, None
+    del dot
 
-    # d loss / d cross on the whole planes; _cross_to_depth keeps the pixels in m
-    c = f.cross
-    target = [n_in[..., k].astype(np.float64) for k in range(3)]
+    # d loss / d cross on the planes of the one band, the whole frame, reading
+    # the predicted normals one plane at a time; _cross_to_depth keeps the
+    # pixels in m
+    rays, c, _, scale = f
+    del f, bands
     with np.errstate(divide="ignore", invalid="ignore"):
-        nn = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-        cn = c[0] * target[0] + c[1] * target[1] + c[2] * target[2]
-        q = cn / nn**3
+        nn = c[0] * c[0]
+        nn += c[1] * c[1]
+        nn += c[2] * c[2]
+        np.sqrt(nn, out=nn)
+        q = c[0] * n_in[..., 0]
+        q += c[1] * n_in[..., 1]
+        q += c[2] * n_in[..., 2]
+        np.divide(q, nn ** 3, out=q)  # (c . target) / |c|^3
         # the orientation sign of each normal is that of its scale
-        a = np.copysign(1.0, f.scale) * (-1.0 / counts[0])
-        g_c = [(tk / nn - ck * q) * a for ck, tk in zip(c, target)]
-    return loss, _cross_to_depth(d_pred, f, g_c, m)
+        a = np.copysign(1.0, scale, out=scale)
+        a *= -1.0 / counts[0]
+        g_c = []
+        for k, ck in enumerate(c):
+            g = np.divide(n_in[..., k], nn)
+            g -= ck * q
+            g *= a
+            g_c.append(g)
+    del c, nn, q, a, scale
+    return loss, _cross_to_depth(d, rays, g_c, m)
 
 
 def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=DEFAULT_GAMMA,
@@ -316,6 +346,13 @@ def slz_loss_grad(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=DE
     return _slz(logit_seq, labels, cw, gamma, valid, need_grad=True)
 
 
+def _class_weighted(x, safe, unsafe, w_safe, w_unsafe):
+    """x times w_safe on the safe pixels and w_unsafe on the others, in place."""
+    np.multiply(x, w_safe, out=x, where=safe)
+    np.multiply(x, w_unsafe, out=x, where=unsafe)
+    return x
+
+
 def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     if len(logit_seq) == 0:
         raise DegenerateInputError("empty logit sequence")
@@ -323,7 +360,7 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     v, n, kept = _valid_set(valid, lab.shape)
     decays = _decays(gamma, len(logit_seq) - 1)
     safe = lab == 0
-    w = np.where(safe, cw.w_safe, cw.w_unsafe)
+    unsafe = ~safe
     # the total turns into one value per raster at the first stacked step
     total = 0.0
     lead = None if need_grad else ()
@@ -331,14 +368,15 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     # three float64 planes serve every step of one shape: the logits become
     # their exponentials in place, and the larger logit the sum
     e0 = e1 = s = np.empty(0)
-    for t, (logits, decay) in enumerate(zip(logit_seq, decays)):
-        z = np.asarray(logits)
+    for t, decay in enumerate(decays):
+        z = np.asarray(logit_seq[t])
         lead = _batch(z, lab.shape + (2,), lead, f"step {t}: logits")
         if e0.shape != z.shape[:-1]:
             e0, e1, s = (np.empty(z.shape[:-1]) for _ in range(3))
         # two-class softmax, stabilized by the larger logit
         np.copyto(e0, z[..., 0])
         np.copyto(e1, z[..., 1])
+        del z  # before the next step's read
         np.maximum(e0, e1, out=s)
         e0 -= s
         np.exp(e0, out=e0)
@@ -347,13 +385,15 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         np.add(e0, e1, out=s)
         if need_grad:
             # d loss / d z_c = (decay / n) w (p_c - [c is the label]) on the valid pixels
-            grads.append(np.stack([np.where(v, (decay / n) * w * (e / s - c), 0.0)
-                                   for e, c in ((e0, safe), (e1, ~safe))], axis=-1))
+            grads.append(np.stack([_class_weighted(np.where(v, e / s - c, 0.0), safe, unsafe,
+                                                   (decay / n) * cw.w_safe,
+                                                   (decay / n) * cw.w_unsafe)
+                                   for e, c in ((e0, safe), (e1, unsafe))], axis=-1))
         # w * log(max(p_true, floor)) per pixel, into e0; the loss is minus its mean
-        np.copyto(e0, e1, where=~safe)
+        np.copyto(e0, e1, where=unsafe)
         e0 /= s
         np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
-        e0 *= w
+        _class_weighted(e0, safe, unsafe, cw.w_safe, cw.w_unsafe)
         total -= decay * _mean(e0, kept)
     return _value(total), grads
 

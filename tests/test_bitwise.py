@@ -13,6 +13,7 @@ import pytest
 import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError
+from slzkit import geometry
 from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
@@ -128,6 +129,47 @@ def test_sequential_value_matches_gather_reference(seed):
     want_d, want_c = oracles.sequential_grad_ref(preds, confs, gt, cgt, gamma, valid)
     assert len(grads_d) == len(grads_c) == steps
     assert all(same_bits(g, w) for g, w in zip(grads_d + grads_c, want_d + want_c))
+
+
+# --- row bands: every band height gives the whole frame's bits -----------------
+
+BAND_H, BAND_W = 23, 17
+
+
+def band_edge_depth(rows):
+    """A noisy tilted plane with a NaN, +inf or 0 depth on the first and last
+    rows of every band of `rows` rows, the frame's first and last rows included."""
+    rng = np.random.default_rng(700 + rows)
+    depth = plane_depth(BAND_H, BAND_W, INTR, 0.1, -0.2, 5.0)
+    depth *= 1.0 + rng.uniform(-0.02, 0.02, depth.shape)
+    edges = [r for r in range(BAND_H) if r % rows in (0, rows - 1) or r == BAND_H - 1]
+    for i, r in enumerate(edges):
+        depth[r, (5 * i + 3) % BAND_W] = (np.nan, np.inf, 0.0)[i % 3]
+    return depth
+
+
+@pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])
+@pytest.mark.parametrize("rows", [1, 2, 7, BAND_H - 1, BAND_H])
+def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
+    depth = band_edge_depth(rows)
+    if b is not None:
+        rng = np.random.default_rng(800 + rows)
+        depth = depth * (1.0 + rng.uniform(-1e-3, 1e-3, (b, BAND_H, BAND_W)))
+    normals = normals_case(np.random.default_rng(900 + rows), (BAND_H, BAND_W))
+
+    def run():
+        return (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR))
+
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
+    want = run()
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
+    bands = [r for r, _ in geometry._bands(depth, INTR)]
+    assert [(r.start, r.stop) for r in bands] == [
+        (start, min(start + rows, BAND_H)) for start in range(0, BAND_H, rows)]
+    got = run()
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    if b is None:
+        assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
 
 
 # --- a stack of prediction rasters: each row as the raster alone ---------------

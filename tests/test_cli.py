@@ -1145,3 +1145,60 @@ def test_a_non_finite_loss_exits_4_before_any_output(capsys, tmp_path, kind, ras
     code, out, err = run_cli(capsys, *argv[kind], *grad_check)
     assert code == 4 and out == ""
     assert err == "error: loss is nan, not a finite number\n"
+
+
+def _three_steps(tmp_path, argv, *flags):
+    """argv with each of the step flags given three step rasters, copies of
+    its one fixture raster: the paths of each flag's steps."""
+    steps = {}
+    for flag in flags:
+        i = argv.index(flag)
+        src = Path(argv[i + 1])
+        steps[flag] = [tmp_path / f"{flag[2:]}{t}.f32r" for t in range(3)]
+        for path in steps[flag]:
+            shutil.copyfile(src, path)
+        argv[i + 1:i + 2] = [str(p) for p in steps[flag]]
+    return steps
+
+
+@pytest.mark.parametrize("grad_check", [[], ["--grad-check"]])
+@pytest.mark.parametrize("kind,flags", [("sequential", ("--preds", "--confs")),
+                                        ("slz", ("--logits",))])
+def test_a_truncated_third_step_raster_exits_2_naming_it(capsys, tmp_path, kind, flags,
+                                                         grad_check):
+    argv = _loss_argvs(tmp_path)[kind]
+    third = _three_steps(tmp_path, argv, *flags)[flags[0]][2]
+    third.write_bytes(third.read_bytes()[:-5])
+    code, out, err = run_cli(capsys, *argv, *grad_check)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {third}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grad_check", [[], ["--grad-check"]])
+@pytest.mark.parametrize("kind,flags", [("sequential", ("--preds", "--confs")),
+                                        ("slz", ("--logits",))])
+def test_a_loss_reads_each_step_raster_once(capsys, tmp_path, monkeypatch, kind, flags,
+                                            grad_check):
+    argv = _loss_argvs(tmp_path)[kind]
+    code, one_step, _ = run_cli(capsys, *argv)
+    steps = _three_steps(tmp_path, argv, *flags)
+    reads = []
+    real = sio.read_raster
+    monkeypatch.setattr(sio, "read_raster", lambda path: reads.append(Path(path)) or real(path))
+    code, out, err = run_cli(capsys, *argv, *grad_check)
+    assert code == 0, err
+    step_reads = [p for p in reads if any(p in paths for paths in steps.values())]
+    assert sorted(step_reads) == sorted(p for paths in steps.values() for p in paths)
+    if not grad_check:  # step t of every flag, then step t + 1
+        assert step_reads == [paths[t] for t in range(3) for paths in steps.values()]
+    assert out.splitlines()[0] == one_step.strip()  # every fixture loss is 0
+
+
+def test_unequal_step_counts_exit_3_before_a_missing_step_file_is_read(capsys, tmp_path):
+    # the steps are read when the loss reaches them, after it has counted them
+    argv = _loss_argvs(tmp_path)["sequential"]
+    i = argv.index("--preds")
+    argv[i + 1:i + 2] = [str(tmp_path / "missing0.f32r"), str(tmp_path / "missing1.f32r")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: 2 depth steps != 1 confidence steps\n"
