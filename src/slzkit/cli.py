@@ -80,7 +80,8 @@ def _read_plane(path, what, channels=1):
 
 
 def _read_frame(args):
-    """Intrinsics, depth, mask (--mask or binarized --logits) and normals of a frame."""
+    """Intrinsics, depth, mask (--mask or binarized --logits) and the n_z plane
+    of the normals of a frame."""
     intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
@@ -90,8 +91,8 @@ def _read_frame(args):
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
     if args.derive_normals:
-        return intr, depth, mask, geometry.normals_from_depth(depth, intr)
-    return intr, depth, mask, _read_plane(args.normals, "normals", 3)
+        return intr, depth, mask, geometry.normal_z(depth, intr)
+    return intr, depth, mask, _read_plane(args.normals, "normals", 3)[..., 2]
 
 
 def _csv_out(rows):
@@ -109,8 +110,8 @@ def _region_rows(stats, sel, *columns):
 
 
 def cmd_area(args):
-    intr, depth, mask, normals = _read_frame(args)
-    stats = slz.region_stats(mask, depth, normals, intr, n_z_min=args.n_z_min)
+    intr, depth, mask, n_z = _read_frame(args)
+    stats = slz.region_stats(mask, depth, n_z, intr, n_z_min=args.n_z_min)
     sel = np.arange(len(stats))
     if args.region_id is not None:
         if not 1 <= args.region_id <= len(sel):
@@ -126,10 +127,10 @@ def cmd_area(args):
 
 
 def cmd_candidates(args):
-    intr, depth, mask, normals = _read_frame(args)
+    intr, depth, mask, n_z = _read_frame(args)
     if args.dilate:
         mask = slz.dilate_unsafe(mask, args.dilate)
-    order, stats = slz.top_k_candidates(mask, depth, normals, intr, args.k, n_z_min=args.n_z_min)
+    order, stats = slz.top_k_candidates(mask, depth, n_z, intr, args.k, n_z_min=args.n_z_min)
     _csv_out([("region", "min_row", "min_col", "max_row", "max_col", "pixels", "excluded",
                "area_m2"), *_region_rows(stats, order, *stats.bbox[order].T)])
     return 0

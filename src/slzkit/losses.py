@@ -98,10 +98,10 @@ def _batch(x, shape, lead, what):
     the call's inputs so far, which a stack must match; None allows no
     stack (the gradients take one raster)."""
     got = x.shape[:max(x.ndim - len(shape), 0)]
-    stack_ok = lead is not None and len(got) == 1 and lead in ((), got)
+    stack_ok = lead is not None and len(got) == 1 and got[0] > 0 and lead in ((), got)
     if x.shape[len(got):] != shape or got and not stack_ok:
         raise ShapeMismatchError(f"{what} shape {x.shape}, expected {shape}"
-                                 + ("" if lead is None else f" or a stack of b {shape}"))
+                                 + ("" if lead is None else f" or a stack of b >= 1 {shape}"))
     return got or lead
 
 

@@ -138,30 +138,32 @@ def connected_components(mask):
     return Labelling(m.shape, *_label(m))
 
 
-def region_stats(mask, depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+def region_stats(mask, depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """Area, pixel counts and bbox of every safe region, from one labelling pass.
 
-    Region ids are those of :func:`connected_components`; each region's
-    area, pixel count and excluded count equal those of
-    :func:`slzkit.geometry.region_area` over its pixels, bit for bit.
+    ``n_z`` is the (H, W) z plane of the normals (see
+    :func:`slzkit.geometry.pixel_areas`). Region ids are those of
+    :func:`connected_components`; each region's area, pixel count and
+    excluded count equal those of :func:`slzkit.geometry.region_area` over
+    its pixels, bit for bit.
     """
     lab = connected_components(mask)
     if np.shape(depth) != lab.shape:
         raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {lab.shape}")
     # the areas come before the painted id plane, which keeps the peak low
-    areas, included = pixel_areas(depth, normals, intr, n_z_min)
+    areas, included = pixel_areas(depth, n_z, intr, n_z_min)
     sums = _area_sums(lab.labels(), len(lab) + 1, areas, included)
     return RegionStats(lab.shape, lab.runs, lab.bbox, *sums)
 
 
-def top_k_candidates(mask, depth, normals, intr: CameraIntrinsics, k,
+def top_k_candidates(mask, depth, n_z, intr: CameraIntrinsics, k,
                      n_z_min=DEFAULT_NZ_MIN):
     """``(order, stats)``: the :func:`region_stats` of the mask and the rows of
     its k largest regions by area (descending, id breaks ties); row i is
     region id i + 1."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    stats = region_stats(mask, depth, normals, intr, n_z_min=n_z_min)
+    stats = region_stats(mask, depth, n_z, intr, n_z_min=n_z_min)
     # a stable sort on -area keeps equal areas in ascending id order
     return np.argsort(-stats.area, kind="stable")[:k], stats
 

@@ -172,6 +172,21 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
         assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
 
 
+@pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])
+@pytest.mark.parametrize("rows", [1, 2, 7, BAND_H - 1, BAND_H])
+def test_normal_z_is_the_z_plane_of_the_normals_for_every_band_cut(monkeypatch, rows, b):
+    depth = band_edge_depth(rows)
+    depth[BAND_H // 2, 2:6] = (-1.0, np.nan, np.inf, 0.0)
+    if b is not None:
+        rng = np.random.default_rng(1000 + rows)
+        depth = depth * (1.0 + rng.uniform(-1e-3, 1e-3, (b, BAND_H, BAND_W)))
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
+    n_z = geometry.normal_z(depth, INTR)
+    assert same_bits(n_z, normals_from_depth(depth, INTR)[..., 2])
+    for raster, plane in zip(depth.reshape(-1, BAND_H, BAND_W), n_z.reshape(-1, BAND_H, BAND_W)):
+        assert same_bits(plane, oracles.normal_pipeline_ref(raster, INTR)[0][..., 2])
+
+
 # --- a stack of prediction rasters: each row as the raster alone ---------------
 
 BATCHES = [1, 2, 7, 64]
@@ -262,11 +277,12 @@ def test_normals_and_areas_of_float32_rasters_match_their_float64_cast(seed):
     n32, n64 = float32_and_cast(normals_case(rng, d32.shape))
     n32[0, 0], n64[0, 0] = np.nan, np.nan
     assert same_bits(normals_from_depth(d32, INTR), normals_from_depth(d64, INTR))
-    areas32, included32 = pixel_areas(d32, n32, INTR)
-    areas64, included64 = pixel_areas(d64, n64, INTR)
+    areas32, included32 = pixel_areas(d32, n32[..., 2], INTR)
+    areas64, included64 = pixel_areas(d64, n64[..., 2], INTR)
     assert same_bits(areas32, areas64) and np.array_equal(included32, included64)
     mask = (rng.uniform(size=d32.shape) < 0.3).astype(np.uint8)
-    got, want = region_stats(mask, d32, n32, INTR), region_stats(mask, d64, n64, INTR)
+    got = region_stats(mask, d32, n32[..., 2], INTR)
+    want = region_stats(mask, d64, n64[..., 2], INTR)
     assert np.array_equal(got.labels(), want.labels()) and np.array_equal(got.bbox, want.bbox)
     assert same_bits(got.area, want.area)
     assert np.array_equal(got.pixel_count, want.pixel_count)

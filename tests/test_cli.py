@@ -628,6 +628,18 @@ def test_a_raster_with_the_wrong_channel_count_exits_3_naming_its_file(
     assert err == f"error: {bad}: {message}\n"
 
 
+@pytest.mark.parametrize("cmd", ["area", "candidates"])
+def test_a_normals_raster_of_another_frame_size_exits_3(capsys, tmp_path, cmd):
+    _loss_argvs(tmp_path)  # writes the 12x12 fixtures
+    bad = tmp_path / "bad.f32r"
+    sio.write_raster(np.zeros((12, 13, 3), dtype=np.float32), bad)
+    code, out, err = run_cli(capsys, cmd, "--depth", str(tmp_path / "d.f32r"),
+                             "--intrinsics", str(tmp_path / "intr.txt"),
+                             "--mask", str(tmp_path / "lab.pgm"), "--normals", str(bad))
+    assert (code, out) == (3, "")
+    assert err == "error: n_z shape (12, 13) incompatible with depth (12, 12)\n"
+
+
 def test_every_slzkit_exception_maps_to_an_exit_code():
     """main handles ValueError, OSError and MemoryError; any other exception is a traceback."""
     from slzkit import errors

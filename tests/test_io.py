@@ -222,8 +222,8 @@ _INTR = CameraIntrinsics(100, 100, 1.5, 1.5)
 # consumer -> (the argument it names, a call that passes the mask there)
 MASK_CONSUMERS = {
     "connected_components": ("mask", connected_components),
-    "region_stats": ("mask", lambda m: region_stats(m, _DEPTH, _NORMALS, _INTR)),
-    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, _DEPTH, _NORMALS, _INTR, 3)),
+    "region_stats": ("mask", lambda m: region_stats(m, _DEPTH, _NORMALS[..., 2], _INTR)),
+    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, _DEPTH, _NORMALS[..., 2], _INTR, 3)),
     "dilate_unsafe": ("mask", lambda m: dilate_unsafe(m, 1)),
     "confusion-pred": ("pred", lambda m: confusion(m, _OK)),
     "confusion-gt": ("gt", lambda m: confusion(_OK, m)),

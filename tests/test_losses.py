@@ -390,6 +390,22 @@ def test_stacks_of_one_call_share_their_size_and_gradients_take_one_raster():
         depth_normal_consistency(depth[None, None], target, INTR)
 
 
+EMPTY_STACK_CALLS = {
+    "normals_from_depth": lambda: normals_from_depth(np.ones((0, 5, 5)), INTR),
+    "depth_normal_consistency": lambda: depth_normal_consistency(
+        np.ones((0, 5, 5)), np.zeros((5, 5, 3)), INTR),
+    "sequential_depth_loss": lambda: sequential_depth_loss(
+        [np.ones((0, 5, 5))], [np.ones((5, 5))], np.ones((5, 5)), np.ones((5, 5))),
+    "slz_loss": lambda: slz_loss([np.zeros((0, 5, 5, 2))], np.zeros((5, 5), np.uint8)),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_STACK_CALLS)
+def test_an_empty_stack_is_a_shape_error_that_names_its_shape(name):
+    with pytest.raises(ShapeMismatchError, match=r"shape \(0, 5, 5"):
+        EMPTY_STACK_CALLS[name]()
+
+
 def _crop_checks():
     """A noisy 24x24 ground-plane crop seen from afar, as the benchmark's."""
     rng = np.random.default_rng(16)

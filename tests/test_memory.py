@@ -75,14 +75,15 @@ CALLS = {  # name -> (argv of the frame, bound in planes)
     "loss sequential": (lambda f: ["loss", "sequential", "--preds", *f["preds"],
                                    "--confs", *f["confs"], "--gt-depth", f["depth"],
                                    "--gt-conf", f["gt_conf"]], 5.25),
-    # the (H, W, 3) float64 derived normals are three of the planes
-    "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 7.5),
+    # the derived normals are one float64 n_z plane, 3.9 planes measured; the
+    # (H, W, 3) float64 normals brought the peak to 5.9 planes
+    "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 5.5),
     # region_stats paints its (H, W) id plane after the per-pixel areas; a
     # label plane kept beside them brought the peak to 7.4 planes
     "area --normals": (lambda f: ["area", "--depth", f["depth"], "--intrinsics", f["intrinsics"],
                                   "--normals", f["normals"], "--mask", f["mask"]], 6.0),
     "candidates": (lambda f: ["candidates", *_frame_args(f), "--logits", f["logits"],
-                              "--dilate", "2", "--k", "5"], 7.5),
+                              "--dilate", "2", "--k", "5"], 5.5),
 }
 
 
@@ -121,8 +122,9 @@ def test_peak_memory_of_the_slz_gradient_is_bounded(frame):
 
 def test_peak_memory_of_the_dncl_gradient_is_bounded(frame):
     # one point component of the adjoint at a time, beside the three planes of
-    # d loss / d cross: 13.5 planes measured; all six tangent planes and six
-    # masked tangent gradients alive at once brought the peak to 32.3
+    # d loss / d cross: 13.5 planes measured, which the forward pass's six
+    # tangent planes stay under; all six tangent planes and six masked
+    # tangent gradients of the adjoint alive at once brought the peak to 32.3
     intr = read_intrinsics(frame["intrinsics"])
     depth = sio.read_raster(frame["depth"]).astype(np.float64)
     depth[100, 200], depth[250, 400] = np.nan, np.inf

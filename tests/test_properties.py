@@ -45,8 +45,8 @@ def _components(stats):
 @given(frame=frames, intr=intrinsics, s=st.floats(0.05, 20.0))
 def test_depth_scale_scales_every_region_area_by_s_squared(frame, intr, s):
     mask, depth, normals = _frame(**frame)
-    base = region_stats(mask, depth, normals, intr)
-    scaled = region_stats(mask, s * depth, normals, intr)
+    base = region_stats(mask, depth, normals[..., 2], intr)
+    scaled = region_stats(mask, s * depth, normals[..., 2], intr)
     assert np.array_equal(scaled.bbox, base.bbox)
     assert np.array_equal(scaled.pixel_count, base.pixel_count)
     assert np.array_equal(scaled.excluded_count, base.excluded_count)
@@ -58,10 +58,9 @@ def test_depth_scale_scales_every_region_area_by_s_squared(frame, intr, s):
 @given(frame=frames, intr=intrinsics)
 def test_transpose_with_swapped_axes_keeps_total_area_and_components(frame, intr):
     mask, depth, normals = _frame(**frame)
-    base = region_stats(mask, depth, normals, intr)
+    base = region_stats(mask, depth, normals[..., 2], intr)
     swapped = CameraIntrinsics(fx=intr.fy, fy=intr.fx, cx=intr.cy, cy=intr.cx)
-    flipped = region_stats(mask.T, depth.T, normals.transpose(1, 0, 2)[..., [1, 0, 2]],
-                           swapped)
+    flipped = region_stats(mask.T, depth.T, normals[..., 2].T, swapped)
     assert _components(flipped) == {frozenset((c, r) for r, c in comp)
                                     for comp in _components(base)}
     assert flipped.pixel_count.sum() == base.pixel_count.sum()
