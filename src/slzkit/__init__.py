@@ -1,65 +1,57 @@
-"""Geometry, losses, refinement and evaluation for safe-landing-zone rasters."""
+"""Geometry, losses, refinement and evaluation for safe-landing-zone rasters.
 
-from .camera import (
-    CameraIntrinsics,
-    CanonicalSpec,
-    canonical_scale,
-    from_canonical,
-    read_intrinsics,
-    to_canonical,
-)
-from .geometry import AreaReport, normals_from_depth, region_area
-from .losses import (
-    ClassWeights,
-    LossWeights,
-    depth_normal_consistency,
-    fine_tune_loss,
-    grad_check,
-    sequential_depth_loss,
-    slz_loss,
-    virtual_normal_loss,
-)
-from .metrics import MetricsReport, confusion, evaluate, evaluate_dataset
-from .refinement import (
-    RefinementState,
-    RefinementWeights,
-    conv_gru_step,
-    refinement_step,
-    run_refinement,
-)
-from .slz import binarize, connected_components, dilate_unsafe, top_k_candidates
+Each public name is imported from its module on first access (PEP 562), so
+``import slzkit`` loads no submodule and no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AreaReport",
-    "CameraIntrinsics",
-    "CanonicalSpec",
-    "ClassWeights",
-    "LossWeights",
-    "MetricsReport",
-    "RefinementState",
-    "RefinementWeights",
-    "binarize",
-    "canonical_scale",
-    "confusion",
-    "connected_components",
-    "conv_gru_step",
-    "depth_normal_consistency",
-    "dilate_unsafe",
-    "evaluate",
-    "evaluate_dataset",
-    "fine_tune_loss",
-    "from_canonical",
-    "grad_check",
-    "normals_from_depth",
-    "read_intrinsics",
-    "refinement_step",
-    "region_area",
-    "run_refinement",
-    "sequential_depth_loss",
-    "slz_loss",
-    "to_canonical",
-    "top_k_candidates",
-    "virtual_normal_loss",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "AreaReport": "geometry",
+    "CameraIntrinsics": "camera",
+    "CanonicalSpec": "camera",
+    "ClassWeights": "settings",
+    "LossWeights": "settings",
+    "MetricsReport": "metrics",
+    "RefinementState": "refinement",
+    "RefinementWeights": "refinement",
+    "binarize": "slz",
+    "canonical_scale": "camera",
+    "confusion": "metrics",
+    "connected_components": "slz",
+    "conv_gru_step": "refinement",
+    "depth_normal_consistency": "losses",
+    "dilate_unsafe": "slz",
+    "evaluate": "metrics",
+    "evaluate_dataset": "metrics",
+    "fine_tune_loss": "settings",
+    "from_canonical": "camera",
+    "grad_check": "losses",
+    "normals_from_depth": "geometry",
+    "read_intrinsics": "camera",
+    "refinement_step": "refinement",
+    "region_area": "geometry",
+    "run_refinement": "refinement",
+    "sequential_depth_loss": "losses",
+    "slz_loss": "losses",
+    "to_canonical": "camera",
+    "top_k_candidates": "slz",
+    "virtual_normal_loss": "losses",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,9 +8,13 @@ errors, 4 numeric degeneracy.
 
 Each setting in DEFAULTS resolves once per call: flag, else the --config
 file, else the default. The paper's settings are the library's own
-defaults (losses.LossWeights, losses.DEFAULT_GAMMA, losses.ClassWeights,
-geometry.DEFAULT_NZ_MIN);
-``slzkit --help`` lists every default.
+defaults (settings.LossWeights, settings.DEFAULT_GAMMA,
+settings.ClassWeights, settings.DEFAULT_NZ_MIN); ``slzkit --help`` lists
+every default.
+
+At module level this file imports only the standard library, settings and
+errors. Each command imports the modules it runs, so ``--help``, a usage
+error and ``loss combined`` load no numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import re
 import sys
 import warnings
 from collections.abc import Sequence
 
-import numpy as np
-
-from . import camera, geometry, losses, metrics, refinement, slz, synth
-from . import io as slzio
+from . import settings
 from .errors import DegenerateInputError, ShapeMismatchError
 
 EXIT_INPUT = 2
@@ -35,11 +37,11 @@ EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
 DEFAULTS = {
-    **dataclasses.asdict(losses.LossWeights()),
-    "gamma": losses.DEFAULT_GAMMA,
+    **dataclasses.asdict(settings.LossWeights()),
+    "gamma": settings.DEFAULT_GAMMA,
     "T": 4,
-    **dataclasses.asdict(losses.ClassWeights()),
-    "n_z_min": geometry.DEFAULT_NZ_MIN,
+    **dataclasses.asdict(settings.ClassWeights()),
+    "n_z_min": settings.DEFAULT_NZ_MIN,
     "k": 5,
     "dilate": 0,
     "seed": 0,
@@ -60,6 +62,8 @@ def _fill_defaults(args):
                 raise ValueError(f"--{other} cannot be combined with --{flag}")
     config = {}
     if args.config is not None:
+        from . import io as slzio
+
         config = slzio.read_key_values(args.config, {k: type(v) for k, v in DEFAULTS.items()})
     for key, default in DEFAULTS.items():
         if getattr(args, key, default) is None:
@@ -70,6 +74,8 @@ def _fill_defaults(args):
 
 def _read_plane(path, what, channels=1):
     """An F32R raster of `channels` channels: (H, W) for one, else (H, W, channels)."""
+    from . import io as slzio
+
     d = slzio.read_raster(path)
     got = d.shape[2] if d.ndim == 3 else 1
     if got != channels:
@@ -82,6 +88,9 @@ def _read_plane(path, what, channels=1):
 def _read_frame(args):
     """Intrinsics, depth, mask (--mask or binarized --logits) and the n_z plane
     of the normals of a frame."""
+    from . import camera, geometry, slz
+    from . import io as slzio
+
     intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
@@ -110,6 +119,10 @@ def _region_rows(stats, sel, *columns):
 
 
 def cmd_area(args):
+    import numpy as np
+
+    from . import slz
+
     intr, depth, mask, n_z = _read_frame(args)
     stats = slz.region_stats(mask, depth, n_z, intr, n_z_min=args.n_z_min)
     sel = np.arange(len(stats))
@@ -127,6 +140,8 @@ def cmd_area(args):
 
 
 def cmd_candidates(args):
+    from . import slz
+
     intr, depth, mask, n_z = _read_frame(args)
     if args.dilate:
         mask = slz.dilate_unsafe(mask, args.dilate)
@@ -137,6 +152,9 @@ def cmd_candidates(args):
 
 
 def cmd_evaluate(args):
+    from . import io as slzio
+    from . import metrics
+
     def mask_names(d):
         if not os.path.isdir(d):
             raise ValueError(f"{d}: not a directory")
@@ -172,6 +190,8 @@ def cmd_evaluate(args):
 def _bilinear_x4(raster):
     """Linear x4 zoom of the first two axes on the pixel-centre grid, edges
     clamped: ndimage.zoom(order=1, grid_mode=True, mode="nearest")."""
+    import numpy as np
+
     arr = np.asarray(raster, dtype=np.float64)
     for axis in (0, 1):
         n = arr.shape[axis]
@@ -188,6 +208,11 @@ _STEP_RASTER = re.compile(r"(depth|normal|slz)_t-?\d+\.f32r")
 
 
 def cmd_refine_demo(args):
+    import numpy as np
+
+    from . import io as slzio
+    from . import losses, refinement
+
     if args.resume is not None:
         weights = refinement.load_weights(os.path.join(args.resume, "weights"))
         init = refinement.load_state(os.path.join(args.resume, "state"), weights.hidden_channels)
@@ -239,12 +264,14 @@ def cmd_refine_demo(args):
 
 
 def _print_loss(value):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DegenerateInputError(f"loss is {value}, not a finite number")
     print(f"loss={value:.12g}")
 
 
 def cmd_loss_vnl(args):
+    from . import camera, losses
+
     intr = camera.read_intrinsics(args.intrinsics)
     pred, gt = _read_plane(args.pred, "depth"), _read_plane(args.gt, "depth")
     value = losses.virtual_normal_loss(pred, gt, intr, args.samples, args.seed)
@@ -267,6 +294,8 @@ class _Steps(Sequence):
 
 
 def _read_valid(args):
+    from . import io as slzio
+
     return None if args.valid is None else slzio.read_mask(args.valid)
 
 
@@ -277,6 +306,8 @@ def _print_grad_check(loss, seqs, grads):
     stack, and ``grads[j][i]`` its analytic gradient with respect to
     ``seqs[j][i]``.
     """
+    from . import losses
+
     err = 0.0
     for i, step in enumerate(zip(*seqs)):
         for j, x in enumerate(step):
@@ -290,6 +321,8 @@ def _print_grad_check(loss, seqs, grads):
 
 
 def cmd_loss_sequential(args):
+    from . import losses
+
     gt_d = _read_plane(args.gt_depth, "depth")
     gt_c = _read_plane(args.gt_conf, "confidence")
     valid = _read_valid(args)
@@ -306,6 +339,8 @@ def cmd_loss_sequential(args):
 
 
 def cmd_loss_dncl(args):
+    from . import camera, losses
+
     intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     normals = _read_plane(args.normals, "normals", 3)
@@ -318,6 +353,9 @@ def cmd_loss_dncl(args):
 
 
 def cmd_loss_slz(args):
+    from . import io as slzio
+    from . import losses
+
     labels = slzio.read_mask(args.labels)
     cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
@@ -333,12 +371,15 @@ def cmd_loss_slz(args):
 
 
 def cmd_loss_combined(args):
-    w = losses.LossWeights(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
-    _print_loss(losses.fine_tune_loss(args.vnl, args.seq, args.dncl, w))
+    w = settings.LossWeights(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
+    _print_loss(settings.fine_tune_loss(args.vnl, args.seq, args.dncl, w))
     return 0
 
 
 def cmd_synth(args):
+    from . import camera, synth
+    from . import io as slzio
+
     scene = synth.parse_scene(args.spec)
     render = synth.render_scene(scene)
     os.makedirs(args.out, exist_ok=True)

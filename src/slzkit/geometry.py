@@ -14,10 +14,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import ShapeMismatchError
-
-# Pixels with |n_z| below this are excluded from area sums: the per-pixel
-# area diverges as |n_z| -> 0 and such surfaces are never landable.
-DEFAULT_NZ_MIN = 0.1
+from .settings import DEFAULT_NZ_MIN
 
 
 @dataclass(frozen=True)

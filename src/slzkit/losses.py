@@ -1,9 +1,10 @@
 """Fine-tuning loss stack and a finite-difference gradient checker.
 
-Five pieces: virtual-normal loss over sampled point triplets, temporally
-decayed sequential depth+confidence L1, depth-normal consistency,
-temporally decayed weighted cross-entropy for the safe/unsafe branch,
-and the weighted combination of the first three.
+Four pieces: virtual-normal loss over sampled point triplets, temporally
+decayed sequential depth+confidence L1, depth-normal consistency and
+temporally decayed weighted cross-entropy for the safe/unsafe branch.
+Their weighted combination, ``settings.fine_tune_loss``, is plain Python
+and lives with the paper's other settings.
 
 Everything is pure numpy, computed in float64, and deterministic given a
 seed. Analytic gradients (w.r.t. the prediction inputs) are provided for
@@ -23,9 +24,6 @@ file when indexed holds one step at a time.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
@@ -33,8 +31,8 @@ from .errors import DegenerateInputError, ShapeMismatchError
 from .geometry import (_backproject_pixels, _bands, _cross_to_depth, _depth_stack,
                        _normal_planes)
 from .io import _check_mask
+from .settings import DEFAULT_GAMMA, ClassWeights
 
-DEFAULT_GAMMA = 0.9  # temporal decay of the sequential and safe-zone losses
 _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
 # shorter than this fraction of the product of the edge lengths.
@@ -42,33 +40,6 @@ _COLLINEAR_TOL = 1e-6
 # float64 elements in one stack of perturbed rasters that grad_check hands to
 # its loss: 32-64 rasters a stack measured fastest on 24x24 and 18x18x2 checks
 _GRAD_CHECK_ELEMENTS = 2 ** 15
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Balancing coefficients of the vnl, sequential and dncl components."""
-
-    lambda1: float = 0.2
-    lambda2: float = 0.5
-    lambda3: float = 0.01
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class weights for the safe/unsafe cross-entropy."""
-
-    w_safe: float = 2.0
-    w_unsafe: float = 1.0
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _decays(gamma, T):
@@ -396,17 +367,6 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         _class_weighted(e0, safe, unsafe, cw.w_safe, cw.w_unsafe)
         total -= decay * _mean(e0, kept)
     return _value(total), grads
-
-
-def fine_tune_loss(vnl, sequential, dncl, weights: LossWeights = LossWeights()):
-    """Weighted combination of the three fine-tuning components.
-
-    `sequential` is the already decay-summed sequential loss value.
-    """
-    for name, val in (("vnl", vnl), ("sequential", sequential), ("dncl", dncl)):
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite {name} component: {val}")
-    return weights.lambda1 * vnl + weights.lambda2 * sequential + weights.lambda3 * dncl
 
 
 def grad_check(f, x, analytic_grad, eps=1e-5):

@@ -16,8 +16,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
-from .geometry import DEFAULT_NZ_MIN, _area_sums, pixel_areas
+from .geometry import _area_sums, pixel_areas
 from .io import _check_mask
+from .settings import DEFAULT_NZ_MIN
 
 SAFE = 0
 UNSAFE = 1

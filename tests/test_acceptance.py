@@ -19,10 +19,8 @@ from slzkit.cli import main as cli_main
 from slzkit.geometry import normals_from_depth, region_area
 from slzkit.losses import (
     ClassWeights,
-    LossWeights,
     depth_normal_consistency,
     depth_normal_consistency_grad,
-    fine_tune_loss,
     grad_check,
     sequential_depth_loss,
     sequential_depth_loss_grad,
@@ -31,6 +29,7 @@ from slzkit.losses import (
     virtual_normal_loss,
 )
 from slzkit.metrics import evaluate
+from slzkit.settings import LossWeights, fine_tune_loss
 from slzkit.slz import connected_components, dilate_unsafe, top_k_candidates
 from slzkit.synth import Box, Scene, plane_depth, plane_unit_normal, render_scene
 

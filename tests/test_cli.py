@@ -2,6 +2,7 @@ import argparse
 import ast
 import csv
 import io as std_io
+import json
 import os
 import shutil
 import subprocess
@@ -938,8 +939,9 @@ def test_a_missing_required_key_exits_2_naming_the_file_block_and_keys(capsys, f
 
 
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
-# scipy modules loaded by the time the command returned.
-_SCIPY_PROBE = """
+# scipy modules, whether numpy is loaded and the slzkit submodules loaded by
+# the time the command returned. cli itself runs as __main__, as under -m.
+_PROBE = """
 import runpy, sys
 sys.argv[0] = "slzkit"
 try:
@@ -949,6 +951,9 @@ except SystemExit as exc:
 else:
     code = 0
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      file=sys.stderr)
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("slzkit modules:", sorted(m for m in sys.modules if m.startswith("slzkit.")),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -962,6 +967,12 @@ def _fresh_python(*args):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+def _probe_line(proc, what):
+    """The value the probe printed after `what:`, evaluated."""
+    line = next(ln for ln in proc.stderr.splitlines() if ln.startswith(f"{what}: "))
+    return ast.literal_eval(line.split(": ", 1)[1])
+
+
 def test_import_loads_no_scipy():
     proc = _fresh_python("-c", "import sys, slzkit, slzkit.cli; "
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -969,10 +980,12 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["combined", "vnl", "sequential", "dncl", "slz", "evaluate",
-                                     "refine-demo", "refine-demo-resume", "synth-buffer",
-                                     "area", "area-derive-normals", "candidates-logits-dilate"])
-def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
+def _command_argv(tmp_path, command):
+    """argv of one command of the probes on small fixtures."""
+    fixed = {"help": ["--help"], "area-help": ["area", "--help"],
+             "usage-error": ["area", "--mask", "m.pgm"]}
+    if command in fixed:
+        return fixed[command]
     if command.startswith(("area", "candidates")):
         _three_blob_fixture(tmp_path)
         frame = ["--depth", str(tmp_path / "depth.f32r"),
@@ -980,7 +993,7 @@ def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
         logits = np.zeros((32, 32, 2), dtype=np.float32)
         logits[..., 1] = np.where(sio.read_mask(tmp_path / "mask.pgm") == 1, 1.0, -1.0)
         sio.write_raster(logits, tmp_path / "logits.f32r")
-        argv = {"area": ["area", *frame, "--mask", str(tmp_path / "mask.pgm"),
+        return {"area": ["area", *frame, "--mask", str(tmp_path / "mask.pgm"),
                          "--normals", str(tmp_path / "normals.f32r")],
                 "area-derive-normals": ["area", *frame, "--mask", str(tmp_path / "mask.pgm"),
                                         "--derive-normals"],
@@ -988,28 +1001,103 @@ def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
                                              "--logits", str(tmp_path / "logits.f32r"),
                                              "--normals", str(tmp_path / "normals.f32r"),
                                              "--dilate", "2"]}[command]
-    elif command == "evaluate":
+    if command == "evaluate":
         for sub in ("pred", "gt"):
             (tmp_path / sub).mkdir()
             sio.write_mask(np.eye(8, dtype=np.uint8), tmp_path / sub / "a.pgm")
-        argv = ["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
-    elif command == "refine-demo":
-        argv = ["refine-demo", "--out", str(tmp_path / "run"), "--T", "2"]
-    elif command == "refine-demo-resume":
+        return ["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
+    if command == "refine-demo":
+        return ["refine-demo", "--out", str(tmp_path / "run"), "--T", "2"]
+    if command == "refine-demo-resume":
         assert main(["refine-demo", "--out", str(tmp_path / "a"), "--T", "1"]) == 0
-        argv = ["refine-demo", "--resume", str(tmp_path / "a"), "--out", str(tmp_path / "b"),
+        return ["refine-demo", "--resume", str(tmp_path / "a"), "--out", str(tmp_path / "b"),
                 "--T", "1"]
-    elif command == "synth-buffer":
+    if command == "synth-buffer":
         spec = tmp_path / "scene.txt"
         spec.write_text("[scene]\nwidth=32\nheight=24\nfx=100\nfy=100\ncx=15.5\ncy=11.5\n"
                         "buffer=2\n[plane]\na=0\nb=0\nc=4\n"
                         "[box]\nu0=10\nv0=8\nu1=14\nv1=12\nheight=1\n")
-        argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "scene")]
-    else:
-        argv = _loss_argvs(tmp_path)[command]
-    proc = _fresh_python("-c", _SCIPY_PROBE, *argv)
+        return ["synth", "--spec", str(spec), "--out", str(tmp_path / "scene")]
+    if command == "combined-config":
+        (tmp_path / "cfg.txt").write_text("lambda1=0.2\n")
+        return _loss_argvs(tmp_path)["combined"] + ["--config", str(tmp_path / "cfg.txt")]
+    return _loss_argvs(tmp_path)[command]
+
+
+@pytest.mark.parametrize("command", ["combined", "vnl", "sequential", "dncl", "slz", "evaluate",
+                                     "refine-demo", "refine-demo-resume", "synth-buffer",
+                                     "area", "area-derive-normals", "candidates-logits-dilate"])
+def test_command_without_scipy_code_loads_no_scipy(tmp_path, command):
+    proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, command))
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stderr
+
+
+_FRAME = {"camera", "errors", "geometry", "io", "settings", "slz"}
+_LOSSES = {"camera", "errors", "geometry", "io", "losses", "settings"}
+
+
+# command -> (exit code, the slzkit submodules it loads, whether it loads numpy)
+@pytest.mark.parametrize("command,code,modules,numpy", [
+    ("help", 0, {"errors", "settings"}, False),
+    ("area-help", 0, {"errors", "settings"}, False),
+    ("usage-error", 2, {"errors", "settings"}, False),
+    ("combined", 0, {"errors", "settings"}, False),
+    ("combined-config", 0, {"errors", "io", "settings"}, True),
+    ("area", 0, _FRAME, True),
+    ("area-derive-normals", 0, _FRAME, True),
+    ("candidates-logits-dilate", 0, _FRAME, True),
+    ("evaluate", 0, {"errors", "io", "metrics", "settings"}, True),
+    ("vnl", 0, _LOSSES, True),
+    ("sequential", 0, _LOSSES, True),
+    ("dncl", 0, _LOSSES, True),
+    ("slz", 0, _LOSSES, True),
+    ("refine-demo", 0, _LOSSES | {"refinement"}, True),
+    ("refine-demo-resume", 0, _LOSSES | {"refinement"}, True),
+    ("synth-buffer", 0, _FRAME | {"synth"}, True),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, code, modules, numpy):
+    proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, command))
+    assert proc.returncode == code, proc.stderr
+    assert _probe_line(proc, "slzkit modules") == sorted(f"slzkit.{m}" for m in modules)
+    assert _probe_line(proc, "numpy loaded") is numpy
+
+
+def test_import_slzkit_loads_no_submodule_and_no_numpy():
+    proc = _fresh_python("-c", "import sys, slzkit; print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('slzkit', 'numpy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['slzkit']"
+
+
+_NAMESPACE_PROBE = """
+import json, sys, slzkit
+public = slzkit.__all__
+bound_at_import = [n for n in public if n in vars(slzkit)]
+star = {}
+exec("from slzkit import *", star)
+print(json.dumps({
+    "bound_at_import": bound_at_import,
+    "unbound_by_star": [n for n in public if n not in star],
+    "not_cached": [n for n in public if vars(slzkit).get(n) is not star.get(n)],
+    "not_from_its_module": [n for n in public
+                            if getattr(sys.modules[star[n].__module__], n) is not star[n]],
+    "not_in_dir": [n for n in public if n not in dir(slzkit)],
+}))
+"""
+
+
+def test_public_names_resolve_on_first_access_and_are_cached():
+    proc = _fresh_python("-c", _NAMESPACE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "bound_at_import": [], "unbound_by_star": [], "not_cached": [],
+        "not_from_its_module": [], "not_in_dir": []}
+
+
+def test_an_unknown_public_name_is_an_attribute_error_naming_slzkit():
+    with pytest.raises(AttributeError, match="module 'slzkit' has no attribute 'no_such_name'"):
+        getattr(slzkit, "no_such_name")
 
 
 def _imported_modules(tree):
@@ -1020,6 +1108,25 @@ def _imported_modules(tree):
             yield node.module
 
 
+def _module_level_imports(tree):
+    """The modules that a module's import statements outside function bodies
+    name: absolute names as written, a package-relative one as slzkit.<name>."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+            elif node.module is not None:
+                yield f"slzkit.{node.module}"
+            else:
+                yield from (f"slzkit.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
 def test_no_module_imports_scipy():
     # static twin of the probes above: a lazy import inside any function counts too
     modules = sorted(Path(slzkit.__file__).parent.rglob("*.py"))
@@ -1028,6 +1135,21 @@ def test_no_module_imports_scipy():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported = [name for name in _imported_modules(tree) if name.split(".")[0] == "scipy"]
         assert imported == [], f"{path.name} imports {imported}"
+
+
+def test_the_numpy_free_modules_import_no_numpy_module_at_module_level():
+    # static twin of the module-table probe: a numpy user is a slzkit module
+    # that imports numpy anywhere, even inside a function
+    package = Path(slzkit.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in package.glob("*.py")}
+    numpy_users = {f"slzkit.{stem}" for stem, tree in trees.items()
+                   if any(name.split(".")[0] == "numpy" for name in _imported_modules(tree))}
+    assert {"slzkit.io", "slzkit.losses", "slzkit.cli"} <= numpy_users
+    for stem in ("__init__", "cli", "settings", "errors"):
+        imported = [name for name in _module_level_imports(trees[stem])
+                    if name.split(".")[0] == "numpy" or name in numpy_users]
+        assert imported == [], f"{stem}.py imports {imported} at module level"
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (14, 14), (56, 56),

@@ -13,10 +13,8 @@ from slzkit.errors import DegenerateInputError, ShapeMismatchError
 from slzkit.geometry import normals_from_depth
 from slzkit.losses import (
     ClassWeights,
-    LossWeights,
     depth_normal_consistency,
     depth_normal_consistency_grad,
-    fine_tune_loss,
     grad_check,
     sample_triplets,
     sequential_depth_loss,
@@ -25,6 +23,7 @@ from slzkit.losses import (
     slz_loss_grad,
     virtual_normal_loss,
 )
+from slzkit.settings import LossWeights, fine_tune_loss
 from slzkit.synth import plane_depth, plane_unit_normal
 
 INTR = CameraIntrinsics(100, 100, 15.5, 15.5)
