@@ -222,44 +222,47 @@ def cmd_refine_demo(args):
         init = refinement.demo_state(base=args.base, hidden_channels=weights.hidden_channels,
                                      seed=args.seed)
 
+    # --T and gamma are checked before the first write, so that a setting
+    # they reject leaves --out as it was
     states = refinement.run_refinement(init, weights, args.T)
-    final = states[-1]
+    losses._decays(args.gamma, args.T)
+    steps, shape = range(init.t, init.t + args.T + 1), init.depth.shape
+    del init  # the run holds one state at a time
 
     # Per-step losses against a fixed synthetic target (constant depth 2.5,
     # unit confidence, all-safe labels). Demo confidences are identically 1,
-    # so a one-step sequential loss is the step's depth L1. They come before
-    # the first write, so that a setting they reject leaves --out as it was.
-    gt_depth = np.full(final.depth.shape, 2.5)
-    ones = np.ones(final.depth.shape)
-    labels = np.zeros(final.depth.shape, dtype=np.uint8)
-    seq_total = losses.sequential_depth_loss(
-        [s.depth for s in states], [ones] * len(states), gt_depth, ones, args.gamma)
-    slz_total = losses.slz_loss([s.slz for s in states], labels, gamma=args.gamma)
-    table = [("t", "depth_l1", "slz_wce")]
-    for state in states:
-        l1 = losses.sequential_depth_loss([state.depth], [ones], gt_depth, ones)
-        ce = losses.slz_loss([state.slz], labels, gamma=args.gamma)
-        table.append((state.t, f"{l1:.9g}", f"{ce:.9g}"))
-    table.append(("sequential_total", f"{seq_total:.9g}", ""))
-    table.append(("slz_total", f"{slz_total:.9g}", ""))
-
-    rasters = {f"{kind}_t{state.t}.f32r": getattr(state, kind)
-               for state in states for kind in ("depth", "normal", "slz")}
+    # so a one-step sequential loss is the step's depth L1.
+    gt_depth = np.full(shape, 2.5)
+    ones = np.ones(shape)
+    labels = np.zeros(shape, dtype=np.uint8)
+    kinds = ("depth", "normal", "slz")
     os.makedirs(args.out, exist_ok=True)
     # drop the per-step rasters an earlier run left in --out: they would pass for this run's
+    ours = {f"{kind}_t{t}.f32r" for t in steps for kind in kinds}
     for name in os.listdir(args.out):
-        if _STEP_RASTER.fullmatch(name) and name not in rasters:
+        if _STEP_RASTER.fullmatch(name) and name not in ours:
             os.remove(os.path.join(args.out, name))
+    rows = []
+    for state in states:
+        rows.append((state.t, losses.sequential_depth_loss([state.depth], [ones], gt_depth, ones),
+                     losses.slz_loss([state.slz], labels)))
+        for kind in kinds:
+            slzio.write_raster(getattr(state, kind),
+                               os.path.join(args.out, f"{kind}_t{state.t}.f32r"))
+    for kind in kinds:
+        slzio.write_raster(_bilinear_x4(getattr(state, kind)),
+                           os.path.join(args.out, f"{kind}_full.f32r"))
+    # the pair that --resume reads, after the last step: a run that stops midway
+    # leaves an earlier run's pair as it was
     refinement.save_weights(weights, os.path.join(args.out, "weights"))
-    refinement.save_state(final, os.path.join(args.out, "state"))
-    for name, raster in rasters.items():
-        slzio.write_raster(raster, os.path.join(args.out, name))
-    slzio.write_raster(_bilinear_x4(final.depth), os.path.join(args.out, "depth_full.f32r"))
-    slzio.write_raster(_bilinear_x4(final.normal), os.path.join(args.out, "normal_full.f32r"))
-    slzio.write_raster(_bilinear_x4(final.slz), os.path.join(args.out, "slz_full.f32r"))
+    refinement.save_state(state, os.path.join(args.out, "state"))
+    _, l1s, ces = zip(*rows)
     with open(os.path.join(args.out, "losses.csv"), "w", encoding="ascii", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(table)
-    print(f"wrote t={states[0].t}..{final.t} rasters to {args.out}", file=sys.stderr)
+        csv.writer(fh, lineterminator="\n").writerows([
+            ("t", "depth_l1", "slz_wce"), *((t, f"{l1:.9g}", f"{ce:.9g}") for t, l1, ce in rows),
+            ("sequential_total", f"{losses.decayed_sum(l1s, args.gamma):.9g}", ""),
+            ("slz_total", f"{losses.decayed_sum(ces, args.gamma):.9g}", "")])
+    print(f"wrote t={steps[0]}..{state.t} rasters to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -357,7 +360,7 @@ def cmd_loss_slz(args):
     from . import losses
 
     labels = slzio.read_mask(args.labels)
-    cw = losses.ClassWeights(args.w_safe, args.w_unsafe)
+    cw = settings.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
     logit_seq = _Steps(args.logits, "logits", 2)
     if args.grad_check:

@@ -19,7 +19,8 @@ perturbed rasters that way. Their gradients take one raster per input.
 The sequential and cross-entropy losses take their steps as any sequence
 with len and indexing. They index step t once, when they reach it, and drop
 its arrays before step t + 1, so a sequence that reads each raster from its
-file when indexed holds one step at a time.
+file when indexed holds one step at a time. Both add their per-step means
+with `decayed_sum`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,19 @@ def _decays(gamma, T):
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     return [gamma ** (T - t) for t in range(T + 1)]
+
+
+def decayed_sum(values, gamma):
+    """The temporally decayed sum of per-step values: gamma^(T-t) * values[t]
+    over t = 0..T, T = len(values) - 1, added from 0.0 left to right.
+
+    A plain loop, not ``sum()``, whose float rounding is compensated from
+    Python 3.12 on. A value may be the (b,) array of a stack.
+    """
+    total = 0.0
+    for decay, value in zip(_decays(gamma, len(values) - 1), values):
+        total += decay * value
+    return total
 
 
 def _valid_set(valid, shape):
@@ -194,10 +208,8 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
     v, n, kept = _valid_set(valid, dg.shape)
 
-    # the total turns into one value per raster at the first stacked step
-    total = 0.0
     lead = None if need_grad else ()
-    grads_d, grads_c = [], []
+    means, grads_d, grads_c = [], [], []
     for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
         dp = np.asarray(d_preds[t])
         lead = _batch(dp, dg.shape, lead, f"step {t}: depth")
@@ -211,9 +223,9 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
         if need_grad:
             grads_d.append(np.where(v, decay * np.sign(rd) / n, 0.0))
             grads_c.append(np.where(v, decay * np.sign(rc) / n, 0.0))
-        total += decay * (_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
+        means.append(_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
         del rd, rc  # before the next step's read
-    return _value(total), grads_d, grads_c
+    return _value(decayed_sum(means, gamma)), grads_d, grads_c
 
 
 def depth_normal_consistency(d_pred, n_pred, intr: CameraIntrinsics):
@@ -332,10 +344,8 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     decays = _decays(gamma, len(logit_seq) - 1)
     safe = lab == 0
     unsafe = ~safe
-    # the total turns into one value per raster at the first stacked step
-    total = 0.0
     lead = None if need_grad else ()
-    grads = []
+    means, grads = [], []
     # three float64 planes serve every step of one shape: the logits become
     # their exponentials in place, and the larger logit the sum
     e0 = e1 = s = np.empty(0)
@@ -365,8 +375,8 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
         e0 /= s
         np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
         _class_weighted(e0, safe, unsafe, cw.w_safe, cw.w_unsafe)
-        total -= decay * _mean(e0, kept)
-    return _value(total), grads
+        means.append(-_mean(e0, kept))
+    return _value(decayed_sum(means, gamma)), grads
 
 
 def grad_check(f, x, analytic_grad, eps=1e-5):

@@ -19,6 +19,7 @@ state in float32 makes save/resume round trips bitwise.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -183,13 +184,13 @@ def refinement_step(state: RefinementState, weights: RefinementWeights) -> Refin
 
 
 def run_refinement(init: RefinementState, weights: RefinementWeights, steps: int):
-    """Run `steps` iterations of `refinement_step`; returns all states t = t0 .. t0+steps."""
+    """An iterator over the states t = t0 .. t0+steps of `steps` iterations of
+    `refinement_step`, from `init`. `steps` is checked at the call; each state
+    is computed when the iterator reaches it, and ``list(...)`` holds them all."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [init]
-    for _ in range(steps):
-        states.append(refinement_step(states[-1], weights))
-    return states
+    return itertools.accumulate(range(steps), lambda state, _: refinement_step(state, weights),
+                                initial=init)
 
 
 def _layout(hc):

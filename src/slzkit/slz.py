@@ -40,17 +40,6 @@ class Labelling:
         """(H, W) region id of each safe pixel, 0 = unsafe."""
         return _paint(*self.runs, self.shape)
 
-    def pixels(self, i):
-        """(N, 2) array of the (row, col) pixels of region id i + 1, row-major."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"region row {i} out of range for {len(self)} regions")
-        r0, _, r1, _ = self.bbox[i]
-        # the runs of the bbox's rows are one slice of the row-major table;
-        # int32 keys keep searchsorted from casting the whole row column
-        lo, hi = np.searchsorted(self.runs[0], (r0, r1 + 1))
-        runs = self.runs[:, lo:hi]
-        return _run_pixels(*runs[:3, runs[3] == i + 1])
-
 
 @dataclass(frozen=True, eq=False)
 class RegionStats(Labelling):
@@ -59,13 +48,6 @@ class RegionStats(Labelling):
     area: np.ndarray  # (R,) float64 m^2
     pixel_count: np.ndarray  # (R,) pixels that contributed to the area
     excluded_count: np.ndarray  # (R,) region pixels skipped
-
-
-def _run_pixels(row, start, stop):
-    """(N, 2) array of the (row, col) pixels of the given runs, run by run."""
-    n = stop - start
-    cols = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start, n)
-    return np.column_stack((np.repeat(row, n), cols))
 
 
 def _paint(row, start, stop, label, shape):

@@ -152,9 +152,9 @@ def test_c05_refinement_invariants():
         assert np.array_equal(s.normal, state.normal)
         assert np.array_equal(s.slz, state.slz)
 
-    direct = refinement.run_refinement(state, weights, 4)
-    half = refinement.run_refinement(state, weights, 2)
-    resumed = half[:-1] + refinement.run_refinement(half[-1], weights, 2)
+    direct = list(refinement.run_refinement(state, weights, 4))
+    half = list(refinement.run_refinement(state, weights, 2))
+    resumed = half[:-1] + list(refinement.run_refinement(half[-1], weights, 2))
     for a, b in zip(direct, resumed):
         assert np.array_equal(a.depth, b.depth)
         assert np.array_equal(a.slz, b.slz)
@@ -246,7 +246,7 @@ def test_c08_post_processing():
     brute.sort(key=lambda t: -t[0])
     assert len(order) == len(brute)
     for i, (area, first_pixel) in zip(order, brute):
-        assert tuple(stats.pixels(i)[0]) == first_pixel
+        assert tuple(np.argwhere(stats.labels() == i + 1)[0]) == first_pixel
         assert stats.area[i] == pytest.approx(area, rel=1e-9)
 
     diag = np.ones((4, 4), np.uint8)

@@ -439,22 +439,87 @@ def test_refine_demo_removes_the_step_rasters_of_an_earlier_run(capsys, tmp_path
         assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
-def test_refine_demo_rejected_gamma_leaves_out_as_it_was(capsys, tmp_path):
+def _tree(out):
+    """The bytes of every file under out, by relative path."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def _assert_rejected_setting_leaves_out_as_it_was(capsys, tmp_path, flag, value, message):
     out = tmp_path / "x"
     code, _, _ = run_cli(capsys, "refine-demo", "--T", "4", "--seed", "1", "--out", str(out))
     assert code == 0
-
-    def tree():
-        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-
-    before = tree()
+    before = _tree(out)
     for target in (out, tmp_path / "fresh"):
-        code, stdout, err = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5",
-                                    "--gamma", "-1", "--out", str(target))
+        # the last of a repeated flag wins
+        code, stdout, err = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5", flag, value,
+                                    "--out", str(target))
         assert code == 2 and stdout == ""
-        assert "gamma must be in (0, 1], got -1.0" in err
-    assert tree() == before
+        assert message in err
+    assert _tree(out) == before
     assert not (tmp_path / "fresh").exists()
+
+
+def test_refine_demo_rejected_gamma_leaves_out_as_it_was(capsys, tmp_path):
+    _assert_rejected_setting_leaves_out_as_it_was(capsys, tmp_path, "--gamma", "-1",
+                                                  "gamma must be in (0, 1], got -1.0")
+
+
+def test_refine_demo_rejected_step_count_leaves_out_as_it_was(capsys, tmp_path):
+    _assert_rejected_setting_leaves_out_as_it_was(capsys, tmp_path, "--T", "-1",
+                                                  "steps must be >= 0, got -1")
+
+
+def test_refine_demo_stopped_midway_keeps_the_earlier_runs_weights_and_state(
+        capsys, tmp_path, monkeypatch):
+    out = tmp_path / "x"
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "4", "--seed", "1", "--out", str(out))
+    assert code == 0
+    before = {name: _tree(out / name) for name in ("weights", "state")}
+    calls, real = [], refinement.refinement_step
+
+    def step(state, weights):
+        calls.append(state.t)
+        if len(calls) == 2:
+            raise MemoryError("out of memory at the second step")
+        return real(state, weights)
+
+    monkeypatch.setattr(refinement, "refinement_step", step)
+    code, stdout, err = run_cli(capsys, "refine-demo", "--T", "3", "--seed", "5",
+                                "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: out of memory at the second step\n"
+    assert calls == [0, 1]
+    assert {name: _tree(out / name) for name in ("weights", "state")} == before
+    # the steps that finished wrote their rasters as they came
+    monkeypatch.setattr(refinement, "refinement_step", real)
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", "3", "--seed", "5",
+                         "--out", str(tmp_path / "whole"))
+    assert code == 0
+    for name in ("depth_t0.f32r", "slz_t1.f32r"):
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+@pytest.mark.parametrize("steps", [1, 4, 16])
+def test_refine_demo_totals_are_the_decayed_losses_of_the_whole_run(capsys, tmp_path, steps):
+    from slzkit import losses
+
+    code, _, _ = run_cli(capsys, "refine-demo", "--T", str(steps), "--gamma", "0.5",
+                         "--out", str(tmp_path / "x"))
+    assert code == 0
+    rows = parse_csv((tmp_path / "x" / "losses.csv").read_text())
+    states = list(refinement.run_refinement(refinement.demo_state(56, 8, seed=0),
+                                            refinement.init_weights(8, seed=0), steps))
+    side = states[0].depth.shape
+    gt, ones, labels = np.full(side, 2.5), np.ones(side), np.zeros(side, np.uint8)
+    seq = losses.sequential_depth_loss([s.depth for s in states], [ones] * len(states), gt,
+                                       ones, gamma=0.5)
+    ce = losses.slz_loss([s.slz for s in states], labels, gamma=0.5)
+    # the decayed sum of the table's one-step values is the whole run's value, bit for bit
+    l1s = [losses.sequential_depth_loss([s.depth], [ones], gt, ones) for s in states]
+    ces = [losses.slz_loss([s.slz], labels) for s in states]
+    assert (losses.decayed_sum(l1s, 0.5), losses.decayed_sum(ces, 0.5)) == (seq, ce)
+    assert rows[1:-2] == [[str(s.t), f"{a:.9g}", f"{b:.9g}"] for s, a, b in zip(states, l1s, ces)]
+    assert rows[-2:] == [["sequential_total", f"{seq:.9g}", ""], ["slz_total", f"{ce:.9g}", ""]]
 
 
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):

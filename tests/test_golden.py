@@ -213,14 +213,20 @@ CASES = {
     # resumed into the directory it continues: the t0 and t1 rasters there go
     "refine-demo-resume": ["refine-demo", "--resume", "refine-half/", "--T", "2",
                            "--out", "refine-half/"],
+    "refine-demo-T16-gamma": ["refine-demo", "--base", "56", "--T", "16", "--gamma", "0.5",
+                              "--out", "refine-t16/"],
+    "refine-demo-T16-gamma-resume": ["refine-demo", "--resume", "refine-t16-first/", "--T", "16",
+                                     "--gamma", "0.5", "--out", "refine-t16-resumed/"],
 }
 
 # calls run, their output unpinned, before a case
-BEFORE = {"refine-demo-resume": ["refine-demo", "--base", "56", "--T", "2", "--out", "refine-half/"]}
+BEFORE = {"refine-demo-resume": ["refine-demo", "--base", "56", "--T", "2", "--out", "refine-half/"],
+          "refine-demo-T16-gamma-resume": ["refine-demo", "--base", "56", "--T", "16",
+                                           "--gamma", "0.5", "--out", "refine-t16-first/"]}
 
 # cases whose bytes hold for one numpy build only
 BUILD_BOUND = {"loss-vnl", "loss-sequential", "loss-dncl", "loss-slz", "refine-demo",
-               "refine-demo-resume"}
+               "refine-demo-resume", "refine-demo-T16-gamma", "refine-demo-T16-gamma-resume"}
 # the oracle tests' tolerances: loss values against their loop oracles, the
 # grad-check bound of each loss, a refinement step against its oracle
 LOSS_TOL = 1e-9

@@ -267,6 +267,31 @@ def test_decayed_losses_reject_gamma_outside_0_1(loss, gamma):
         loss([np.zeros((3, 3, 2))], np.zeros((3, 3), np.uint8), gamma=gamma)
 
 
+def test_decayed_sum_adds_left_to_right_from_zero():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum, as float sum() is
+    # from Python 3.12 on, gives 1.0
+    assert losses.decayed_sum([1e16, 1.0, -1e16], 1.0) == 0.0
+    assert losses.decayed_sum([3.0, 5.0, 7.0], 0.5) == 0.25 * 3.0 + 0.5 * 5.0 + 7.0
+    assert losses.decayed_sum([], 0.5) == 0.0
+    with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\], got 0.0"):
+        losses.decayed_sum([1.0], 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0])
+def test_decayed_losses_are_the_decayed_sum_of_their_one_step_values(gamma):
+    rng = np.random.default_rng(6)
+    gt, cgt = 3.0 + rng.uniform(-1, 1, (5, 6)), rng.uniform(0, 1, (5, 6))
+    preds = [gt + rng.normal(size=(5, 6)) for _ in range(4)]
+    confs = [cgt + rng.normal(size=(5, 6)) for _ in range(4)]
+    labels = (rng.uniform(size=(5, 6)) > 0.4).astype(np.uint8)
+    seq = [rng.normal(scale=3.0, size=(5, 6, 2)) for _ in range(4)]
+    # one step's value is its own: 0.0 + 1.0 * m is m, and 0.0 + 1.0 * -m is -m
+    steps = [sequential_depth_loss([p], [c], gt, cgt) for p, c in zip(preds, confs)]
+    assert sequential_depth_loss(preds, confs, gt, cgt, gamma) == losses.decayed_sum(steps, gamma)
+    steps = [slz_loss([z], labels) for z in seq]
+    assert slz_loss(seq, labels, gamma=gamma) == losses.decayed_sum(steps, gamma)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["w_safe", "w_unsafe", "lambda1", "lambda2", "lambda3"])
 def test_weights_reject_a_non_finite_value_naming_it(name, bad):

@@ -138,3 +138,25 @@ def test_peak_memory_of_the_dncl_gradient_is_bounded(frame):
         tracemalloc.stop()
     assert np.isfinite(loss) and np.isfinite(grad).all()
     assert peak / PLANE <= 15.0, f"peak {peak / PLANE:.2f} planes > 15.0"
+
+
+def test_peak_memory_of_refine_demo_does_not_grow_with_its_steps(capsys, tmp_path):
+    # the run holds one state at a time: 4.31 and 4.35 MiB measured at T = 4
+    # and 16; holding all T + 1 states brought them to 5.52 and 9.20 MiB
+    def argv(steps):
+        return ["refine-demo", "--base", "224", "--hidden", "8", "--T", str(steps),
+                "--out", str(tmp_path / f"T{steps}")]
+
+    assert main(argv(0)) == 0  # the modules it imports, outside the traced calls
+    peaks = []
+    for steps in (4, 16):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(argv(steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] <= 0.5 * 2 ** 20, f"peaks {[p / 2 ** 20 for p in peaks]} MiB"

@@ -38,7 +38,9 @@ def _frame(seed, height, width, unsafe_fraction):
 
 
 def _components(stats):
-    return {frozenset(map(tuple, stats.pixels(i).tolist())) for i in range(len(stats.area))}
+    labels = stats.labels()
+    return {frozenset(map(tuple, np.argwhere(labels == i + 1).tolist()))
+            for i in range(len(stats.area))}
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from slzkit import io as sio
+from slzkit import refinement
 from slzkit.errors import ShapeMismatchError
 from slzkit.losses import sequential_depth_loss, slz_loss
 from slzkit.refinement import (
@@ -199,6 +200,18 @@ def test_run_refinement_lengths_and_t():
         run_refinement(state, weights, -1)
 
 
+def test_run_refinement_computes_each_state_when_it_is_reached(monkeypatch):
+    weights = init_weights(hidden_channels=4, seed=10)
+    state = demo_state(base=28, hidden_channels=4, seed=10)
+    calls, real = [], refinement_step
+    monkeypatch.setattr(refinement, "refinement_step",
+                        lambda s, w: calls.append(s.t) or real(s, w))
+    states = run_refinement(state, weights, 3)
+    assert next(states) is state and calls == []
+    assert next(states).t == 1 and calls == [0]
+    assert [s.t for s in states] == [2, 3] and calls == [0, 1, 2]
+
+
 def test_zero_heads_fixed_point_for_t4():
     weights = zero_projection_heads(init_weights(hidden_channels=4, seed=11))
     state = demo_state(base=28, hidden_channels=4, seed=11)
@@ -211,9 +224,9 @@ def test_zero_heads_fixed_point_for_t4():
 def test_resume_is_bitwise_identical():
     weights = init_weights(hidden_channels=8, seed=12)
     state = demo_state(base=56, hidden_channels=8, seed=12)
-    direct = run_refinement(state, weights, 4)
-    first = run_refinement(state, weights, 2)
-    rest = run_refinement(first[-1], weights, 2)
+    direct = list(run_refinement(state, weights, 4))
+    first = list(run_refinement(state, weights, 2))
+    rest = list(run_refinement(first[-1], weights, 2))
     resumed = first[:-1] + rest
     for a, b in zip(direct, resumed):
         assert a.t == b.t
@@ -223,15 +236,15 @@ def test_resume_is_bitwise_identical():
 
 
 def test_determinism_across_runs():
-    a = run_refinement(demo_state(56, 8, seed=13), init_weights(8, seed=13), 2)
-    b = run_refinement(demo_state(56, 8, seed=13), init_weights(8, seed=13), 2)
+    a = list(run_refinement(demo_state(56, 8, seed=13), init_weights(8, seed=13), 2))
+    b = list(run_refinement(demo_state(56, 8, seed=13), init_weights(8, seed=13), 2))
     assert np.array_equal(a[-1].slz, b[-1].slz)
     assert np.array_equal(a[-1].depth, b[-1].depth)
 
 
 def test_sequence_feeds_losses_without_nans():
     weights = init_weights(hidden_channels=8, seed=14)
-    states = run_refinement(demo_state(56, 8, seed=14), weights, 4)
+    states = list(run_refinement(demo_state(56, 8, seed=14), weights, 4))
     side = states[0].depth.shape[0]
     gt = np.full((side, side), 2.0)
     conf = np.ones((side, side))
@@ -299,7 +312,7 @@ def test_weight_bundle_rejects_a_bias_stored_as_a_column(tmp_path):
 
 def _state_pair():
     weights = init_weights(hidden_channels=4, seed=21)
-    states = run_refinement(demo_state(28, 4, seed=21), weights, 2)
+    states = list(run_refinement(demo_state(28, 4, seed=21), weights, 2))
     return save_state, lambda d: load_state(d, 4), states[1], states[2]
 
 
@@ -347,7 +360,8 @@ def test_meta_value_below_its_least_is_a_parse_error(tmp_path, kind, key, value)
     if kind == "weights":
         save_weights(weights, tmp_path / kind)
     else:
-        save_state(run_refinement(demo_state(28, 4, seed=20), weights, 1)[-1], tmp_path / kind)
+        save_state(list(run_refinement(demo_state(28, 4, seed=20), weights, 1))[-1],
+                   tmp_path / kind)
     (tmp_path / kind / "meta.txt").write_text(f"{key}={value}\n")
     load = load_weights if kind == "weights" else lambda d: load_state(d, 4)
     with pytest.raises(sio.ParseError, match=rf"meta\.txt: {key}={value} must be >= "):
@@ -357,7 +371,7 @@ def test_meta_value_below_its_least_is_a_parse_error(tmp_path, kind, key, value)
 @pytest.mark.parametrize("base,hidden", [(224, 8), (448, 16), (28, 1)])
 def test_state_round_trip(tmp_path, base, hidden):
     weights = init_weights(hidden_channels=hidden, seed=17)
-    state = run_refinement(demo_state(base, hidden, seed=17), weights, 2)[-1]
+    state = list(run_refinement(demo_state(base, hidden, seed=17), weights, 2))[-1]
     save_state(state, tmp_path / "st")
     back = load_state(tmp_path / "st", hidden)
     assert back.t == 2
@@ -368,7 +382,7 @@ def test_state_round_trip(tmp_path, base, hidden):
 
 def test_state_of_another_channel_count_is_a_parse_error_naming_the_entry(tmp_path):
     weights = init_weights(hidden_channels=4, seed=17)
-    save_state(run_refinement(demo_state(56, 4, seed=17), weights, 1)[-1], tmp_path / "st")
+    save_state(list(run_refinement(demo_state(56, 4, seed=17), weights, 1))[-1], tmp_path / "st")
     with pytest.raises(sio.ParseError, match=re.escape(
             "st: hidden_quarter has shape (14, 14, 4), expected (14, 14, 8) "
             "from depth (14, 14) and hidden_channels=8")):
@@ -377,12 +391,12 @@ def test_state_of_another_channel_count_is_a_parse_error_naming_the_entry(tmp_pa
 
 def test_state_round_trip_single_hidden_channel(tmp_path):
     weights = init_weights(hidden_channels=1, seed=19)
-    state = run_refinement(demo_state(28, 1, seed=19), weights, 1)[-1]
+    state = list(run_refinement(demo_state(28, 1, seed=19), weights, 1))[-1]
     save_state(state, tmp_path / "st")
     back = load_state(tmp_path / "st", 1)
     assert back.hidden_quarter.shape == state.hidden_quarter.shape
-    assert np.array_equal(run_refinement(back, weights, 1)[-1].slz,
-                          run_refinement(state, weights, 1)[-1].slz)
+    assert np.array_equal(list(run_refinement(back, weights, 1))[-1].slz,
+                          list(run_refinement(state, weights, 1))[-1].slz)
 
 
 @pytest.mark.parametrize("hidden", [0, -2])

@@ -16,6 +16,11 @@ from slzkit.slz import (
 INTR = CameraIntrinsics(100, 100, 10, 10)
 
 
+def _pixels(lab, i):
+    """(N, 2) array of the (row, col) pixels of region id i + 1, row-major."""
+    return np.argwhere(lab.labels() == i + 1)
+
+
 def test_binarize_argmax_and_tie_break():
     logits = np.array([[[2.0, -1.0], [0.5, 0.5], [-3.0, 1.0]]])
     mask = binarize(logits)
@@ -48,7 +53,7 @@ def test_components_diagonal_pixels_split():
 def test_components_all_safe():
     lab = connected_components(np.zeros((3, 3), np.uint8))
     assert len(lab) == 1
-    assert len(lab.pixels(0)) == 9
+    assert len(_pixels(lab, 0)) == 9
     assert tuple(lab.bbox[0]) == (0, 0, 2, 2)
 
 
@@ -56,8 +61,9 @@ def _assert_flood_fill(lab, mask):
     """Row i of the labelling holds the pixels and bbox of the oracle's component i."""
     ref = oracles.flood_fill_components(mask)
     assert len(lab) == len(ref)
+    labels = lab.labels()
     for i, ref_pixels in enumerate(ref):
-        assert [tuple(p) for p in lab.pixels(i)] == ref_pixels
+        assert [tuple(p) for p in np.argwhere(labels == i + 1).tolist()] == ref_pixels
         rows, cols = zip(*ref_pixels)
         assert tuple(lab.bbox[i]) == (min(rows), min(cols), max(rows), max(cols))
 
@@ -75,18 +81,9 @@ def test_components_ids_are_row_major_first_pixel_order():
     mask[0, 3] = 0
     mask[2, 2] = 0
     lab = connected_components(mask)
-    firsts = [tuple(lab.pixels(i)[0]) for i in range(len(lab))]
+    firsts = [tuple(_pixels(lab, i)[0]) for i in range(len(lab))]
     assert firsts == [(0, 3), (2, 2), (4, 0)]
     assert [lab.labels()[p] for p in firsts] == [1, 2, 3]
-
-
-def test_pixels_rejects_a_row_outside_the_labelling():
-    # safe where row + col is even: six one-pixel regions, the last at (2, 2)
-    lab = connected_components((np.add.outer(np.arange(3), np.arange(4)) % 2).astype(np.uint8))
-    assert lab.pixels(5).tolist() == [[2, 2]]
-    for i in (-1, len(lab)):
-        with pytest.raises(IndexError, match=f"region row {i} out of range for 6 regions"):
-            lab.pixels(i)
 
 
 def test_runs_at_a_row_end_and_the_next_row_start_stay_apart():
@@ -94,7 +91,7 @@ def test_runs_at_a_row_end_and_the_next_row_start_stay_apart():
     mask[0, 3] = 0  # ends at column W - 1
     mask[1, 0] = 0  # starts at column 0 of the next row, one flat index later
     lab = connected_components(mask)
-    assert [lab.pixels(i).tolist() for i in range(len(lab))] == [[[0, 3]], [[1, 0]]]
+    assert [_pixels(lab, i).tolist() for i in range(len(lab))] == [[[0, 3]], [[1, 0]]]
     sides = np.ones((5, 6), np.uint8)
     sides[:, [0, 5]] = 0
     assert connected_components(sides).bbox.tolist() == [[0, 0, 4, 0], [0, 5, 4, 5]]
@@ -204,8 +201,7 @@ def test_strips_match_ndimage(shape, name):
     lab = connected_components(mask)
     labels, bbox = oracles.label_ref(mask)
     assert lab.bbox.tolist() == bbox.tolist()
-    for i in range(len(lab)):
-        assert np.array_equal(lab.pixels(i), np.argwhere(labels == i + 1))
+    assert np.array_equal(lab.labels(), labels)
 
 
 def _random_frame(seed, unsafe_fraction, size=64):
@@ -281,7 +277,7 @@ def test_top_k_depth_ranks_equal_pixel_counts():
     normals = np.zeros((8, 8, 3))
     normals[..., 2] = -1.0
     order, stats = top_k_candidates(mask, depth, normals[..., 2], INTR, k=5)
-    assert [tuple(stats.pixels(i)[0]) for i in order] == [(5, 5), (0, 0)]
+    assert [tuple(_pixels(stats, i)[0]) for i in order] == [(5, 5), (0, 0)]
     area = stats.area[order]
     assert area[0] == pytest.approx(4.0 * area[1], rel=1e-9)
     assert tuple(stats.bbox[order[0]]) == (5, 5, 6, 6)
@@ -304,7 +300,7 @@ def test_top_k_candidates_disjoint_and_safe():
     order, stats = top_k_candidates(mask, depth, normals[..., 2], INTR, k=100)
     seen = set()
     for i in order:
-        for r, col in stats.pixels(i):
+        for r, col in _pixels(stats, i):
             assert mask[r, col] == 0
             assert (r, col) not in seen
             seen.add((r, col))
