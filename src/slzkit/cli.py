@@ -14,14 +14,13 @@ every default.
 
 At module level this file imports only the standard library, settings and
 errors. Each command imports the modules it runs, so ``--help``, a usage
-error and ``loss combined`` load no numpy.
+error, ``loss combined`` and ``evaluate`` load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import re
@@ -37,10 +36,10 @@ EXIT_SHAPE = 3
 EXIT_NUMERIC = 4
 
 DEFAULTS = {
-    **dataclasses.asdict(settings.LossWeights()),
+    **settings.LossWeights()._asdict(),
     "gamma": settings.DEFAULT_GAMMA,
     "T": 4,
-    **dataclasses.asdict(settings.ClassWeights()),
+    **settings.ClassWeights()._asdict(),
     "n_z_min": settings.DEFAULT_NZ_MIN,
     "k": 5,
     "dilate": 0,
@@ -171,15 +170,16 @@ def cmd_evaluate(args):
         if name not in pred_names:
             raise ValueError(f"missing prediction counterpart for {name}")
 
-    def pairs():
+    def counts():
+        # the gray bytes of each pair, counted without decoding them to arrays
         for n in pred_names:
-            pred, gt = (slzio.read_mask(os.path.join(d, n)) for d in (args.pred_dir, args.gt_dir))
-            if pred.shape != gt.shape:
-                raise ShapeMismatchError(f"{n}: pred shape {pred.shape} != gt shape {gt.shape}")
-            yield pred, gt
+            (pred_shape, pred), (gt_shape, gt) = (
+                slzio._read_pgm(os.path.join(d, n)) for d in (args.pred_dir, args.gt_dir))
+            if pred_shape != gt_shape:
+                raise ShapeMismatchError(f"{n}: pred shape {pred_shape} != gt shape {gt_shape}")
+            yield metrics._counts(pred, gt)
 
-    report = metrics.evaluate_dataset(pairs())
-    rows = metrics.to_csv_rows(report)
+    rows = metrics.to_csv_rows(metrics.evaluate(metrics._pooled(counts())))
     _csv_out(rows)
     # the mean column; a per-class metric's mean is m-prefixed, aAcc has no classes
     means = (f"{'m' if safe else ''}{name}={mean}" for name, safe, _, mean in rows[1:])

@@ -14,6 +14,9 @@ file starts with ``P5``; width, height and maxval follow, each after
 whitespace and ``#`` comments (which run to the end of their line and
 start only where whitespace could), and one whitespace byte ends the
 header.
+
+numpy is imported by the functions that make or take arrays, so the PGM
+decode of ``_read_pgm`` and the ``key=value`` readers run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 import os
 import re
 import warnings
-
-import numpy as np
 
 from .errors import ShapeMismatchError
 
@@ -68,6 +69,8 @@ def _check_payload(path, size, nbytes):
 
 def read_raster(path):
     """Read an F32R file into a float32 array, shape (H, W) or (H, W, C)."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n") or not line.startswith(b"F32R"):
@@ -92,6 +95,8 @@ def read_raster(path):
 
 def write_raster(raster, path):
     """Write a 2-D or 3-D array as F32R (values are stored as float32)."""
+    import numpy as np
+
     arr = np.asarray(raster)
     if arr.ndim == 2:
         arr = arr[..., None]
@@ -110,8 +115,9 @@ def write_raster(raster, path):
         fh.write(payload)
 
 
-def read_mask(path):
-    """Read a P5 PGM into a {0, 1} uint8 mask (threshold at 128)."""
+def _read_pgm(path):
+    """Read a P5 PGM into ``((height, width), gray)``, ``gray`` the row-major
+    payload bytes (a memoryview of the file's bytes, no copy)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -125,13 +131,22 @@ def read_mask(path):
     if width < 1 or height < 1:
         raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}")
     _check_payload(path, len(data) - m.end(), width * height)
-    gray = np.frombuffer(data, np.uint8, width * height, m.end()).reshape(height, width)
-    return (gray >= 128).view(np.uint8)
+    return (height, width), memoryview(data)[m.end():m.end() + width * height]
+
+
+def read_mask(path):
+    """Read a P5 PGM into a {0, 1} uint8 mask (threshold at 128)."""
+    import numpy as np
+
+    shape, gray = _read_pgm(path)
+    return (np.frombuffer(gray, np.uint8).reshape(shape) >= 128).view(np.uint8)
 
 
 def _check_mask(mask, name="mask"):
     """The mask as an array, checked to be a 2-D grid of 0 (safe) and 1
     (unsafe) values; ``name`` is the argument the errors name."""
+    import numpy as np
+
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {m.shape}")
@@ -143,6 +158,8 @@ def _check_mask(mask, name="mask"):
 
 def write_mask(mask, path):
     """Write a {0, 1} mask as P5 PGM (0 -> 0, 1 -> 255)."""
+    import numpy as np
+
     arr = _check_mask(mask)
     height, width = arr.shape
     with open(path, "wb") as fh:
@@ -216,6 +233,8 @@ def write_key_values(path, mapping):
     Floating values (numpy scalars too) are written as ``repr(float(v))``,
     which round trips exactly; other values with ``str``.
     """
+    import numpy as np
+
     with open(path, "w", encoding="ascii") as fh:
         for key, val in mapping.items():
             fh.write(f"{key}={float(val)!r}\n" if isinstance(val, (float, np.floating))

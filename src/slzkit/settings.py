@@ -8,7 +8,7 @@ Plain Python, so that the CLI can list its defaults and compute
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_GAMMA = 0.9  # temporal decay of the sequential and safe-zone losses
 # Pixels with |n_z| below this are excluded from area sums: the per-pixel
@@ -16,31 +16,39 @@ DEFAULT_GAMMA = 0.9  # temporal decay of the sequential and safe-zone losses
 DEFAULT_NZ_MIN = 0.1
 
 
-@dataclass(frozen=True)
-class LossWeights:
+class LossWeights(namedtuple("LossWeights", "lambda1 lambda2 lambda3",
+                             defaults=(0.2, 0.5, 0.01))):
     """Balancing coefficients of the vnl, sequential and dncl components."""
 
-    lambda1: float = 0.2
-    lambda2: float = 0.5
-    lambda3: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this, so it checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ClassWeights:
+class ClassWeights(namedtuple("ClassWeights", "w_safe w_unsafe", defaults=(2.0, 1.0))):
     """Per-class weights for the safe/unsafe cross-entropy."""
 
-    w_safe: float = 2.0
-    w_unsafe: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this, so it checks too
+        return cls(*iterable)
 
 
 def fine_tune_loss(vnl, sequential, dncl, weights: LossWeights = LossWeights()):

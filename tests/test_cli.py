@@ -17,6 +17,7 @@ from slzkit import io as sio
 from slzkit import refinement
 from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.cli import DEFAULTS, build_parser, main
+from slzkit.metrics import evaluate_dataset, to_csv_rows
 from slzkit.synth import parse_scene
 
 # a numpy overflow or invalid-value warning in a pinned call is an error,
@@ -249,6 +250,47 @@ def test_a_warning_prints_one_line_without_its_source(capsys, flat_scene):
                            "--mask", str(path), "--normals", str(flat_scene / "normals.f32r"),
                            "--intrinsics", str(flat_scene / "intr.txt"))
     assert (code, err) == (0, f"warning: {path}: 2 trailing bytes ignored\n")
+
+
+def _write_gray(path, gray, header=None):
+    """A P5 PGM of the uint8 plane `gray`, with its header as given."""
+    height, width = gray.shape
+    head = header or f"P5\n{width} {height}\n255\n"
+    path.write_bytes(head.encode("ascii") + gray.tobytes())
+
+
+def test_evaluate_counts_the_gray_bytes_as_read_mask_decodes_them(capsys, tmp_path):
+    # evaluate counts the payload bytes without decoding them to arrays; its
+    # CSV is the library's over the read_mask arrays, and a header comment
+    # is skipped as read_mask skips it
+    rng = np.random.default_rng(11)
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+    for name, (h, w) in {"a": (1, 1), "b": (7, 1), "c": (1, 9), "d": (181, 183)}.items():
+        for d in ("pred", "gt"):
+            gray = rng.choice(np.array([0, 127, 128, 255, 1, 254], np.uint8), (h, w))
+            header = f"P5 # {name}\n#  a comment line\n{w} {h}\n255\n" if name == "d" else None
+            _write_gray(tmp_path / d / f"{name}.pgm", gray, header)
+    pairs = [tuple(sio.read_mask(tmp_path / d / f"{name}.pgm") for d in ("pred", "gt"))
+             for name in "abcd"]
+    code, out, err = run_cli(capsys, "evaluate", "--pred-dir", str(tmp_path / "pred"),
+                             "--gt-dir", str(tmp_path / "gt"))
+    assert code == 0, err
+    assert parse_csv(out) == [list(r) for r in to_csv_rows(evaluate_dataset(pairs))]
+    assert err.startswith("4 pairs: aAcc=")
+
+
+def test_evaluate_warns_once_of_a_files_trailing_bytes(capsys, tmp_path):
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        sio.write_mask(np.eye(5, dtype=np.uint8), tmp_path / d / "a.pgm")
+    argv = ["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt")]
+    _, want, summary = run_cli(capsys, *argv)
+    path = tmp_path / "gt" / "a.pgm"
+    path.write_bytes(path.read_bytes() + b"\xff\xff\xff")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, want)
+    assert err == f"warning: {path}: 3 trailing bytes ignored\n" + summary
 
 
 def test_evaluate_empty_dirs_exit_2(capsys, tmp_path):
@@ -1004,8 +1046,8 @@ def test_a_missing_required_key_exits_2_naming_the_file_block_and_keys(capsys, f
 
 
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
-# scipy modules, whether numpy is loaded and the slzkit submodules loaded by
-# the time the command returned. cli itself runs as __main__, as under -m.
+# scipy modules, whether numpy is loaded, which of dataclasses and inspect
+# are loaded and the slzkit submodules loaded by the time the command returned. cli itself runs as __main__, as under -m.
 _PROBE = """
 import runpy, sys
 sys.argv[0] = "slzkit"
@@ -1018,6 +1060,8 @@ else:
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
       file=sys.stderr)
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("dataclasses or inspect loaded:", sorted({"dataclasses", "inspect"} & set(sys.modules)),
+      file=sys.stderr)
 print("slzkit modules:", sorted(m for m in sys.modules if m.startswith("slzkit.")),
       file=sys.stderr)
 sys.exit(code)
@@ -1108,11 +1152,11 @@ _LOSSES = {"camera", "errors", "geometry", "io", "losses", "settings"}
     ("area-help", 0, {"errors", "settings"}, False),
     ("usage-error", 2, {"errors", "settings"}, False),
     ("combined", 0, {"errors", "settings"}, False),
-    ("combined-config", 0, {"errors", "io", "settings"}, True),
+    ("combined-config", 0, {"errors", "io", "settings"}, False),
     ("area", 0, _FRAME, True),
     ("area-derive-normals", 0, _FRAME, True),
     ("candidates-logits-dilate", 0, _FRAME, True),
-    ("evaluate", 0, {"errors", "io", "metrics", "settings"}, True),
+    ("evaluate", 0, {"errors", "io", "metrics", "settings"}, False),
     ("vnl", 0, _LOSSES, True),
     ("sequential", 0, _LOSSES, True),
     ("dncl", 0, _LOSSES, True),
@@ -1126,6 +1170,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, code, mo
     assert proc.returncode == code, proc.stderr
     assert _probe_line(proc, "slzkit modules") == sorted(f"slzkit.{m}" for m in modules)
     assert _probe_line(proc, "numpy loaded") is numpy
+
+
+@pytest.mark.parametrize("command", ["help", "usage-error", "combined", "evaluate"])
+def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(tmp_path, command):
+    # together about 10 ms of a bare interpreter's import time
+    proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, command))
+    assert proc.returncode == (2 if command == "usage-error" else 0), proc.stderr
+    assert _probe_line(proc, "dataclasses or inspect loaded") == []
 
 
 def test_import_slzkit_loads_no_submodule_and_no_numpy():
@@ -1211,7 +1263,7 @@ def test_the_numpy_free_modules_import_no_numpy_module_at_module_level():
     numpy_users = {f"slzkit.{stem}" for stem, tree in trees.items()
                    if any(name.split(".")[0] == "numpy" for name in _imported_modules(tree))}
     assert {"slzkit.io", "slzkit.losses", "slzkit.cli"} <= numpy_users
-    for stem in ("__init__", "cli", "settings", "errors"):
+    for stem in ("__init__", "cli", "settings", "errors", "io", "metrics"):
         imported = [name for name in _module_level_imports(trees[stem])
                     if name.split(".")[0] == "numpy" or name in numpy_users]
         assert imported == [], f"{stem}.py imports {imported} at module level"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import tracemalloc
 
@@ -301,7 +300,7 @@ def test_weights_reject_a_non_finite_value_naming_it(name, bad):
 
 
 def test_loss_weights_hold_only_the_three_balancing_coefficients():
-    assert [f.name for f in dataclasses.fields(LossWeights)] == ["lambda1", "lambda2", "lambda3"]
+    assert LossWeights._fields == ("lambda1", "lambda2", "lambda3")
 
 
 def test_weight_validation():
@@ -309,6 +308,10 @@ def test_weight_validation():
         LossWeights(lambda1=-0.1)
     with pytest.raises(ValueError):
         ClassWeights(0.0, 1.0)
+    with pytest.raises(ValueError, match="lambda1 must be finite and >= 0, got -0.1"):
+        LossWeights()._replace(lambda1=-0.1)
+    with pytest.raises(ValueError, match="w_safe must be finite and > 0, got 0.0"):
+        ClassWeights()._replace(w_safe=0.0)
 
 
 # --- gradient checks -------------------------------------------------------------

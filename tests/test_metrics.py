@@ -1,9 +1,13 @@
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from slzkit import io as sio
+from slzkit import metrics
 from slzkit.errors import DegenerateInputError, ShapeMismatchError
 from slzkit.metrics import confusion, evaluate, evaluate_dataset, to_csv_rows
 
@@ -60,7 +64,7 @@ def test_evaluate_perfect():
 
 def test_acc_is_the_recall():
     rep = evaluate(np.array([[2, 1], [1, 4]]))
-    assert "acc" not in {f.name for f in dataclasses.fields(rep)}
+    assert "acc" not in rep._fields
     assert np.array_equal(rep.acc, rep.recall) and rep.mAcc == rep.mRecall
 
 
@@ -89,6 +93,14 @@ def test_evaluate_errors():
         evaluate(np.zeros((3, 3), np.int64))
     with pytest.raises(ValueError):
         evaluate(np.array([[1, -1], [0, 2]]))
+    # a count must be a finite whole number: 2.7 is not read as 2, and a
+    # NaN or inf raises before any cast can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (2.7, np.nan, np.inf):
+            for cm in ([[bad, 1], [1, 4]], np.array([[1, 1], [1, bad]])):
+                with pytest.raises(ValueError, match=f"must be finite integers, got {bad}"):
+                    evaluate(cm)
 
 
 def test_mdice_equals_mfscore_and_f1_identity():
@@ -171,3 +183,87 @@ def test_csv_rows_format():
     assert rows[1] == ("aAcc", "", "", "75.00")
     iou = next(r for r in rows if r[0] == "IoU")
     assert iou == ("IoU", "50.00", "66.67", "58.33")
+
+
+def test_evaluate_takes_nested_sequences_and_whole_float_counts():
+    want = evaluate(np.array([[2, 1], [1, 4]]))
+    assert evaluate([[2, 1], [1, 4]]) == evaluate(((2.0, 1.0), (1.0, 4.0))) == want
+    assert evaluate(np.array([[2.0, 1.0], [1.0, 4.0]])) == want
+    for bad in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [1, 2, 3, 4], np.ones((2, 2, 1))):
+        with pytest.raises(ShapeMismatchError, match="confusion matrix must be 2x2"):
+            evaluate(bad)
+
+
+def _evaluate_numpy(cm):
+    """The metrics in numpy float64 arithmetic: per-class vectors, np.divide
+    where the denominator is > 0, and the mean of the defined entries."""
+    cm = np.asarray(cm, dtype=np.int64)
+    tp = np.diag(cm).astype(np.float64)
+    fn = cm.sum(axis=1) - tp
+    fp = cm.sum(axis=0) - tp
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.full(2, np.nan), where=den > 0) * 100.0
+
+    def mean(v):
+        return v[~np.isnan(v)].mean() if (~np.isnan(v)).any() else np.nan
+
+    per_class = [ratio(tp, tp + fp + fn), ratio(2 * tp, 2 * tp + fp + fn),
+                 ratio(tp, tp + fp), ratio(tp, tp + fn)]
+    return [float(tp.sum() / cm.sum()) * 100.0] + [x for v in per_class for x in (*v, mean(v))]
+
+
+def test_evaluate_gives_numpys_float64_values_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for i in range(2000):
+        cm = rng.integers(0, [3, 100, 10**6, 10**9][i % 4], (2, 2))
+        if i % 3 == 0:  # an empty class now and then
+            cm[rng.integers(2), rng.integers(2)] = 0
+        if cm.sum() == 0:
+            continue
+        rep = evaluate(cm)
+        got = [rep.aAcc] + [x for v, m in ((rep.iou, rep.mIoU), (rep.dice, rep.mDice),
+                                           (rep.precision, rep.mPrecision),
+                                           (rep.recall, rep.mRecall)) for x in (*v, m)]
+        want = np.array(_evaluate_numpy(cm))
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64)), cm
+
+
+def _pgm(path, gray):
+    path.write_bytes(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
+                     + gray.tobytes())
+
+
+# one int packs a chunk of the payload: sizes below, at and across its bound
+_CHUNK = metrics._CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 40), width=st.integers(1, 40),
+       levels=st.sampled_from(["edges", "random"]))
+@example(seed=0, height=1, width=1, levels="edges")
+@example(seed=1, height=1, width=37, levels="edges")
+@example(seed=2, height=37, width=1, levels="random")
+@example(seed=3, height=1, width=_CHUNK - 1, levels="edges")
+@example(seed=4, height=1, width=_CHUNK, levels="random")
+@example(seed=5, height=_CHUNK + 1, width=1, levels="edges")
+@example(seed=6, height=183, width=181, levels="random")
+@example(seed=7, height=257, width=255, levels="edges")
+def test_byte_counter_matches_the_loop_count_of_pgm_files(tmp_path_factory, seed, height,
+                                                         width, levels):
+    rng = np.random.default_rng(seed)
+    if levels == "edges":  # the gray values either side of the threshold
+        grays = [rng.choice(np.array([0, 127, 128, 255], np.uint8), (height, width))
+                 for _ in range(2)]
+    else:
+        grays = [rng.integers(0, 256, (height, width), dtype=np.uint8) for _ in range(2)]
+    tmp = tmp_path_factory.mktemp("pgm")
+    paths = [tmp / "pred.pgm", tmp / "gt.pgm"]
+    for path, gray in zip(paths, grays):
+        _pgm(path, gray)
+    (pred_shape, pred), (gt_shape, gt) = (sio._read_pgm(p) for p in paths)
+    assert pred_shape == gt_shape == (height, width)
+    want = oracles.confusion_ref(*(g >= 128 for g in grays))
+    assert np.array_equal(np.reshape(metrics._counts(pred, gt), (2, 2)), want)
+    masks = [sio.read_mask(p) for p in paths]
+    assert np.array_equal(confusion(*masks), want)
