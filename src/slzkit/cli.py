@@ -302,15 +302,23 @@ def _read_valid(args):
     return None if args.valid is None else slzio.read_mask(args.valid)
 
 
-def _print_grad_check(loss, seqs, grads):
-    """Print the max grad_check error over the rasters of parallel step sequences.
+def _print_loss_and_check(args, loss, grads, *seqs):
+    """Print the loss of parallel step sequences and, with --grad-check, the
+    max grad_check error over their rasters; returns the exit code 0.
 
     ``loss(*seqs)`` is the loss value, one per raster where an entry is a
-    stack, and ``grads[j][i]`` its analytic gradient with respect to
-    ``seqs[j][i]``.
+    stack, and ``grads(*seqs)[j][i]`` its analytic gradient with respect to
+    ``seqs[j][i]``. Without --grad-check the loss reads each sequence's
+    steps as it reaches them; with it, every step is read first.
     """
     from . import losses
 
+    if args.grad_check:
+        seqs = [list(seq) for seq in seqs]
+    _print_loss(loss(*seqs))
+    if not args.grad_check:
+        return 0
+    analytic = grads(*seqs)
     err = 0.0
     for i, step in enumerate(zip(*seqs)):
         for j, x in enumerate(step):
@@ -319,8 +327,9 @@ def _print_grad_check(loss, seqs, grads):
                 trial_seqs[j][i] = trial
                 return loss(*trial_seqs)
 
-            err = max(err, losses.grad_check(f, x, grads[j][i]))
+            err = max(err, losses.grad_check(f, x, analytic[j][i]))
     print(f"grad_check_max_rel_err={err:.6g}")
+    return 0
 
 
 def cmd_loss_sequential(args):
@@ -329,16 +338,10 @@ def cmd_loss_sequential(args):
     gt_d = _read_plane(args.gt_depth, "depth")
     gt_c = _read_plane(args.gt_conf, "confidence")
     valid = _read_valid(args)
-    preds, confs = _Steps(args.preds, "depth"), _Steps(args.confs, "confidence")
-    if args.grad_check:
-        preds, confs = list(preds), list(confs)
-    _print_loss(losses.sequential_depth_loss(preds, confs, gt_d, gt_c, args.gamma, valid))
-    if args.grad_check:
-        _, gd, gc = losses.sequential_depth_loss_grad(preds, confs, gt_d, gt_c, args.gamma, valid)
-        _print_grad_check(
-            lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, args.gamma, valid),
-            [preds, confs], [gd, gc])
-    return 0
+    return _print_loss_and_check(
+        args, lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, args.gamma, valid),
+        lambda d, c: losses.sequential_depth_loss_grad(d, c, gt_d, gt_c, args.gamma, valid)[1:],
+        _Steps(args.preds, "depth"), _Steps(args.confs, "confidence"))
 
 
 def cmd_loss_dncl(args):
@@ -347,12 +350,9 @@ def cmd_loss_dncl(args):
     intr = camera.read_intrinsics(args.intrinsics)
     depth = _read_plane(args.depth, "depth")
     normals = _read_plane(args.normals, "normals", 3)
-    _print_loss(losses.depth_normal_consistency(depth, normals, intr))
-    if args.grad_check:
-        _, grad = losses.depth_normal_consistency_grad(depth, normals, intr)
-        _print_grad_check(lambda d: losses.depth_normal_consistency(d[0], normals, intr),
-                          [[depth]], [[grad]])
-    return 0
+    return _print_loss_and_check(
+        args, lambda d: losses.depth_normal_consistency(d[0], normals, intr),
+        lambda d: [[losses.depth_normal_consistency_grad(d[0], normals, intr)[1]]], [depth])
 
 
 def cmd_loss_slz(args):
@@ -362,15 +362,10 @@ def cmd_loss_slz(args):
     labels = slzio.read_mask(args.labels)
     cw = settings.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
-    logit_seq = _Steps(args.logits, "logits", 2)
-    if args.grad_check:
-        logit_seq = list(logit_seq)
-    _print_loss(losses.slz_loss(logit_seq, labels, cw, args.gamma, valid))
-    if args.grad_check:
-        _, grads = losses.slz_loss_grad(logit_seq, labels, cw, args.gamma, valid)
-        _print_grad_check(lambda z: losses.slz_loss(z, labels, cw, args.gamma, valid),
-                          [logit_seq], [grads])
-    return 0
+    return _print_loss_and_check(
+        args, lambda z: losses.slz_loss(z, labels, cw, args.gamma, valid),
+        lambda z: losses.slz_loss_grad(z, labels, cw, args.gamma, valid)[1:],
+        _Steps(args.logits, "logits", 2))
 
 
 def cmd_loss_combined(args):

@@ -59,7 +59,9 @@ _BAND_ELEMENTS = 2 ** 15
 class _NormalPlanes(NamedTuple):
     """Forward pass of the depth -> normal conversion over a band of rows,
     one (rows, W) float64 plane per vector component, (b, rows, W) for a
-    stack of depth rasters. The extras feed :func:`_cross_to_depth`."""
+    stack of depth rasters, bit for bit those rows of the whole frame's
+    planes. ``rays`` and ``cross`` feed :func:`_cross_to_depth`, which
+    forms the band's tangents again rather than keep them here."""
 
     rays: tuple  # x, y, z ray components: (W,) per column, (rows, 1) per row, 1.0
     cross: tuple  # tu x tv: x, y, z planes
@@ -110,22 +112,6 @@ def _tangents(d, ray):
     float64 planes for any depth dtype."""
     p = np.multiply(d, ray, dtype=np.float64)
     return _difference(p, 1), _difference(p, 0)
-
-
-def _tangent_pairs(d, rays):
-    """``(i, (tu_j, tv_j), (tu_k, tv_k))`` for i = 0, 1, 2 with (j, k) =
-    ``_CROSS[i]``: the tangents that plane i of a cross product of them
-    reads. Four tangent computations serve the three planes; a caller that
-    drops its references before the next item holds at most four tangent
-    planes at once, which keeps the whole-frame adjoint small; the forward
-    pass computes each tangent once instead."""
-    held = {}
-    for i, (j, k) in enumerate(_CROSS):
-        held = {c: held[c] for c in (j, k) if c in held}
-        for c in (j, k):
-            if c not in held:
-                held[c] = _tangents(d, rays[c])
-        yield i, held[j], held[k]
 
 
 def _depth_stack(depth):
@@ -181,36 +167,44 @@ def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
                          ok[keep], scale[keep])
 
 
-def _bands(d, intr: CameraIntrinsics):
+def _bands(d, intr: CameraIntrinsics, halo=0):
     """``(rows, planes)`` of successive row bands of a depth raster from
-    :func:`_depth_stack`: the frame rows ``rows`` and their planes (see
-    :func:`_normal_planes`), about ``_BAND_ELEMENTS`` elements a plane."""
+    :func:`_depth_stack`, about ``_BAND_ELEMENTS`` elements a plane: the
+    frame rows ``rows`` and the planes (see :func:`_normal_planes`) of
+    those rows and of ``halo`` more on each side, within the frame, which
+    then start at frame row ``max(rows.start - halo, 0)``."""
     height = d.shape[-2]
     step = max(1, _BAND_ELEMENTS // (d.size // height))
     for start in range(0, height, step):
-        rows = slice(start, min(start + step, height))
-        yield rows, _normal_planes(d, intr, rows)
+        stop = min(start + step, height)
+        yield slice(start, stop), _normal_planes(
+            d, intr, slice(max(start - halo, 0), min(stop + halo, height)))
 
 
 def _cross_to_depth(depth, rays, g_cross, m):
-    """Gradient w.r.t. the depth raster of a loss whose gradient w.r.t. the
-    planes of tu x tv (the whole frame's ``_NormalPlanes.cross``, whose
-    ``rays`` these are) is ``g_cross`` on the pixel mask m.
+    """Gradient w.r.t. the depth rows of a band of a loss whose gradient
+    w.r.t. the planes of tu x tv is ``g_cross`` on the pixel mask m.
+    ``depth``, ``g_cross`` and m hold the same frame rows, and ``rays`` are
+    the ``_NormalPlanes.rays`` of those rows.
 
-    ``g_cross`` may hold any value outside m: this is the one place that
-    applies the mask. Chains through the cross product, the difference
-    stencils and the rays (point = depth * ray), one point component at a
-    time. A pixel outside m adds exactly 0, also where its tangents or
-    ``g_cross`` are not finite.
+    The band's six tangent planes come from its own depth, so they are
+    one-sided at its first and last rows; as the row stencil's adjoint at a row
+    reads the rows beside it, the result has the whole frame's bits on every
+    row but the first two and the last two, which are right only where they
+    are the frame's own. ``g_cross`` may hold any value outside m: this is
+    the one place that applies the mask. Chains through the cross product,
+    the difference stencils and the rays (point = depth * ray), one point
+    component at a time. A pixel outside m adds exactly 0, also where its
+    tangents or ``g_cross`` are not finite.
     """
     outside = ~m
     grad = None
     with np.errstate(invalid="ignore"):
-        for i, (uj, vj), (uk, vk) in _tangent_pairs(depth, rays):
-            j, k = _CROSS[i]
+        t = [_tangents(depth, ray) for ray in rays]
+        for i, (j, k) in enumerate(_CROSS):
+            (uj, vj), (uk, vk) = t[j], t[k]
             g_u = _cross_plane(vj, g_cross[k], vk, g_cross[j])  # plane i of tv x g
             g_v = _cross_plane(g_cross[j], uk, g_cross[k], uj)  # plane i of g x tu
-            del uj, vj, uk, vk
             np.copyto(g_u, 0.0, where=outside)
             np.copyto(g_v, 0.0, where=outside)
             # the u stencil's adjoint and then the v stencil's add into one zero plane

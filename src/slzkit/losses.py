@@ -29,8 +29,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import (_backproject_pixels, _bands, _cross_to_depth, _depth_stack,
-                       _normal_planes)
+from .geometry import _backproject_pixels, _bands, _cross_to_depth, _depth_stack
 from .io import _check_mask
 from .settings import DEFAULT_GAMMA, ClassWeights
 
@@ -251,12 +250,9 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     n_in = np.asarray(n_pred)
     if n_in.shape != hw + (3,):
         raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {hw + (3,)}")
-    # The value needs only the dot plane and the pixel mask, so it runs band
-    # by band; the gradient reads the whole frame's planes, one band.
-    whole = slice(0, hw[0])
-    bands = [(whole, _normal_planes(d, intr, whole))] if need_grad else _bands(d, intr)
+    # the value needs only the dot plane and the pixel mask, band by band
     dot, m = np.zeros(d.shape), np.empty(d.shape, dtype=bool)
-    for rows, f in bands:
+    for rows, f in _bands(d, intr):
         # One float64 plane of the predicted normals at a time. Sums run left
         # to right over x, y, z, as numpy reduces a last axis of 3: |target|^2,
         # once for a stack of depths, and derived . target with derived =
@@ -285,31 +281,40 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         return loss, None
     del dot
 
-    # d loss / d cross on the planes of the one band, the whole frame, reading
-    # the predicted normals one plane at a time; _cross_to_depth keeps the
-    # pixels in m
-    rays, c, _, scale = f
-    del f, bands
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nn = c[0] * c[0]
-        nn += c[1] * c[1]
-        nn += c[2] * c[2]
-        np.sqrt(nn, out=nn)
-        q = c[0] * n_in[..., 0]
-        q += c[1] * n_in[..., 1]
-        q += c[2] * n_in[..., 2]
-        np.divide(q, nn ** 3, out=q)  # (c . target) / |c|^3
-        # the orientation sign of each normal is that of its scale
-        a = np.copysign(1.0, scale, out=scale)
-        a *= -1.0 / counts[0]
-        g_c = []
-        for k, ck in enumerate(c):
-            g = np.divide(n_in[..., k], nn)
-            g -= ck * q
-            g *= a
-            g_c.append(g)
-    del c, nn, q, a, scale
-    return loss, _cross_to_depth(d, rays, g_c, m)
+    # The gradient is a second pass over the bands, now that m and counts[0]
+    # are fixed. The adjoint of the row stencil at a row reads d loss / d cross
+    # at the rows beside it, and a band's tangents are one-sided at its ends,
+    # so each band reads two more rows on each side and keeps its own rows.
+    grad = np.empty(hw)
+    for rows, (rays, c, _, scale) in _bands(d, intr, halo=2):
+        lo = max(rows.start - 2, 0)
+        band = slice(lo, lo + scale.shape[0])
+        n_b = n_in[band]
+        # d loss / d cross, reading the predicted normals one plane at a
+        # time; _cross_to_depth keeps the pixels in m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nn = c[0] * c[0]
+            nn += c[1] * c[1]
+            nn += c[2] * c[2]
+            np.sqrt(nn, out=nn)
+            q = c[0] * n_b[..., 0]
+            q += c[1] * n_b[..., 1]
+            q += c[2] * n_b[..., 2]
+            np.divide(q, nn ** 3, out=q)  # (c . target) / |c|^3
+            # the orientation sign of each normal is that of its scale
+            a = np.copysign(1.0, scale, out=scale)
+            a *= -1.0 / counts[0]
+            g_c = []
+            for k, ck in enumerate(c):
+                g = np.divide(n_b[..., k], nn)
+                g -= ck * q
+                g *= a
+                g_c.append(g)
+        del c, nn, q, a, scale
+        g_d = _cross_to_depth(d[band], rays, g_c, m[band])
+        grad[rows] = g_d[rows.start - lo:rows.stop - lo]
+        del g_c, g_d  # before the next band's planes
+    return loss, grad
 
 
 def slz_loss(logit_seq, labels, cw: ClassWeights = ClassWeights(), gamma=DEFAULT_GAMMA,

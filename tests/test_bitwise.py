@@ -158,7 +158,10 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
     normals = normals_case(np.random.default_rng(900 + rows), (BAND_H, BAND_W))
 
     def run():
-        return (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR))
+        got = (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR))
+        if b is None:  # the gradient takes one raster, in bands with two halo rows
+            got += depth_normal_consistency_grad(depth, normals, INTR)
+        return got
 
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
     want = run()
@@ -170,6 +173,8 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
     assert all(same_bits(g, w) for g, w in zip(got, want))
     if b is None:
         assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
+        want_loss, want_grad = oracles.dncl_grad_ref(depth, normals, INTR)
+        assert same_bits(got[2], want_loss) and same_bits(got[3], want_grad)
 
 
 @pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])

@@ -121,10 +121,11 @@ def test_peak_memory_of_the_slz_gradient_is_bounded(frame):
 
 
 def test_peak_memory_of_the_dncl_gradient_is_bounded(frame):
-    # one point component of the adjoint at a time, beside the three planes of
-    # d loss / d cross: 13.5 planes measured, which the forward pass's six
-    # tangent planes stay under; all six tangent planes and six masked
-    # tangent gradients of the adjoint alive at once brought the peak to 32.3
+    # the gradient runs in the value's row bands, each with two halo rows:
+    # 3.59 planes measured (the value pass alone 3.21): the returned plane, the
+    # pixel mask and one band's planes. The whole frame as one band measured
+    # 13.45, and all six tangent planes and six masked tangent gradients of the
+    # adjoint alive at once over the whole frame 32.3
     intr = read_intrinsics(frame["intrinsics"])
     depth = sio.read_raster(frame["depth"]).astype(np.float64)
     depth[100, 200], depth[250, 400] = np.nan, np.inf
@@ -137,7 +138,7 @@ def test_peak_memory_of_the_dncl_gradient_is_bounded(frame):
     finally:
         tracemalloc.stop()
     assert np.isfinite(loss) and np.isfinite(grad).all()
-    assert peak / PLANE <= 15.0, f"peak {peak / PLANE:.2f} planes > 15.0"
+    assert peak / PLANE <= 4.0, f"peak {peak / PLANE:.2f} planes > 4.0"
 
 
 def test_peak_memory_of_refine_demo_does_not_grow_with_its_steps(capsys, tmp_path):
