@@ -10,7 +10,8 @@ Each setting in DEFAULTS resolves once per call: flag, else the --config
 file, else the default. The paper's settings are the library's own
 defaults (settings.LossWeights, settings.DEFAULT_GAMMA,
 settings.ClassWeights, settings.DEFAULT_NZ_MIN); ``slzkit --help`` lists
-every default.
+them. ``loss vnl --samples`` is a flag only, with its default (100) in its
+own help.
 
 At module level this file imports only the standard library, settings and
 errors. Each command imports the modules it runs, so ``--help``, a usage
@@ -163,12 +164,11 @@ def cmd_evaluate(args):
     gt_names = mask_names(args.gt_dir)
     if not pred_names and not gt_names:
         raise ValueError("no .pgm mask files found in either directory")
-    for name in pred_names:
-        if name not in gt_names:
-            raise ValueError(f"missing ground-truth counterpart for {name}")
-    for name in gt_names:
-        if name not in pred_names:
-            raise ValueError(f"missing prediction counterpart for {name}")
+    for names, others, side in ((pred_names, gt_names, "ground-truth"),
+                                (gt_names, pred_names, "prediction")):
+        missing = set(names).difference(others)
+        if missing:
+            raise ValueError(f"missing {side} counterpart for {min(missing)}")
 
     def counts():
         # the gray bytes of each pair, counted without decoding them to arrays
@@ -448,7 +448,8 @@ def build_parser():
     q.add_argument("--pred", required=True)
     q.add_argument("--gt", required=True)
     q.add_argument("--intrinsics", required=True)
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--samples", type=int, default=100,
+                   help="triplets to sample (default 100; a flag only, no config key)")
     q.add_argument("--seed", type=int)
     q.set_defaults(func=cmd_loss_vnl)
 

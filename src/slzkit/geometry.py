@@ -168,17 +168,18 @@ def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
 
 
 def _bands(d, intr: CameraIntrinsics, halo=0):
-    """``(rows, planes)`` of successive row bands of a depth raster from
-    :func:`_depth_stack`, about ``_BAND_ELEMENTS`` elements a plane: the
-    frame rows ``rows`` and the planes (see :func:`_normal_planes`) of
-    those rows and of ``halo`` more on each side, within the frame, which
-    then start at frame row ``max(rows.start - halo, 0)``."""
+    """``(rows, cover, planes)`` of successive row bands of a depth raster
+    from :func:`_depth_stack`, about ``_BAND_ELEMENTS`` elements a plane.
+    The ``rows`` tile the frame in order; ``cover`` is ``rows`` widened by
+    ``halo`` rows on each side and clipped to the frame, and ``planes``
+    (see :func:`_normal_planes`) hold the frame rows ``cover``. A halo of 2
+    is what :func:`_cross_to_depth` needs to be exact on ``rows``."""
     height = d.shape[-2]
     step = max(1, _BAND_ELEMENTS // (d.size // height))
     for start in range(0, height, step):
         stop = min(start + step, height)
-        yield slice(start, stop), _normal_planes(
-            d, intr, slice(max(start - halo, 0), min(stop + halo, height)))
+        cover = slice(max(start - halo, 0), min(stop + halo, height))
+        yield slice(start, stop), cover, _normal_planes(d, intr, cover)
 
 
 def _cross_to_depth(depth, rays, g_cross, m):
@@ -191,7 +192,9 @@ def _cross_to_depth(depth, rays, g_cross, m):
     one-sided at its first and last rows; as the row stencil's adjoint at a row
     reads the rows beside it, the result has the whole frame's bits on every
     row but the first two and the last two, which are right only where they
-    are the frame's own. ``g_cross`` may hold any value outside m: this is
+    are the frame's own. So the ``cover`` of :func:`_bands` with ``halo=2``
+    gives the whole frame's bits on the band's ``rows``, and two halo rows
+    are enough. ``g_cross`` may hold any value outside m: this is
     the one place that applies the mask. Chains through the cross product,
     the difference stencils and the rays (point = depth * ray), one point
     component at a time. A pixel outside m adds exactly 0, also where its
@@ -217,6 +220,19 @@ def _cross_to_depth(depth, rays, g_cross, m):
     return grad
 
 
+def _normal_components(depth, intr: CameraIntrinsics, components):
+    """The planes ``components`` (0, 1, 2 for x, y, z) of the unit normals
+    of a depth raster or stack, stacked on a last axis in that order and
+    written band by band: ``d.shape + (len(components),)``."""
+    d = _depth_stack(depth)
+    out = np.zeros(d.shape + (len(components),))
+    for rows, _, f in _bands(d, intr):
+        band = out[..., rows, :, :]
+        for k, i in enumerate(components):
+            np.multiply(f.cross[i], f.scale, out=band[..., k], where=f.ok)
+    return out
+
+
 def normals_from_depth(depth, intr: CameraIntrinsics):
     """Per-pixel unit surface normals derived from a depth raster.
 
@@ -226,23 +242,14 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     invalid depth are marked invalid (zero vector). A (b, H, W) stack of
     depth rasters gives the (b, H, W, 3) normals of each.
     """
-    d = _depth_stack(depth)
-    normals = np.zeros(d.shape + (3,))
-    for rows, f in _bands(d, intr):
-        band = normals[..., rows, :, :]
-        for k, c in enumerate(f.cross):
-            np.multiply(c, f.scale, out=band[..., k], where=f.ok)
-    return normals
+    return _normal_components(depth, intr, (0, 1, 2))
 
 
 def normal_z(depth, intr: CameraIntrinsics):
     """The n_z plane of :func:`normals_from_depth`, bit for bit, without its
     x and y planes: (H, W) for a depth raster, (b, H, W) for a stack."""
-    d = _depth_stack(depth)
-    n_z = np.zeros(d.shape)
-    for rows, f in _bands(d, intr):
-        np.multiply(f.cross[2], f.scale, out=n_z[..., rows, :], where=f.ok)
-    return n_z
+    # the [..., 0] view of a last axis of 1 is C-contiguous
+    return _normal_components(depth, intr, (2,))[..., 0]
 
 
 def _check_n_z_min(n_z_min):

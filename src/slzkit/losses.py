@@ -252,7 +252,7 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {hw + (3,)}")
     # the value needs only the dot plane and the pixel mask, band by band
     dot, m = np.zeros(d.shape), np.empty(d.shape, dtype=bool)
-    for rows, f in _bands(d, intr):
+    for rows, _, f in _bands(d, intr):
         # One float64 plane of the predicted normals at a time. Sums run left
         # to right over x, y, z, as numpy reduces a last axis of 3: |target|^2,
         # once for a stack of depths, and derived . target with derived =
@@ -282,14 +282,11 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
     del dot
 
     # The gradient is a second pass over the bands, now that m and counts[0]
-    # are fixed. The adjoint of the row stencil at a row reads d loss / d cross
-    # at the rows beside it, and a band's tangents are one-sided at its ends,
-    # so each band reads two more rows on each side and keeps its own rows.
+    # are fixed. Each band's planes cover two more rows on each side (see
+    # _cross_to_depth), and the band keeps its own rows of the result.
     grad = np.empty(hw)
-    for rows, (rays, c, _, scale) in _bands(d, intr, halo=2):
-        lo = max(rows.start - 2, 0)
-        band = slice(lo, lo + scale.shape[0])
-        n_b = n_in[band]
+    for rows, cover, (rays, c, _, scale) in _bands(d, intr, halo=2):
+        n_b = n_in[cover]
         # d loss / d cross, reading the predicted normals one plane at a
         # time; _cross_to_depth keeps the pixels in m
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -311,8 +308,8 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
                 g *= a
                 g_c.append(g)
         del c, nn, q, a, scale
-        g_d = _cross_to_depth(d[band], rays, g_c, m[band])
-        grad[rows] = g_d[rows.start - lo:rows.stop - lo]
+        g_d = _cross_to_depth(d[cover], rays, g_c, m[cover])
+        grad[rows] = g_d[rows.start - cover.start:rows.stop - cover.start]
         del g_c, g_d  # before the next band's planes
     return loss, grad
 

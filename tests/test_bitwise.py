@@ -166,7 +166,7 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
     want = run()
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
-    bands = [r for r, _ in geometry._bands(depth, INTR)]
+    bands = [r for r, *_ in geometry._bands(depth, INTR)]
     assert [(r.start, r.stop) for r in bands] == [
         (start, min(start + rows, BAND_H)) for start in range(0, BAND_H, rows)]
     got = run()
@@ -191,6 +191,21 @@ def test_normal_z_is_the_z_plane_of_the_normals_for_every_band_cut(monkeypatch, 
     for raster, plane in zip(depth.reshape(-1, BAND_H, BAND_W), n_z.reshape(-1, BAND_H, BAND_W)):
         assert same_bits(plane, oracles.normal_pipeline_ref(raster, INTR)[0][..., 2])
 
+
+
+@pytest.mark.parametrize("halo", [0, 1, 2])
+@pytest.mark.parametrize("rows", [1, 2, 7, BAND_H - 1, BAND_H])
+def test_bands_tile_the_frame_and_cover_their_halo_rows(monkeypatch, rows, halo):
+    depth = band_edge_depth(rows)
+    whole = geometry._normal_planes(depth, INTR, slice(0, BAND_H))
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
+    bands = list(geometry._bands(depth, INTR, halo))
+    assert [(r.start, r.stop) for r, _, _ in bands] == [
+        (start, min(start + rows, BAND_H)) for start in range(0, BAND_H, rows)]
+    for r, cover, planes in bands:
+        assert (cover.start, cover.stop) == (max(r.start - halo, 0), min(r.stop + halo, BAND_H))
+        assert same_bits(planes.scale, whole.scale[cover])
+        assert all(same_bits(c, w[cover]) for c, w in zip(planes.cross, whole.cross))
 
 # --- a stack of prediction rasters: each row as the raster alone ---------------
 

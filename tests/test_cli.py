@@ -232,6 +232,22 @@ def test_evaluate_missing_counterpart_exits_2(capsys, tmp_path):
     assert "only.pgm" in err
 
 
+
+def test_evaluate_pairs_thousands_of_names_before_reading_a_file(capsys, tmp_path):
+    # zero-byte masks: a read of any of them would exit 2 with "not a P5 PGM file"
+    names = [f"m{i:05d}.pgm" for i in range(3000)]
+    for side, drop in (("pred", 7), ("gt", 11)):
+        (tmp_path / side).mkdir()
+        for i, name in enumerate(names):
+            if i % drop:
+                (tmp_path / side / name).touch()
+    code, out, err = run_cli(capsys, "evaluate", "--pred-dir", str(tmp_path / "pred"),
+                             "--gt-dir", str(tmp_path / "gt"))
+    # both sides lack names; the first prediction name without a ground truth is m00011
+    assert (code, out) == (2, "")
+    assert "missing ground-truth counterpart for m00011.pgm" in err
+    assert "not a P5" not in err
+
 def test_evaluate_shape_mismatch_names_the_pair(capsys, tmp_path):
     for d in ("pred", "gt"):
         (tmp_path / d).mkdir()

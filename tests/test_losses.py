@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -312,6 +314,16 @@ def test_weight_validation():
         LossWeights()._replace(lambda1=-0.1)
     with pytest.raises(ValueError, match="w_safe must be finite and > 0, got 0.0"):
         ClassWeights()._replace(w_safe=0.0)
+    for weights in (LossWeights(0.1, 0.0, 3.0), ClassWeights(0.5, 4.0)):
+        for copied in (copy.copy(weights), pickle.loads(pickle.dumps(weights))):
+            assert type(copied) is type(weights) and copied == weights
+    # a record built past the check: a copy or an unpickling builds it through
+    # __new__, which checks it
+    for bad, message in ((tuple.__new__(LossWeights, (0.2, -1.0, 0.01)), "lambda2 .* >= 0"),
+                         (tuple.__new__(ClassWeights, (2.0, 0.0)), "w_unsafe .* > 0")):
+        for rebuild in (copy.copy, lambda w: pickle.loads(pickle.dumps(w))):
+            with pytest.raises(ValueError, match=message):
+                rebuild(bad)
 
 
 # --- gradient checks -------------------------------------------------------------
