@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import re
@@ -199,8 +200,14 @@ def _bilinear_x4(raster):
         lo = np.floor(pos)
         t = np.expand_dims(pos - lo, tuple(range(1, arr.ndim - axis)))
         lo = lo.astype(np.intp)
-        arr = (np.take(arr, np.clip(lo, 0, n - 1), axis=axis) * (1 - t)
-               + np.take(arr, np.clip(lo + 1, 0, n - 1), axis=axis) * t)
+        # below * (1 - t) + above * t, in place: two planes at output size at a time
+        below = np.take(arr, np.clip(lo, 0, n - 1), axis=axis)
+        below *= 1 - t
+        above = np.take(arr, np.clip(lo + 1, 0, n - 1), axis=axis)
+        above *= t
+        below += above
+        del above
+        arr = below
     return arr
 
 
@@ -520,5 +527,23 @@ def main(argv=None):
             return EXIT_INPUT
 
 
+def run(argv=None):
+    """The process entry of ``python -m slzkit.cli`` and the ``slzkit``
+    script: :func:`main`, then ``gc.freeze()`` before the exit code goes
+    back, argparse's own exits included.
+
+    Interpreter shutdown runs full collections over every tracked object,
+    some 22k after the numpy import, and finds almost nothing to free: a
+    command frees its arrays by reference counting. Frozen objects sit in
+    the permanent generation, which those collections do not traverse. The
+    collector stays on while the command runs, so the reference cycles the
+    imports leave are freed as before and no call holds more memory.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

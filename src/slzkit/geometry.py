@@ -7,6 +7,7 @@ plane yields (0, 0, -1)). Invalid pixels carry the all-zero vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,19 +168,26 @@ def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
                          ok[keep], scale[keep])
 
 
-def _bands(d, intr: CameraIntrinsics, halo=0):
-    """``(rows, cover, planes)`` of successive row bands of a depth raster
-    from :func:`_depth_stack`, about ``_BAND_ELEMENTS`` elements a plane.
-    The ``rows`` tile the frame in order; ``cover`` is ``rows`` widened by
-    ``halo`` rows on each side and clipped to the frame, and ``planes``
-    (see :func:`_normal_planes`) hold the frame rows ``cover``. A halo of 2
-    is what :func:`_cross_to_depth` needs to be exact on ``rows``."""
-    height = d.shape[-2]
-    step = max(1, _BAND_ELEMENTS // (d.size // height))
+def _row_bands(shape):
+    """Slices of successive bands of the rows of an (H, W) plane, or of a
+    (b, H, W) stack of them, about ``_BAND_ELEMENTS`` elements a band; they
+    tile the H rows in order. Every banded kernel cuts its rows here."""
+    height = shape[-2]
+    step = max(1, _BAND_ELEMENTS // (math.prod(shape) // height))
     for start in range(0, height, step):
-        stop = min(start + step, height)
-        cover = slice(max(start - halo, 0), min(stop + halo, height))
-        yield slice(start, stop), cover, _normal_planes(d, intr, cover)
+        yield slice(start, min(start + step, height))
+
+
+def _bands(d, intr: CameraIntrinsics, halo=0):
+    """``(rows, cover, planes)`` of the :func:`_row_bands` of a depth raster
+    from :func:`_depth_stack`. ``cover`` is ``rows`` widened by ``halo``
+    rows on each side and clipped to the frame, and ``planes`` (see
+    :func:`_normal_planes`) hold the frame rows ``cover``. A halo of 2 is
+    what :func:`_cross_to_depth` needs to be exact on ``rows``."""
+    height = d.shape[-2]
+    for rows in _row_bands(d.shape):
+        cover = slice(max(rows.start - halo, 0), min(rows.stop + halo, height))
+        yield rows, cover, _normal_planes(d, intr, cover)
 
 
 def _cross_to_depth(depth, rays, g_cross, m):

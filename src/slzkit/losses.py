@@ -29,7 +29,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
-from .geometry import _backproject_pixels, _bands, _cross_to_depth, _depth_stack
+from .geometry import _backproject_pixels, _bands, _cross_to_depth, _depth_stack, _row_bands
 from .io import _check_mask
 from .settings import DEFAULT_GAMMA, ClassWeights
 
@@ -62,18 +62,24 @@ def decayed_sum(values, gamma):
     return total
 
 
+def _kept(mask, count):
+    """The index that gathers the `count` pixels set in a boolean mask
+    from a raveled raster of its shape. When that is every pixel it is a
+    slice, so no index array is built and no boolean gather runs."""
+    return slice(None) if count == mask.size else mask.ravel()
+
+
 def _valid_set(valid, shape):
     """``(mask, count, index)`` of the pixels a loss averages over: those
-    nonzero in `valid`, or all of them when it is None. The index gathers
-    them from a raveled raster; when every pixel is valid it is a slice,
-    which skips the boolean gather."""
+    nonzero in `valid`, or all of them when it is None; the index is
+    :func:`_kept`'s."""
     v = np.ones(shape, dtype=bool) if valid is None else np.asarray(valid) != 0
     if v.shape != shape:
         raise ShapeMismatchError(f"valid mask shape {v.shape} != raster shape {shape}")
     n = int(v.sum())
     if n == 0:
         raise DegenerateInputError("empty valid set")
-    return v, n, slice(None) if n == v.size else v.ravel()
+    return v, n, _kept(v, n)
 
 
 def _batch(x, shape, lead, what):
@@ -136,9 +142,12 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    pixels = np.flatnonzero(valid_depth_mask(dp) & valid_depth_mask(dg))
-    if pixels.size == 0:
+    valid = valid_depth_mask(dp) & valid_depth_mask(dg)
+    n = int(np.count_nonzero(valid))
+    if n == 0:
         raise DegenerateInputError("no pixel is valid in both depth rasters")
+    # the flat indices of the valid pixels; draws index them, or are them
+    pixels = None if n == valid.size else np.flatnonzero(valid)
     rng = np.random.Generator(np.random.Philox(seed))
     limit = 100 * n_samples
     batches = []
@@ -151,7 +160,9 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
         # batches replay the one-triplet-at-a-time sequence; they double in
         # size while rejections leave triplets missing.
         k = min(limit - attempts, max(n_samples - accepted, attempts))
-        drawn = pixels[rng.integers(0, pixels.size, size=3 * k)]
+        drawn = rng.integers(0, n, size=3 * k)
+        if pixels is not None:
+            drawn = pixels[drawn]
         tri = np.stack(np.divmod(drawn, dp.shape[1]), axis=-1).reshape(k, 3, 2)
         attempts += k
         rows, cols = tri[..., 0], tri[..., 1]
@@ -209,21 +220,23 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
 
     lead = None if need_grad else ()
     means, grads_d, grads_c = [], [], []
+    # one float64 residual plane serves both inputs of every step: the
+    # residual of each input as read, with no float64 copy of it
+    r = np.empty(0)
     for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
-        dp = np.asarray(d_preds[t])
-        lead = _batch(dp, dg.shape, lead, f"step {t}: depth")
-        # residuals in float64, with no float64 copy of the inputs
-        rd = np.subtract(dp, dg, dtype=np.float64)
-        del dp
-        cp = np.asarray(conf_preds[t])
-        lead = _batch(cp, dg.shape, lead, f"step {t}: confidence")
-        rc = np.subtract(cp, cg, dtype=np.float64)
-        del cp
-        if need_grad:
-            grads_d.append(np.where(v, decay * np.sign(rd) / n, 0.0))
-            grads_c.append(np.where(v, decay * np.sign(rc) / n, 0.0))
-        means.append(_mean(np.abs(rd, out=rd), kept) + _mean(np.abs(rc, out=rc), kept))
-        del rd, rc  # before the next step's read
+        step = []
+        for preds, gt, what, grads in ((d_preds, dg, "depth", grads_d),
+                                       (conf_preds, cg, "confidence", grads_c)):
+            x = np.asarray(preds[t])
+            lead = _batch(x, dg.shape, lead, f"step {t}: {what}")
+            if r.shape != x.shape:
+                r = np.empty(x.shape)
+            np.subtract(x, gt, out=r, dtype=np.float64)
+            del x  # before the next read
+            if need_grad:
+                grads.append(np.where(v, decay * np.sign(r) / n, 0.0))
+            step.append(_mean(np.abs(r, out=r), kept))
+        means.append(step[0] + step[1])
     return _value(decayed_sum(means, gamma)), grads_d, grads_c
 
 
@@ -274,9 +287,9 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         raise DegenerateInputError("no pixel with both a derived and a predicted normal")
     np.subtract(1.0, dot, out=dot)
     if m.ndim == 2 or (kept == kept[0]).all():  # one gather serves every raster
-        loss = _value(_mean(dot, kept[0]))
+        loss = _value(_mean(dot, _kept(kept[0], counts[0])))
     else:  # a depth of some raster left the valid range: one gather each
-        loss = np.array([_mean(row, k) for row, k in zip(dot, kept)])
+        loss = np.array([_mean(row, _kept(k, c)) for row, k, c in zip(dot, kept, counts)])
     if not need_grad:
         return loss, None
     del dot
@@ -348,36 +361,48 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     unsafe = ~safe
     lead = None if need_grad else ()
     means, grads = [], []
-    # three float64 planes serve every step of one shape: the logits become
-    # their exponentials in place, and the larger logit the sum
-    e0 = e1 = s = np.empty(0)
+    # One float64 term plane serves every step of one shape, and two band
+    # buffers serve every row band (geometry._row_bands) of it. In a band the
+    # logits become their exponentials in place, the first in the term
+    # plane's rows, and the larger logit their sum.
+    term = np.empty(0)
     for t, decay in enumerate(decays):
         z = np.asarray(logit_seq[t])
         lead = _batch(z, lab.shape + (2,), lead, f"step {t}: logits")
-        if e0.shape != z.shape[:-1]:
-            e0, e1, s = (np.empty(z.shape[:-1]) for _ in range(3))
-        # two-class softmax, stabilized by the larger logit
-        np.copyto(e0, z[..., 0])
-        np.copyto(e1, z[..., 1])
-        del z  # before the next step's read
-        np.maximum(e0, e1, out=s)
-        e0 -= s
-        np.exp(e0, out=e0)
-        e1 -= s
-        np.exp(e1, out=e1)
-        np.add(e0, e1, out=s)
+        if term.shape != z.shape[:-1]:
+            term = np.empty(z.shape[:-1])
+            bands = list(_row_bands(term.shape))
+            e1_buf, s_buf = (np.empty(term[..., bands[0], :].shape) for _ in range(2))
         if need_grad:
-            # d loss / d z_c = (decay / n) w (p_c - [c is the label]) on the valid pixels
-            grads.append(np.stack([_class_weighted(np.where(v, e / s - c, 0.0), safe, unsafe,
-                                                   (decay / n) * cw.w_safe,
-                                                   (decay / n) * cw.w_unsafe)
-                                   for e, c in ((e0, safe), (e1, unsafe))], axis=-1))
-        # w * log(max(p_true, floor)) per pixel, into e0; the loss is minus its mean
-        np.copyto(e0, e1, where=unsafe)
-        e0 /= s
-        np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
-        _class_weighted(e0, safe, unsafe, cw.w_safe, cw.w_unsafe)
-        means.append(-_mean(e0, kept))
+            grads.append(np.empty(z.shape))
+        for rows in bands:
+            e0 = term[..., rows, :]
+            e1, s = e1_buf[..., :e0.shape[-2], :], s_buf[..., :e0.shape[-2], :]
+            safe_b, unsafe_b = safe[rows], unsafe[rows]
+            # two-class softmax, stabilized by the larger logit
+            np.copyto(e0, z[..., rows, :, 0])
+            np.copyto(e1, z[..., rows, :, 1])
+            np.maximum(e0, e1, out=s)
+            e0 -= s
+            np.exp(e0, out=e0)
+            e1 -= s
+            np.exp(e1, out=e1)
+            np.add(e0, e1, out=s)
+            if need_grad:
+                # d loss / d z_c = (decay / n) w (p_c - [c is the label]) on the valid pixels
+                for c, (e, label) in enumerate(((e0, safe_b), (e1, unsafe_b))):
+                    g = np.divide(e, s, out=grads[-1][rows, :, c])
+                    g -= label
+                    np.copyto(g, 0.0, where=~v[rows])
+                    _class_weighted(g, safe_b, unsafe_b,
+                                    (decay / n) * cw.w_safe, (decay / n) * cw.w_unsafe)
+            # w * log(max(p_true, floor)) per pixel, into e0
+            np.copyto(e0, e1, where=unsafe_b)
+            e0 /= s
+            np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
+            _class_weighted(e0, safe_b, unsafe_b, cw.w_safe, cw.w_unsafe)
+        del z  # before the next step's read
+        means.append(-_mean(term, kept))  # the loss is minus the term's mean
     return _value(decayed_sum(means, gamma)), grads
 
 

@@ -25,6 +25,7 @@ from slzkit.losses import (
     sequential_depth_loss_grad,
     slz_loss,
     slz_loss_grad,
+    virtual_normal_loss,
 )
 from slzkit.slz import region_stats
 from slzkit.synth import plane_depth
@@ -136,13 +137,14 @@ def test_sequential_value_matches_gather_reference(seed):
 BAND_H, BAND_W = 23, 17
 
 
-def band_edge_depth(rows):
+def band_edge_depth(rows, holes=True):
     """A noisy tilted plane with a NaN, +inf or 0 depth on the first and last
-    rows of every band of `rows` rows, the frame's first and last rows included."""
+    rows of every band of `rows` rows, the frame's first and last rows
+    included; with no such holes when `holes` is false."""
     rng = np.random.default_rng(700 + rows)
     depth = plane_depth(BAND_H, BAND_W, INTR, 0.1, -0.2, 5.0)
     depth *= 1.0 + rng.uniform(-0.02, 0.02, depth.shape)
-    edges = [r for r in range(BAND_H) if r % rows in (0, rows - 1) or r == BAND_H - 1]
+    edges = [r for r in range(BAND_H) if holes and (r % rows in (0, rows - 1) or r == BAND_H - 1)]
     for i, r in enumerate(edges):
         depth[r, (5 * i + 3) % BAND_W] = (np.nan, np.inf, 0.0)[i % 3]
     return depth
@@ -151,16 +153,36 @@ def band_edge_depth(rows):
 @pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])
 @pytest.mark.parametrize("rows", [1, 2, 7, BAND_H - 1, BAND_H])
 def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
-    depth = band_edge_depth(rows)
+    # NaN, +inf and 0 depths on the band edges, then every pixel valid, in
+    # both rasters of the VNL and in the normals of the DNCL, whose mean then
+    # keeps every pixel and takes it as a slice rather than a gather. The SLZ
+    # mean keeps every pixel in the first case and gathers in the second.
+    for holes in (True, False):
+        check_row_bands(monkeypatch, rows, b, holes)
+
+
+def check_row_bands(monkeypatch, rows, b, holes):
+    depth = band_edge_depth(rows, holes)
+    rng = np.random.default_rng(800 + rows)
     if b is not None:
-        rng = np.random.default_rng(800 + rows)
         depth = depth * (1.0 + rng.uniform(-1e-3, 1e-3, (b, BAND_H, BAND_W)))
     normals = normals_case(np.random.default_rng(900 + rows), (BAND_H, BAND_W))
+    if not holes:
+        normals[(normals == 0).all(axis=-1)] = (0.1, -0.2, -1.0)
+    gt = band_edge_depth(rows, holes) * (1.0 + rng.uniform(0.0, 0.1, (BAND_H, BAND_W)))
+    labels = (rng.uniform(size=(BAND_H, BAND_W)) < 0.4).astype(np.uint8)
+    logits = [rng.normal(scale=6.0, size=depth.shape + (2,)) for _ in range(3)]
+    logits[0].flat[:2] = (60.0, -60.0)  # a saturated step hits the log floor
+    valid = None if holes else (rng.uniform(size=labels.shape) < 0.7).astype(np.uint8)
+    cw = ClassWeights(2.0, 1.0)
 
     def run():
-        got = (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR))
-        if b is None:  # the gradient takes one raster, in bands with two halo rows
+        got = (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR),
+               slz_loss(logits, labels, cw, 0.9, valid))
+        if b is None:  # the gradients take one raster, DNCL's in bands with two halo rows
             got += depth_normal_consistency_grad(depth, normals, INTR)
+            loss, grads = slz_loss_grad(logits, labels, cw, 0.9, valid)
+            got += (loss, *grads, virtual_normal_loss(depth, gt, INTR, 60, 4))
         return got
 
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
@@ -169,12 +191,28 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
     bands = [r for r, *_ in geometry._bands(depth, INTR)]
     assert [(r.start, r.stop) for r in bands] == [
         (start, min(start + rows, BAND_H)) for start in range(0, BAND_H, rows)]
+    assert list(geometry._row_bands(depth.shape)) == bands
     got = run()
     assert all(same_bits(g, w) for g, w in zip(got, want))
+    alone = depth[None] if b is None else depth
+    for r in range(len(alone)):
+        # the SLZ value of each raster of a stack is that raster's own
+        steps = [z[r] if b is not None else z for z in logits]
+        want_slz = oracles.slz_loss_ref(steps, labels, cw.w_safe, cw.w_unsafe, 0.9, valid)
+        assert same_bits(got[2] if b is None else got[2][r], want_slz)
     if b is None:
         assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
         want_loss, want_grad = oracles.dncl_grad_ref(depth, normals, INTR)
-        assert same_bits(got[2], want_loss) and same_bits(got[3], want_grad)
+        assert same_bits(got[3], want_loss) and same_bits(got[4], want_grad)
+        assert np.isfinite(want_loss)
+        want_grads = oracles.slz_grad_ref(logits, labels, cw.w_safe, cw.w_unsafe, 0.9, valid)
+        assert same_bits(got[5], want_slz)
+        assert all(same_bits(g, w) for g, w in zip(got[6:9], want_grads))
+        assert np.array_equal(sample_triplets(depth, gt, INTR, 60, 4),
+                              oracles.sample_triplets_ref(depth, gt, INTR, 60, 4))
+    if not holes:  # every pixel is in the DNCL mean and the VNL draw
+        n_z = normals_from_depth(alone, INTR)[..., 2]
+        assert (n_z != 0).all() and np.isfinite(gt).all()
 
 
 @pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])

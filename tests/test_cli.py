@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import gc
 import io as std_io
 import json
 import os
@@ -809,17 +810,23 @@ def test_synth_depth_past_the_float32_range_exits_2_writing_no_raster(capsys, tm
     assert not list(out.iterdir())
 
 
-def test_console_script_smoke():
-    # the [project.scripts] entry, run as the wrapper an install generates runs it
+def _console_script(*argv, then=""):
+    """Run the [project.scripts] entry as the wrapper an install generates
+    runs it, with `then` run after the entry returns or exits."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+; 3.10 is still supported
     root = Path(__file__).resolve().parent.parent
     with open(root / "pyproject.toml", "rb") as fh:
         module, func = tomllib.load(fh)["project"]["scripts"]["slzkit"].split(":")
-    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+    wrapper = (f"import sys\nfrom {module} import {func}\ntry:\n    code = {func}()\n"
+               f"except SystemExit as exc:\n    code = exc.code\n{then}\nsys.exit(code)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", wrapper, "loss", "combined", "--vnl", "1",
-                           "--seq", "1", "--dncl", "1"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", wrapper, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_smoke():
+    proc = _console_script("loss", "combined", "--vnl", "1", "--seq", "1", "--dncl", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "loss=0.71"
 
@@ -1063,10 +1070,13 @@ def test_a_missing_required_key_exits_2_naming_the_file_block_and_keys(capsys, f
 
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
 # scipy modules, whether numpy is loaded, which of dataclasses and inspect
-# are loaded and the slzkit submodules loaded by the time the command returned. cli itself runs as __main__, as under -m.
+# are loaded, the slzkit submodules loaded, the collector's state and the
+# collections the call ran, by generation, by the time the command returned.
+# cli itself runs as __main__, as under -m.
 _PROBE = """
-import runpy, sys
+import gc, runpy, sys
 sys.argv[0] = "slzkit"
+passes = [g["collections"] for g in gc.get_stats()]
 try:
     runpy.run_module("slzkit.cli", run_name="__main__")
 except SystemExit as exc:
@@ -1080,6 +1090,9 @@ print("dataclasses or inspect loaded:", sorted({"dataclasses", "inspect"} & set(
       file=sys.stderr)
 print("slzkit modules:", sorted(m for m in sys.modules if m.startswith("slzkit.")),
       file=sys.stderr)
+print("gc enabled, heap frozen:", (gc.isenabled(), gc.get_freeze_count() > 0), file=sys.stderr)
+print("collections by generation:",
+      [g["collections"] - n for g, n in zip(gc.get_stats(), passes)], file=sys.stderr)
 sys.exit(code)
 """
 
@@ -1194,6 +1207,111 @@ def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(tmp_path, comm
     proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, command))
     assert proc.returncode == (2 if command == "usage-error" else 0), proc.stderr
     assert _probe_line(proc, "dataclasses or inspect loaded") == []
+
+
+# a success, argparse's exit on a usage error and an input error that main returns
+_EXITS = {"success": (["loss", "combined", "--vnl", "1", "--seq", "1", "--dncl", "1"], 0),
+          "usage-error": (["area", "--mask", "m.pgm"], 2),
+          "input-error": (["loss", "combined", "--vnl", "1", "--seq", "1", "--dncl", "1",
+                           "--config", "no-such-config.txt"], 2)}
+
+
+@pytest.mark.parametrize("case", _EXITS)
+def test_a_fresh_call_ends_with_the_heap_frozen_and_the_collector_on(case):
+    argv, code = _EXITS[case]
+    proc = _fresh_python("-c", _PROBE, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert _probe_line(proc, "gc enabled, heap frozen") == (True, True)
+
+
+@pytest.mark.parametrize("case", _EXITS)
+def test_the_console_script_ends_with_the_heap_frozen_and_the_collector_on(case):
+    argv, code = _EXITS[case]
+    proc = _console_script(*argv, then="import gc\nprint((gc.isenabled(), gc.get_freeze_count()))")
+    assert proc.returncode == code, proc.stderr
+    enabled, frozen = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert enabled and frozen > 0
+
+
+def test_a_fresh_numpy_command_collects_while_it_runs(tmp_path):
+    # the reference cycles the numpy import leaves are freed during the
+    # command, as without the entry, not held until the exit: the import
+    # runs over ten young-generation passes and so a pass over the middle one
+    proc = _fresh_python("-c", _PROBE, "refine-demo", "--out", str(tmp_path / "run"), "--T", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert _probe_line(proc, "numpy loaded") is True
+    assert _probe_line(proc, "collections by generation")[1] > 0
+
+
+@pytest.mark.parametrize("case", _EXITS)
+def test_main_in_process_leaves_the_collector_as_it_was(capsys, case):
+    argv, code = _EXITS[case]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            assert run_cli(capsys, *argv)[0] == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_fresh_call_writes_the_bytes_of_an_in_process_call(capsys, tmp_path):
+    # so no output depends on a collection, at shutdown or during the run
+    spec = tmp_path / "scene.txt"
+    spec.write_text("[scene]\nwidth=40\nheight=30\nfx=60\nfy=60\ncx=19.5\ncy=14.5\n"
+                    "buffer=1\n[plane]\na=0.05\nb=-0.1\nc=4\n"
+                    "[box]\nu0=10\nv0=8\nu1=16\nv1=13\nheight=0.5\n")
+    assert run_cli(capsys, "synth", "--spec", str(spec), "--out", str(tmp_path / "scene"))[0] == 0
+    scene = {name: str(tmp_path / "scene" / name)
+             for name in ("depth.f32r", "normals.f32r", "mask.pgm", "intrinsics.txt")}
+    depth = sio.read_raster(scene["depth.f32r"])
+    rng = np.random.default_rng(17)
+    files = {"pred": depth * (1 + rng.uniform(-0.02, 0.02, depth.shape)),
+             "conf": rng.uniform(size=depth.shape),
+             "logits": rng.normal(scale=3.0, size=depth.shape + (2,))}
+    for name, raster in files.items():
+        sio.write_raster(raster.astype(np.float32), tmp_path / f"{name}.f32r")
+    pred, conf, logits = (str(tmp_path / f"{name}.f32r") for name in files)
+    frame = ["--depth", scene["depth.f32r"], "--intrinsics", scene["intrinsics.txt"]]
+    calls = [
+        ["synth", "--spec", str(spec), "--out", "{out}/scene"],
+        ["refine-demo", "--out", "{out}/run", "--T", "4", "--seed", "3"],
+        ["refine-demo", "--resume", "{out}/run", "--out", "{out}/rest", "--T", "2"],
+        ["area", *frame, "--mask", scene["mask.pgm"], "--normals", scene["normals.f32r"]],
+        ["candidates", *frame, "--mask", scene["mask.pgm"], "--derive-normals", "--k", "3"],
+        ["loss", "vnl", "--pred", pred, "--gt", scene["depth.f32r"],
+         "--intrinsics", scene["intrinsics.txt"], "--samples", "50", "--seed", "2"],
+        ["loss", "sequential", "--preds", pred, scene["depth.f32r"], "--confs", conf, conf,
+         "--gt-depth", scene["depth.f32r"], "--gt-conf", conf],
+        ["loss", "dncl", "--depth", pred, "--normals", scene["normals.f32r"],
+         "--intrinsics", scene["intrinsics.txt"]],
+        ["loss", "slz", "--logits", logits, logits, "--labels", scene["mask.pgm"]],
+    ]
+    for argv in calls:
+        sides = {}
+        for side in ("in-process", "fresh"):
+            out = tmp_path / side
+            args = [a.replace("{out}", str(out)) for a in argv]
+            if side == "fresh":
+                proc = _fresh_python("-m", "slzkit.cli", *args)
+                result = proc.returncode, proc.stdout, proc.stderr
+            else:
+                result = run_cli(capsys, *args)
+            sides[side] = [r.replace(str(out), "{out}") if isinstance(r, str) else r
+                           for r in result]
+        assert sides["fresh"] == sides["in-process"], argv
+        assert sides["fresh"][0] == 0, argv
+    assert _tree(tmp_path / "fresh") == _tree(tmp_path / "in-process")
+    assert {"scene/depth.f32r", "run/losses.csv", "rest/state/meta.txt"} <= set(
+        _tree(tmp_path / "fresh"))
 
 
 def test_import_slzkit_loads_no_submodule_and_no_numpy():
