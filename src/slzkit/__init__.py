@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 _HOMES = {
     "AreaReport": "geometry",
     "CameraIntrinsics": "camera",
-    "CanonicalSpec": "camera",
     "ClassWeights": "settings",
     "LossWeights": "settings",
     "MetricsReport": "metrics",
     "RefinementState": "refinement",
     "RefinementWeights": "refinement",
     "binarize": "slz",
-    "canonical_scale": "camera",
     "confusion": "metrics",
     "connected_components": "slz",
     "conv_gru_step": "refinement",
@@ -28,16 +26,15 @@ _HOMES = {
     "evaluate": "metrics",
     "evaluate_dataset": "metrics",
     "fine_tune_loss": "settings",
-    "from_canonical": "camera",
     "grad_check": "losses",
     "normals_from_depth": "geometry",
+    "pixel_areas": "geometry",
     "read_intrinsics": "camera",
     "refinement_step": "refinement",
     "region_area": "geometry",
     "run_refinement": "refinement",
     "sequential_depth_loss": "losses",
     "slz_loss": "losses",
-    "to_canonical": "camera",
     "top_k_candidates": "slz",
     "virtual_normal_loss": "losses",
 }

@@ -87,8 +87,8 @@ def _read_plane(path, what, channels=1):
 
 
 def _read_frame(args):
-    """Intrinsics, depth, mask (--mask or binarized --logits) and the n_z plane
-    of the normals of a frame."""
+    """The mask (--mask or binarized --logits) of a frame and the
+    ``(areas, included)`` planes of :func:`geometry.pixel_areas`."""
     from . import camera, geometry, slz
     from . import io as slzio
 
@@ -100,9 +100,11 @@ def _read_frame(args):
         mask = slzio.read_mask(args.mask)
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
-    if args.derive_normals:
-        return intr, depth, mask, geometry.normal_z(depth, intr)
-    return intr, depth, mask, _read_plane(args.normals, "normals", 3)[..., 2]
+    n_z = (geometry.normal_z(depth, intr) if args.derive_normals
+           else _read_plane(args.normals, "normals", 3)[..., 2])
+    # the depth and normals go on return, before the labeller paints its
+    # (H, W) id plane beside the area planes, which keeps the peak low
+    return mask, geometry.pixel_areas(depth, n_z, intr, args.n_z_min)
 
 
 def _csv_out(rows):
@@ -124,8 +126,8 @@ def cmd_area(args):
 
     from . import slz
 
-    intr, depth, mask, n_z = _read_frame(args)
-    stats = slz.region_stats(mask, depth, n_z, intr, n_z_min=args.n_z_min)
+    mask, planes = _read_frame(args)
+    stats = slz.region_stats(mask, *planes)
     sel = np.arange(len(stats))
     if args.region_id is not None:
         if not 1 <= args.region_id <= len(sel):
@@ -143,10 +145,10 @@ def cmd_area(args):
 def cmd_candidates(args):
     from . import slz
 
-    intr, depth, mask, n_z = _read_frame(args)
+    mask, planes = _read_frame(args)
     if args.dilate:
         mask = slz.dilate_unsafe(mask, args.dilate)
-    order, stats = slz.top_k_candidates(mask, depth, n_z, intr, args.k, n_z_min=args.n_z_min)
+    order, stats = slz.top_k_candidates(mask, *planes, args.k)
     _csv_out([("region", "min_row", "min_col", "max_row", "max_col", "pixels", "excluded",
                "area_m2"), *_region_rows(stats, order, *stats.bbox[order].T)])
     return 0

@@ -260,17 +260,15 @@ def normal_z(depth, intr: CameraIntrinsics):
     return _normal_components(depth, intr, (2,))[..., 0]
 
 
-def _check_n_z_min(n_z_min):
-    if not 0 < n_z_min <= 1:
-        raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
-
-
 def pixel_areas(depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
     valid and |n_z| >= n_z_min (``included``), 0 elsewhere. ``n_z`` is the
     (H, W) z plane of the normals, ``normals[..., 2]`` of an (H, W, 3)
-    raster. n_z_min must be in (0, 1]."""
-    _check_n_z_min(n_z_min)
+    raster. n_z_min must be in (0, 1]. This is the one home of the area
+    rule: :func:`region_area` and the region kernels of :mod:`slzkit.slz`
+    take its two planes."""
+    if not 0 < n_z_min <= 1:
+        raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
     d = np.asarray(depth)
     n = np.asarray(n_z)
     if d.ndim != 2:
@@ -290,11 +288,18 @@ def pixel_areas(depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
 def _area_sums(ids, bins, areas, included):
     """``(area, pixel_count, excluded_count)`` arrays of ids 1 .. bins - 1
     of an (H, W) id plane, 0 = no region, from the planes of
-    :func:`pixel_areas`.
+    :func:`pixel_areas`, which must be of the id plane's shape.
 
     Each id's area adds its pixels' areas one at a time in flat row-major
     order: the one summation rule of every region area.
     """
+    areas, included = np.asarray(areas), np.asarray(included)
+    if areas.shape != ids.shape:
+        raise ShapeMismatchError(f"areas must be a plane of shape {ids.shape}, "
+                                 f"got shape {areas.shape}")
+    if included.dtype != bool or included.shape != ids.shape:
+        raise ShapeMismatchError(f"included must be a boolean plane of shape {ids.shape}, "
+                                 f"got {included.dtype} of shape {included.shape}")
     flat = ids.ravel()
     area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
     size = np.bincount(flat, minlength=bins)[1:]
@@ -302,21 +307,20 @@ def _area_sums(ids, bins, areas, included):
     return area, size - excluded, excluded
 
 
-def region_area(region, depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+def region_area(region, areas, included):
     """Sum per-pixel tilt-corrected areas over a pixel region.
 
-    ``n_z`` is the (H, W) z plane of the normals (see :func:`pixel_areas`).
-    `region` is a boolean inclusion mask of the depth raster's shape; for
-    (N, 2) (row, col) pixels, build it with ``m[tuple(pixels.T)] = True``.
-    Pixels with invalid depth or |n_z| < n_z_min are skipped and
-    reported in ``excluded_count``. The area adds the pixels' float64
-    areas one at a time in row-major raster order, as
+    ``areas`` and ``included`` are the planes of :func:`pixel_areas`.
+    `region` is a boolean inclusion mask of their shape; for (N, 2)
+    (row, col) pixels, build it with ``m[tuple(pixels.T)] = True``.
+    Pixels outside ``included`` (invalid depth or |n_z| < n_z_min) are
+    skipped and reported in ``excluded_count``. The area adds the pixels'
+    float64 areas one at a time in row-major raster order, as
     :func:`slzkit.slz.region_stats` does for each region.
     """
-    areas, included = pixel_areas(depth, n_z, intr, n_z_min)
-    region = np.asarray(region)
-    if region.dtype != bool or region.shape != areas.shape:
-        raise ShapeMismatchError(f"region must be a boolean mask of shape {areas.shape}, "
+    region, shape = np.asarray(region), np.shape(areas)
+    if region.dtype != bool or region.shape != shape:
+        raise ShapeMismatchError(f"region must be a boolean mask of shape {shape}, "
                                  f"got {region.dtype} of shape {region.shape}")
     area, count, excluded = _area_sums(region, 2, areas, included)
     return AreaReport(float(area[0]), int(count[0]), int(excluded[0]))

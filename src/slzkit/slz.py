@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .camera import CameraIntrinsics
 from .errors import ShapeMismatchError
-from .geometry import _area_sums, pixel_areas
+from .geometry import _area_sums
 from .io import _check_mask
-from .settings import DEFAULT_NZ_MIN
 
 SAFE = 0
 UNSAFE = 1
@@ -121,32 +119,27 @@ def connected_components(mask):
     return Labelling(m.shape, *_label(m))
 
 
-def region_stats(mask, depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+def region_stats(mask, areas, included):
     """Area, pixel counts and bbox of every safe region, from one labelling pass.
 
-    ``n_z`` is the (H, W) z plane of the normals (see
-    :func:`slzkit.geometry.pixel_areas`). Region ids are those of
-    :func:`connected_components`; each region's area, pixel count and
-    excluded count equal those of :func:`slzkit.geometry.region_area` over
-    its pixels, bit for bit.
+    ``areas`` and ``included`` are the planes of
+    :func:`slzkit.geometry.pixel_areas`, of the mask's shape. Region ids
+    are those of :func:`connected_components`; each region's area, pixel
+    count and excluded count equal those of
+    :func:`slzkit.geometry.region_area` over its pixels, bit for bit.
     """
     lab = connected_components(mask)
-    if np.shape(depth) != lab.shape:
-        raise ShapeMismatchError(f"depth shape {np.shape(depth)} != mask shape {lab.shape}")
-    # the areas come before the painted id plane, which keeps the peak low
-    areas, included = pixel_areas(depth, n_z, intr, n_z_min)
     sums = _area_sums(lab.labels(), len(lab) + 1, areas, included)
     return RegionStats(lab.shape, lab.runs, lab.bbox, *sums)
 
 
-def top_k_candidates(mask, depth, n_z, intr: CameraIntrinsics, k,
-                     n_z_min=DEFAULT_NZ_MIN):
+def top_k_candidates(mask, areas, included, k):
     """``(order, stats)``: the :func:`region_stats` of the mask and the rows of
     its k largest regions by area (descending, id breaks ties); row i is
     region id i + 1."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    stats = region_stats(mask, depth, n_z, intr, n_z_min=n_z_min)
+    stats = region_stats(mask, areas, included)
     # a stable sort on -area keeps equal areas in ascending id order
     return np.argsort(-stats.area, kind="stable")[:k], stats
 

@@ -3,27 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from slzkit.camera import (
-    CameraIntrinsics,
-    CanonicalSpec,
-    canonical_scale,
-    from_canonical,
-    read_intrinsics,
-    to_canonical,
-    write_intrinsics,
-)
+from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.errors import InvalidIntrinsicsError
-
-
-def test_scale_identity_when_focals_match():
-    intr = CameraIntrinsics(1000, 1000, 500, 400)
-    assert canonical_scale(intr, CanonicalSpec(1000)) == 1.0
-
-
-def test_scale_hand_value():
-    # f_eff = (800 + 1200) / 2 = 1000
-    intr = CameraIntrinsics(800, 1200, 500, 400)
-    assert canonical_scale(intr, CanonicalSpec(500)) == 0.5
 
 
 def test_invalid_intrinsics_rejected():
@@ -33,73 +14,6 @@ def test_invalid_intrinsics_rejected():
         CameraIntrinsics(1000, -5, 500, 400)
     with pytest.raises(InvalidIntrinsicsError):
         CameraIntrinsics(1000, 1000, math.nan, 400)
-    with pytest.raises(InvalidIntrinsicsError):
-        CanonicalSpec(0)
-
-
-def test_scale_covariance():
-    spec = CanonicalSpec(750)
-    s1 = canonical_scale(CameraIntrinsics(600, 800, 0, 0), spec)
-    s2 = canonical_scale(CameraIntrinsics(1200, 1600, 0, 0), spec)
-    assert s2 == pytest.approx(s1 / 2, rel=1e-15)
-
-
-def test_to_canonical_hand_value():
-    intr = CameraIntrinsics(1000, 1000, 0, 0)
-    out = to_canonical(np.array([[4.0]]), intr, CanonicalSpec(500))
-    assert out[0, 0] == 2.0
-
-
-def test_to_canonical_identity_scale():
-    intr = CameraIntrinsics(1000, 1000, 0, 0)
-    depth = np.random.default_rng(0).uniform(0.5, 30, (6, 7))
-    out = to_canonical(depth, intr, CanonicalSpec(1000))
-    assert np.array_equal(out, depth)
-
-
-def test_invalid_pixels_pass_through():
-    intr = CameraIntrinsics(1000, 1000, 0, 0)
-    spec = CanonicalSpec(500)
-    depth = np.array([[4.0, -1.0], [0.0, np.inf]])
-    out = to_canonical(depth, intr, spec)
-    assert out[0, 0] == 2.0
-    assert out[0, 1] == -1.0
-    assert out[1, 0] == 0.0
-    assert np.isinf(out[1, 1])
-    back = from_canonical(out, intr, spec)
-    assert back[0, 1] == -1.0 and back[1, 0] == 0.0
-
-
-def test_round_trip_bitwise_for_power_of_two_scale():
-    intr = CameraIntrinsics(1000, 1000, 0, 0)
-    spec = CanonicalSpec(500)  # s = 0.5
-    depth = np.random.default_rng(1).uniform(0.1, 100, (16, 16))
-    assert np.array_equal(from_canonical(to_canonical(depth, intr, spec), intr, spec), depth)
-
-
-def test_round_trip_relative_error():
-    intr = CameraIntrinsics(711, 937, 0, 0)
-    spec = CanonicalSpec(1000)
-    depth = np.random.default_rng(2).uniform(1e-3, 1e3, (32, 32))
-    back = from_canonical(to_canonical(depth, intr, spec), intr, spec)
-    assert np.max(np.abs(back - depth) / depth) <= 1e-6
-    out = from_canonical(np.array([[2.0]]), CameraIntrinsics(1000, 1000, 0, 0), CanonicalSpec(500))
-    assert out[0, 0] == 4.0
-
-
-def test_to_canonical_accepts_integer_rasters():
-    intr = CameraIntrinsics(1000, 1000, 0, 0)
-    out = to_canonical(np.array([[4, 2]]), intr, CanonicalSpec(500))
-    assert out.tolist() == [[2.0, 1.0]]
-
-
-def test_to_canonical_is_linear():
-    intr = CameraIntrinsics(800, 900, 10, 20)
-    spec = CanonicalSpec()
-    depth = np.random.default_rng(3).uniform(0.5, 10, (8, 8))
-    lhs = to_canonical(3.0 * depth, intr, spec)
-    rhs = 3.0 * to_canonical(depth, intr, spec)
-    assert np.allclose(lhs, rhs, rtol=1e-15, atol=0)
 
 
 def test_intrinsics_file_round_trip(tmp_path):

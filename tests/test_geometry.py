@@ -135,8 +135,6 @@ def test_n_z_min_outside_0_1_is_rejected(n_z_min):
     depth, n_z = np.full((4, 5), 2.0), np.zeros((4, 5))
     with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
         pixel_areas(depth, n_z, INTR, n_z_min=n_z_min)
-    with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
-        region_area(np.ones((4, 5), bool), depth, n_z, INTR, n_z_min=n_z_min)
 
 
 def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
@@ -151,7 +149,7 @@ def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
 def test_region_area_fronto_parallel_closed_form():
     depth = np.full((24, 20), 3.0)
     normals = normals_from_depth(depth, INTR)
-    rep = region_area(np.ones((24, 20), bool), depth, normals[..., 2], INTR)
+    rep = region_area(np.ones((24, 20), bool), *pixel_areas(depth, normals[..., 2], INTR))
     expected = 24 * 20 * 9.0 / (100 * 100)
     assert rep.pixel_count == 480 and rep.excluded_count == 0
     assert rep.total_area == pytest.approx(expected, rel=1e-6)
@@ -160,7 +158,7 @@ def test_region_area_fronto_parallel_closed_form():
 def test_region_area_empty_region():
     depth = np.full((8, 8), 2.0)
     normals = normals_from_depth(depth, INTR)
-    rep = region_area(np.zeros((8, 8), bool), depth, normals[..., 2], INTR)
+    rep = region_area(np.zeros((8, 8), bool), *pixel_areas(depth, normals[..., 2], INTR))
     assert rep == AreaReport(0.0, 0, 0)
 
 
@@ -169,20 +167,20 @@ def test_region_area_shape_mismatch():
     normals = normals_from_depth(depth, INTR)
     n_z = normals[..., 2]
     with pytest.raises(ShapeMismatchError):
-        region_area(np.ones((9, 8), bool), depth, n_z, INTR)
+        region_area(np.ones((9, 8), bool), *pixel_areas(depth, n_z, INTR))
     with pytest.raises(ShapeMismatchError):
-        region_area(np.ones((8, 8), bool), depth, n_z[:7], INTR)
+        region_area(np.ones((8, 8), bool), *pixel_areas(depth, n_z[:7], INTR))
     # the area reads the n_z plane alone, not the (H, W, 3) normals
     with pytest.raises(ShapeMismatchError, match=re.escape("n_z shape (8, 8, 3) incompatible")):
-        region_area(np.ones((8, 8), bool), depth, normals, INTR)
+        region_area(np.ones((8, 8), bool), *pixel_areas(depth, normals, INTR))
     with pytest.raises(ShapeMismatchError, match="got float64"):
-        region_area(np.array([[1.0, 2.0]]), depth, n_z, INTR)
+        region_area(np.array([[1.0, 2.0]]), *pixel_areas(depth, n_z, INTR))
     # a pixel list or a 0/1 mask of another dtype is not a region
     expected = re.escape("region must be a boolean mask of shape (8, 8), got ")
     with pytest.raises(ShapeMismatchError, match=expected + re.escape("int64 of shape (3, 2)")):
-        region_area(np.array([[0, 0], [1, 2], [7, 7]]), depth, n_z, INTR)
+        region_area(np.array([[0, 0], [1, 2], [7, 7]]), *pixel_areas(depth, n_z, INTR))
     with pytest.raises(ShapeMismatchError, match=expected + re.escape("uint8 of shape (8, 8)")):
-        region_area(np.ones((8, 8), np.uint8), depth, n_z, INTR)
+        region_area(np.ones((8, 8), np.uint8), *pixel_areas(depth, n_z, INTR))
 
 
 def test_region_area_additive_over_disjoint_regions():
@@ -190,9 +188,9 @@ def test_region_area_additive_over_disjoint_regions():
     depth = 5.0 + rng.uniform(-1, 1, (16, 16))
     n_z = normals_from_depth(depth, INTR)[..., 2]
     split = rng.uniform(size=(16, 16)) > 0.5
-    left = region_area(split, depth, n_z, INTR)
-    right = region_area(~split, depth, n_z, INTR)
-    union = region_area(np.ones((16, 16), bool), depth, n_z, INTR)
+    left = region_area(split, *pixel_areas(depth, n_z, INTR))
+    right = region_area(~split, *pixel_areas(depth, n_z, INTR))
+    union = region_area(np.ones((16, 16), bool), *pixel_areas(depth, n_z, INTR))
     assert left.total_area + right.total_area == pytest.approx(union.total_area, rel=1e-12)
     assert left.pixel_count + right.pixel_count == union.pixel_count
 
@@ -201,8 +199,8 @@ def test_region_area_quadratic_depth_scaling():
     rng = np.random.default_rng(4)
     depth = 3.0 + rng.uniform(-0.3, 0.3, (16, 16))
     n_z = normals_from_depth(depth, INTR)[..., 2]
-    base = region_area(np.ones((16, 16), bool), depth, n_z, INTR)
-    scaled = region_area(np.ones((16, 16), bool), 2.5 * depth, n_z, INTR)
+    base = region_area(np.ones((16, 16), bool), *pixel_areas(depth, n_z, INTR))
+    scaled = region_area(np.ones((16, 16), bool), *pixel_areas(2.5 * depth, n_z, INTR))
     assert scaled.total_area == pytest.approx(2.5**2 * base.total_area, rel=1e-6)
 
 
@@ -212,6 +210,6 @@ def test_region_area_counts_excluded_pixels():
     normals[..., 2] = -1.0
     normals[2, 2] = (0.999, 0.0, -0.04)  # steeper than the n_z cutoff
     depth[4, 4] = np.nan  # invalid depth
-    rep = region_area(np.ones((6, 6), bool), depth, normals[..., 2], INTR)
+    rep = region_area(np.ones((6, 6), bool), *pixel_areas(depth, normals[..., 2], INTR))
     assert rep.pixel_count == 34
     assert rep.excluded_count == 2

@@ -9,6 +9,7 @@ import pytest
 from slzkit import io as sio
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import ShapeMismatchError
+from slzkit.geometry import pixel_areas
 from slzkit.losses import slz_loss
 from slzkit.metrics import confusion
 from slzkit.slz import connected_components, dilate_unsafe, region_stats, top_k_candidates
@@ -218,12 +219,13 @@ _OK = np.zeros((4, 4), np.uint8)
 _DEPTH = np.full((4, 4), 2.0)
 _NORMALS = np.broadcast_to([0.0, 0.0, -1.0], (4, 4, 3))
 _INTR = CameraIntrinsics(100, 100, 1.5, 1.5)
+_PLANES = pixel_areas(_DEPTH, _NORMALS[..., 2], _INTR)
 
 # consumer -> (the argument it names, a call that passes the mask there)
 MASK_CONSUMERS = {
     "connected_components": ("mask", connected_components),
-    "region_stats": ("mask", lambda m: region_stats(m, _DEPTH, _NORMALS[..., 2], _INTR)),
-    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, _DEPTH, _NORMALS[..., 2], _INTR, 3)),
+    "region_stats": ("mask", lambda m: region_stats(m, *_PLANES)),
+    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, *_PLANES, 3)),
     "dilate_unsafe": ("mask", lambda m: dilate_unsafe(m, 1)),
     "confusion-pred": ("pred", lambda m: confusion(m, _OK)),
     "confusion-gt": ("gt", lambda m: confusion(_OK, m)),
