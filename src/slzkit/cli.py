@@ -73,37 +73,52 @@ def _fill_defaults(args):
         raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
-def _read_plane(path, what, channels=1):
-    """An F32R raster of `channels` channels: (H, W) for one, else (H, W, channels)."""
-    from . import io as slzio
-
-    d = slzio.read_raster(path)
-    got = d.shape[2] if d.ndim == 3 else 1
+def _channels(raster, path, what, channels):
+    """The raster (an array or an io.RasterRows), checked to have `channels`
+    channels: shape (H, W) for one, else (H, W, channels)."""
+    got = raster.shape[2] if len(raster.shape) == 3 else 1
     if got != channels:
         kind = "single" if channels == 1 else channels
         raise ShapeMismatchError(
             f"{path}: {what} must be {kind}-channel, got {got} channel{'s' * (got > 1)}")
-    return d
+    return raster
+
+
+def _read_plane(path, what, channels=1):
+    """An F32R raster of `channels` channels, read whole: (H, W) for one,
+    else (H, W, channels)."""
+    from . import io as slzio
+
+    return _channels(slzio.read_raster(path), path, what, channels)
+
+
+def _open_plane(path, what, channels=1):
+    """:func:`_read_plane` as an io.RasterRows, whose rows the banded
+    kernels read as they reach them; its header is checked now."""
+    from . import io as slzio
+
+    return _channels(slzio.RasterRows(path), path, what, channels)
 
 
 def _read_frame(args):
     """The mask (--mask or binarized --logits) of a frame and the
-    ``(areas, included)`` planes of :func:`geometry.pixel_areas`."""
+    ``(areas, included)`` planes of :func:`geometry.pixel_areas`.
+
+    The depth, normals and logits are read a band of rows at a time, so
+    no whole input raster is held: the labeller paints its (H, W) id plane
+    beside the mask and the area planes alone."""
     from . import camera, geometry, slz
     from . import io as slzio
 
     intr = camera.read_intrinsics(args.intrinsics)
-    depth = _read_plane(args.depth, "depth")
+    depth = _open_plane(args.depth, "depth")
     if getattr(args, "logits", None) is not None:
-        mask = slz.binarize(_read_plane(args.logits, "logits", 2))
+        mask = slz.binarize(_open_plane(args.logits, "logits", 2))
     else:
         mask = slzio.read_mask(args.mask)
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
-    n_z = (geometry.normal_z(depth, intr) if args.derive_normals
-           else _read_plane(args.normals, "normals", 3)[..., 2])
-    # the depth and normals go on return, before the labeller paints its
-    # (H, W) id plane beside the area planes, which keeps the peak low
+    n_z = None if args.derive_normals else _open_plane(args.normals, "normals", 3).channel(2)
     return mask, geometry.pixel_areas(depth, n_z, intr, args.n_z_min)
 
 
@@ -174,13 +189,18 @@ def cmd_evaluate(args):
             raise ValueError(f"missing {side} counterpart for {min(missing)}")
 
     def counts():
-        # the gray bytes of each pair, counted without decoding them to arrays
+        # the gray bytes of each pair, counted without decoding them to
+        # arrays, read into two buffers that every pair reuses
+        bufs = bytearray(), bytearray()
         for n in pred_names:
             (pred_shape, pred), (gt_shape, gt) = (
-                slzio._read_pgm(os.path.join(d, n)) for d in (args.pred_dir, args.gt_dir))
+                slzio._read_pgm(os.path.join(d, n), buf)
+                for d, buf in zip((args.pred_dir, args.gt_dir), bufs))
             if pred_shape != gt_shape:
                 raise ShapeMismatchError(f"{n}: pred shape {pred_shape} != gt shape {gt_shape}")
-            yield metrics._counts(pred, gt)
+            counted = metrics._counts(pred, gt)
+            del pred, gt  # the next pair's read may grow the buffers
+            yield counted
 
     rows = metrics.to_csv_rows(metrics.evaluate(metrics._pooled(counts())))
     _csv_out(rows)
@@ -357,8 +377,11 @@ def cmd_loss_dncl(args):
     from . import camera, losses
 
     intr = camera.read_intrinsics(args.intrinsics)
-    depth = _read_plane(args.depth, "depth")
-    normals = _read_plane(args.normals, "normals", 3)
+    # the value reads both rasters a band of rows at a time; the check
+    # perturbs whole depth rasters
+    read = _read_plane if args.grad_check else _open_plane
+    depth = read(args.depth, "depth")
+    normals = read(args.normals, "normals", 3)
     return _print_loss_and_check(
         args, lambda d: losses.depth_normal_consistency(d[0], normals, intr),
         lambda d: [[losses.depth_normal_consistency_grad(d[0], normals, intr)[1]]], [depth])

@@ -3,6 +3,11 @@
 Normals follow the camera-facing convention: the camera looks along +Z,
 so a valid unit normal always has n_z <= 0 (a fronto-parallel ground
 plane yields (0, 0, -1)). Invalid pixels carry the all-zero vector.
+
+The normal kernel and the per-pixel area planes run on bands of rows
+(:func:`_row_bands`), bit for bit the whole frame. A raster they read may
+be an array or an :class:`slzkit.io.RasterRows`, of which they ask only
+``.shape`` and row slices, so a frame read from files is never held whole.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import ShapeMismatchError
+from .io import _row_source
 from .settings import DEFAULT_NZ_MIN
 
 
@@ -116,11 +122,12 @@ def _tangents(d, ray):
 
 
 def _depth_stack(depth):
-    """depth as an array: an (H, W) raster or a (b, H, W) stack of them."""
-    d = np.asarray(depth)
-    if d.ndim not in (2, 3) or min(d.shape[-2:]) < 3:
+    """depth as a row source (see :func:`slzkit.io._row_source`): an (H, W)
+    raster, which may be an io.RasterRows, or a (b, H, W) stack of them."""
+    d = _row_source(depth)
+    if len(d.shape) not in (2, 3) or min(d.shape[-2:]) < 3:
         raise ShapeMismatchError(f"need at least a 3x3 depth raster, got shape {d.shape}")
-    if d.size == 0:
+    if math.prod(d.shape) == 0:
         raise ShapeMismatchError(f"need at least one depth raster, got shape {d.shape}")
     return d
 
@@ -135,7 +142,7 @@ def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
     apply only at the frame's first and last rows.
     """
     lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, d.shape[-2])
-    d = d[..., lo:hi, :]
+    d = d[lo:hi] if len(d.shape) == 2 else d[:, lo:hi]
     rays = _ray_xy(np.arange(d.shape[-1], dtype=np.float64),
                    np.arange(lo, hi, dtype=np.float64)[:, None], intr) + (1.0,)
     # Plane i of tu x tv comes from the tangents of the other two components,
@@ -264,24 +271,39 @@ def pixel_areas(depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
     valid and |n_z| >= n_z_min (``included``), 0 elsewhere. ``n_z`` is the
     (H, W) z plane of the normals, ``normals[..., 2]`` of an (H, W, 3)
-    raster. n_z_min must be in (0, 1]. This is the one home of the area
-    rule: :func:`region_area` and the region kernels of :mod:`slzkit.slz`
-    take its two planes."""
+    raster, or None for the z plane of the normals derived from the depth,
+    bit for bit :func:`normal_z`. n_z_min must be in (0, 1]. This is the
+    one home of the area rule: :func:`region_area` and the region kernels
+    of :mod:`slzkit.slz` take its two planes.
+
+    The planes are formed a band of rows at a time, as are the derived
+    normals, and depth and ``n_z`` may be io.RasterRows, read by rows: no
+    whole-frame n_z, |n_z| or float64 depth plane is held.
+    """
+    d = _depth_stack(depth) if n_z is None else _row_source(depth)
     if not 0 < n_z_min <= 1:
         raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
-    d = np.asarray(depth)
-    n = np.asarray(n_z)
-    if d.ndim != 2:
+    if len(d.shape) != 2:
         raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
-    if n.shape != d.shape:
-        raise ShapeMismatchError(f"n_z shape {n.shape} incompatible with depth {d.shape}")
-    nz = np.abs(n, dtype=np.float64)
-    included = valid_depth_mask(d) & (nz >= n_z_min)
-    nz *= intr.fx * intr.fy
-    # two float64 planes: d^2, divided in place where included and zeroed elsewhere
-    areas = np.square(d, dtype=np.float64)
-    np.divide(areas, nz, out=areas, where=included)
-    areas[~included] = 0.0
+    if n_z is None:
+        bands = ((rows, f) for rows, _, f in _bands(d, intr))
+    else:
+        n = _row_source(n_z)
+        if n.shape != d.shape:
+            raise ShapeMismatchError(f"n_z shape {n.shape} incompatible with depth {d.shape}")
+        bands = ((rows, None) for rows in _row_bands(d.shape))
+    areas, included = np.empty(d.shape), np.empty(d.shape, dtype=bool)
+    for rows, f in bands:
+        # |n_z| in float64; a derived n_z is NaN off the normals (see
+        # _NormalPlanes.scale), which fails the n_z_min test as normal_z's 0 does
+        nz = np.abs(n[rows] if f is None else f.cross[2] * f.scale, dtype=np.float64)
+        d_b, inc, a = d[rows], included[rows], areas[rows]
+        np.logical_and(valid_depth_mask(d_b), nz >= n_z_min, out=inc)
+        nz *= intr.fx * intr.fy
+        # d^2, divided in place where included and zeroed elsewhere
+        np.square(d_b, out=a, dtype=np.float64)
+        np.divide(a, nz, out=a, where=inc)
+        a[~inc] = 0.0
     return areas, included
 
 

@@ -6,7 +6,10 @@ F32R raster format::
     <width*height*channels little-endian float32, row-major, channel-interleaved>
 
 The header is a single ASCII line with single spaces. Round trips are
-bitwise, including NaN payloads and infinities.
+bitwise, including NaN payloads and infinities. The payload is raw rows,
+so :class:`RasterRows` reads any band of rows by one seek past the header;
+:func:`read_raster` is its whole-range read, and the banded kernels of
+geometry, losses and slz take a reader where they take an array.
 
 Masks travel as binary PGM (P5, maxval 255): pixel < 128 decodes to
 class 0 (safe), >= 128 to class 1 (unsafe); encoding writes 0/255. The
@@ -67,30 +70,77 @@ def _check_payload(path, size, nbytes):
         warnings.warn(f"{path}: {size - nbytes} trailing bytes ignored", stacklevel=3)
 
 
+class RasterRows:
+    """An F32R file opened for reading by rows.
+
+    Opening reads the header and makes every check of :func:`read_raster`:
+    the magic, the dimensions, a payload shorter than the header declares
+    (an error) or longer (one warning). ``shape`` is that of the array
+    :func:`read_raster` returns, and ``r[a:b]``, a slice of step 1, reads
+    those rows from the file into a new float32 array; ``r[:]`` is the
+    whole raster. :meth:`channel` gives a reader of one channel's plane.
+    Each read opens the file again, so a reader holds no open file; a
+    file cut short since it was opened raises TruncatedError.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            if not line.endswith(b"\n") or not line.startswith(b"F32R"):
+                raise BadMagicError(f"{path}: not an F32R file")
+            m = _HEADER_RE.match(line[:-1])
+            if m is None:
+                raise DimensionError(f"{path}: malformed header {line[:-1]!r}")
+            width, height, channels = (int(g) for g in m.groups())
+            if width < 1 or height < 1 or channels < 1:
+                raise DimensionError(
+                    f"{path}: dimensions must be >= 1, got {width}x{height}x{channels}")
+            nbytes = width * height * channels * 4
+            if nbytes > _MAX_PAYLOAD_BYTES:
+                raise DimensionError(f"{path}: payload of {nbytes} bytes exceeds sanity limit")
+            _check_payload(path, os.fstat(fh.fileno()).st_size - len(line), nbytes)
+        self.path, self._start, self._row = path, len(line), (width, channels)
+        self.shape = (height, width) if channels == 1 else (height, width, channels)
+        self._channel = 0 if channels == 1 else None  # the channel a read keeps
+
+    def channel(self, k):
+        """A reader of channel ``k`` alone: shape (H, W)."""
+        plane = object.__new__(RasterRows)
+        vars(plane).update(vars(self), shape=self.shape[:2], _channel=k)
+        return plane
+
+    def __getitem__(self, rows):
+        import numpy as np
+
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise ValueError(f"{self.path}: rows must be a slice of step 1, got {rows!r}")
+        start, stop, _ = rows.indices(self.shape[0])
+        width, channels = self._row
+        # the payload goes straight into the array: no copy of the file is held
+        out = np.empty((max(stop - start, 0), width, channels), dtype="<f4")
+        skip = start * width * channels * 4
+        with open(self.path, "rb") as fh:
+            fh.seek(self._start + skip)
+            got = fh.readinto(out)
+        if got < out.nbytes:
+            raise TruncatedError(f"{self.path}: payload has {skip + got} bytes, "
+                                 f"header declares {self.shape[0] * width * channels * 4}")
+        return out if self._channel is None else out[..., self._channel]
+
+
 def read_raster(path):
-    """Read an F32R file into a float32 array, shape (H, W) or (H, W, C)."""
+    """Read an F32R file into a float32 array, shape (H, W) or (H, W, C):
+    the whole-range read of a :class:`RasterRows`."""
+    return RasterRows(path)[:]
+
+
+def _row_source(x):
+    """``x`` itself if it is a :class:`RasterRows`, else ``np.asarray(x)``:
+    what a banded kernel reads its (H, W[, C]) inputs through, asking
+    only for ``.shape`` and row slices."""
     import numpy as np
 
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n") or not line.startswith(b"F32R"):
-            raise BadMagicError(f"{path}: not an F32R file")
-        m = _HEADER_RE.match(line[:-1])
-        if m is None:
-            raise DimensionError(f"{path}: malformed header {line[:-1]!r}")
-        width, height, channels = (int(g) for g in m.groups())
-        if width < 1 or height < 1 or channels < 1:
-            raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}x{channels}")
-        nbytes = width * height * channels * 4
-        if nbytes > _MAX_PAYLOAD_BYTES:
-            raise DimensionError(f"{path}: payload of {nbytes} bytes exceeds sanity limit")
-        _check_payload(path, os.fstat(fh.fileno()).st_size - len(line), nbytes)
-        # the payload goes straight into the array: no copy of the file is held
-        arr = np.empty((height, width, channels), dtype="<f4")
-        _check_payload(path, fh.readinto(arr), nbytes)
-    if channels == 1:
-        return arr[..., 0]
-    return arr
+    return x if isinstance(x, RasterRows) else np.asarray(x)
 
 
 def write_raster(raster, path):
@@ -115,23 +165,35 @@ def write_raster(raster, path):
         fh.write(payload)
 
 
-def _read_pgm(path):
+def _read_pgm(path, buf=None):
     """Read a P5 PGM into ``((height, width), gray)``, ``gray`` the row-major
-    payload bytes (a memoryview of the file's bytes, no copy)."""
+    payload bytes: a memoryview of the file's bytes as read into ``buf``, a
+    bytearray that grows to the file's size (a new one when None), so a
+    caller that passes one buffer for file after file faults its pages in
+    once. The buffer can grow only while no view of it is alive: such a
+    caller drops each ``gray`` before its next read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
+        size = os.fstat(fh.fileno()).st_size
+        if buf is None:
+            buf = bytearray(size)
+        elif len(buf) < size:
+            buf += bytes(size - len(buf))
+        n = fh.readinto(memoryview(buf)[:size])
+        rest = fh.read()  # past the stat size: a pipe, or a file grown since
+    buf[n:n] = rest
+    data = memoryview(buf)[:n + len(rest)]
+    if data[:2] != b"P5":
         raise BadMagicError(f"{path}: not a P5 PGM file")
     m = _PGM_RE.match(data)
     if m is None:
-        raise DimensionError(f"{path}: malformed header {data[:32]!r}")
+        raise DimensionError(f"{path}: malformed header {bytes(data[:32])!r}")
     width, height, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise ParseError(f"{path}: maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise DimensionError(f"{path}: dimensions must be >= 1, got {width}x{height}")
     _check_payload(path, len(data) - m.end(), width * height)
-    return (height, width), memoryview(data)[m.end():m.end() + width * height]
+    return (height, width), data[m.end():m.end() + width * height]
 
 
 def read_mask(path):

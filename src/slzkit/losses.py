@@ -15,6 +15,8 @@ The sequential, consistency and cross-entropy values also take a (b, ...)
 stack of prediction rasters and return one value per raster, each equal
 bit for bit to the value of that raster alone; the checker hands them its
 perturbed rasters that way. Their gradients take one raster per input.
+The consistency loss reads its depth and normal rasters by rows, so they
+may also be :class:`slzkit.io.RasterRows`.
 
 The sequential and cross-entropy losses take their steps as any sequence
 with len and indexing. They index step t once, when they reach it, and drop
@@ -30,7 +32,7 @@ import numpy as np
 from .camera import CameraIntrinsics, valid_depth_mask
 from .errors import DegenerateInputError, ShapeMismatchError
 from .geometry import _backproject_pixels, _bands, _cross_to_depth, _depth_stack, _row_bands
-from .io import _check_mask
+from .io import _check_mask, _row_source
 from .settings import DEFAULT_GAMMA, ClassWeights
 
 _LOG_FLOOR = 1e-12
@@ -256,11 +258,11 @@ def depth_normal_consistency_grad(d_pred, n_pred, intr: CameraIntrinsics):
 
 
 def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
-    if need_grad and np.ndim(d_pred) != 2:
+    if need_grad and len(np.shape(d_pred)) != 2:
         raise ShapeMismatchError(f"the gradient takes one depth raster, got shape {np.shape(d_pred)}")
     d = _depth_stack(d_pred)
     hw = d.shape[-2:]
-    n_in = np.asarray(n_pred)
+    n_in = _row_source(n_pred)
     if n_in.shape != hw + (3,):
         raise ShapeMismatchError(f"normal raster shape {n_in.shape} != {hw + (3,)}")
     # the value needs only the dot plane and the pixel mask, band by band
@@ -271,16 +273,16 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         # once for a stack of depths, and derived . target with derived =
         # cross * scale (NaN off the normals).
         sq, t = np.zeros(f.ok.shape[-2:]), np.empty(f.ok.shape[-2:])
-        band, term = dot[..., rows, :], np.empty_like(f.scale)
+        band, term, n_b = dot[..., rows, :], np.empty_like(f.scale), n_in[rows]
         for k, c in enumerate(f.cross):
-            np.copyto(t, n_in[rows, :, k])
+            np.copyto(t, n_b[..., k])
             np.multiply(c, f.scale, out=term)
             term *= t
             band += term
             t *= t
             sq += t
         np.logical_and(f.ok, np.sqrt(sq, out=sq) > 1e-6, out=m[..., rows, :])
-        del sq, t, band, term
+        del sq, t, band, term, n_b
     kept = m.reshape(-1, hw[0] * hw[1])  # the pixels of each raster's mean
     counts = kept.sum(axis=1)
     if not counts.all():

@@ -15,8 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError
-from .geometry import _area_sums
-from .io import _check_mask
+from .geometry import _area_sums, _row_bands
+from .io import _check_mask, _row_source
 
 SAFE = 0
 UNSAFE = 1
@@ -59,13 +59,19 @@ def _paint(row, start, stop, label, shape):
 
 
 def binarize(logits):
-    """Argmax over the 2 logit channels; ties go to unsafe."""
-    z = np.asarray(logits)
-    if z.ndim != 3 or z.shape[2] != 2:
+    """Argmax over the 2 logit channels; ties go to unsafe. The (H, W, 2)
+    logits, which may be an io.RasterRows, are read a band of rows at a
+    time into the (H, W) uint8 mask."""
+    z = _row_source(logits)
+    if len(z.shape) != 3 or z.shape[2] != 2:
         raise ShapeMismatchError(f"logits must be (H, W, 2), got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    return (z[..., UNSAFE] >= z[..., SAFE]).astype(np.uint8)
+    mask = np.empty(z.shape[:2], np.uint8)
+    for rows in _row_bands(mask.shape):
+        band = z[rows]
+        if not np.isfinite(band).all():
+            raise ValueError("logits must be finite")
+        mask[rows] = band[..., UNSAFE] >= band[..., SAFE]
+    return mask
 
 
 def _label(m):

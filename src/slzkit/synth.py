@@ -105,22 +105,28 @@ def _plane_cells(height, width, intr: CameraIntrinsics, a, b, c):
     beta = b / intr.fy
     us = np.arange(width, dtype=np.float64) - intr.cx
     vs = np.arange(height, dtype=np.float64) - intr.cy
+    # g = 1 - alpha u - beta v at a cell corner is r - q: a column term r at
+    # u + 1/2 or u - 1/2, and a row term q at v + 1/2 or v - 1/2
+    rp, rm = (1.0 - alpha * (us + 0.5))[None, :], (1.0 - alpha * (us - 0.5))[None, :]
+    qp, qm = (beta * (vs + 0.5))[:, None], (beta * (vs - 0.5))[:, None]
+    # rounding is monotone, so the least corner is min r - max q
+    horizon = np.subtract(np.minimum(rp, rm), np.maximum(qp, qm)) <= 0
 
-    def g_of(u, v):
-        return 1.0 - alpha * u[None, :] - beta * v[:, None]
-
-    gpp = g_of(us + 0.5, vs + 0.5)
-    gpm = g_of(us + 0.5, vs - 0.5)
-    gmp = g_of(us - 0.5, vs + 0.5)
-    gmm = g_of(us - 0.5, vs - 0.5)
-    horizon = np.minimum(np.minimum(gpp, gpm), np.minimum(gmp, gmm)) <= 0
+    # (g++ + g--) / (2 g++ g+- g-+ g--) in three planes: g++, the product and
+    # one corner at a time
+    gpp = np.subtract(rp, qp)
+    den = gpp * 2.0
+    corner = np.empty_like(gpp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cell = (gpp + gmm) / (2.0 * gpp * gpm * gmp * gmm)
+        for r, q in ((rp, qm), (rm, qp), (rm, qm)):
+            den *= np.subtract(r, q, out=corner)
+        gpp += corner  # g++ + g--
+        cell = np.divide(gpp, den, out=gpp)
+    del den, corner
 
-    scale = c * c * math.sqrt(a * a + b * b + 1.0) / (intr.fx * intr.fy)
-    areas = scale * cell
-    areas[horizon] = 0.0
-    return areas, horizon
+    cell *= c * c * math.sqrt(a * a + b * b + 1.0) / (intr.fx * intr.fy)
+    cell[horizon] = 0.0
+    return cell, horizon
 
 
 def render_scene(scene: Scene) -> SceneRender:
@@ -129,9 +135,8 @@ def render_scene(scene: Scene) -> SceneRender:
     intr = scene.intr
     depth = plane_depth(scene.height, scene.width, intr, a, b, c)
     ground_visible = depth > 0
-
-    normals = np.zeros((scene.height, scene.width, 3), dtype=np.float64)
-    normals[ground_visible] = plane_unit_normal(a, b)
+    # what each pixel sees: 0 nothing, 1 the ground, 2 a box top
+    kind = ground_visible.astype(np.uint8)
     exact, horizon = _plane_cells(scene.height, scene.width, intr, a, b, c)
 
     footprint = np.zeros((scene.height, scene.width), dtype=np.uint8)
@@ -150,15 +155,17 @@ def render_scene(scene: Scene) -> SceneRender:
         win = np.s_[box.v0:box.v1 + 1, box.u0:box.u1 + 1]
         wins = ~ground_visible[win] | (z_top < depth[win])
         depth[win][wins] = z_top
-        normals[win][wins] = (0.0, 0.0, -1.0)
+        kind[win][wins] = 2
         exact[win][wins] = z_top * z_top / (intr.fx * intr.fy)
         footprint[win] = 1
         box_areas.append(float(exact[win][wins].sum()))
 
+    normals = np.take(np.array([(0.0, 0.0, 0.0), plane_unit_normal(a, b), (0.0, 0.0, -1.0)]),
+                      kind, axis=0)
+    visible = kind > 0
     mask = dilate_unsafe(footprint, scene.buffer_radius)
-    mask[depth <= 0] = UNSAFE
+    mask[~visible] = UNSAFE
 
-    visible = depth > 0
     sidecar = {
         "plane_a": a, "plane_b": b, "plane_c": c,
         "buffer_radius": scene.buffer_radius,

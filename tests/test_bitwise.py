@@ -27,7 +27,10 @@ from slzkit.losses import (
     slz_loss_grad,
     virtual_normal_loss,
 )
-from slzkit.slz import region_stats
+from slzkit import io as sio
+from slzkit.camera import write_intrinsics
+from slzkit.cli import _fill_defaults, _read_frame, build_parser
+from slzkit.slz import binarize, region_stats
 from slzkit.synth import plane_depth
 
 INTR = CameraIntrinsics(100.0, 110.0, 15.5, 12.25)
@@ -152,16 +155,42 @@ def band_edge_depth(rows, holes=True):
 
 @pytest.mark.parametrize("b", [None, 3], ids=["raster", "stack"])
 @pytest.mark.parametrize("rows", [1, 2, 7, BAND_H - 1, BAND_H])
-def test_row_bands_give_the_whole_frame_bits(monkeypatch, rows, b):
+def test_row_bands_give_the_whole_frame_bits(monkeypatch, tmp_path, rows, b):
     # NaN, +inf and 0 depths on the band edges, then every pixel valid, in
     # both rasters of the VNL and in the normals of the DNCL, whose mean then
     # keeps every pixel and takes it as a slice rather than a gather. The SLZ
     # mean keeps every pixel in the first case and gathers in the second.
     for holes in (True, False):
-        check_row_bands(monkeypatch, rows, b, holes)
+        check_row_bands(monkeypatch, tmp_path, rows, b, holes)
 
 
-def check_row_bands(monkeypatch, rows, b, holes):
+def streamed(read, files):
+    """The area planes of given and of derived n_z, the binarized logits, and
+    the DNCL value and gradient, of the frame's files as `read` gives them:
+    whole arrays (io.read_raster) or rows read as a kernel asks
+    (io.RasterRows)."""
+    d, n, z = (read(files[name]) for name in ("depth", "normals", "logits"))
+    n_z = n.channel(2) if isinstance(n, sio.RasterRows) else n[..., 2]
+    return (*pixel_areas(d, n_z, INTR), *pixel_areas(d, None, INTR), binarize(z),
+            depth_normal_consistency(d, n, INTR), *depth_normal_consistency_grad(d, n, INTR))
+
+
+def read_frames(files):
+    """cli._read_frame's (mask, areas, included) of the frame's files with
+    given and derived normals, and a mask or logits: four calls."""
+    frames = []
+    for normals in (["--normals", files["normals"]], ["--derive-normals"]):
+        for source in (["--mask", files["mask"]], ["--logits", files["logits"]]):
+            args = build_parser().parse_args([
+                "candidates", "--depth", str(files["depth"]), "--intrinsics",
+                str(files["intrinsics"]), *map(str, normals + source)])
+            _fill_defaults(args)
+            mask, planes = _read_frame(args)
+            frames.append((mask, *planes))
+    return frames
+
+
+def check_row_bands(monkeypatch, tmp_path, rows, b, holes):
     depth = band_edge_depth(rows, holes)
     rng = np.random.default_rng(800 + rows)
     if b is not None:
@@ -175,25 +204,43 @@ def check_row_bands(monkeypatch, rows, b, holes):
     logits[0].flat[:2] = (60.0, -60.0)  # a saturated step hits the log floor
     valid = None if holes else (rng.uniform(size=labels.shape) < 0.7).astype(np.uint8)
     cw = ClassWeights(2.0, 1.0)
+    # the frame (a stack's first raster) as float32 files, which the
+    # streamed kernels read by rows
+    files = {name: tmp_path / f"{name}.f32r" for name in ("depth", "normals", "logits")}
+    rasters = (depth, normals, logits[0]) if b is None else (depth[0], normals, logits[0][0])
+    for name, raster in zip(files, rasters):
+        sio.write_raster(raster, files[name])
+    files["mask"], files["intrinsics"] = tmp_path / "mask.pgm", tmp_path / "intr.txt"
+    sio.write_mask(labels, files["mask"])
+    write_intrinsics(files["intrinsics"], INTR)
 
-    def run():
+    def run(read):
         got = (normals_from_depth(depth, INTR), depth_normal_consistency(depth, normals, INTR),
                slz_loss(logits, labels, cw, 0.9, valid))
         if b is None:  # the gradients take one raster, DNCL's in bands with two halo rows
             got += depth_normal_consistency_grad(depth, normals, INTR)
             loss, grads = slz_loss_grad(logits, labels, cw, 0.9, valid)
             got += (loss, *grads, virtual_normal_loss(depth, gt, INTR, 60, 4))
-        return got
+            got += (*pixel_areas(depth, normals[..., 2], INTR), *pixel_areas(depth, None, INTR))
+        return got + streamed(read, files)
 
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
-    want = run()
+    want = run(sio.read_raster)
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
     bands = [r for r, *_ in geometry._bands(depth, INTR)]
     assert [(r.start, r.stop) for r in bands] == [
         (start, min(start + rows, BAND_H)) for start in range(0, BAND_H, rows)]
     assert list(geometry._row_bands(depth.shape)) == bands
-    got = run()
-    assert all(same_bits(g, w) for g, w in zip(got, want))
+    got = run(sio.RasterRows)
+    assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
+    # the CLI's frame, read by rows, against the kernels on whole arrays
+    areas, included, derived, derived_in, binarized = want[-8:-3]
+    for frame, expect in zip(read_frames(files), [(labels, areas, included),
+                                                  (binarized, areas, included),
+                                                  (labels, derived, derived_in),
+                                                  (binarized, derived, derived_in)]):
+        assert frame[0].dtype == np.uint8 and np.array_equal(frame[0], expect[0])
+        assert all(same_bits(g, w) for g, w in zip(frame[1:], expect[1:]))
     alone = depth[None] if b is None else depth
     for r in range(len(alone)):
         # the SLZ value of each raster of a stack is that raster's own
@@ -202,6 +249,9 @@ def check_row_bands(monkeypatch, rows, b, holes):
         assert same_bits(got[2] if b is None else got[2][r], want_slz)
     if b is None:
         assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
+        # the area planes of the derived n_z are those of normal_z's plane
+        assert all(same_bits(g, w) for g, w in zip(
+            got[12:14], pixel_areas(depth, geometry.normal_z(depth, INTR), INTR)))
         want_loss, want_grad = oracles.dncl_grad_ref(depth, normals, INTR)
         assert same_bits(got[3], want_loss) and same_bits(got[4], want_grad)
         assert np.isfinite(want_loss)

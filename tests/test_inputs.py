@@ -348,3 +348,120 @@ def test_an_intrinsics_key_outside_the_fields_exits_2(run, key):
     code, out, err, written = run("area", {"intr.txt": _intrinsics_text() + f"{key}=1000\n"})
     assert (code, out, written) == (2, "", {})
     assert f"intr.txt:5: unknown key {key!r}\n" in err
+
+
+# --- the F32R inputs that area, candidates and loss dncl read by rows --------
+
+# (command, change to BASE, the raster it reads by rows), one per such input
+STREAMED = {
+    "area depth": ("area", {}, "d.f32r"),
+    "area --derive-normals depth": ("area", {"--derive-normals": True, "--normals": None},
+                                    "d.f32r"),
+    "area normals": ("area", {}, "n.f32r"),
+    "candidates logits": ("candidates", {"--mask": None, "--logits": "z.f32r"}, "z.f32r"),
+    "loss dncl depth": ("loss dncl", {}, "lgd.f32r"),
+    "loss dncl normals": ("loss dncl", {}, "ln.f32r"),
+}
+
+
+def _streamed_call(workspace, tmp_path, cmd, change, edit=None):
+    """Exit code, stdout and stderr of one call in a copy of the workspace,
+    whose files `edit(root)` changes first."""
+    root = tmp_path / "ws"
+    shutil.copytree(workspace, root)
+    if edit is not None:
+        edit(root)
+    argv = cmd.split()
+    for flag, value in {**BASE[cmd], **change}.items():
+        if value is not None:
+            argv += [flag] + ([] if value is True else [value])
+    out, err = std_io.StringIO(), std_io.StringIO()
+    here = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _payload_bytes(path):
+    """The payload size its header declares, and the header's length."""
+    header = path.read_bytes().split(b"\n", 1)[0]
+    width, height, channels = (int(v) for v in header.split()[1:])
+    return width * height * channels * 4, len(header) + 1
+
+
+@pytest.mark.parametrize("case", STREAMED)
+def test_a_truncated_streamed_raster_exits_2_before_any_output(workspace, tmp_path, case):
+    cmd, change, name = STREAMED[case]
+    nbytes, start = _payload_bytes(workspace / name)
+
+    def cut(root):
+        (root / name).write_bytes((root / name).read_bytes()[:start + nbytes - 6])
+
+    code, out, err = _streamed_call(workspace, tmp_path, cmd, change, cut)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name}: payload has {nbytes - 6} bytes, header declares {nbytes}\n"
+
+
+@pytest.mark.parametrize("case", STREAMED)
+def test_a_raster_cut_short_after_its_header_check_exits_2(workspace, tmp_path, monkeypatch,
+                                                          case):
+    # the file loses its last rows once the reader has checked it: a band
+    # read then stops short, and the call fails rather than read garbage
+    cmd, change, name = STREAMED[case]
+    nbytes, start = _payload_bytes(workspace / name)
+    opened = sio.RasterRows.__init__
+
+    def open_then_cut(self, path):
+        opened(self, path)
+        if os.path.basename(path) == name:
+            with open(path, "r+b") as fh:
+                fh.truncate(start + nbytes // 2 + 3)
+
+    monkeypatch.setattr(sio.RasterRows, "__init__", open_then_cut)
+    code, out, err = _streamed_call(workspace, tmp_path, cmd, change)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {name}: payload has {nbytes // 2 + 3} bytes, "
+                   f"header declares {nbytes}\n")
+
+
+@pytest.mark.parametrize("cmd,change,name,want", [
+    ("area", {"--depth": "n.f32r"}, "n.f32r", "depth must be single-channel, got 3 channels"),
+    ("area", {"--normals": "d.f32r"}, "d.f32r", "normals must be 3-channel, got 1 channel"),
+    ("candidates", {"--mask": None, "--logits": "d.f32r"}, "d.f32r",
+     "logits must be 2-channel, got 1 channel"),
+    ("loss dncl", {"--normals": "lgd.f32r"}, "lgd.f32r",
+     "normals must be 3-channel, got 1 channel"),
+])
+def test_a_channel_count_mismatch_exits_3_before_any_band_is_read(workspace, tmp_path,
+                                                                 monkeypatch, cmd, change,
+                                                                 name, want):
+    reads = []
+    read = sio.RasterRows.__getitem__
+    monkeypatch.setattr(sio.RasterRows, "__getitem__",
+                        lambda self, rows: reads.append(self.path) or read(self, rows))
+    code, out, err = _streamed_call(workspace, tmp_path, cmd, change)
+    assert (code, out, reads) == (3, "", [])
+    assert err == f"error: {name}: {want}\n"
+
+
+@pytest.mark.parametrize("cmd,change,names", [
+    ("area", {"--derive-normals": True, "--normals": None}, ["d.f32r"]),
+    ("area", {}, ["d.f32r", "n.f32r"]),
+    ("candidates", {"--mask": None, "--logits": "z.f32r"}, ["d.f32r", "z.f32r", "n.f32r"]),
+    ("loss dncl", {}, ["lgd.f32r", "ln.f32r"]),
+])
+def test_trailing_bytes_warn_once_per_streamed_raster(workspace, tmp_path, cmd, change, names):
+    # a file read band by band warns when it is opened, not at each read
+    def pad(root):
+        for name in names:
+            with open(root / name, "ab") as fh:
+                fh.write(b"\0\0\0")
+
+    code, out, err = _streamed_call(workspace, tmp_path, cmd, change, pad)
+    want = _streamed_call(workspace, tmp_path / "plain", cmd, change)
+    assert (code, out) == want[:2] and code == 0
+    assert err == "".join(f"warning: {name}: 3 trailing bytes ignored\n" for name in names)

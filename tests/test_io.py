@@ -162,6 +162,26 @@ def test_read_raster_returns_a_writeable_array(tmp_path, shape, read_shape):
     assert np.array_equal(back, (arr + 1.0).reshape(read_shape))
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (5, 4, 1), (5, 4, 3)])
+def test_raster_rows_read_the_rows_of_the_whole_raster_bitwise(tmp_path, shape):
+    path = tmp_path / "r.f32r"
+    arr = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+    arr.flat[[0, 3, 5, 9]] = (np.nan, _nan_with_payload(), np.inf, -0.0)
+    sio.write_raster(arr, path)
+    rows, whole = sio.RasterRows(path), sio.read_raster(path)
+    assert rows.shape == whole.shape
+    for key in (slice(None), slice(0, 1), slice(1, 4), slice(3, None), slice(-2, None),
+                slice(4, 99), slice(4, 2)):
+        assert np.array_equal(rows[key].view(np.uint32), whole[key].view(np.uint32))
+    if len(shape) == 3 and shape[2] == 3:
+        z = rows.channel(2)
+        assert z.shape == shape[:2] and rows.shape == shape
+        assert np.array_equal(z[1:4].view(np.uint32), whole[1:4, :, 2].view(np.uint32))
+    for key in (slice(None, None, 2), 1):
+        with pytest.raises(ValueError, match="rows must be a slice of step 1"):
+            rows[key]
+
+
 def test_mask_round_trip(tmp_path):
     path = tmp_path / "m.pgm"
     mask = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)

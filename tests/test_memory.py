@@ -14,7 +14,7 @@ import pytest
 
 from slzkit import io as sio
 from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
-from slzkit.cli import main
+from slzkit.cli import _fill_defaults, _read_frame, build_parser, main
 from slzkit.geometry import normals_from_depth
 from slzkit.losses import depth_normal_consistency_grad, slz_loss_grad
 from slzkit.synth import plane_depth
@@ -65,10 +65,12 @@ CALLS = {  # name -> (argv of the frame, bound in planes)
     # planes and an (N, 2) array of their coordinates to 5.2
     "loss vnl": (lambda f: ["loss", "vnl", "--pred", f["preds"][0], "--gt", f["depth"],
                             "--intrinsics", f["intrinsics"], "--samples", "1000"], 2.0),
-    # the value builds its dot plane and pixel mask a band of rows at a time;
-    # whole-frame tangent and cross planes brought the peak to 10.2 planes
+    # the value builds its dot plane and pixel mask a band of rows at a time,
+    # reading both rasters by rows: 3.34 planes measured; whole float32
+    # rasters read up front brought the peak to 5.26 planes, and whole-frame
+    # tangent and cross planes to 10.2
     "loss dncl": (lambda f: ["loss", "dncl", "--depth", f["depth"], "--normals", f["normals"],
-                             "--intrinsics", f["intrinsics"]], 6.75),
+                             "--intrinsics", f["intrinsics"]], 4.75),
     # the losses read step t when they reach it and drop it before step t + 1;
     # every step read up front brought the peaks to 9.6 and 9.3 planes. The
     # SLZ softmax runs on row bands into one term plane, 2.83 planes measured
@@ -79,17 +81,41 @@ CALLS = {  # name -> (argv of the frame, bound in planes)
     "loss sequential": (lambda f: ["loss", "sequential", "--preds", *f["preds"],
                                    "--confs", *f["confs"], "--gt-depth", f["depth"],
                                    "--gt-conf", f["gt_conf"]], 3.5),
-    # the derived normals are one float64 n_z plane, 3.9 planes measured; the
-    # (H, W, 3) float64 normals brought the peak to 5.9 planes
+    # the area planes are formed band by band, the derived n_z too: 3.67
+    # planes measured; a whole float64 n_z plane brought the peak to 3.9, and
+    # the (H, W, 3) float64 normals to 5.9
     "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 5.5),
-    # the float32 depth and normals are freed once the area planes are
-    # formed, before region_stats paints its (H, W) id plane: 4.4 planes
-    # measured; a label plane kept beside them brought the peak to 7.4
+    # the depth and normals are read by rows, so region_stats paints its
+    # (H, W) id plane beside the mask and the area planes alone: 2.43 planes
+    # measured; whole float32 rasters freed before labelling brought the peak
+    # to 4.4, and a label plane kept beside them to 7.4
     "area --normals": (lambda f: ["area", "--depth", f["depth"], "--intrinsics", f["intrinsics"],
                                   "--normals", f["normals"], "--mask", f["mask"]], 6.0),
     "candidates": (lambda f: ["candidates", *_frame_args(f), "--logits", f["logits"],
                               "--dilate", "2", "--k", "5"], 5.5),
 }
+
+
+@pytest.mark.parametrize("normals,bound", [("--derive-normals", 4.25), ("--normals", 2.5)])
+def test_peak_memory_of_reading_a_frame_is_bounded(frame, normals, bound):
+    # the mask, the area planes and one band's planes: 3.63 planes measured
+    # with derived normals, 1.86 with given ones. Whole float32 rasters and
+    # a whole float64 n_z plane brought the peaks to 3.88 and 4.38 planes.
+    # The margin is smaller than the calls' above: a whole float32 depth
+    # raster is half a plane and the (H, W, 3) normals one and a half.
+    argv = ["area", "--depth", frame["depth"], "--intrinsics", frame["intrinsics"],
+            "--mask", frame["mask"], normals] + ([frame["normals"]] if normals == "--normals" else [])
+    args = build_parser().parse_args(argv)
+    _fill_defaults(args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mask, (areas, included) = _read_frame(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == areas.shape == included.shape == (H, W)
+    assert peak / PLANE <= bound, f"{normals}: peak {peak / PLANE:.2f} planes > {bound}"
 
 
 @pytest.mark.parametrize("name", CALLS)
