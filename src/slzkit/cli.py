@@ -118,8 +118,8 @@ def _read_frame(args):
         mask = slzio.read_mask(args.mask)
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
-    n_z = None if args.derive_normals else _open_plane(args.normals, "normals", 3).channel(2)
-    return mask, geometry.pixel_areas(depth, n_z, intr, args.n_z_min)
+    normals = None if args.derive_normals else _open_plane(args.normals, "normals", 3)
+    return mask, geometry.pixel_areas(depth, normals, intr, args.n_z_min)
 
 
 def _csv_out(rows):
@@ -429,6 +429,7 @@ def build_parser():
         epilog="Defaults (a flag wins over --config, which wins over these): "
                + ", ".join(f"{key}={val}" for key, val in DEFAULTS.items()) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
+    valid_help = "PGM validity mask: a gray value >= 128 marks a pixel as used"
 
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="key=value defaults file (flags win)")
@@ -492,7 +493,7 @@ def build_parser():
     q.add_argument("--gt-depth", required=True)
     q.add_argument("--gt-conf", required=True)
     q.add_argument("--gamma", type=float)
-    q.add_argument("--valid", help="PGM validity mask (255 = use pixel)")
+    q.add_argument("--valid", help=valid_help)
     q.add_argument("--grad-check", action="store_true")
     q.set_defaults(func=cmd_loss_sequential)
 
@@ -510,7 +511,7 @@ def build_parser():
     q.add_argument("--gamma", type=float)
     q.add_argument("--w-safe", type=float)
     q.add_argument("--w-unsafe", type=float)
-    q.add_argument("--valid")
+    q.add_argument("--valid", help=valid_help)
     q.add_argument("--grad-check", action="store_true")
     q.set_defaults(func=cmd_loss_slz)
 

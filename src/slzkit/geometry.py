@@ -58,8 +58,8 @@ _CROSS = ((1, 2), (2, 0), (0, 1))
 
 # float64 elements of one plane of a row band of the normal kernel: about 25
 # rows at 1280 columns. At 720p, min of 7 calls in ms for 2^13 / 2^14 / 2^15 /
-# 2^16 / 2^17 / one band: normal_z 30 / 28 / 24 / 24 / 27 / 53, the DNCL value
-# 44 / 39 / 38 / 41 / 44 / 70 (2-core x86-64 VM)
+# 2^16 / 2^17 / one band: the derived n_z plane alone 30 / 28 / 24 / 24 / 27 /
+# 53, the DNCL value 44 / 39 / 38 / 41 / 44 / 70 (2-core x86-64 VM)
 _BAND_ELEMENTS = 2 ** 15
 
 
@@ -235,19 +235,6 @@ def _cross_to_depth(depth, rays, g_cross, m):
     return grad
 
 
-def _normal_components(depth, intr: CameraIntrinsics, components):
-    """The planes ``components`` (0, 1, 2 for x, y, z) of the unit normals
-    of a depth raster or stack, stacked on a last axis in that order and
-    written band by band: ``d.shape + (len(components),)``."""
-    d = _depth_stack(depth)
-    out = np.zeros(d.shape + (len(components),))
-    for rows, _, f in _bands(d, intr):
-        band = out[..., rows, :, :]
-        for k, i in enumerate(components):
-            np.multiply(f.cross[i], f.scale, out=band[..., k], where=f.ok)
-    return out
-
-
 def normals_from_depth(depth, intr: CameraIntrinsics):
     """Per-pixel unit surface normals derived from a depth raster.
 
@@ -255,48 +242,49 @@ def normals_from_depth(depth, intr: CameraIntrinsics):
     point grid (one-sided at borders); the normal is their normalized
     cross product, oriented so n_z <= 0. Pixels whose stencil touches an
     invalid depth are marked invalid (zero vector). A (b, H, W) stack of
-    depth rasters gives the (b, H, W, 3) normals of each.
+    depth rasters gives the (b, H, W, 3) normals of each, written band by
+    band.
     """
-    return _normal_components(depth, intr, (0, 1, 2))
+    d = _depth_stack(depth)
+    out = np.zeros(d.shape + (3,))
+    for rows, _, f in _bands(d, intr):
+        band = out[..., rows, :, :]
+        for i in range(3):
+            np.multiply(f.cross[i], f.scale, out=band[..., i], where=f.ok)
+    return out
 
 
-def normal_z(depth, intr: CameraIntrinsics):
-    """The n_z plane of :func:`normals_from_depth`, bit for bit, without its
-    x and y planes: (H, W) for a depth raster, (b, H, W) for a stack."""
-    # the [..., 0] view of a last axis of 1 is C-contiguous
-    return _normal_components(depth, intr, (2,))[..., 0]
-
-
-def pixel_areas(depth, n_z, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     """``(areas, included)``: d^2 / (fx fy |n_z|) per pixel where depth is
-    valid and |n_z| >= n_z_min (``included``), 0 elsewhere. ``n_z`` is the
-    (H, W) z plane of the normals, ``normals[..., 2]`` of an (H, W, 3)
-    raster, or None for the z plane of the normals derived from the depth,
-    bit for bit :func:`normal_z`. n_z_min must be in (0, 1]. This is the
-    one home of the area rule: :func:`region_area` and the region kernels
-    of :mod:`slzkit.slz` take its two planes.
+    valid and |n_z| >= n_z_min (``included``), 0 elsewhere. ``normals`` are
+    the (H, W, 3) normals of the depth raster, or None for those derived
+    from the depth, bit for bit :func:`normals_from_depth`. n_z_min must be
+    in (0, 1]. This is the one home of the area rule: :func:`region_area`
+    and the region kernels of :mod:`slzkit.slz` take its two planes.
 
     The planes are formed a band of rows at a time, as are the derived
-    normals, and depth and ``n_z`` may be io.RasterRows, read by rows: no
-    whole-frame n_z, |n_z| or float64 depth plane is held.
+    normals, and depth and ``normals`` may be io.RasterRows, read by rows:
+    no whole-frame normals, |n_z| or float64 depth plane is held.
     """
-    d = _depth_stack(depth) if n_z is None else _row_source(depth)
+    d = _depth_stack(depth) if normals is None else _row_source(depth)
     if not 0 < n_z_min <= 1:
         raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
     if len(d.shape) != 2:
         raise ShapeMismatchError(f"depth must be 2-D, got shape {d.shape}")
-    if n_z is None:
-        bands = ((rows, f) for rows, _, f in _bands(d, intr))
-    else:
-        n = _row_source(n_z)
-        if n.shape != d.shape:
-            raise ShapeMismatchError(f"n_z shape {n.shape} incompatible with depth {d.shape}")
-        bands = ((rows, None) for rows in _row_bands(d.shape))
+    if normals is not None:
+        normals = _row_source(normals)
+        if normals.shape != d.shape + (3,):
+            raise ShapeMismatchError(
+                f"normals shape {normals.shape} incompatible with depth {d.shape}")
     areas, included = np.empty(d.shape), np.empty(d.shape, dtype=bool)
-    for rows, f in bands:
-        # |n_z| in float64; a derived n_z is NaN off the normals (see
-        # _NormalPlanes.scale), which fails the n_z_min test as normal_z's 0 does
-        nz = np.abs(n[rows] if f is None else f.cross[2] * f.scale, dtype=np.float64)
+    for rows in _row_bands(d.shape):
+        if normals is None:
+            # a derived n_z is NaN off the normals (see _NormalPlanes.scale),
+            # which fails the n_z_min test as normals_from_depth's 0 does
+            f = _normal_planes(d, intr, rows)
+            nz = np.abs(f.cross[2] * f.scale)
+        else:
+            nz = np.abs(normals[rows][..., 2], dtype=np.float64)
         d_b, inc, a = d[rows], included[rows], areas[rows]
         np.logical_and(valid_depth_mask(d_b), nz >= n_z_min, out=inc)
         nz *= intr.fx * intr.fy

@@ -78,9 +78,8 @@ class RasterRows:
     (an error) or longer (one warning). ``shape`` is that of the array
     :func:`read_raster` returns, and ``r[a:b]``, a slice of step 1, reads
     those rows from the file into a new float32 array; ``r[:]`` is the
-    whole raster. :meth:`channel` gives a reader of one channel's plane.
-    Each read opens the file again, so a reader holds no open file; a
-    file cut short since it was opened raises TruncatedError.
+    whole raster. Each read opens the file again, so a reader holds no open
+    file; a file cut short since it was opened raises TruncatedError.
     """
 
     def __init__(self, path):
@@ -101,13 +100,6 @@ class RasterRows:
             _check_payload(path, os.fstat(fh.fileno()).st_size - len(line), nbytes)
         self.path, self._start, self._row = path, len(line), (width, channels)
         self.shape = (height, width) if channels == 1 else (height, width, channels)
-        self._channel = 0 if channels == 1 else None  # the channel a read keeps
-
-    def channel(self, k):
-        """A reader of channel ``k`` alone: shape (H, W)."""
-        plane = object.__new__(RasterRows)
-        vars(plane).update(vars(self), shape=self.shape[:2], _channel=k)
-        return plane
 
     def __getitem__(self, rows):
         import numpy as np
@@ -125,7 +117,7 @@ class RasterRows:
         if got < out.nbytes:
             raise TruncatedError(f"{self.path}: payload has {skip + got} bytes, "
                                  f"header declares {self.shape[0] * width * channels * 4}")
-        return out if self._channel is None else out[..., self._channel]
+        return out[..., 0] if channels == 1 else out
 
 
 def read_raster(path):

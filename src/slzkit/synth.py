@@ -87,7 +87,8 @@ def plane_unit_normal(a, b):
 
 
 def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
-    """Exact surface area of the plane patch seen by each whole pixel.
+    """``(cells, horizon)``: the exact surface area of the plane patch seen
+    by each whole pixel, and the mask of the cells that reach the horizon.
 
     Integrates the area element c^2 sqrt(1+a^2+b^2) / (fx fy g^3) in
     closed form over each pixel cell [u-1/2, u+1/2] x [v-1/2, v+1/2].
@@ -96,11 +97,6 @@ def exact_plane_cell_areas(height, width, intr: CameraIntrinsics, a, b, c):
     small the tilt. A cell with any corner at g <= 0 reaches the horizon,
     where the integral diverges, and gets 0.
     """
-    return _plane_cells(height, width, intr, a, b, c)[0]
-
-
-def _plane_cells(height, width, intr: CameraIntrinsics, a, b, c):
-    """`exact_plane_cell_areas` and the mask of the cells that reach the horizon."""
     alpha = a / intr.fx
     beta = b / intr.fy
     us = np.arange(width, dtype=np.float64) - intr.cx
@@ -137,7 +133,7 @@ def render_scene(scene: Scene) -> SceneRender:
     ground_visible = depth > 0
     # what each pixel sees: 0 nothing, 1 the ground, 2 a box top
     kind = ground_visible.astype(np.uint8)
-    exact, horizon = _plane_cells(scene.height, scene.width, intr, a, b, c)
+    exact, horizon = exact_plane_cell_areas(scene.height, scene.width, intr, a, b, c)
 
     footprint = np.zeros((scene.height, scene.width), dtype=np.uint8)
     box_areas = []

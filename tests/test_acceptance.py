@@ -59,13 +59,13 @@ def test_c01_geometry_oracle():
     region[32:96, 32:96] = True
     analytic = float(render.exact_area[region].sum())
     derived = normals_from_depth(render.depth, INTR)
-    estimate = region_area(region, *pixel_areas(render.depth, derived[..., 2], INTR))
+    estimate = region_area(region, *pixel_areas(render.depth, derived, INTR))
     assert abs(estimate.total_area - analytic) / analytic <= 0.01
 
     flat = np.full((128, 128), 5.0)
     flat_normals = normals_from_depth(flat, INTR)
     rep = region_area(np.ones((128, 128), dtype=bool),
-                      *pixel_areas(flat, flat_normals[..., 2], INTR))
+                      *pixel_areas(flat, flat_normals, INTR))
     closed_form = 128 * 128 * 25.0 / (100.0 * 100.0)
     assert abs(rep.total_area - closed_form) / closed_form <= 1e-6
     assert time.perf_counter() - start < 1.0
@@ -239,7 +239,7 @@ def test_c08_post_processing():
     depth[2:6, 2:6] = 8.0  # small blob made large by depth
     normals = np.zeros((32, 32, 3))
     normals[..., 2] = -1.0
-    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals[..., 2], INTR), k=5)
+    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k=5)
     brute = []
     for pixels in oracles.flood_fill_components(mask):
         area = sum(depth[r, c] ** 2 / (100.0 * 100.0) for r, c in pixels)
@@ -309,7 +309,7 @@ def test_c10_conservative_estimate():
         render = render_scene(scene)
         derived = normals_from_depth(render.depth, intr)
         estimate = region_area(np.ones((128, 128), dtype=bool),
-                               *pixel_areas(render.depth, derived[..., 2], intr))
+                               *pixel_areas(render.depth, derived, intr))
         analytic = render.sidecar["analytic_total_area"]
         assert estimate.excluded_count > 0  # the depth steps really do exclude pixels
         assert estimate.total_area <= analytic

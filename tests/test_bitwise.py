@@ -165,13 +165,12 @@ def test_row_bands_give_the_whole_frame_bits(monkeypatch, tmp_path, rows, b):
 
 
 def streamed(read, files):
-    """The area planes of given and of derived n_z, the binarized logits, and
-    the DNCL value and gradient, of the frame's files as `read` gives them:
-    whole arrays (io.read_raster) or rows read as a kernel asks
+    """The area planes of given and of derived normals, the binarized logits,
+    and the DNCL value and gradient, of the frame's files as `read` gives
+    them: whole arrays (io.read_raster) or rows read as a kernel asks
     (io.RasterRows)."""
     d, n, z = (read(files[name]) for name in ("depth", "normals", "logits"))
-    n_z = n.channel(2) if isinstance(n, sio.RasterRows) else n[..., 2]
-    return (*pixel_areas(d, n_z, INTR), *pixel_areas(d, None, INTR), binarize(z),
+    return (*pixel_areas(d, n, INTR), *pixel_areas(d, None, INTR), binarize(z),
             depth_normal_consistency(d, n, INTR), *depth_normal_consistency_grad(d, n, INTR))
 
 
@@ -221,7 +220,7 @@ def check_row_bands(monkeypatch, tmp_path, rows, b, holes):
             got += depth_normal_consistency_grad(depth, normals, INTR)
             loss, grads = slz_loss_grad(logits, labels, cw, 0.9, valid)
             got += (loss, *grads, virtual_normal_loss(depth, gt, INTR, 60, 4))
-            got += (*pixel_areas(depth, normals[..., 2], INTR), *pixel_areas(depth, None, INTR))
+            got += (*pixel_areas(depth, normals, INTR), *pixel_areas(depth, None, INTR))
         return got + streamed(read, files)
 
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", depth.size)  # the whole frame, one band
@@ -249,9 +248,6 @@ def check_row_bands(monkeypatch, tmp_path, rows, b, holes):
         assert same_bits(got[2] if b is None else got[2][r], want_slz)
     if b is None:
         assert same_bits(got[0], oracles.normal_pipeline_ref(depth, INTR)[0])
-        # the area planes of the derived n_z are those of normal_z's plane
-        assert all(same_bits(g, w) for g, w in zip(
-            got[12:14], pixel_areas(depth, geometry.normal_z(depth, INTR), INTR)))
         want_loss, want_grad = oracles.dncl_grad_ref(depth, normals, INTR)
         assert same_bits(got[3], want_loss) and same_bits(got[4], want_grad)
         assert np.isfinite(want_loss)
@@ -273,11 +269,15 @@ def test_normal_z_is_the_z_plane_of_the_normals_for_every_band_cut(monkeypatch, 
     if b is not None:
         rng = np.random.default_rng(1000 + rows)
         depth = depth * (1.0 + rng.uniform(-1e-3, 1e-3, (b, BAND_H, BAND_W)))
+    # the n_z that pixel_areas derives a band at a time is that of the
+    # normals, which are the oracle's for each raster of a stack
     monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * depth.size // BAND_H)
-    n_z = geometry.normal_z(depth, INTR)
-    assert same_bits(n_z, normals_from_depth(depth, INTR)[..., 2])
-    for raster, plane in zip(depth.reshape(-1, BAND_H, BAND_W), n_z.reshape(-1, BAND_H, BAND_W)):
-        assert same_bits(plane, oracles.normal_pipeline_ref(raster, INTR)[0][..., 2])
+    normals = normals_from_depth(depth, INTR)
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * BAND_W)
+    for raster, n in zip(depth.reshape(-1, BAND_H, BAND_W), normals.reshape(-1, BAND_H, BAND_W, 3)):
+        assert same_bits(n[..., 2], oracles.normal_pipeline_ref(raster, INTR)[0][..., 2])
+        assert all(same_bits(g, w) for g, w in zip(pixel_areas(raster, None, INTR),
+                                                    pixel_areas(raster, n, INTR)))
 
 
 
@@ -385,12 +385,12 @@ def test_normals_and_areas_of_float32_rasters_match_their_float64_cast(seed):
     n32, n64 = float32_and_cast(normals_case(rng, d32.shape))
     n32[0, 0], n64[0, 0] = np.nan, np.nan
     assert same_bits(normals_from_depth(d32, INTR), normals_from_depth(d64, INTR))
-    areas32, included32 = pixel_areas(d32, n32[..., 2], INTR)
-    areas64, included64 = pixel_areas(d64, n64[..., 2], INTR)
+    areas32, included32 = pixel_areas(d32, n32, INTR)
+    areas64, included64 = pixel_areas(d64, n64, INTR)
     assert same_bits(areas32, areas64) and np.array_equal(included32, included64)
     mask = (rng.uniform(size=d32.shape) < 0.3).astype(np.uint8)
-    got = region_stats(mask, *pixel_areas(d32, n32[..., 2], INTR))
-    want = region_stats(mask, *pixel_areas(d64, n64[..., 2], INTR))
+    got = region_stats(mask, *pixel_areas(d32, n32, INTR))
+    want = region_stats(mask, *pixel_areas(d64, n64, INTR))
     assert np.array_equal(got.labels(), want.labels()) and np.array_equal(got.bbox, want.bbox)
     assert same_bits(got.area, want.area)
     assert np.array_equal(got.pixel_count, want.pixel_count)

@@ -707,6 +707,15 @@ def test_loss_slz_grad_check(capsys, tmp_path):
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("kind", ["sequential", "slz"])
+def test_loss_valid_help_states_the_mask_rule(capsys, kind):
+    code, out, _ = run_cli(capsys, "loss", kind, "--help")
+    assert code == 0
+    # read_mask's threshold: a gray value >= 128 decodes to 1, a used pixel
+    assert "--valid VALID PGM validity mask: a gray value >= 128 marks a pixel as used" \
+        in " ".join(out.split())
+
+
 def test_loss_numeric_degeneracy_exits_4(capsys, tmp_path):
     write_intrinsics(tmp_path / "intr.txt", INTR)
     invalid = np.full((8, 8), -1.0, dtype=np.float32)
@@ -762,7 +771,7 @@ def test_a_normals_raster_of_another_frame_size_exits_3(capsys, tmp_path, cmd):
                              "--intrinsics", str(tmp_path / "intr.txt"),
                              "--mask", str(tmp_path / "lab.pgm"), "--normals", str(bad))
     assert (code, out) == (3, "")
-    assert err == "error: n_z shape (12, 13) incompatible with depth (12, 12)\n"
+    assert err == "error: normals shape (12, 13, 3) incompatible with depth (12, 12)\n"
 
 
 def test_every_slzkit_exception_maps_to_an_exit_code():

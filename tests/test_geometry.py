@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from slzkit.camera import CameraIntrinsics
+from slzkit import io as sio
 from slzkit.errors import ShapeMismatchError
 from slzkit.geometry import (
     AreaReport,
@@ -106,7 +107,7 @@ def test_normals_invalid_neighbor_propagation():
 
 def _pixel_area(d, n_z, n_z_min=0.1):
     """The package's area of one pixel at depth d with normal z component n_z."""
-    areas, included = pixel_areas(np.array([[d]]), np.array([[n_z]]), INTR, n_z_min)
+    areas, included = pixel_areas(np.array([[d]]), np.array([[(0.0, 0.0, n_z)]]), INTR, n_z_min)
     return float(areas[0, 0]) if included[0, 0] else None
 
 
@@ -132,14 +133,14 @@ def test_pixel_area_exclusions():
 @pytest.mark.parametrize("n_z_min", [0.0, -1.0, float("nan"), 1.5])
 def test_n_z_min_outside_0_1_is_rejected(n_z_min):
     # at n_z_min <= 0 a pixel with a zero normal would divide by 0; NaN excludes every pixel
-    depth, n_z = np.full((4, 5), 2.0), np.zeros((4, 5))
+    depth, normals = np.full((4, 5), 2.0), np.zeros((4, 5, 3))
     with pytest.raises(ValueError, match=r"n_z_min must be in \(0, 1\]"):
-        pixel_areas(depth, n_z, INTR, n_z_min=n_z_min)
+        pixel_areas(depth, normals, INTR, n_z_min=n_z_min)
 
 
 def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
-    n_z = np.array([[-1.0, -0.8]])  # the normals (0, 0, -1) and (0.6, 0, -0.8)
-    areas, included = pixel_areas(np.full((1, 2), 2.0), n_z, INTR, n_z_min=1.0)
+    normals = np.array([[(0.0, 0.0, -1.0), (0.6, 0.0, -0.8)]])
+    areas, included = pixel_areas(np.full((1, 2), 2.0), normals, INTR, n_z_min=1.0)
     assert included.tolist() == [[True, False]]
     assert areas[0, 0] == oracles.pixel_area_ref(2.0, -1.0, INTR, n_z_min=1.0)
     assert areas[0, 1] == 0.0
@@ -149,7 +150,7 @@ def test_n_z_min_of_1_keeps_only_fronto_parallel_pixels():
 def test_region_area_fronto_parallel_closed_form():
     depth = np.full((24, 20), 3.0)
     normals = normals_from_depth(depth, INTR)
-    rep = region_area(np.ones((24, 20), bool), *pixel_areas(depth, normals[..., 2], INTR))
+    rep = region_area(np.ones((24, 20), bool), *pixel_areas(depth, normals, INTR))
     expected = 24 * 20 * 9.0 / (100 * 100)
     assert rep.pixel_count == 480 and rep.excluded_count == 0
     assert rep.total_area == pytest.approx(expected, rel=1e-6)
@@ -158,39 +159,43 @@ def test_region_area_fronto_parallel_closed_form():
 def test_region_area_empty_region():
     depth = np.full((8, 8), 2.0)
     normals = normals_from_depth(depth, INTR)
-    rep = region_area(np.zeros((8, 8), bool), *pixel_areas(depth, normals[..., 2], INTR))
+    rep = region_area(np.zeros((8, 8), bool), *pixel_areas(depth, normals, INTR))
     assert rep == AreaReport(0.0, 0, 0)
 
 
-def test_region_area_shape_mismatch():
+def test_region_area_shape_mismatch(tmp_path):
     depth = np.full((8, 8), 2.0)
     normals = normals_from_depth(depth, INTR)
-    n_z = normals[..., 2]
+    planes = pixel_areas(depth, normals, INTR)
     with pytest.raises(ShapeMismatchError):
-        region_area(np.ones((9, 8), bool), *pixel_areas(depth, n_z, INTR))
-    with pytest.raises(ShapeMismatchError):
-        region_area(np.ones((8, 8), bool), *pixel_areas(depth, n_z[:7], INTR))
-    # the area reads the n_z plane alone, not the (H, W, 3) normals
-    with pytest.raises(ShapeMismatchError, match=re.escape("n_z shape (8, 8, 3) incompatible")):
-        region_area(np.ones((8, 8), bool), *pixel_areas(depth, normals, INTR))
+        region_area(np.ones((9, 8), bool), *planes)
+    # the area takes the (H, W, 3) normals of the depth's frame: an (H, W)
+    # n_z plane, two components or another frame size, given as an array
+    # or as a reader of its file, raise naming their shape
+    for i, bad in enumerate((normals[..., 2], normals[..., :2], normals[:7], normals[:, :7])):
+        sio.write_raster(bad, tmp_path / f"{i}.f32r")
+        for given in (bad, sio.RasterRows(tmp_path / f"{i}.f32r")):
+            with pytest.raises(ShapeMismatchError, match=re.escape(
+                    f"normals shape {bad.shape} incompatible with depth (8, 8)")):
+                pixel_areas(depth, given, INTR)
     with pytest.raises(ShapeMismatchError, match="got float64"):
-        region_area(np.array([[1.0, 2.0]]), *pixel_areas(depth, n_z, INTR))
+        region_area(np.array([[1.0, 2.0]]), *planes)
     # a pixel list or a 0/1 mask of another dtype is not a region
     expected = re.escape("region must be a boolean mask of shape (8, 8), got ")
     with pytest.raises(ShapeMismatchError, match=expected + re.escape("int64 of shape (3, 2)")):
-        region_area(np.array([[0, 0], [1, 2], [7, 7]]), *pixel_areas(depth, n_z, INTR))
+        region_area(np.array([[0, 0], [1, 2], [7, 7]]), *planes)
     with pytest.raises(ShapeMismatchError, match=expected + re.escape("uint8 of shape (8, 8)")):
-        region_area(np.ones((8, 8), np.uint8), *pixel_areas(depth, n_z, INTR))
+        region_area(np.ones((8, 8), np.uint8), *planes)
 
 
 def test_region_area_additive_over_disjoint_regions():
     rng = np.random.default_rng(3)
     depth = 5.0 + rng.uniform(-1, 1, (16, 16))
-    n_z = normals_from_depth(depth, INTR)[..., 2]
+    normals = normals_from_depth(depth, INTR)
     split = rng.uniform(size=(16, 16)) > 0.5
-    left = region_area(split, *pixel_areas(depth, n_z, INTR))
-    right = region_area(~split, *pixel_areas(depth, n_z, INTR))
-    union = region_area(np.ones((16, 16), bool), *pixel_areas(depth, n_z, INTR))
+    left = region_area(split, *pixel_areas(depth, normals, INTR))
+    right = region_area(~split, *pixel_areas(depth, normals, INTR))
+    union = region_area(np.ones((16, 16), bool), *pixel_areas(depth, normals, INTR))
     assert left.total_area + right.total_area == pytest.approx(union.total_area, rel=1e-12)
     assert left.pixel_count + right.pixel_count == union.pixel_count
 
@@ -198,9 +203,9 @@ def test_region_area_additive_over_disjoint_regions():
 def test_region_area_quadratic_depth_scaling():
     rng = np.random.default_rng(4)
     depth = 3.0 + rng.uniform(-0.3, 0.3, (16, 16))
-    n_z = normals_from_depth(depth, INTR)[..., 2]
-    base = region_area(np.ones((16, 16), bool), *pixel_areas(depth, n_z, INTR))
-    scaled = region_area(np.ones((16, 16), bool), *pixel_areas(2.5 * depth, n_z, INTR))
+    normals = normals_from_depth(depth, INTR)
+    base = region_area(np.ones((16, 16), bool), *pixel_areas(depth, normals, INTR))
+    scaled = region_area(np.ones((16, 16), bool), *pixel_areas(2.5 * depth, normals, INTR))
     assert scaled.total_area == pytest.approx(2.5**2 * base.total_area, rel=1e-6)
 
 
@@ -210,6 +215,6 @@ def test_region_area_counts_excluded_pixels():
     normals[..., 2] = -1.0
     normals[2, 2] = (0.999, 0.0, -0.04)  # steeper than the n_z cutoff
     depth[4, 4] = np.nan  # invalid depth
-    rep = region_area(np.ones((6, 6), bool), *pixel_areas(depth, normals[..., 2], INTR))
+    rep = region_area(np.ones((6, 6), bool), *pixel_areas(depth, normals, INTR))
     assert rep.pixel_count == 34
     assert rep.excluded_count == 2

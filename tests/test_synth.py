@@ -34,7 +34,7 @@ def test_box_carves_footprint_and_buffer():
 
 def test_exact_cell_areas_match_corner_projection_oracle():
     for a, b in [(0.2, 0.1), (0.15, 0.0), (0.0, -0.2), (0.0, 0.0), (-0.3, 0.25)]:
-        cells = exact_plane_cell_areas(48, 40, INTR, a, b, 6.0)
+        cells, _ = exact_plane_cell_areas(48, 40, INTR, a, b, 6.0)
         total = float(cells.sum())
         ref = oracles.plane_patch_area_ref(48, 40, INTR, a, b, 6.0)
         assert total == pytest.approx(ref, rel=1e-9), (a, b)
