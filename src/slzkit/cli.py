@@ -84,17 +84,11 @@ def _channels(raster, path, what, channels):
     return raster
 
 
-def _read_plane(path, what, channels=1):
-    """An F32R raster of `channels` channels, read whole: (H, W) for one,
-    else (H, W, channels)."""
-    from . import io as slzio
-
-    return _channels(slzio.read_raster(path), path, what, channels)
-
-
 def _open_plane(path, what, channels=1):
-    """:func:`_read_plane` as an io.RasterRows, whose rows the banded
-    kernels read as they reach them; its header is checked now."""
+    """The F32R raster at `path` as an io.RasterRows of `channels` channels:
+    its header, payload size and channel count are checked now, before any
+    row is read. A banded kernel reads its rows as it reaches them; ``[:]``
+    reads it whole, (H, W) for one channel, else (H, W, channels)."""
     from . import io as slzio
 
     return _channels(slzio.RasterRows(path), path, what, channels)
@@ -123,9 +117,7 @@ def _read_frame(args):
 
 
 def _csv_out(rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _region_rows(stats, sel, *columns):
@@ -154,7 +146,6 @@ def cmd_area(args):
     _csv_out([("region", "pixels", "excluded", "area_m2"), *_region_rows(stats, sel),
               ("total", int(stats.pixel_count[sel].sum()), int(stats.excluded_count[sel].sum()),
                f"{total:.9g}")])
-    return 0
 
 
 def cmd_candidates(args):
@@ -166,7 +157,6 @@ def cmd_candidates(args):
     order, stats = slz.top_k_candidates(mask, *planes, args.k)
     _csv_out([("region", "min_row", "min_col", "max_row", "max_col", "pixels", "excluded",
                "area_m2"), *_region_rows(stats, order, *stats.bbox[order].T)])
-    return 0
 
 
 def cmd_evaluate(args):
@@ -207,7 +197,6 @@ def cmd_evaluate(args):
     # the mean column; a per-class metric's mean is m-prefixed, aAcc has no classes
     means = (f"{'m' if safe else ''}{name}={mean}" for name, safe, _, mean in rows[1:])
     print(f"{len(pred_names)} pairs: {' '.join(means)}", file=sys.stderr)
-    return 0
 
 
 def _bilinear_x4(raster):
@@ -292,7 +281,6 @@ def cmd_refine_demo(args):
             ("sequential_total", f"{losses.decayed_sum(l1s, args.gamma):.9g}", ""),
             ("slz_total", f"{losses.decayed_sum(ces, args.gamma):.9g}", "")])
     print(f"wrote t={steps[0]}..{state.t} rasters to {args.out}", file=sys.stderr)
-    return 0
 
 
 def _print_loss(value):
@@ -305,10 +293,8 @@ def cmd_loss_vnl(args):
     from . import camera, losses
 
     intr = camera.read_intrinsics(args.intrinsics)
-    pred, gt = _read_plane(args.pred, "depth"), _read_plane(args.gt, "depth")
-    value = losses.virtual_normal_loss(pred, gt, intr, args.samples, args.seed)
-    _print_loss(value)
-    return 0
+    pred, gt = _open_plane(args.pred, "depth"), _open_plane(args.gt, "depth")
+    _print_loss(losses.virtual_normal_loss(pred[:], gt[:], intr, args.samples, args.seed))
 
 
 class _Steps(Sequence):
@@ -322,7 +308,7 @@ class _Steps(Sequence):
         return len(self._paths)
 
     def __getitem__(self, t):
-        return _read_plane(self._paths[t], self._what, self._channels)
+        return _open_plane(self._paths[t], self._what, self._channels)[:]
 
 
 def _read_valid(args):
@@ -333,7 +319,7 @@ def _read_valid(args):
 
 def _print_loss_and_check(args, loss, grads, *seqs):
     """Print the loss of parallel step sequences and, with --grad-check, the
-    max grad_check error over their rasters; returns the exit code 0.
+    max grad_check error over their rasters.
 
     ``loss(*seqs)`` is the loss value, one per raster where an entry is a
     stack, and ``grads(*seqs)[j][i]`` its analytic gradient with respect to
@@ -346,7 +332,7 @@ def _print_loss_and_check(args, loss, grads, *seqs):
         seqs = [list(seq) for seq in seqs]
     _print_loss(loss(*seqs))
     if not args.grad_check:
-        return 0
+        return
     analytic = grads(*seqs)
     err = 0.0
     for i, step in enumerate(zip(*seqs)):
@@ -358,16 +344,16 @@ def _print_loss_and_check(args, loss, grads, *seqs):
 
             err = max(err, losses.grad_check(f, x, analytic[j][i]))
     print(f"grad_check_max_rel_err={err:.6g}")
-    return 0
 
 
 def cmd_loss_sequential(args):
     from . import losses
 
-    gt_d = _read_plane(args.gt_depth, "depth")
-    gt_c = _read_plane(args.gt_conf, "confidence")
+    # both are checked before either is read
+    gt_d, gt_c = _open_plane(args.gt_depth, "depth"), _open_plane(args.gt_conf, "confidence")
+    gt_d, gt_c = gt_d[:], gt_c[:]
     valid = _read_valid(args)
-    return _print_loss_and_check(
+    _print_loss_and_check(
         args, lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, args.gamma, valid),
         lambda d, c: losses.sequential_depth_loss_grad(d, c, gt_d, gt_c, args.gamma, valid)[1:],
         _Steps(args.preds, "depth"), _Steps(args.confs, "confidence"))
@@ -377,12 +363,12 @@ def cmd_loss_dncl(args):
     from . import camera, losses
 
     intr = camera.read_intrinsics(args.intrinsics)
+    depth, normals = _open_plane(args.depth, "depth"), _open_plane(args.normals, "normals", 3)
     # the value reads both rasters a band of rows at a time; the check
     # perturbs whole depth rasters
-    read = _read_plane if args.grad_check else _open_plane
-    depth = read(args.depth, "depth")
-    normals = read(args.normals, "normals", 3)
-    return _print_loss_and_check(
+    if args.grad_check:
+        depth, normals = depth[:], normals[:]
+    _print_loss_and_check(
         args, lambda d: losses.depth_normal_consistency(d[0], normals, intr),
         lambda d: [[losses.depth_normal_consistency_grad(d[0], normals, intr)[1]]], [depth])
 
@@ -394,7 +380,7 @@ def cmd_loss_slz(args):
     labels = slzio.read_mask(args.labels)
     cw = settings.ClassWeights(args.w_safe, args.w_unsafe)
     valid = _read_valid(args)
-    return _print_loss_and_check(
+    _print_loss_and_check(
         args, lambda z: losses.slz_loss(z, labels, cw, args.gamma, valid),
         lambda z: losses.slz_loss_grad(z, labels, cw, args.gamma, valid)[1:],
         _Steps(args.logits, "logits", 2))
@@ -403,7 +389,6 @@ def cmd_loss_slz(args):
 def cmd_loss_combined(args):
     w = settings.LossWeights(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
     _print_loss(settings.fine_tune_loss(args.vnl, args.seq, args.dncl, w))
-    return 0
 
 
 def cmd_synth(args):
@@ -419,7 +404,6 @@ def cmd_synth(args):
     camera.write_intrinsics(os.path.join(args.out, "intrinsics.txt"), scene.intr)
     slzio.write_key_values(os.path.join(args.out, "sidecar.txt"), render.sidecar)
     print(f"wrote scene rasters to {args.out}", file=sys.stderr)
-    return 0
 
 
 def build_parser():
@@ -535,13 +519,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the exit code is 0 once its handler returns, else
+    that of the error it raised."""
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # a warning prints as one line, like an error, without its source location
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             _fill_defaults(args)
-            return args.func(args)
+            args.func(args)
         except ShapeMismatchError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SHAPE
@@ -551,6 +537,7 @@ def main(argv=None):
         except (OSError, ValueError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+    return 0
 
 
 def run(argv=None):

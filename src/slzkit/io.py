@@ -140,13 +140,11 @@ def write_raster(raster, path):
     import numpy as np
 
     arr = np.asarray(raster)
-    if arr.ndim == 2:
-        arr = arr[..., None]
-    if arr.ndim != 3:
+    if arr.ndim not in (2, 3):
         raise ValueError(f"raster must be 2-D or 3-D, got shape {arr.shape}")
-    height, width, channels = arr.shape
-    if height < 1 or width < 1 or channels < 1:
+    if not all(arr.shape):
         raise ValueError(f"raster dimensions must be >= 1, got shape {arr.shape}")
+    height, width, channels = arr.shape if arr.ndim == 3 else (*arr.shape, 1)
     try:  # a finite value past the float32 range would be stored as inf
         with np.errstate(over="raise"):
             payload = np.ascontiguousarray(arr, dtype="<f4")

@@ -138,10 +138,7 @@ def render_scene(scene: Scene) -> SceneRender:
     footprint = np.zeros((scene.height, scene.width), dtype=np.uint8)
     box_areas = []
     for box in scene.boxes:
-        uc = (box.u0 + box.u1) / 2.0
-        vc = (box.v0 + box.v1) / 2.0
-        rx = (uc - intr.cx) / intr.fx
-        ry = (vc - intr.cy) / intr.fy
+        rx, ry = _ray_xy((box.u0 + box.u1) / 2.0, (box.v0 + box.v1) / 2.0, intr)
         g_center = 1.0 - a * rx - b * ry
         if g_center <= 0:
             raise ValueError(f"box {box} centered past the plane horizon")

@@ -297,6 +297,35 @@ def test_evaluate_counts_the_gray_bytes_as_read_mask_decodes_them(capsys, tmp_pa
     assert err.startswith("4 pairs: aAcc=")
 
 
+def test_evaluate_counts_pairs_that_shrink_as_read_mask_decodes_them(capsys, tmp_path):
+    # every pair after the first is smaller: the read buffers hold the bytes
+    # of a larger pair past each payload, which are neither counted nor
+    # warned of as trailing bytes
+    rng = np.random.default_rng(12)
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        for name, shape in {"a": (181, 183), "b": (1, 9), "c": (7, 1), "d": (1, 1)}.items():
+            _write_gray(tmp_path / d / f"{name}.pgm", rng.integers(0, 256, shape, dtype=np.uint8))
+    pairs = [tuple(sio.read_mask(tmp_path / d / f"{name}.pgm") for d in ("pred", "gt"))
+             for name in "abcd"]
+    code, out, err = run_cli(capsys, "evaluate", "--pred-dir", str(tmp_path / "pred"),
+                             "--gt-dir", str(tmp_path / "gt"))
+    assert code == 0, err
+    assert parse_csv(out) == [list(r) for r in to_csv_rows(evaluate_dataset(pairs))]
+    assert err.startswith("4 pairs: aAcc=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--pred-dir", "--gt-dir"])
+def test_evaluate_given_a_file_for_a_directory_exits_2_naming_it(capsys, tmp_path, flag):
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+    argv = {"--pred-dir": str(tmp_path / "pred"), "--gt-dir": str(tmp_path / "gt")}
+    argv[flag] = str(tmp_path / "a.pgm")
+    sio.write_mask(np.zeros((4, 4), np.uint8), tmp_path / "a.pgm")
+    code, out, err = run_cli(capsys, "evaluate", *(a for pair in argv.items() for a in pair))
+    assert (code, out, err) == (2, "", f"error: {tmp_path / 'a.pgm'}: not a directory\n")
+
+
 def test_evaluate_warns_once_of_a_files_trailing_bytes(capsys, tmp_path):
     for d in ("pred", "gt"):
         (tmp_path / d).mkdir()
@@ -726,6 +755,15 @@ def test_loss_numeric_degeneracy_exits_4(capsys, tmp_path):
                          "--intrinsics", str(tmp_path / "intr.txt"),
                          "--samples", "4", "--seed", "0")
     assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["sequential", "slz"])
+def test_loss_valid_mask_of_another_frame_size_exits_3(capsys, tmp_path, kind):
+    argv = _loss_argvs(tmp_path)[kind]
+    sio.write_mask(np.zeros((11, 12), np.uint8), tmp_path / "v.pgm")
+    code, out, err = run_cli(capsys, *argv, "--valid", str(tmp_path / "v.pgm"))
+    assert (code, out) == (3, "")
+    assert err == "error: valid mask shape (11, 12) != raster shape (12, 12)\n"
 
 
 @pytest.mark.parametrize("flag", ["--confs", "--gt-conf"])
@@ -1577,8 +1615,9 @@ def test_a_loss_reads_each_step_raster_once(capsys, tmp_path, monkeypatch, kind,
     code, one_step, _ = run_cli(capsys, *argv)
     steps = _three_steps(tmp_path, argv, *flags)
     reads = []
-    real = sio.read_raster
-    monkeypatch.setattr(sio, "read_raster", lambda path: reads.append(Path(path)) or real(path))
+    read = sio.RasterRows.__getitem__
+    monkeypatch.setattr(sio.RasterRows, "__getitem__",
+                        lambda self, rows: reads.append(Path(self.path)) or read(self, rows))
     code, out, err = run_cli(capsys, *argv, *grad_check)
     assert code == 0, err
     step_reads = [p for p in reads if any(p in paths for paths in steps.values())]

@@ -188,6 +188,15 @@ def test_region_area_shape_mismatch(tmp_path):
         region_area(np.ones((8, 8), np.uint8), *planes)
 
 
+def test_pixel_areas_of_given_normals_takes_one_depth_raster():
+    # derived normals take a stack of depth rasters; given ones take one raster
+    depth = np.full((8, 8), 2.0)
+    normals = normals_from_depth(depth, INTR)
+    with pytest.raises(ShapeMismatchError) as exc:
+        pixel_areas(np.stack([depth, depth]), normals, INTR)
+    assert str(exc.value) == "depth must be 2-D, got shape (2, 8, 8)"
+
+
 def test_region_area_additive_over_disjoint_regions():
     rng = np.random.default_rng(3)
     depth = 5.0 + rng.uniform(-1, 1, (16, 16))

@@ -374,7 +374,8 @@ def _streamed_call(workspace, tmp_path, cmd, change, edit=None):
     argv = cmd.split()
     for flag, value in {**BASE[cmd], **change}.items():
         if value is not None:
-            argv += [flag] + ([] if value is True else [value])
+            argv += [flag] + ([] if value is True else [value] if isinstance(value, str)
+                              else value)
     out, err = std_io.StringIO(), std_io.StringIO()
     here = os.getcwd()
     os.chdir(root)
@@ -435,6 +436,12 @@ def test_a_raster_cut_short_after_its_header_check_exits_2(workspace, tmp_path, 
      "logits must be 2-channel, got 1 channel"),
     ("loss dncl", {"--normals": "lgd.f32r"}, "lgd.f32r",
      "normals must be 3-channel, got 1 channel"),
+    ("loss dncl", {"--grad-check": True, "--normals": "lgd.f32r"}, "lgd.f32r",
+     "normals must be 3-channel, got 1 channel"),
+    ("loss vnl", {"--pred": "lz0.f32r"}, "lz0.f32r",
+     "depth must be single-channel, got 2 channels"),
+    ("loss slz", {"--logits": ["lp0.f32r", "lz1.f32r"]}, "lp0.f32r",
+     "logits must be 2-channel, got 1 channel"),
 ])
 def test_a_channel_count_mismatch_exits_3_before_any_band_is_read(workspace, tmp_path,
                                                                  monkeypatch, cmd, change,
@@ -445,6 +452,26 @@ def test_a_channel_count_mismatch_exits_3_before_any_band_is_read(workspace, tmp
                         lambda self, rows: reads.append(self.path) or read(self, rows))
     code, out, err = _streamed_call(workspace, tmp_path, cmd, change)
     assert (code, out, reads) == (3, "", [])
+    assert err == f"error: {name}: {want}\n"
+
+
+@pytest.mark.parametrize("change,name,want", [
+    ({"--gt-conf": "lz0.f32r"}, "lz0.f32r", "confidence must be single-channel, got 2 channels"),
+    ({"--preds": ["lz0.f32r", "lp1.f32r"]}, "lz0.f32r",
+     "depth must be single-channel, got 2 channels"),
+])
+def test_a_channel_count_mismatch_of_loss_sequential_exits_3_unread(workspace, tmp_path,
+                                                                    monkeypatch, change, name,
+                                                                    want):
+    # the ground truths are read whole before the first step is opened, so
+    # only the mismatched file must go unread
+    reads = []
+    read = sio.RasterRows.__getitem__
+    monkeypatch.setattr(sio.RasterRows, "__getitem__",
+                        lambda self, rows: reads.append(self.path) or read(self, rows))
+    code, out, err = _streamed_call(workspace, tmp_path, "loss sequential", change)
+    assert (code, out) == (3, "")
+    assert name not in reads
     assert err == f"error: {name}: {want}\n"
 
 

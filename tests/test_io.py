@@ -1,7 +1,9 @@
 import os
 import re
 import struct
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,59 @@ def test_mask_errors(tmp_path):
 def test_write_mask_rejects_other_values(tmp_path):
     with pytest.raises(ValueError):
         sio.write_mask(np.array([[0, 3]]), tmp_path / "m.pgm")
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4), (0, 3), (2, 0, 1)])
+def test_write_raster_of_a_shape_it_cannot_store_names_the_callers_shape(tmp_path, shape):
+    rule = "dimensions must be >= 1" if len(shape) in (2, 3) else "must be 2-D or 3-D"
+    with pytest.raises(ValueError) as exc:
+        sio.write_raster(np.ones(shape), tmp_path / "r.f32r")
+    assert str(exc.value) == f"raster {rule}, got shape {shape}"
+    assert not (tmp_path / "r.f32r").exists()
+
+
+def _gray_file(path, shape, seed):
+    """A P5 PGM of random gray values at `path`."""
+    gray = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+    path.write_bytes(f"P5\n{shape[1]} {shape[0]}\n255\n".encode("ascii") + gray.tobytes())
+    return path
+
+
+def _decoded(read):
+    """The {0, 1} mask of a ``(shape, gray)`` read, decoded as read_mask decodes it."""
+    shape, gray = read
+    return (np.frombuffer(gray, np.uint8).reshape(shape) >= 128).view(np.uint8)
+
+
+def test_a_reused_pgm_buffer_reads_smaller_files_after_a_larger_one(tmp_path):
+    # the bytes a larger file left in the buffer past a smaller file's
+    # payload are neither decoded nor counted as trailing bytes
+    buf = bytearray()
+    for i, shape in enumerate([(181, 183), (1, 1), (7, 1)]):
+        path = _gray_file(tmp_path / f"{i}.pgm", shape, i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _decoded(sio._read_pgm(path, buf))
+        assert np.array_equal(got, sio.read_mask(path)) and got.shape == shape
+    assert len(buf) >= 181 * 183
+
+
+def test_a_mask_served_through_a_fifo_is_read_past_its_stat_size(tmp_path):
+    # a FIFO stats as 0 bytes, so the whole file comes from the read past that size
+    blob = _gray_file(tmp_path / "m.pgm", (9, 13), 3).read_bytes()
+    want = sio.read_mask(tmp_path / "m.pgm")
+    stale = bytearray(b"\xff" * 4096)
+    for i, read in enumerate((sio.read_mask, lambda path: _decoded(sio._read_pgm(path, stale)))):
+        fifo = tmp_path / f"m{i}.fifo"
+        os.mkfifo(fifo)
+        # a daemon writer: if the read fails before it opens the FIFO, the
+        # blocked writer does not hold up the exit
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(read(fifo), want)
+        writer.join(timeout=10)
 
 
 _OK = np.zeros((4, 4), np.uint8)

@@ -27,6 +27,11 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(slzkit, name).__module__.startswith("slzkit.")
 
 
+def test_dir_lists_every_public_name():
+    listed = dir(slzkit)
+    assert set(PUBLIC) <= set(listed) and listed == sorted(listed)
+
+
 def test_readme_library_example_runs(capsys):
     # the "Library at a glance" block runs on the `depth` and `mask` it names
     # and prints the area report and the candidates

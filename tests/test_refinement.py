@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ def test_conv_gru_shape_errors():
         conv_gru_step(w, np.zeros((4, 4, 2), np.float32), np.zeros((4, 5, 2), np.float32))
     with pytest.raises(ShapeMismatchError):
         conv_gru_step(w, np.zeros((4, 4, 2), np.float32), np.zeros((4, 4, 3), np.float32))
+
+
+def test_conv2d_and_gate_weights_reject_mismatched_shapes():
+    w = _gru_weights(hidden=2, cin=2)  # (3, 3, 4, 2) gate kernels
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "input shape (4, 4, 3) incompatible with kernel (3, 3, 4, 2)")):
+        conv2d(np.zeros((4, 4, 3), np.float32), w.wz, w.bz)
+    with pytest.raises(ShapeMismatchError, match="gate kernels must share one shape"):
+        replace(w, wr=w.wr[:, :, :3])
+    with pytest.raises(ShapeMismatchError, match=re.escape("gate bias shape (3,), expected (2,)")):
+        replace(w, bh=np.zeros(3, np.float32))
 
 
 def test_zeroed_projection_heads_fix_predictions():
