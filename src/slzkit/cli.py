@@ -73,17 +73,6 @@ def _fill_defaults(args):
         raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
-def _channels(raster, path, what, channels):
-    """The raster (an array or an io.RasterRows), checked to have `channels`
-    channels: shape (H, W) for one, else (H, W, channels)."""
-    got = raster.shape[2] if len(raster.shape) == 3 else 1
-    if got != channels:
-        kind = "single" if channels == 1 else channels
-        raise ShapeMismatchError(
-            f"{path}: {what} must be {kind}-channel, got {got} channel{'s' * (got > 1)}")
-    return raster
-
-
 def _open_plane(path, what, channels=1):
     """The F32R raster at `path` as an io.RasterRows of `channels` channels:
     its header, payload size and channel count are checked now, before any
@@ -91,7 +80,13 @@ def _open_plane(path, what, channels=1):
     reads it whole, (H, W) for one channel, else (H, W, channels)."""
     from . import io as slzio
 
-    return _channels(slzio.RasterRows(path), path, what, channels)
+    raster = slzio.RasterRows(path)
+    got = raster.shape[2] if len(raster.shape) == 3 else 1
+    if got != channels:
+        kind = "single" if channels == 1 else channels
+        raise ShapeMismatchError(
+            f"{path}: {what} must be {kind}-channel, got {got} channel{'s' * (got > 1)}")
+    return raster
 
 
 def _read_frame(args):
@@ -178,21 +173,19 @@ def cmd_evaluate(args):
         if missing:
             raise ValueError(f"missing {side} counterpart for {min(missing)}")
 
-    def counts():
-        # the gray bytes of each pair, counted without decoding them to
-        # arrays, read into two buffers that every pair reuses
-        bufs = bytearray(), bytearray()
-        for n in pred_names:
-            (pred_shape, pred), (gt_shape, gt) = (
-                slzio._read_pgm(os.path.join(d, n), buf)
-                for d, buf in zip((args.pred_dir, args.gt_dir), bufs))
-            if pred_shape != gt_shape:
-                raise ShapeMismatchError(f"{n}: pred shape {pred_shape} != gt shape {gt_shape}")
-            counted = metrics._counts(pred, gt)
-            del pred, gt  # the next pair's read may grow the buffers
-            yield counted
+    bufs = bytearray(), bytearray()
 
-    rows = metrics.to_csv_rows(metrics.evaluate(metrics._pooled(counts())))
+    def count(name):
+        # the confusion counts of a pair's gray bytes, read into two buffers
+        # that every pair reuses and not decoded to arrays; the views die on return
+        (pred_shape, pred), (gt_shape, gt) = (
+            slzio._read_pgm(os.path.join(d, name), buf)
+            for d, buf in zip((args.pred_dir, args.gt_dir), bufs))
+        if pred_shape != gt_shape:
+            raise ShapeMismatchError(f"{name}: pred shape {pred_shape} != gt shape {gt_shape}")
+        return metrics._counts(pred, gt)
+
+    rows = metrics.to_csv_rows(metrics.evaluate(metrics._pooled(map(count, pred_names))))
     _csv_out(rows)
     # the mean column; a per-class metric's mean is m-prefixed, aAcc has no classes
     means = (f"{'m' if safe else ''}{name}={mean}" for name, safe, _, mean in rows[1:])

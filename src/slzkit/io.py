@@ -5,7 +5,8 @@ F32R raster format::
     F32R <width> <height> <channels>\\n
     <width*height*channels little-endian float32, row-major, channel-interleaved>
 
-The header is a single ASCII line with single spaces. Round trips are
+The header is a single ASCII line with single spaces, at most 62 bytes
+long; :class:`RasterRows` reads at most 64 bytes of it. Round trips are
 bitwise, including NaN payloads and infinities. The payload is raw rows,
 so :class:`RasterRows` reads any band of rows by one seek past the header;
 :func:`read_raster` is its whole-range read, and the banded kernels of
@@ -16,7 +17,9 @@ class 0 (safe), >= 128 to class 1 (unsafe); encoding writes 0/255. The
 file starts with ``P5``; width, height and maxval follow, each after
 whitespace and ``#`` comments (which run to the end of their line and
 start only where whitespace could), and one whitespace byte ends the
-header.
+header. The PGM reader reads into the caller's bytearray, grown to the
+file's stat size when shorter, so one buffer serves file after file;
+bytes read past it, as from a pipe, go over its stale ones.
 
 numpy is imported by the functions that make or take arrays, so the PGM
 decode of ``_read_pgm`` and the ``key=value`` readers run without it.
@@ -84,8 +87,10 @@ class RasterRows:
 
     def __init__(self, path):
         with open(path, "rb") as fh:
-            line = fh.readline()
-            if not line.endswith(b"\n") or not line.startswith(b"F32R"):
+            # a valid header line has at most 62 bytes; 64 with no newline
+            # are a malformed header, of which 63 are echoed
+            line = fh.readline(64)
+            if not line.startswith(b"F32R") or not (line.endswith(b"\n") or len(line) == 64):
                 raise BadMagicError(f"{path}: not an F32R file")
             m = _HEADER_RE.match(line[:-1])
             if m is None:
@@ -155,22 +160,21 @@ def write_raster(raster, path):
         fh.write(payload)
 
 
-def _read_pgm(path, buf=None):
+def _read_pgm(path, buf):
     """Read a P5 PGM into ``((height, width), gray)``, ``gray`` the row-major
     payload bytes: a memoryview of the file's bytes as read into ``buf``, a
-    bytearray that grows to the file's size (a new one when None), so a
-    caller that passes one buffer for file after file faults its pages in
-    once. The buffer can grow only while no view of it is alive: such a
-    caller drops each ``gray`` before its next read."""
+    bytearray grown to the file's stat size when it is shorter, so a caller
+    that passes one buffer for file after file faults its pages in once.
+    Bytes past the first read (a pipe stats as 0 bytes) are written over
+    the stale ones after it. The buffer can grow only while no view of
+    it is alive: such a caller drops each ``gray`` before its next read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if buf is None:
-            buf = bytearray(size)
-        elif len(buf) < size:
+        if len(buf) < size:
             buf += bytes(size - len(buf))
-        n = fh.readinto(memoryview(buf)[:size])
-        rest = fh.read()  # past the stat size: a pipe, or a file grown since
-    buf[n:n] = rest
+        n = fh.readinto(buf)
+        rest = fh.read()  # past the buffer or a short read: a pipe, or a file grown since
+    buf[n:n + len(rest)] = rest
     data = memoryview(buf)[:n + len(rest)]
     if data[:2] != b"P5":
         raise BadMagicError(f"{path}: not a P5 PGM file")
@@ -190,7 +194,7 @@ def read_mask(path):
     """Read a P5 PGM into a {0, 1} uint8 mask (threshold at 128)."""
     import numpy as np
 
-    shape, gray = _read_pgm(path)
+    shape, gray = _read_pgm(path, bytearray())
     return (np.frombuffer(gray, np.uint8).reshape(shape) >= 128).view(np.uint8)
 
 

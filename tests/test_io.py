@@ -137,7 +137,7 @@ def test_truncated_payload_message_gives_both_byte_counts(tmp_path):
         sio.read_raster(path)
 
 
-@pytest.mark.parametrize("blob", [b"", b"F32R", b"F32R 2 2 1", b"F32R 1 1 1" + b"\x00" * 64])
+@pytest.mark.parametrize("blob", [b"", b"F32R", b"F32R 2 2 1"])
 def test_a_file_without_a_newline_is_bad_magic(tmp_path, blob):
     path = tmp_path / "r.f32r"
     path.write_bytes(blob)
@@ -150,6 +150,39 @@ def test_an_over_long_header_line_is_a_dimension_error_naming_the_file(tmp_path)
     path.write_bytes(b"F32R 2 2 1" + b" " * 10_000 + b"\n" + b"\x00" * 16)
     with pytest.raises(sio.DimensionError, match=re.escape(f"{path}: malformed header")):
         sio.read_raster(path)
+
+
+def test_an_f32r_line_with_no_newline_in_64_bytes_is_a_malformed_header(tmp_path):
+    # a valid header line has at most 62 bytes, so 64 with no newline are
+    # too long to be one, not the end of the file
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R 1 1 1" + b"\x00" * 64)
+    with pytest.raises(sio.DimensionError, match=re.escape(f"{path}: malformed header")):
+        sio.read_raster(path)
+
+
+def test_a_header_with_no_newline_is_read_in_bounded_memory(tmp_path):
+    # 16 MiB of payload-like bytes and no newline: the whole file as one
+    # header line peaked at 34 MB
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R" + b"\x01" * (16 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(sio.DimensionError, match=re.escape(f"{path}: malformed header")):
+            sio.RasterRows(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_a_long_header_line_is_echoed_in_a_short_message(tmp_path):
+    # a header line of 2 MB of digits was echoed whole in its message
+    path = tmp_path / "r.f32r"
+    path.write_bytes(b"F32R " + b"7" * 2_000_000 + b" 1 1\n" + b"\x00" * 16)
+    with pytest.raises(sio.DimensionError, match=re.escape(f"{path}: malformed header")) as exc:
+        sio.read_raster(path)
+    assert len(str(exc.value)) < 200
 
 
 @pytest.mark.parametrize("shape,read_shape", [((3, 4), (3, 4)), ((3, 4, 1), (3, 4)),
@@ -284,6 +317,24 @@ def test_a_mask_served_through_a_fifo_is_read_past_its_stat_size(tmp_path):
             warnings.simplefilter("error")
             assert np.array_equal(read(fifo), want)
         writer.join(timeout=10)
+
+
+def test_one_buffer_reading_a_fifo_again_and_again_stays_at_the_file_size(tmp_path):
+    # the bytes read past a FIFO's stat size of 0 go over the buffer's stale
+    # ones: inserted in front of them, they grew it by the file on every read
+    path = _gray_file(tmp_path / "m.pgm", (100, 100), 5)
+    blob, want = path.read_bytes(), sio.read_mask(path)
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    buf = bytearray()
+    for _ in range(5):
+        # a daemon writer, as above
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        got = _decoded(sio._read_pgm(fifo, buf))
+        writer.join(timeout=10)
+        assert len(buf) == len(blob) == 10_015
+        assert np.array_equal(got, want)
 
 
 _OK = np.zeros((4, 4), np.uint8)

@@ -261,7 +261,7 @@ def test_byte_counter_matches_the_loop_count_of_pgm_files(tmp_path_factory, seed
     paths = [tmp / "pred.pgm", tmp / "gt.pgm"]
     for path, gray in zip(paths, grays):
         _pgm(path, gray)
-    (pred_shape, pred), (gt_shape, gt) = (sio._read_pgm(p) for p in paths)
+    (pred_shape, pred), (gt_shape, gt) = (sio._read_pgm(p, bytearray()) for p in paths)
     assert pred_shape == gt_shape == (height, width)
     want = oracles.confusion_ref(*(g >= 128 for g in grays))
     assert np.array_equal(np.reshape(metrics._counts(pred, gt), (2, 2)), want)
