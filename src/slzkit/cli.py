@@ -533,10 +533,24 @@ def main(argv=None):
     return 0
 
 
+# the variables OpenBLAS reads its thread count from, in its order of precedence
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def run(argv=None):
     """The process entry of ``python -m slzkit.cli`` and the ``slzkit``
-    script: :func:`main`, then ``gc.freeze()`` before the exit code goes
-    back, argparse's own exits included.
+    script: one OpenBLAS thread unless the caller chose a count, then
+    :func:`main`, then ``gc.freeze()`` before the exit code goes back,
+    argparse's own exits included.
+
+    numpy's OpenBLAS reads the count when numpy is first imported, which
+    happens only after this (neither slzkit nor this module imports numpy
+    at module level), and its idle pool threads spin on another core. The
+    only GEMMs large enough to split are the convolutions of
+    ``refine-demo``, whose bytes are the same on one thread or two and
+    whose second thread's buffers cost about 10 MB of peak RSS at
+    ``--base 448``. A count the caller set in any of the three variables
+    is left as it is; ``import slzkit`` and :func:`main` set nothing.
 
     Interpreter shutdown runs full collections over every tracked object,
     some 22k after the numpy import, and finds almost nothing to free: a
@@ -545,6 +559,8 @@ def run(argv=None):
     collector stays on while the command runs, so the reference cycles the
     imports leave are freed as before and no call holds more memory.
     """
+    if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return main(argv)
     finally:

@@ -859,17 +859,16 @@ def test_synth_depth_past_the_float32_range_exits_2_writing_no_raster(capsys, tm
 
 def _console_script(*argv, then=""):
     """Run the [project.scripts] entry as the wrapper an install generates
-    runs it, with `then` run after the entry returns or exits."""
+    runs it, with `then` run after the entry returns or exits, in the
+    environment of `_fresh_python`."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+; 3.10 is still supported
     root = Path(__file__).resolve().parent.parent
     with open(root / "pyproject.toml", "rb") as fh:
         module, func = tomllib.load(fh)["project"]["scripts"]["slzkit"].split(":")
     wrapper = (f"import sys\nfrom {module} import {func}\ntry:\n    code = {func}()\n"
                f"except SystemExit as exc:\n    code = exc.code\n{then}\nsys.exit(code)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-c", wrapper, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
 
 
 def test_console_script_smoke():
@@ -1115,11 +1114,23 @@ def test_a_missing_required_key_exits_2_naming_the_file_block_and_keys(capsys, f
     assert message + "\n" in err
 
 
+# the variables OpenBLAS reads its thread count from
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# the process's thread count (None off Linux) and which of _BLAS_VARS are set
+_BLAS_REPORT = f"""
+import os
+print("threads:", len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+      file=sys.stderr)
+print("blas thread variables:", {{k: os.environ[k] for k in {_BLAS_VARS!r} if k in os.environ}},
+      file=sys.stderr)
+"""
+
 # Runs `python -m slzkit.cli ARGV` in a fresh interpreter, then reports the
 # scipy modules, whether numpy is loaded, which of dataclasses and inspect
-# are loaded, the slzkit submodules loaded, the collector's state and the
-# collections the call ran, by generation, by the time the command returned.
-# cli itself runs as __main__, as under -m.
+# are loaded, the slzkit submodules loaded, the collector's state, the
+# collections the call ran, by generation, and _BLAS_REPORT, by the time
+# the command returned. cli itself runs as __main__, as under -m.
 _PROBE = """
 import gc, runpy, sys
 sys.argv[0] = "slzkit"
@@ -1140,16 +1151,24 @@ print("slzkit modules:", sorted(m for m in sys.modules if m.startswith("slzkit."
 print("gc enabled, heap frozen:", (gc.isenabled(), gc.get_freeze_count() > 0), file=sys.stderr)
 print("collections by generation:",
       [g["collections"] - n for g, n in zip(gc.get_stats(), passes)], file=sys.stderr)
+""" + _BLAS_REPORT + """
 sys.exit(code)
 """
 
 
-def _fresh_python(*args):
-    """Run a new interpreter that imports this slzkit."""
+def _child_env(env=None):
+    """This environment with this slzkit first on PYTHONPATH, none of
+    _BLAS_VARS, and then `env`."""
     src = str(Path(slzkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    return {**base, "PYTHONPATH": path, **(env or {})}
+
+
+def _fresh_python(*args, env=None):
+    """Run a new interpreter that imports this slzkit, in `_child_env(env)`."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=_child_env(env))
 
 
 def _probe_line(proc, what):
@@ -1359,6 +1378,80 @@ def test_a_fresh_call_writes_the_bytes_of_an_in_process_call(capsys, tmp_path):
     assert _tree(tmp_path / "fresh") == _tree(tmp_path / "in-process")
     assert {"scene/depth.f32r", "run/losses.csv", "rest/state/meta.txt"} <= set(
         _tree(tmp_path / "fresh"))
+
+
+_LINUX_THREADS = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                    reason="counts the threads in /proc/self/task (Linux)")
+
+
+@_LINUX_THREADS
+@pytest.mark.parametrize("command", ["area", "refine-demo"])
+def test_a_fresh_call_runs_one_blas_thread(tmp_path, command):
+    proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, command))
+    assert proc.returncode == 0, proc.stderr
+    assert _probe_line(proc, "numpy loaded") is True
+    assert _probe_line(proc, "threads") == 1
+    assert _probe_line(proc, "blas thread variables") == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("given", [{"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"},
+                                   {"GOTO_NUM_THREADS": "2"}])
+def test_a_blas_thread_count_the_caller_set_is_left_alone(tmp_path, given):
+    # OPENBLAS_NUM_THREADS outranks OMP_NUM_THREADS, so adding it would
+    # override a caller's OMP_NUM_THREADS
+    proc = _fresh_python("-c", _PROBE, *_command_argv(tmp_path, "refine-demo"), env=given)
+    assert proc.returncode == 0, proc.stderr
+    assert _probe_line(proc, "blas thread variables") == given
+    if os.path.isdir("/proc/self/task") and len(os.sched_getaffinity(0)) >= 2:
+        assert _probe_line(proc, "threads") == 2
+
+
+@_LINUX_THREADS
+def test_the_console_script_runs_one_blas_thread(tmp_path):
+    proc = _console_script("refine-demo", "--out", str(tmp_path / "run"), "--T", "1",
+                           then=_BLAS_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert _probe_line(proc, "threads") == 1
+    assert _probe_line(proc, "blas thread variables") == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_importing_slzkit_and_calling_main_set_no_blas_thread_variable():
+    proc = _fresh_python("-c", "import sys, slzkit, slzkit.cli\n"
+                         "slzkit.cli.main(['loss', 'combined', '--vnl', '1', '--seq', '1', "
+                         "'--dncl', '1'])" + _BLAS_REPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert _probe_line(proc, "blas thread variables") == {}
+
+
+def test_refine_demo_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at --base 448 OpenBLAS splits the convolution GEMMs across threads;
+    # smaller ones run on one thread whatever the count
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (["--base", "448", "--hidden", "16", "--T", "4", "--out", str(out / "run")],
+                     ["--resume", str(out / "run"), "--out", str(out / "rest"), "--T", "2"]):
+            proc = _fresh_python("-m", "slzkit.cli", "refine-demo", *argv,
+                                 env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+    assert {"run/depth_t4.f32r", "rest/depth_t6.f32r"} <= set(_tree(tmp_path / "1"))
+    assert _tree(tmp_path / "1") == _tree(tmp_path / "2")
+
+
+def test_loss_vnl_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    rng = np.random.default_rng(36)
+    gt = rng.uniform(4.0, 6.0, (360, 640)).astype(np.float32)
+    sio.write_raster(gt, tmp_path / "gt.f32r")
+    sio.write_raster(gt * rng.uniform(0.98, 1.02, gt.shape).astype(np.float32),
+                     tmp_path / "pred.f32r")
+    write_intrinsics(tmp_path / "intr.txt", CameraIntrinsics(500, 500, 319.5, 179.5))
+    argv = ["loss", "vnl", "--pred", str(tmp_path / "pred.f32r"), "--gt", str(tmp_path / "gt.f32r"),
+            "--intrinsics", str(tmp_path / "intr.txt"), "--samples", "5000", "--seed", "4"]
+    outs = []
+    for threads in ("1", "2"):
+        proc = _fresh_python("-m", "slzkit.cli", *argv, env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].startswith("loss=") and outs[0] == outs[1]
 
 
 def test_import_slzkit_loads_no_submodule_and_no_numpy():
