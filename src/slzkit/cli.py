@@ -91,11 +91,13 @@ def _open_plane(path, what, channels=1):
 
 def _read_frame(args):
     """The mask (--mask or binarized --logits) of a frame and the
-    ``(areas, included)`` planes of :func:`geometry.pixel_areas`.
+    ``(areas, included)`` planes of :func:`geometry.pixel_areas` a band of
+    rows at a time, as :func:`slz.region_stats` takes them.
 
-    The depth, normals and logits are read a band of rows at a time, so
-    no whole input raster is held: the labeller paints its (H, W) id plane
-    beside the mask and the area planes alone."""
+    The depth, normals and logits are read a band of rows at a time, and
+    each band's area planes are formed when the region sums reach it, so
+    no whole input raster, area plane or region id plane is held: only
+    the mask and the labeller's run table are whole."""
     from . import camera, geometry, slz
     from . import io as slzio
 
@@ -108,7 +110,7 @@ def _read_frame(args):
     if mask.shape != depth.shape:
         raise ShapeMismatchError(f"mask shape {mask.shape} != depth shape {depth.shape}")
     normals = None if args.derive_normals else _open_plane(args.normals, "normals", 3)
-    return mask, geometry.pixel_areas(depth, normals, intr, args.n_z_min)
+    return mask, geometry._area_bands(depth, normals, intr, args.n_z_min)
 
 
 def _csv_out(rows):
@@ -129,7 +131,7 @@ def cmd_area(args):
     from . import slz
 
     mask, planes = _read_frame(args)
-    stats = slz.region_stats(mask, *planes)
+    stats = slz.region_stats(mask, planes)
     sel = np.arange(len(stats))
     if args.region_id is not None:
         if not 1 <= args.region_id <= len(sel):
@@ -149,7 +151,7 @@ def cmd_candidates(args):
     mask, planes = _read_frame(args)
     if args.dilate:
         mask = slz.dilate_unsafe(mask, args.dilate)
-    order, stats = slz.top_k_candidates(mask, *planes, args.k)
+    order, stats = slz.top_k_candidates(mask, planes, args.k)
     _csv_out([("region", "min_row", "min_col", "max_row", "max_col", "pixels", "excluded",
                "area_m2"), *_region_rows(stats, order, *stats.bbox[order].T)])
 
@@ -287,12 +289,12 @@ def cmd_loss_vnl(args):
 
     intr = camera.read_intrinsics(args.intrinsics)
     pred, gt = _open_plane(args.pred, "depth"), _open_plane(args.gt, "depth")
-    _print_loss(losses.virtual_normal_loss(pred[:], gt[:], intr, args.samples, args.seed))
+    _print_loss(losses.virtual_normal_loss(pred, gt, intr, args.samples, args.seed))
 
 
 class _Steps(Sequence):
-    """The rasters of a step sequence's files, each read when indexed, so
-    that a loss holds one step at a time."""
+    """The rasters of a step sequence's files, each opened when indexed as
+    an io.RasterRows, which the loss reads a band of rows at a time."""
 
     def __init__(self, paths, what, channels=1):
         self._paths, self._what, self._channels = paths, what, channels
@@ -301,7 +303,7 @@ class _Steps(Sequence):
         return len(self._paths)
 
     def __getitem__(self, t):
-        return _open_plane(self._paths[t], self._what, self._channels)[:]
+        return _open_plane(self._paths[t], self._what, self._channels)
 
 
 def _read_valid(args):
@@ -317,12 +319,12 @@ def _print_loss_and_check(args, loss, grads, *seqs):
     ``loss(*seqs)`` is the loss value, one per raster where an entry is a
     stack, and ``grads(*seqs)[j][i]`` its analytic gradient with respect to
     ``seqs[j][i]``. Without --grad-check the loss reads each sequence's
-    steps as it reaches them; with it, every step is read first.
+    steps as it reaches them; with it, every step is read whole first.
     """
     from . import losses
 
     if args.grad_check:
-        seqs = [list(seq) for seq in seqs]
+        seqs = [[step[:] for step in seq] for seq in seqs]
     _print_loss(loss(*seqs))
     if not args.grad_check:
         return
@@ -342,9 +344,11 @@ def _print_loss_and_check(args, loss, grads, *seqs):
 def cmd_loss_sequential(args):
     from . import losses
 
-    # both are checked before either is read
+    # both are checked before either is read; the loss reads them a band
+    # of rows at a time, the check whole
     gt_d, gt_c = _open_plane(args.gt_depth, "depth"), _open_plane(args.gt_conf, "confidence")
-    gt_d, gt_c = gt_d[:], gt_c[:]
+    if args.grad_check:
+        gt_d, gt_c = gt_d[:], gt_c[:]
     valid = _read_valid(args)
     _print_loss_and_check(
         args, lambda d, c: losses.sequential_depth_loss(d, c, gt_d, gt_c, args.gamma, valid),

@@ -40,8 +40,15 @@ def _ray_xy(u, v, intr: CameraIntrinsics):
 
 def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
     """Camera-frame float64 points, shape rows.shape + (3,), of the given
-    pixels of a depth raster; invalid depths yield garbage points."""
-    d = depth[rows, cols].astype(np.float64)
+    pixels of a depth raster, which may be an io.RasterRows: its depths are
+    gathered a band of rows (:func:`_row_bands`) at a time. Invalid depths
+    yield garbage points."""
+    depth = _row_source(depth)
+    d = np.empty(rows.shape)
+    for band in _row_bands(depth.shape):
+        at = (rows >= band.start) & (rows < band.stop)
+        if at.any():
+            d[at] = depth[band][rows[at] - band.start, cols[at]]
     xs, ys = _ray_xy(cols.astype(np.float64), rows.astype(np.float64), intr)
     return np.stack([d * xs, d * ys, d], axis=-1)
 
@@ -260,12 +267,31 @@ def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
     the (H, W, 3) normals of the depth raster, or None for those derived
     from the depth, bit for bit :func:`normals_from_depth`. n_z_min must be
     in (0, 1]. This is the one home of the area rule: :func:`region_area`
-    and the region kernels of :mod:`slzkit.slz` take its two planes.
+    takes its two planes, and the region kernels of :mod:`slzkit.slz` take
+    them a band of rows at a time from :func:`_area_bands`.
 
     The planes are formed a band of rows at a time, as are the derived
     normals, and depth and ``normals`` may be io.RasterRows, read by rows:
     no whole-frame normals, |n_z| or float64 depth plane is held.
     """
+    d, normals = _area_sources(depth, normals, n_z_min)
+    areas, included = np.empty(d.shape), np.empty(d.shape, dtype=bool)
+    for rows in _row_bands(d.shape):
+        areas[rows], included[rows] = _area_band(d, normals, intr, n_z_min, rows)
+    return areas, included
+
+
+def _area_bands(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
+    """The ``(areas, included)`` planes of :func:`pixel_areas`, one pair for
+    each band of :func:`_row_bands`, top to bottom, each formed when the
+    iterator reaches it; the inputs are checked now. No plane of the whole
+    frame is held."""
+    d, normals = _area_sources(depth, normals, n_z_min)
+    return (_area_band(d, normals, intr, n_z_min, rows) for rows in _row_bands(d.shape))
+
+
+def _area_sources(depth, normals, n_z_min):
+    """The depth and normals of :func:`pixel_areas` as row sources, checked."""
     d = _depth_stack(depth) if normals is None else _row_source(depth)
     if not 0 < n_z_min <= 1:
         raise ValueError(f"n_z_min must be in (0, 1], got {n_z_min}")
@@ -276,45 +302,53 @@ def pixel_areas(depth, normals, intr: CameraIntrinsics, n_z_min=DEFAULT_NZ_MIN):
         if normals.shape != d.shape + (3,):
             raise ShapeMismatchError(
                 f"normals shape {normals.shape} incompatible with depth {d.shape}")
-    areas, included = np.empty(d.shape), np.empty(d.shape, dtype=bool)
-    for rows in _row_bands(d.shape):
-        if normals is None:
-            # a derived n_z is NaN off the normals (see _NormalPlanes.scale),
-            # which fails the n_z_min test as normals_from_depth's 0 does
-            f = _normal_planes(d, intr, rows)
-            nz = np.abs(f.cross[2] * f.scale)
-        else:
-            nz = np.abs(normals[rows][..., 2], dtype=np.float64)
-        d_b, inc, a = d[rows], included[rows], areas[rows]
-        np.logical_and(valid_depth_mask(d_b), nz >= n_z_min, out=inc)
-        nz *= intr.fx * intr.fy
-        # d^2, divided in place where included and zeroed elsewhere
-        np.square(d_b, out=a, dtype=np.float64)
-        np.divide(a, nz, out=a, where=inc)
-        a[~inc] = 0.0
-    return areas, included
+    return d, normals
 
 
-def _area_sums(ids, bins, areas, included):
+def _area_band(d, normals, intr, n_z_min, rows):
+    """The (areas, included) planes of frame rows ``rows``."""
+    if normals is None:
+        # a derived n_z is NaN off the normals (see _NormalPlanes.scale),
+        # which fails the n_z_min test as normals_from_depth's 0 does
+        f = _normal_planes(d, intr, rows)
+        nz = np.abs(f.cross[2] * f.scale)
+    else:
+        nz = np.abs(normals[rows][..., 2], dtype=np.float64)
+    d_b = d[rows]
+    inc = np.logical_and(valid_depth_mask(d_b), nz >= n_z_min)
+    nz *= intr.fx * intr.fy
+    # d^2, divided in place where included and zeroed elsewhere
+    a = np.square(d_b, dtype=np.float64)
+    np.divide(a, nz, out=a, where=inc)
+    a[~inc] = 0.0
+    return a, inc
+
+
+def _area_sums(bins, bands):
     """``(area, pixel_count, excluded_count)`` arrays of ids 1 .. bins - 1
-    of an (H, W) id plane, 0 = no region, from the planes of
-    :func:`pixel_areas`, which must be of the id plane's shape.
+    from ``(ids, areas, included)`` triples of successive bands of rows:
+    the band's id plane, 0 = no region, and the planes of
+    :func:`pixel_areas` for its rows, which must be of its shape.
 
     Each id's area adds its pixels' areas one at a time in flat row-major
-    order: the one summation rule of every region area.
+    order, band after band (``np.add.at``): the one summation rule of
+    every region area, whatever the bands.
     """
-    areas, included = np.asarray(areas), np.asarray(included)
-    if areas.shape != ids.shape:
-        raise ShapeMismatchError(f"areas must be a plane of shape {ids.shape}, "
-                                 f"got shape {areas.shape}")
-    if included.dtype != bool or included.shape != ids.shape:
-        raise ShapeMismatchError(f"included must be a boolean plane of shape {ids.shape}, "
-                                 f"got {included.dtype} of shape {included.shape}")
-    flat = ids.ravel()
-    area = np.bincount(flat, weights=areas.ravel(), minlength=bins)[1:]
-    size = np.bincount(flat, minlength=bins)[1:]
-    excluded = np.bincount(flat[~included.ravel()], minlength=bins)[1:]
-    return area, size - excluded, excluded
+    area = np.zeros(bins)
+    size, excluded = np.zeros(bins, np.intp), np.zeros(bins, np.intp)
+    for ids, areas, included in bands:
+        areas, included = np.asarray(areas), np.asarray(included)
+        if areas.shape != ids.shape:
+            raise ShapeMismatchError(f"areas must be a plane of shape {ids.shape}, "
+                                     f"got shape {areas.shape}")
+        if included.dtype != bool or included.shape != ids.shape:
+            raise ShapeMismatchError(f"included must be a boolean plane of shape {ids.shape}, "
+                                     f"got {included.dtype} of shape {included.shape}")
+        flat = ids.ravel()
+        np.add.at(area, flat, areas.ravel())
+        size += np.bincount(flat, minlength=bins)
+        excluded += np.bincount(flat[~included.ravel()], minlength=bins)
+    return area[1:], size[1:] - excluded[1:], excluded[1:]
 
 
 def region_area(region, areas, included):
@@ -326,11 +360,12 @@ def region_area(region, areas, included):
     Pixels outside ``included`` (invalid depth or |n_z| < n_z_min) are
     skipped and reported in ``excluded_count``. The area adds the pixels'
     float64 areas one at a time in row-major raster order, as
-    :func:`slzkit.slz.region_stats` does for each region.
+    :func:`slzkit.slz.region_stats` does for each region: the whole frame
+    is one band of its reduction.
     """
     region, shape = np.asarray(region), np.shape(areas)
     if region.dtype != bool or region.shape != shape:
         raise ShapeMismatchError(f"region must be a boolean mask of shape {shape}, "
                                  f"got {region.dtype} of shape {region.shape}")
-    area, count, excluded = _area_sums(region, 2, areas, included)
+    area, count, excluded = _area_sums(2, [(region.view(np.uint8), areas, included)])
     return AreaReport(float(area[0]), int(count[0]), int(excluded[0]))

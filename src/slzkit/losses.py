@@ -21,8 +21,11 @@ may also be :class:`slzkit.io.RasterRows`.
 The sequential and cross-entropy losses take their steps as any sequence
 with len and indexing. They index step t once, when they reach it, and drop
 its arrays before step t + 1, so a sequence that reads each raster from its
-file when indexed holds one step at a time. Both add their per-step means
-with `decayed_sum`.
+file when indexed holds one step at a time. A step, a ground truth and the
+VNL depths may also be :class:`slzkit.io.RasterRows`: these losses read
+every raster a band of rows at a time and average through
+:class:`_StreamedMean`, so a frame read from files is never held whole.
+Both temporal losses add their per-step means with `decayed_sum`.
 """
 
 from __future__ import annotations
@@ -71,25 +74,26 @@ def _kept(mask, count):
     return slice(None) if count == mask.size else mask.ravel()
 
 
-def _valid_set(valid, shape):
-    """``(mask, count, index)`` of the pixels a loss averages over: those
-    nonzero in `valid`, or all of them when it is None; the index is
-    :func:`_kept`'s."""
-    v = np.ones(shape, dtype=bool) if valid is None else np.asarray(valid) != 0
+def _valid_count(valid, shape):
+    """``(valid, n)``: the valid mask as an array (None for every pixel) and
+    the number of pixels a loss averages over, those nonzero in it."""
+    if valid is None:
+        return None, shape[0] * shape[1]
+    v = np.asarray(valid)
     if v.shape != shape:
         raise ShapeMismatchError(f"valid mask shape {v.shape} != raster shape {shape}")
-    n = int(v.sum())
+    n = int(np.count_nonzero(v))
     if n == 0:
         raise DegenerateInputError("empty valid set")
-    return v, n, _kept(v, n)
+    return v, n
 
 
 def _batch(x, shape, lead, what):
     """The batch shape of a prediction input x: () for one raster of
     `shape`, (b,) for a stack of b of them. `lead` is the batch shape of
     the call's inputs so far, which a stack must match; None allows no
-    stack (the gradients take one raster)."""
-    got = x.shape[:max(x.ndim - len(shape), 0)]
+    stack (the gradients take one raster). Only ``x.shape`` is read."""
+    got = x.shape[:max(len(x.shape) - len(shape), 0)]
     stack_ok = lead is not None and len(got) == 1 and got[0] > 0 and lead in ((), got)
     if x.shape[len(got):] != shape or got and not stack_ok:
         raise ShapeMismatchError(f"{what} shape {x.shape}, expected {shape}"
@@ -97,13 +101,98 @@ def _batch(x, shape, lead, what):
     return got or lead
 
 
+def _band(x, rows, ndim):
+    """Rows ``rows`` of a raster of `ndim` axes (a row source), or of each
+    raster of a stack of them."""
+    return x[:, rows] if len(x.shape) > ndim else x[rows]
+
+
+def _kept_values(x, valid, rows):
+    """The values of the band ``x`` (lead + (rows, W), float64, C order) at
+    the valid pixels of ``rows``, row-major, as lead + (k,) with each
+    raster's values contiguous: a stack's gather comes out column-major,
+    and is made row-major so that each raster's values sum as one raster's."""
+    if valid is None:
+        return x.reshape(x.shape[:-2] + (-1,))
+    return np.ascontiguousarray(x[..., valid[rows] != 0])
+
+
 def _mean(x, kept):
-    """Mean of the kept pixels (see :func:`_valid_set`) over x's trailing
+    """Mean of the kept pixels (see :func:`_kept`) over x's trailing
     (H, W) axes: a float64 for one raster, one per raster of a stack. A
     stack's gather is made row-contiguous, so that each row is summed
     pairwise as one raster is; a column-major gather sums it sequentially."""
     rows = x.reshape(x.shape[:-2] + (-1,))[..., kept]
     return np.ascontiguousarray(rows).mean(axis=-1)
+
+
+# numpy adds a contiguous float64 run pairwise: a run of more than 128
+# values splits at n // 2 - (n // 2) % 8 into two runs, each added alike,
+# and their sums are added. _StreamedMean cuts its n values along that tree.
+_PAIRWISE_BLOCK = 128
+# values of one leaf of a streamed mean, the most it buffers: 256 KiB of
+# float64, about a row band (geometry._BAND_ELEMENTS)
+_MEAN_LEAF = 2 ** 15
+
+
+def _leaves(n, leaf):
+    """The sizes, in order, of the subtrees of at most `leaf` (>= 128)
+    values that numpy's pairwise tree over n values splits into."""
+    if n <= leaf:
+        return [n]
+    half = n // 2 - n // 2 % 8
+    return _leaves(half, leaf) + _leaves(n - half, leaf)
+
+
+def _tree_sum(n, leaf, sums):
+    """The sums of the :func:`_leaves` of n values (an iterator, in order)
+    added up numpy's pairwise tree."""
+    if n <= leaf:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _tree_sum(half, leaf, sums) + _tree_sum(n - half, leaf, sums)
+
+
+class _StreamedMean:
+    """The mean of n float64 values that arrive in order, a run at a time,
+    bit for bit ``np.mean`` of the n values in one contiguous array.
+
+    The values are cut into the subtrees (leaves) of numpy's pairwise tree
+    of at most ``leaf`` values (``_MEAN_LEAF`` by default, and never fewer
+    than numpy's 128); each leaf is summed by ``np.add.reduce``
+    where it lies when a run holds it whole, else once its values are
+    gathered in one leaf buffer; the leaf sums are added up the tree. A
+    run may be lead + (k,), one row per raster of a stack, each row
+    contiguous, which gives one mean per raster. Never reduce float32
+    with ``dtype=``: that reduction is buffered and adds in another order.
+    """
+
+    def __init__(self, n, lead=(), leaf=None):
+        self._n, self._leaf = n, max(leaf or _MEAN_LEAF, _PAIRWISE_BLOCK)
+        self._sizes = _leaves(n, self._leaf)
+        self._buf = np.empty(lead + (max(self._sizes),))
+        self._fill = 0
+        self._sums = []
+
+    def add(self, values):
+        """Take the next run of values, lead + (k,) float64."""
+        k, i = values.shape[-1], 0
+        while i < k:
+            size = self._sizes[len(self._sums)]
+            take = min(size - self._fill, k - i)
+            run = values[..., i:i + take]
+            i += take
+            if take < size:
+                self._buf[..., self._fill:self._fill + take] = run
+                self._fill += take
+                if self._fill < size:
+                    continue
+                run, self._fill = self._buf[..., :size], 0
+            self._sums.append(np.add.reduce(run, axis=-1))
+
+    def mean(self):
+        """The mean of all n values: a float64, or one per raster of a stack."""
+        return _tree_sum(self._n, self._leaf, iter(self._sums)) / self._n
 
 
 def _value(total):
@@ -136,20 +225,31 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     counter-based Philox stream keyed by `seed`, so the exact sequence can
     be replayed by an independent checker. Triplets whose backprojected
     points are near-collinear in either raster are rejected and redrawn.
+    Both rasters may be io.RasterRows: the valid mask is formed and each
+    batch's depths are gathered a band of rows at a time.
 
     Returns an (n_samples, 3, 2) int array of (row, col) coordinates.
     """
-    dp, dg = np.asarray(d_pred), np.asarray(d_gt)
-    if dp.shape != dg.shape or dp.ndim != 2:
+    return _sample(d_pred, d_gt, intr, n_samples, seed)[0]
+
+
+def _sample(d_pred, d_gt, intr, n_samples, seed):
+    """:func:`sample_triplets`'s triplets and the (n_samples, 3, 3) points
+    of each through the predicted and through the ground-truth depth."""
+    dp, dg = _row_source(d_pred), _row_source(d_gt)
+    if dp.shape != dg.shape or len(dp.shape) != 2:
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    valid = valid_depth_mask(dp) & valid_depth_mask(dg)
+    valid = np.empty(dp.shape, dtype=bool)
+    for rows in _row_bands(dp.shape):
+        np.logical_and(valid_depth_mask(dp[rows]), valid_depth_mask(dg[rows]), out=valid[rows])
     n = int(np.count_nonzero(valid))
     if n == 0:
         raise DegenerateInputError("no pixel is valid in both depth rasters")
     # the flat indices of the valid pixels; draws index them, or are them
     pixels = None if n == valid.size else np.flatnonzero(valid)
+    del valid
     rng = np.random.Generator(np.random.Philox(seed))
     limit = 100 * n_samples
     batches = []
@@ -168,12 +268,12 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
         tri = np.stack(np.divmod(drawn, dp.shape[1]), axis=-1).reshape(k, 3, 2)
         attempts += k
         rows, cols = tri[..., 0], tri[..., 1]
-        rejected = (_collinear(_backproject_pixels(dg, rows, cols, intr))
-                    | _collinear(_backproject_pixels(dp, rows, cols, intr)))
-        tri = tri[~rejected][:n_samples - accepted]
-        batches.append(tri)
-        accepted += len(tri)
-    return np.concatenate(batches)
+        pts_g = _backproject_pixels(dg, rows, cols, intr)
+        pts_p = _backproject_pixels(dp, rows, cols, intr)
+        keep = np.flatnonzero(~(_collinear(pts_g) | _collinear(pts_p)))[:n_samples - accepted]
+        batches.append((tri[keep], pts_p[keep], pts_g[keep]))
+        accepted += len(keep)
+    return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
 def _plane_normals(pts):
@@ -188,10 +288,8 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     Each triplet of pixels is backprojected through both the predicted and
     the ground-truth depth; the loss compares the normals of the two planes.
     """
-    tri = sample_triplets(d_pred, d_gt, intr, n_samples, seed)
-    rows, cols = tri[..., 0], tri[..., 1]
-    n_p = _plane_normals(_backproject_pixels(np.asarray(d_pred), rows, cols, intr))
-    n_g = _plane_normals(_backproject_pixels(np.asarray(d_gt), rows, cols, intr))
+    _, pts_p, pts_g = _sample(d_pred, d_gt, intr, n_samples, seed)
+    n_p, n_g = _plane_normals(pts_p), _plane_normals(pts_g)
     return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
 
 
@@ -215,29 +313,32 @@ def _sequential(d_preds, conf_preds, d_gt, c_gt, gamma, valid, need_grad):
             f"{len(d_preds)} depth steps != {len(conf_preds)} confidence steps")
     if len(d_preds) == 0:
         raise DegenerateInputError("empty prediction sequence")
-    dg, cg = np.asarray(d_gt), np.asarray(c_gt)
+    dg, cg = _row_source(d_gt), _row_source(c_gt)
     if dg.shape != cg.shape:
         raise ShapeMismatchError(f"d_gt shape {dg.shape} != c_gt shape {cg.shape}")
-    v, n, kept = _valid_set(valid, dg.shape)
+    v, n = _valid_count(valid, dg.shape)
 
     lead = None if need_grad else ()
     means, grads_d, grads_c = [], [], []
-    # one float64 residual plane serves both inputs of every step: the
-    # residual of each input as read, with no float64 copy of it
-    r = np.empty(0)
     for t, decay in enumerate(_decays(gamma, len(d_preds) - 1)):
         step = []
         for preds, gt, what, grads in ((d_preds, dg, "depth", grads_d),
                                        (conf_preds, cg, "confidence", grads_c)):
-            x = np.asarray(preds[t])
+            x = _row_source(preds[t])
             lead = _batch(x, dg.shape, lead, f"step {t}: {what}")
-            if r.shape != x.shape:
-                r = np.empty(x.shape)
-            np.subtract(x, gt, out=r, dtype=np.float64)
-            del x  # before the next read
+            mean = _StreamedMean(n, x.shape[:-2])
             if need_grad:
-                grads.append(np.where(v, decay * np.sign(r) / n, 0.0))
-            step.append(_mean(np.abs(r, out=r), kept))
+                grads.append(np.empty(dg.shape))
+            # the float64 residual of each input band as read, with no
+            # float64 copy of the input
+            for rows in _row_bands(x.shape):
+                r = np.subtract(_band(x, rows, 2), gt[rows], dtype=np.float64)
+                if need_grad:
+                    g = decay * np.sign(r) / n
+                    grads[-1][rows] = g if v is None else np.where(v[rows] != 0, g, 0.0)
+                mean.add(_kept_values(np.abs(r, out=r), v, rows))
+            del x  # before the next read
+            step.append(mean.mean())
         means.append(step[0] + step[1])
     return _value(decayed_sum(means, gamma)), grads_d, grads_c
 
@@ -357,34 +458,27 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
     if len(logit_seq) == 0:
         raise DegenerateInputError("empty logit sequence")
     lab = _check_mask(labels, "labels")
-    v, n, kept = _valid_set(valid, lab.shape)
+    v, n = _valid_count(valid, lab.shape)
     decays = _decays(gamma, len(logit_seq) - 1)
-    safe = lab == 0
-    unsafe = ~safe
     lead = None if need_grad else ()
     means, grads = [], []
-    # One float64 term plane serves every step of one shape, and two band
-    # buffers serve every row band (geometry._row_bands) of it. In a band the
-    # logits become their exponentials in place, the first in the term
-    # plane's rows, and the larger logit their sum.
-    term = np.empty(0)
     for t, decay in enumerate(decays):
-        z = np.asarray(logit_seq[t])
+        z = _row_source(logit_seq[t])
         lead = _batch(z, lab.shape + (2,), lead, f"step {t}: logits")
-        if term.shape != z.shape[:-1]:
-            term = np.empty(z.shape[:-1])
-            bands = list(_row_bands(term.shape))
-            e1_buf, s_buf = (np.empty(term[..., bands[0], :].shape) for _ in range(2))
+        mean = _StreamedMean(n, z.shape[:-3])
         if need_grad:
             grads.append(np.empty(z.shape))
-        for rows in bands:
-            e0 = term[..., rows, :]
-            e1, s = e1_buf[..., :e0.shape[-2], :], s_buf[..., :e0.shape[-2], :]
-            safe_b, unsafe_b = safe[rows], unsafe[rows]
+        # a row band (geometry._row_bands) at a time: the logits become
+        # their exponentials in place and the larger logit their sum
+        for rows in _row_bands(z.shape[:-1]):
+            z_b = _band(z, rows, 3)
+            e0 = z_b[..., 0].astype(np.float64)
+            e1 = z_b[..., 1].astype(np.float64)
+            del z_b
+            safe = lab[rows] == 0
+            unsafe = ~safe
             # two-class softmax, stabilized by the larger logit
-            np.copyto(e0, z[..., rows, :, 0])
-            np.copyto(e1, z[..., rows, :, 1])
-            np.maximum(e0, e1, out=s)
+            s = np.maximum(e0, e1)
             e0 -= s
             np.exp(e0, out=e0)
             e1 -= s
@@ -392,19 +486,21 @@ def _slz(logit_seq, labels, cw, gamma, valid, need_grad):
             np.add(e0, e1, out=s)
             if need_grad:
                 # d loss / d z_c = (decay / n) w (p_c - [c is the label]) on the valid pixels
-                for c, (e, label) in enumerate(((e0, safe_b), (e1, unsafe_b))):
+                for c, (e, label) in enumerate(((e0, safe), (e1, unsafe))):
                     g = np.divide(e, s, out=grads[-1][rows, :, c])
                     g -= label
-                    np.copyto(g, 0.0, where=~v[rows])
-                    _class_weighted(g, safe_b, unsafe_b,
+                    if v is not None:
+                        np.copyto(g, 0.0, where=v[rows] == 0)
+                    _class_weighted(g, safe, unsafe,
                                     (decay / n) * cw.w_safe, (decay / n) * cw.w_unsafe)
             # w * log(max(p_true, floor)) per pixel, into e0
-            np.copyto(e0, e1, where=unsafe_b)
+            np.copyto(e0, e1, where=unsafe)
             e0 /= s
             np.log(np.maximum(e0, _LOG_FLOOR, out=e0), out=e0)
-            _class_weighted(e0, safe_b, unsafe_b, cw.w_safe, cw.w_unsafe)
+            mean.add(_kept_values(_class_weighted(e0, safe, unsafe, cw.w_safe, cw.w_unsafe),
+                                  v, rows))
         del z  # before the next step's read
-        means.append(-_mean(term, kept))  # the loss is minus the term's mean
+        means.append(-mean.mean())  # the loss is minus the term's mean
     return _value(decayed_sum(means, gamma)), grads
 
 

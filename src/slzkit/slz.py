@@ -125,27 +125,44 @@ def connected_components(mask):
     return Labelling(m.shape, *_label(m))
 
 
-def region_stats(mask, areas, included):
+def region_stats(mask, planes):
     """Area, pixel counts and bbox of every safe region, from one labelling pass.
 
-    ``areas`` and ``included`` are the planes of
-    :func:`slzkit.geometry.pixel_areas`, of the mask's shape. Region ids
-    are those of :func:`connected_components`; each region's area, pixel
-    count and excluded count equal those of
-    :func:`slzkit.geometry.region_area` over its pixels, bit for bit.
+    ``planes`` are the ``(areas, included)`` planes of
+    :func:`slzkit.geometry.pixel_areas` in bands of whole rows of the mask,
+    top to bottom: an iterable of pairs, each band's height that of its
+    ``areas``. A whole-frame pair is one band (``[pixel_areas(...)]``).
+    Each band's region ids are painted in turn, so no plane of the whole
+    frame is held beyond the mask. Region ids are those of
+    :func:`connected_components`; each region's area, pixel count and
+    excluded count equal those of :func:`slzkit.geometry.region_area` over
+    its pixels, bit for bit, however the rows are banded.
     """
     lab = connected_components(mask)
-    sums = _area_sums(lab.labels(), len(lab) + 1, areas, included)
+    (height, width), row = lab.shape, lab.runs[0]
+
+    def bands():
+        top = 0
+        for areas, included in planes:
+            stop = min(top + len(areas), height)
+            lo, hi = np.searchsorted(row, (top, stop))
+            run_rows, start, end, label = lab.runs[:, lo:hi]
+            yield _paint(run_rows - top, start, end, label, (stop - top, width)), areas, included
+            top = stop
+        if top != height:
+            raise ShapeMismatchError(f"the area planes cover {top} rows of the mask's {height}")
+
+    sums = _area_sums(len(lab) + 1, bands())
     return RegionStats(lab.shape, lab.runs, lab.bbox, *sums)
 
 
-def top_k_candidates(mask, areas, included, k):
-    """``(order, stats)``: the :func:`region_stats` of the mask and the rows of
-    its k largest regions by area (descending, id breaks ties); row i is
-    region id i + 1."""
+def top_k_candidates(mask, planes, k):
+    """``(order, stats)``: the :func:`region_stats` of the mask and its area
+    planes, and the rows of its k largest regions by area (descending, id
+    breaks ties); row i is region id i + 1."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    stats = region_stats(mask, areas, included)
+    stats = region_stats(mask, planes)
     # a stable sort on -area keeps equal areas in ascending id order
     return np.argsort(-stats.area, kind="stable")[:k], stats
 

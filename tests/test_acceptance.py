@@ -239,7 +239,7 @@ def test_c08_post_processing():
     depth[2:6, 2:6] = 8.0  # small blob made large by depth
     normals = np.zeros((32, 32, 3))
     normals[..., 2] = -1.0
-    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k=5)
+    order, stats = top_k_candidates(mask, [pixel_areas(depth, normals, INTR)], k=5)
     brute = []
     for pixels in oracles.flood_fill_components(mask):
         area = sum(depth[r, c] ** 2 / (100.0 * 100.0) for r, c in pixels)

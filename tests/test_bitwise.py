@@ -13,7 +13,7 @@ import pytest
 import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError
-from slzkit import geometry
+from slzkit import geometry, losses
 from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
@@ -175,8 +175,9 @@ def streamed(read, files):
 
 
 def read_frames(files):
-    """cli._read_frame's (mask, areas, included) of the frame's files with
-    given and derived normals, and a mask or logits: four calls."""
+    """cli._read_frame's mask and its banded (areas, included) planes, put
+    together, of the frame's files with given and derived normals, and a
+    mask or logits: four calls."""
     frames = []
     for normals in (["--normals", files["normals"]], ["--derive-normals"]):
         for source in (["--mask", files["mask"]], ["--logits", files["logits"]]):
@@ -184,8 +185,8 @@ def read_frames(files):
                 "candidates", "--depth", str(files["depth"]), "--intrinsics",
                 str(files["intrinsics"]), *map(str, normals + source)])
             _fill_defaults(args)
-            mask, planes = _read_frame(args)
-            frames.append((mask, *planes))
+            mask, bands = _read_frame(args)
+            frames.append((mask, *(np.concatenate(p) for p in zip(*bands))))
     return frames
 
 
@@ -389,8 +390,8 @@ def test_normals_and_areas_of_float32_rasters_match_their_float64_cast(seed):
     areas64, included64 = pixel_areas(d64, n64, INTR)
     assert same_bits(areas32, areas64) and np.array_equal(included32, included64)
     mask = (rng.uniform(size=d32.shape) < 0.3).astype(np.uint8)
-    got = region_stats(mask, *pixel_areas(d32, n32, INTR))
-    want = region_stats(mask, *pixel_areas(d64, n64, INTR))
+    got = region_stats(mask, [pixel_areas(d32, n32, INTR)])
+    want = region_stats(mask, [pixel_areas(d64, n64, INTR)])
     assert np.array_equal(got.labels(), want.labels()) and np.array_equal(got.bbox, want.bbox)
     assert same_bits(got.area, want.area)
     assert np.array_equal(got.pixel_count, want.pixel_count)
@@ -517,3 +518,92 @@ def test_collinear_test_matches_loop_sampler_at_the_threshold():
     pts = np.concatenate([np.zeros((len(edges), 1, 3)), edges], axis=1)
     want = [bool(oracles._degenerate_triplet(p)) for p in pts]
     assert _collinear(pts).tolist() == want
+
+
+# --- the streamed losses and region sums under band cuts ---------------------
+
+def rows_of(tmp_path, **rasters):
+    """Each raster written as a float32 F32R file and opened for reading by
+    rows, with its float64 cast, the values the reader gives."""
+    out = {}
+    for name, raster in rasters.items():
+        sio.write_raster(raster, tmp_path / f"{name}.f32r")
+        out[name] = sio.RasterRows(tmp_path / f"{name}.f32r")
+    return out, {name: r[:].astype(np.float64) for name, r in out.items()}
+
+
+def vnl_ref(d_pred, d_gt, intr, n_samples, seed):
+    """The VNL value of the oracle's triplets: their points through each
+    depth, then the mean distance of the two planes' unit normals."""
+    tri = oracles.sample_triplets_ref(d_pred, d_gt, intr, n_samples, seed)
+    rows, cols = tri[..., 0], tri[..., 1]
+
+    def plane_normals(depth):
+        z = depth[rows, cols]
+        p = np.stack([z * ((cols - intr.cx) / intr.fx), z * ((rows - intr.cy) / intr.fy), z], -1)
+        cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        return cr / np.linalg.norm(cr, axis=1, keepdims=True)
+
+    return float(np.mean(np.linalg.norm(plane_normals(d_pred) - plane_normals(d_gt), axis=1)))
+
+
+def region_columns_ref(mask, depth, n_z, intr):
+    """Area, pixel and excluded columns of the oracle's regions, each area
+    added pixel by pixel in row-major order from the oracle's pixel areas."""
+    labels, bbox = oracles.label_ref(mask)
+    area, pixels, excluded = [0.0] * len(bbox), [0] * len(bbox), [0] * len(bbox)
+    for (r, c), label in np.ndenumerate(labels):
+        if label == 0:
+            continue
+        d = float(depth[r, c])
+        a = oracles.pixel_area_ref(d, float(n_z[r, c]), intr) if 0 < d < np.inf else None
+        if a is None:
+            excluded[label - 1] += 1
+        else:
+            area[label - 1] += a
+            pixels[label - 1] += 1
+    return np.array(area), np.array(pixels), np.array(excluded)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all-pixels", "valid-mask"])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_streamed_values_keep_the_oracle_bits_under_every_band_cut(monkeypatch, tmp_path, rows,
+                                                                   masked):
+    # Every raster is read by rows in bands of `rows` rows, and the loss
+    # means stream through leaves of 128 values (four leaves of the frame),
+    # so band and leaf boundaries fall everywhere. The valid mask case also
+    # puts holes in the VNL depths and the region depths.
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", rows * BAND_W)
+    monkeypatch.setattr(losses, "_MEAN_LEAF", 128)
+    shape = (BAND_H, BAND_W)
+    rng = np.random.default_rng(1200 + rows + 50 * masked)
+    depth = band_edge_depth(rows, holes=masked)
+    gt = band_edge_depth(rows, holes=masked) * (1.0 + rng.uniform(0.0, 0.1, shape))
+    labels = (rng.uniform(size=shape) < 0.4).astype(np.uint8)
+    valid = (rng.uniform(size=shape) < 0.7).astype(np.uint8) if masked else None
+    normals = normals_case(rng, shape)
+    normals[..., 2] = -np.abs(normals[..., 2])
+    steps = {f"{kind}{t}": raster for t in range(3) for kind, raster in (
+        ("logits", rng.normal(scale=6.0, size=shape + (2,))),
+        ("pred", gt + rng.normal(scale=0.1, size=shape)), ("conf", rng.uniform(size=shape)))}
+    r, a = rows_of(tmp_path, depth=depth, gt=gt, gt_conf=rng.uniform(size=shape),
+                   normals=normals, **steps)
+    r_steps, a_steps = ({k: [src[f"{k}{t}"] for t in range(3)] for k in ("logits", "pred", "conf")}
+                        for src in (r, a))
+    cw = ClassWeights(2.0, 1.0)
+    assert same_bits(slz_loss(r_steps["logits"], labels, cw, 0.9, valid),
+                     oracles.slz_loss_ref(a_steps["logits"], labels, 2.0, 1.0, 0.9, valid))
+    assert same_bits(
+        sequential_depth_loss(r_steps["pred"], r_steps["conf"], r["gt"], r["gt_conf"], 0.8, valid),
+        oracles.sequential_loss_ref(a_steps["pred"], a_steps["conf"], a["gt"], a["gt_conf"], 0.8,
+                                    valid))
+    assert same_bits(virtual_normal_loss(r["depth"], r["gt"], INTR, 40, 3),
+                     vnl_ref(a["depth"], a["gt"], INTR, 40, 3))
+    mask = (rng.uniform(size=shape) < 0.45).astype(np.uint8)
+    for n_r, n_z in ((r["normals"], a["normals"][..., 2]),
+                     (None, oracles.normal_pipeline_ref(a["depth"], INTR)[0][..., 2])):
+        stats = region_stats(mask, geometry._area_bands(r["depth"], n_r, INTR))
+        area, pixels, excluded = region_columns_ref(mask, a["depth"], n_z, INTR)
+        assert same_bits(stats.area, area)
+        assert np.array_equal(stats.pixel_count, pixels)
+        assert np.array_equal(stats.excluded_count, excluded)

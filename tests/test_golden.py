@@ -20,8 +20,11 @@ After a deliberate output change, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the names of the pins that differ from the manifest it
-replaces (or ``no pin changed``), and review those entries in the diff.
+which prints the names of the pins that differ from the manifest (or
+``no pin changed``) and rewrites it only when some pin changed; review
+those entries in the diff. A build fingerprint other than the manifest's
+is printed, one line for each part that differs, and alone rewrites
+nothing.
 """
 
 import csv
@@ -301,6 +304,29 @@ def test_manifest_covers_every_case():
     assert sorted(json.loads(MANIFEST.read_text())) == sorted([*CASES, "fingerprint"])
 
 
+def test_regeneration_rewrites_the_manifest_only_for_a_changed_pin():
+    fingerprint = {"numpy": "2.4.6", "blas": "scipy-openblas", "simd": {"found": ["AVX2"]}}
+    old = {"area-grid": {"code": 0, "stdout_sha256": "a"}, "loss-vnl": {"code": 0, "stdout": "loss=0\n"},
+           "fingerprint": fingerprint}
+    # the same pins on the same build: nothing to write
+    assert manifest_update(old, json.loads(json.dumps(old))) == (None, ["no pin changed"])
+    # another build whose pins are all byte-equal: each differing part of
+    # the fingerprint on its own line, and still nothing to write
+    other = dict(old, fingerprint=dict(fingerprint, simd={"found": ["AVX2", "AVX512_SPR"]},
+                                       numpy="2.4.7"))
+    assert manifest_update(old, other) == (None, [
+        "fingerprint numpy: manifest '2.4.6', this build '2.4.7'",
+        "fingerprint simd: manifest {'found': ['AVX2']}, this build "
+        "{'found': ['AVX2', 'AVX512_SPR']}",
+        "no pin changed"])
+    # a changed, a new and a dropped pin: the whole new manifest is written
+    pins = dict(old, **{"area-grid": {"code": 0, "stdout_sha256": "b"}, "evaluate": {"code": 2}})
+    del pins["loss-vnl"]
+    assert manifest_update(old, pins) == (pins, ["changed: area-grid, evaluate, loss-vnl"])
+    # a first regeneration, with no manifest, writes every pin
+    assert manifest_update({}, old)[0] == old
+
+
 def _key_values(text):
     return dict(line.split("=", 1) for line in text.splitlines())
 
@@ -343,6 +369,21 @@ def test_resumed_refinement_equals_the_direct_run(root):
     assert [direct[n] for n in shared] == [resumed[n] for n in shared]
 
 
+def manifest_update(old, pins):
+    """``(manifest, lines)`` of a regeneration: the manifest to write, None
+    when every pin of ``pins`` (the cases and this build's ``fingerprint``)
+    equals that of the manifest ``old``, the fingerprint aside, and the
+    lines to print: one for each part of the fingerprint that differs,
+    then the changed pins or ``no pin changed``."""
+    want, got = old.get("fingerprint", {}), pins["fingerprint"]
+    lines = [f"fingerprint {key}: manifest {want.get(key)!r}, this build {got.get(key)!r}"
+             for key in sorted(want.keys() | got.keys()) if want.get(key) != got.get(key)]
+    changed = sorted(name for name in (pins.keys() | old.keys()) - {"fingerprint"}
+                     if pins.get(name) != old.get(name))
+    lines.append(f"changed: {', '.join(changed)}" if changed else "no pin changed")
+    return (pins if changed else None), lines
+
+
 def regenerate():
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -350,10 +391,12 @@ def regenerate():
         build_inputs(root)
         pins = {name: run_case(root, name) for name in CASES}
     pins["fingerprint"] = build_fingerprint()
-    MANIFEST.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(pins)} pins to {os.path.relpath(MANIFEST)}", file=sys.stderr)
-    changed = sorted(name for name in pins.keys() | old.keys() if pins.get(name) != old.get(name))
-    print(f"changed: {', '.join(changed)}" if changed else "no pin changed", file=sys.stderr)
+    manifest, lines = manifest_update(old, pins)
+    if manifest is not None:
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        lines.insert(0, f"wrote {len(manifest)} pins to {os.path.relpath(MANIFEST)}")
+    for line in lines:
+        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

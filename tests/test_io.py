@@ -346,8 +346,8 @@ _PLANES = pixel_areas(_DEPTH, _NORMALS, _INTR)
 # consumer -> (the argument it names, a call that passes the mask there)
 MASK_CONSUMERS = {
     "connected_components": ("mask", connected_components),
-    "region_stats": ("mask", lambda m: region_stats(m, *_PLANES)),
-    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, *_PLANES, 3)),
+    "region_stats": ("mask", lambda m: region_stats(m, [_PLANES])),
+    "top_k_candidates": ("mask", lambda m: top_k_candidates(m, [_PLANES], 3)),
     "dilate_unsafe": ("mask", lambda m: dilate_unsafe(m, 1)),
     "confusion-pred": ("pred", lambda m: confusion(m, _OK)),
     "confusion-gt": ("gt", lambda m: confusion(_OK, m)),

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from slzkit import geometry
 from slzkit import io as sio
 from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.cli import _fill_defaults, _read_frame, build_parser, main
@@ -60,49 +61,53 @@ def _frame_args(f):
 
 
 CALLS = {  # name -> (argv of the frame, bound in planes)
-    # every pixel valid: the draws are the flat pixel indices, 1.55 planes
-    # measured; an intp index of the valid pixels brought the peak to 2.2
-    # planes and an (N, 2) array of their coordinates to 5.2
+    # Every bound but that of loss dncl sits less than one plane above its
+    # measured peak, so a kernel that keeps one whole float64 plane fails.
+    # The VNL valid mask is formed and each batch's depths gathered a band of
+    # rows at a time from both rasters, and every pixel valid makes the draws
+    # the flat pixel indices: 0.38 planes measured; whole float32 rasters read
+    # up front brought the peak to 1.55 planes, an intp index of the valid
+    # pixels to 2.2 and an (N, 2) array of their coordinates to 5.2
     "loss vnl": (lambda f: ["loss", "vnl", "--pred", f["preds"][0], "--gt", f["depth"],
-                            "--intrinsics", f["intrinsics"], "--samples", "1000"], 2.0),
+                            "--intrinsics", f["intrinsics"], "--samples", "1000"], 1.0),
     # the value builds its dot plane and pixel mask a band of rows at a time,
     # reading both rasters by rows: 3.34 planes measured; whole float32
     # rasters read up front brought the peak to 5.26 planes, and whole-frame
     # tangent and cross planes to 10.2
     "loss dncl": (lambda f: ["loss", "dncl", "--depth", f["depth"], "--normals", f["normals"],
                              "--intrinsics", f["intrinsics"]], 4.75),
-    # the losses read step t when they reach it and drop it before step t + 1;
-    # every step read up front brought the peaks to 9.6 and 9.3 planes. The
-    # SLZ softmax runs on row bands into one term plane, 2.83 planes measured
-    # (4.55 with three whole planes); one residual plane serves both sequential
-    # inputs, 2.74 planes measured (3.74 with one for each)
+    # The losses read step t a band of rows at a time when they reach it, the
+    # ground truths too, and average through a streamed pairwise mean, so
+    # no float64 plane of the frame exists: 1.04 planes measured for the SLZ
+    # loss and 0.67 for the sequential loss. Whole float32 step rasters, a
+    # whole float64 term or residual plane and a gather of its kept values
+    # brought them to 2.83 and 2.74; every step read up front to 9.6 and 9.3
     "loss slz": (lambda f: ["loss", "slz", "--logits", *f["logitss"], "--labels", f["mask"]],
-                 4.25),
+                 1.75),
     "loss sequential": (lambda f: ["loss", "sequential", "--preds", *f["preds"],
                                    "--confs", *f["confs"], "--gt-depth", f["depth"],
-                                   "--gt-conf", f["gt_conf"]], 3.5),
-    # the area planes are formed band by band, the derived n_z too: 3.67
-    # planes measured; a whole float64 n_z plane brought the peak to 3.9, and
-    # the (H, W, 3) float64 normals to 5.9
-    "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 5.5),
-    # the depth and normals are read by rows, so region_stats paints its
-    # (H, W) id plane beside the mask and the area planes alone: 2.43 planes
-    # measured; whole float32 rasters freed before labelling brought the peak
-    # to 4.4, and a label plane kept beside them to 7.4
+                                   "--gt-conf", f["gt_conf"]], 1.5),
+    # The region sums add each band's area planes as they are formed, with
+    # the band's region ids painted from the run table, so neither a float64
+    # area plane nor an intp id plane of the frame exists: 2.03 planes
+    # measured with derived normals (one band of the normal kernel is most
+    # of it at 640 columns) and 0.89 with given ones. Whole area planes and
+    # a whole id plane brought them to 3.67 and 2.43, whole float32 rasters
+    # to 4.4 and a label plane kept beside them to 7.4
+    "area": (lambda f: ["area", *_frame_args(f), "--mask", f["mask"]], 2.75),
     "area --normals": (lambda f: ["area", "--depth", f["depth"], "--intrinsics", f["intrinsics"],
-                                  "--normals", f["normals"], "--mask", f["mask"]], 6.0),
+                                  "--normals", f["normals"], "--mask", f["mask"]], 1.5),
     "candidates": (lambda f: ["candidates", *_frame_args(f), "--logits", f["logits"],
-                              "--dilate", "2", "--k", "5"], 5.5),
+                              "--dilate", "2", "--k", "5"], 2.75),
 }
 
 
 @pytest.mark.parametrize("normals,bound", [("--derive-normals", 4.25), ("--normals", 2.5)])
 def test_peak_memory_of_reading_a_frame_is_bounded(frame, normals, bound):
-    # the mask, the area planes and one band's planes: 3.63 planes measured
-    # with derived normals, 1.86 with given ones. Whole float32 rasters and
-    # a whole float64 n_z plane brought the peaks to 3.88 and 4.38 planes.
-    # The margin is smaller than the calls' above: a whole float32 depth
-    # raster is half a plane and the (H, W, 3) normals one and a half.
+    # the mask and one band's planes, each band's area planes dropped
+    # before the next: 1.84 planes measured with derived normals, 0.70 with
+    # given ones. Whole area planes brought the peaks to 3.63 and 1.86,
+    # whole float32 rasters and a whole float64 n_z plane to 3.88 and 4.38.
     argv = ["area", "--depth", frame["depth"], "--intrinsics", frame["intrinsics"],
             "--mask", frame["mask"], normals] + ([frame["normals"]] if normals == "--normals" else [])
     args = build_parser().parse_args(argv)
@@ -110,11 +115,16 @@ def test_peak_memory_of_reading_a_frame_is_bounded(frame, normals, bound):
     gc.collect()
     tracemalloc.start()
     try:
-        mask, (areas, included) = _read_frame(args)
+        mask, bands = _read_frame(args)
+        rows = 0
+        for areas, included in bands:
+            assert areas.shape == included.shape == (len(areas), W)
+            rows += len(areas)
+        del areas, included
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mask.shape == areas.shape == included.shape == (H, W)
+    assert mask.shape == (H, W) and rows == H
     assert peak / PLANE <= bound, f"{normals}: peak {peak / PLANE:.2f} planes > {bound}"
 
 
@@ -132,6 +142,27 @@ def test_peak_memory_of_a_frame_call_is_bounded(capsys, frame, name):
     out = capsys.readouterr().out
     assert code == 0 and out
     assert peak / PLANE <= bound, f"{name}: peak {peak / PLANE:.2f} planes > {bound}"
+
+
+@pytest.mark.parametrize("name", ["loss slz", "loss sequential"])
+def test_a_loss_reads_every_row_of_each_step_once_step_by_step(capsys, monkeypatch, frame, name):
+    # bands of 50 rows, so that each step raster is read in 8 bands
+    monkeypatch.setattr(geometry, "_BAND_ELEMENTS", 50 * W)
+    reads = []
+    read = sio.RasterRows.__getitem__
+    monkeypatch.setattr(sio.RasterRows, "__getitem__",
+                        lambda self, rows: reads.append((self.path, rows)) or read(self, rows))
+    argv, _ = CALLS[name]
+    assert main([str(a) for a in argv(frame)]) == 0 and capsys.readouterr().out
+    step_of = {str(p): t for kind in ("preds", "confs", "logitss") for t, p in enumerate(frame[kind])}
+    steps = [(step_of[path], path, rows) for path, rows in reads if path in step_of]
+    assert [t for t, _, _ in steps] == sorted(t for t, _, _ in steps)  # step t before t + 1
+    paths = {path for _, path, _ in steps}
+    assert len(paths) == STEPS * (2 if name == "loss sequential" else 1)
+    for path in paths:
+        bands = [rows.indices(H) for _, p, rows in steps if p == path]
+        assert len(bands) == 8
+        assert [i for start, stop, _ in bands for i in range(start, stop)] == list(range(H))
 
 
 def test_peak_memory_of_the_slz_gradient_is_bounded(frame):

@@ -48,8 +48,8 @@ def _components(stats):
 @given(frame=frames, intr=intrinsics, s=st.floats(0.05, 20.0))
 def test_depth_scale_scales_every_region_area_by_s_squared(frame, intr, s):
     mask, depth, normals = _frame(**frame)
-    base = region_stats(mask, *pixel_areas(depth, normals, intr))
-    scaled = region_stats(mask, *pixel_areas(s * depth, normals, intr))
+    base = region_stats(mask, [pixel_areas(depth, normals, intr)])
+    scaled = region_stats(mask, [pixel_areas(s * depth, normals, intr)])
     assert np.array_equal(scaled.bbox, base.bbox)
     assert np.array_equal(scaled.pixel_count, base.pixel_count)
     assert np.array_equal(scaled.excluded_count, base.excluded_count)
@@ -61,9 +61,9 @@ def test_depth_scale_scales_every_region_area_by_s_squared(frame, intr, s):
 @given(frame=frames, intr=intrinsics)
 def test_transpose_with_swapped_axes_keeps_total_area_and_components(frame, intr):
     mask, depth, normals = _frame(**frame)
-    base = region_stats(mask, *pixel_areas(depth, normals, intr))
+    base = region_stats(mask, [pixel_areas(depth, normals, intr)])
     swapped = CameraIntrinsics(fx=intr.fy, fy=intr.fx, cx=intr.cy, cy=intr.cx)
-    flipped = region_stats(mask.T, *pixel_areas(depth.T, normals.swapaxes(0, 1), swapped))
+    flipped = region_stats(mask.T, [pixel_areas(depth.T, normals.swapaxes(0, 1), swapped)])
     assert _components(flipped) == {frozenset((c, r) for r, c in comp)
                                     for comp in _components(base)}
     assert flipped.pixel_count.sum() == base.pixel_count.sum()

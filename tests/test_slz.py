@@ -158,7 +158,7 @@ def test_adversarial_720p_labels_and_bboxes_match_ndimage(name):
     depth = np.full(mask.shape, 2.0)
     normals = np.zeros(mask.shape + (3,))
     normals[..., 2] = -1.0
-    stats = region_stats(mask, *pixel_areas(depth, normals, INTR))
+    stats = region_stats(mask, [pixel_areas(depth, normals, INTR)])
     labels, bbox = oracles.label_ref(mask)
     assert len(stats.bbox) == REGIONS_720P.get(name, len(bbox))
     if name == "speckle":
@@ -170,7 +170,7 @@ def test_adversarial_720p_labels_and_bboxes_match_ndimage(name):
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda m, d, n: connected_components(m), id="connected_components"),
-    pytest.param(lambda m, d, n: region_stats(m, *pixel_areas(d, n, INTR)),
+    pytest.param(lambda m, d, n: region_stats(m, [pixel_areas(d, n, INTR)]),
                  id="region_stats"),
 ])
 def test_region_stats_keep_runs_not_a_label_plane(build):
@@ -234,7 +234,7 @@ def test_components_match_flood_fill_oracle_on_random_masks(seed, unsafe_fractio
 @pytest.mark.parametrize("seed,unsafe_fraction", MASK_CASES)
 def test_region_bbox_matches_find_objects(seed, unsafe_fraction):
     mask, depth, normals = _random_frame(seed, unsafe_fraction)
-    stats = region_stats(mask, *pixel_areas(depth, normals, INTR))
+    stats = region_stats(mask, [pixel_areas(depth, normals, INTR)])
     labels, bbox = oracles.label_ref(mask)
     assert np.array_equal(stats.labels(), labels)
     assert np.array_equal(stats.bbox, bbox)
@@ -247,7 +247,7 @@ def test_candidates_match_region_area_per_oracle_component(seed, unsafe_fraction
     if unsafe_fraction >= 0.45:
         assert len(ref) > 100
     planes = pixel_areas(depth, normals, INTR)
-    order, stats = top_k_candidates(mask, *planes, k=len(ref) + 1)
+    order, stats = top_k_candidates(mask, [planes], k=len(ref) + 1)
     order = order.tolist()
     assert sorted(order) == list(range(len(ref)))
     assert order == sorted(order, key=lambda i: (-stats.area[i], i))
@@ -268,7 +268,7 @@ def test_top_k_fewer_components_than_k():
     mask[7, 0] = 0
     depth = np.full((8, 8), 2.0)
     normals = normals_from_depth(depth, INTR)
-    order, _ = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k=5)
+    order, _ = top_k_candidates(mask, [pixel_areas(depth, normals, INTR)], k=5)
     assert len(order) == 3
 
 
@@ -280,7 +280,7 @@ def test_top_k_depth_ranks_equal_pixel_counts():
     depth[5:7, 5:7] = 4.0
     normals = np.zeros((8, 8, 3))
     normals[..., 2] = -1.0
-    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k=5)
+    order, stats = top_k_candidates(mask, [pixel_areas(depth, normals, INTR)], k=5)
     assert [tuple(_pixels(stats, i)[0]) for i in order] == [(5, 5), (0, 0)]
     area = stats.area[order]
     assert area[0] == pytest.approx(4.0 * area[1], rel=1e-9)
@@ -291,9 +291,9 @@ def test_top_k_empty_safe_set_and_k_zero():
     depth = np.full((4, 4), 2.0)
     normals = normals_from_depth(depth, INTR)
     planes = pixel_areas(depth, normals, INTR)
-    order, stats = top_k_candidates(np.ones((4, 4), np.uint8), *planes, 5)
+    order, stats = top_k_candidates(np.ones((4, 4), np.uint8), [planes], 5)
     assert len(order) == len(stats) == 0
-    order, stats = top_k_candidates(np.zeros((4, 4), np.uint8), *planes, 0)
+    order, stats = top_k_candidates(np.zeros((4, 4), np.uint8), [planes], 0)
     assert len(order) == 0 and len(stats) == 1
 
 
@@ -302,7 +302,7 @@ def test_top_k_candidates_disjoint_and_safe():
     mask = (rng.uniform(size=(12, 12)) > 0.45).astype(np.uint8)
     depth = 3.0 + rng.uniform(-0.5, 0.5, (12, 12))
     normals = normals_from_depth(depth, INTR)
-    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k=100)
+    order, stats = top_k_candidates(mask, [pixel_areas(depth, normals, INTR)], k=100)
     seen = set()
     for i in order:
         for r, col in _pixels(stats, i):
@@ -324,11 +324,11 @@ def test_top_k_ranks_ties_across_the_kth_place_by_id(k):
             mask[r, c:c + rng.integers(1, 4)] = 0
     depth = np.full(mask.shape, 2.0)
     normals = np.broadcast_to([0.0, 0.0, -1.0], mask.shape + (3,))
-    area = region_stats(mask, *pixel_areas(depth, normals, INTR)).area
+    area = region_stats(mask, [pixel_areas(depth, normals, INTR)]).area
     k %= len(area)
     want = np.argsort(-area, kind="stable")
     assert area[want[k - 1]] == area[want[k]]
-    order, stats = top_k_candidates(mask, *pixel_areas(depth, normals, INTR), k)
+    order, stats = top_k_candidates(mask, [pixel_areas(depth, normals, INTR)], k)
     assert order.tolist() == want[:k].tolist()
     assert stats.area[order].tolist() == area[want[:k]].tolist()
 
@@ -337,15 +337,15 @@ def test_top_k_shape_mismatch():
     depth = np.full((4, 4), 2.0)
     normals = normals_from_depth(depth, INTR)
     with pytest.raises(ShapeMismatchError):
-        top_k_candidates(np.zeros((5, 4), np.uint8), *pixel_areas(depth, normals, INTR), 3)
+        top_k_candidates(np.zeros((5, 4), np.uint8), [pixel_areas(depth, normals, INTR)], 3)
 
 
 # consumer -> a call of it on a mask and the two planes of pixel_areas,
 # returning the AreaReport or RegionStats it forms
 PLANE_CONSUMERS = {
     "region_area": lambda m, areas, included: region_area(m == 0, areas, included),
-    "region_stats": region_stats,
-    "top_k_candidates": lambda m, areas, included: top_k_candidates(m, areas, included, 3)[1],
+    "region_stats": lambda m, areas, included: region_stats(m, [(areas, included)]),
+    "top_k_candidates": lambda m, areas, included: top_k_candidates(m, [(areas, included)], 3)[1],
 }
 _PLANE_CHECK = "included must be a boolean plane of shape (8, 8), got "
 
@@ -364,9 +364,10 @@ def test_every_area_consumer_rejects_planes_off_the_mask_naming_them(consumer, b
     planes, message = {
         "included 4x16": ((areas, included.reshape(4, 16)), _PLANE_CHECK + "bool of shape (4, 16)"),
         "included uint8": ((areas, included.view(np.uint8)), _PLANE_CHECK + "uint8 of shape (8, 8)"),
+        # the region kernels take a band of the areas' height, here 4 rows
         "areas 4x16": ((areas.reshape(4, 16), included),
                        "region must be a boolean mask of shape (4, 16)" if consumer == "region_area"
-                       else "areas must be a plane of shape (8, 8), got shape (4, 16)"),
+                       else "areas must be a plane of shape (4, 8), got shape (4, 16)"),
     }[bad]
     with pytest.raises(ShapeMismatchError, match=re.escape(message)):
         call(mask, *planes)
