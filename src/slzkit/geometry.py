@@ -41,14 +41,20 @@ def _ray_xy(u, v, intr: CameraIntrinsics):
 def _backproject_pixels(depth, rows, cols, intr: CameraIntrinsics):
     """Camera-frame float64 points, shape rows.shape + (3,), of the given
     pixels of a depth raster, which may be an io.RasterRows: its depths are
-    gathered a band of rows (:func:`_row_bands`) at a time. Invalid depths
-    yield garbage points."""
+    gathered a band of rows (:func:`_row_bands`) at a time, each band reading
+    only its own pixels from one sort of the rows. Invalid depths yield
+    garbage points."""
     depth = _row_source(depth)
-    d = np.empty(rows.shape)
+    flat_rows, flat_cols = rows.ravel(), cols.ravel()
+    order = np.argsort(flat_rows)
+    sorted_rows = flat_rows[order]
+    d = np.empty(flat_rows.shape)
     for band in _row_bands(depth.shape):
-        at = (rows >= band.start) & (rows < band.stop)
-        if at.any():
-            d[at] = depth[band][rows[at] - band.start, cols[at]]
+        lo, hi = np.searchsorted(sorted_rows, (band.start, band.stop))
+        if lo < hi:
+            at = order[lo:hi]
+            d[at] = depth[band][flat_rows[at] - band.start, flat_cols[at]]
+    d = d.reshape(rows.shape)
     xs, ys = _ray_xy(cols.astype(np.float64), rows.astype(np.float64), intr)
     return np.stack([d * xs, d * ys, d], axis=-1)
 
@@ -185,9 +191,11 @@ def _normal_planes(d, intr: CameraIntrinsics, rows: slice):
 def _row_bands(shape):
     """Slices of successive bands of the rows of an (H, W) plane, or of a
     (b, H, W) stack of them, about ``_BAND_ELEMENTS`` elements a band; they
-    tile the H rows in order. Every banded kernel cuts its rows here."""
+    tile the H rows in order (none for H = 0, one band for rows of no
+    elements). Every banded kernel cuts its rows here."""
     height = shape[-2]
-    step = max(1, _BAND_ELEMENTS // (math.prod(shape) // height))
+    row = math.prod(shape[:-2]) * shape[-1]  # elements of one row
+    step = max(1, _BAND_ELEMENTS // max(row, 1))
     for start in range(0, height, step):
         yield slice(start, min(start + step, height))
 

@@ -42,6 +42,11 @@ _LOG_FLOOR = 1e-12
 # Scale-free triplet degeneracy test: reject when the plane normal is
 # shorter than this fraction of the product of the edge lengths.
 _COLLINEAR_TOL = 1e-6
+# most triplets the VNL sampler draws and tests at once, so that its memory
+# does not grow with the sample count beyond the 48 B a sample of the triplets
+# it fills. 100,000 samples at 720p, 2^13 / 2^14 / 2^16: traced peak of the
+# batches 6.3 / 11.8 / 44.5 MB, 45 / 48 / 44 ms (2-core x86-64 VM)
+_SAMPLE_BATCH = 2 ** 14
 # float64 elements in one stack of perturbed rasters that grad_check hands to
 # its loss: 32-64 rasters a stack measured fastest on 24x24 and 18x18x2 checks
 _GRAD_CHECK_ELEMENTS = 2 ** 15
@@ -77,12 +82,10 @@ def _kept(mask, count):
 def _valid_count(valid, shape):
     """``(valid, n)``: the valid mask as an array (None for every pixel) and
     the number of pixels a loss averages over, those nonzero in it."""
-    if valid is None:
-        return None, shape[0] * shape[1]
-    v = np.asarray(valid)
-    if v.shape != shape:
+    v = None if valid is None else np.asarray(valid)
+    if v is not None and v.shape != shape:
         raise ShapeMismatchError(f"valid mask shape {v.shape} != raster shape {shape}")
-    n = int(np.count_nonzero(v))
+    n = shape[0] * shape[1] if v is None else int(np.count_nonzero(v))
     if n == 0:
         raise DegenerateInputError("empty valid set")
     return v, n
@@ -129,9 +132,9 @@ def _mean(x, kept):
 # numpy adds a contiguous float64 run pairwise: a run of more than 128
 # values splits at n // 2 - (n // 2) % 8 into two runs, each added alike,
 # and their sums are added. _StreamedMean cuts its n values along that tree.
-_PAIRWISE_BLOCK = 128
-# values of one leaf of a streamed mean, the most it buffers: 256 KiB of
-# float64, about a row band (geometry._BAND_ELEMENTS)
+# Values of one leaf of a streamed mean, the most it buffers: 256 KiB of
+# float64, about a row band (geometry._BAND_ELEMENTS). At least 128, or a
+# leaf would split runs that numpy adds in one block.
 _MEAN_LEAF = 2 ** 15
 
 
@@ -158,8 +161,7 @@ class _StreamedMean:
     bit for bit ``np.mean`` of the n values in one contiguous array.
 
     The values are cut into the subtrees (leaves) of numpy's pairwise tree
-    of at most ``leaf`` values (``_MEAN_LEAF`` by default, and never fewer
-    than numpy's 128); each leaf is summed by ``np.add.reduce``
+    of at most ``_MEAN_LEAF`` values; each leaf is summed by ``np.add.reduce``
     where it lies when a run holds it whole, else once its values are
     gathered in one leaf buffer; the leaf sums are added up the tree. A
     run may be lead + (k,), one row per raster of a stack, each row
@@ -167,8 +169,8 @@ class _StreamedMean:
     with ``dtype=``: that reduction is buffered and adds in another order.
     """
 
-    def __init__(self, n, lead=(), leaf=None):
-        self._n, self._leaf = n, max(leaf or _MEAN_LEAF, _PAIRWISE_BLOCK)
+    def __init__(self, n, lead=()):
+        self._n, self._leaf = n, _MEAN_LEAF
         self._sizes = _leaves(n, self._leaf)
         self._buf = np.empty(lead + (max(self._sizes),))
         self._fill = 0
@@ -230,12 +232,18 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
 
     Returns an (n_samples, 3, 2) int array of (row, col) coordinates.
     """
-    return _sample(d_pred, d_gt, intr, n_samples, seed)[0]
+    for tri, _, _ in _sample(d_pred, d_gt, intr, n_samples, seed):
+        pass
+    return tri
 
 
 def _sample(d_pred, d_gt, intr, n_samples, seed):
-    """:func:`sample_triplets`'s triplets and the (n_samples, 3, 3) points
-    of each through the predicted and through the ground-truth depth."""
+    """:func:`sample_triplets`'s triplets a batch at a time, as ``(tri,
+    pts_p, pts_g)``: the (n_samples, 3, 2) triplets, filled up to the
+    batch's, and the (k, 3, 3) points of the batch's k accepted triplets
+    through the predicted and the ground-truth depth. The inputs are
+    checked, and the triplets allocated, when the first batch is asked for,
+    so a sample count too large to hold fails at once."""
     dp, dg = _row_source(d_pred), _row_source(d_gt)
     if dp.shape != dg.shape or len(dp.shape) != 2:
         raise ShapeMismatchError(f"depth shapes differ: {dp.shape} vs {dg.shape}")
@@ -250,9 +258,9 @@ def _sample(d_pred, d_gt, intr, n_samples, seed):
     # the flat indices of the valid pixels; draws index them, or are them
     pixels = None if n == valid.size else np.flatnonzero(valid)
     del valid
+    out = np.empty((n_samples, 3, 2), np.int64)
     rng = np.random.Generator(np.random.Philox(seed))
     limit = 100 * n_samples
-    batches = []
     accepted = attempts = 0
     while accepted < n_samples:
         if attempts >= limit:
@@ -260,8 +268,8 @@ def _sample(d_pred, d_gt, intr, n_samples, seed):
                 f"no non-collinear triplet found in {limit} attempts")
         # One draw of 3k indices is the same stream as k draws of 3, so the
         # batches replay the one-triplet-at-a-time sequence; they double in
-        # size while rejections leave triplets missing.
-        k = min(limit - attempts, max(n_samples - accepted, attempts))
+        # size while rejections leave triplets missing, up to _SAMPLE_BATCH.
+        k = min(limit - attempts, max(n_samples - accepted, attempts), _SAMPLE_BATCH)
         drawn = rng.integers(0, n, size=3 * k)
         if pixels is not None:
             drawn = pixels[drawn]
@@ -271,9 +279,9 @@ def _sample(d_pred, d_gt, intr, n_samples, seed):
         pts_g = _backproject_pixels(dg, rows, cols, intr)
         pts_p = _backproject_pixels(dp, rows, cols, intr)
         keep = np.flatnonzero(~(_collinear(pts_g) | _collinear(pts_p)))[:n_samples - accepted]
-        batches.append((tri[keep], pts_p[keep], pts_g[keep]))
+        out[accepted:accepted + len(keep)] = tri[keep]
         accepted += len(keep)
-    return tuple(np.concatenate(parts) for parts in zip(*batches))
+        yield out, pts_p[keep], pts_g[keep]
 
 
 def _plane_normals(pts):
@@ -287,10 +295,12 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
 
     Each triplet of pixels is backprojected through both the predicted and
     the ground-truth depth; the loss compares the normals of the two planes.
+    Each batch of triplets becomes its distances before the next is drawn;
+    a triplet's distance does not depend on its batch.
     """
-    _, pts_p, pts_g = _sample(d_pred, d_gt, intr, n_samples, seed)
-    n_p, n_g = _plane_normals(pts_p), _plane_normals(pts_g)
-    return float(np.mean(np.linalg.norm(n_p - n_g, axis=1)))
+    dist = [np.linalg.norm(_plane_normals(pts_p) - _plane_normals(pts_g), axis=1)
+            for _, pts_p, pts_g in _sample(d_pred, d_gt, intr, n_samples, seed)]
+    return float(np.mean(np.concatenate(dist)))
 
 
 def sequential_depth_loss(d_preds, conf_preds, d_gt, c_gt, gamma=DEFAULT_GAMMA, valid=None):

@@ -489,6 +489,23 @@ def test_sample_triplets_attempt_limit_matches_loop_sampler():
         sample_triplets(row, row, INTR, 3, 0)
 
 
+def test_a_capped_sampler_batch_keeps_the_loop_samplers_stream(monkeypatch):
+    # the sampler draws at most _SAMPLE_BATCH triplets at once; a cap of 5
+    # cuts every case into many batches, and neither the triplets, the VNL
+    # bits nor the attempt at which it gives up may change
+    want = {name: virtual_normal_loss(d_pred, d_gt, INTR, n_samples, 1)
+            for name, d_pred, d_gt, n_samples in TRIPLET_CASES}
+    monkeypatch.setattr(losses, "_SAMPLE_BATCH", 5)
+    for name, d_pred, d_gt, n_samples in TRIPLET_CASES:
+        assert np.array_equal(sample_triplets(d_pred, d_gt, INTR, n_samples, 1),
+                              oracles.sample_triplets_ref(d_pred, d_gt, INTR, n_samples, 1)), name
+        got = virtual_normal_loss(d_pred, d_gt, INTR, n_samples, 1)
+        assert np.float64(got).view(np.int64) == np.float64(want[name]).view(np.int64), name
+    row = np.full((1, 40), 3.0)
+    with pytest.raises(DegenerateInputError, match="no non-collinear triplet found in 300 attempts"):
+        sample_triplets(row, row, INTR, 3, 0)
+
+
 # Triplets whose |e1 x e2| lies within rounding of 1e-6 |e1| |e2|. For each
 # of them, on an x86-64 OpenBLAS build, the axis norm and the one-vector norm
 # (a BLAS dot with fused multiply-adds) decide differently: the sampler must

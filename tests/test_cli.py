@@ -1624,8 +1624,8 @@ def test_out_of_range_numeric_flag_exits_2_naming_it(capsys, flat_scene, command
 
 @pytest.mark.parametrize("case", ["vnl-samples", "synth-size"])
 def test_an_allocation_too_large_exits_2_without_a_traceback(capsys, tmp_path, case):
-    # Both ask for more than the 128 TiB user address space (2.13 PiB and
-    # 728 TiB), which fails at once whatever the overcommit policy.
+    # Both ask for more than the 128 TiB user address space (4.26 PiB of
+    # triplets and 728 TiB), which fails at once whatever the overcommit policy.
     if case == "vnl-samples":
         argv = [*_loss_argvs(tmp_path)["vnl"], "--samples", "100000000000000"]
     else:

@@ -577,3 +577,14 @@ def test_dncl_gradient_is_zero_outside_the_loss_for_an_invalid_depth_pixel():
     assert grad[4, 5] == 0.0  # every pixel it reaches is outside the loss
     err = grad_check(lambda x: depth_normal_consistency(x, target, INTR), depth, grad, eps=1e-5)
     assert err <= 1e-3
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+def test_a_raster_with_no_pixel_is_degenerate_in_every_streamed_loss(shape):
+    empty = np.zeros(shape)
+    with pytest.raises(DegenerateInputError, match="empty valid set"):
+        slz_loss([np.zeros(shape + (2,))], empty.astype(np.uint8))
+    with pytest.raises(DegenerateInputError, match="empty valid set"):
+        sequential_depth_loss([empty], [empty], empty, empty)
+    with pytest.raises(DegenerateInputError, match="no pixel is valid in both depth rasters"):
+        virtual_normal_loss(empty, empty, INTR, 4, seed=0)

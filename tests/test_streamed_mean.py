@@ -11,6 +11,7 @@ differ, before a loss value changes without a word.
 import numpy as np
 import pytest
 
+from slzkit import losses
 from slzkit.losses import _MEAN_LEAF, _StreamedMean
 
 LEAVES = [128, 1000, _MEAN_LEAF]
@@ -27,10 +28,17 @@ def spread(rng, shape):
     return np.ldexp(x, rng.integers(-53, 54, shape, dtype=np.int8), out=x)
 
 
+@pytest.fixture(params=LEAVES)
+def leaf(request, monkeypatch):
+    """Each leaf size in turn, as the streamed mean's ``_MEAN_LEAF``."""
+    monkeypatch.setattr(losses, "_MEAN_LEAF", request.param)
+    return request.param
+
+
 def streamed_mean(x, leaf, rng):
     """The streamed mean of x's last axis, fed in runs of random lengths,
     from a single value to two leaves."""
-    mean = _StreamedMean(x.shape[-1], x.shape[:-1], leaf)
+    mean = _StreamedMean(x.shape[-1], x.shape[:-1])
     start = 0
     while start < x.shape[-1]:
         stop = start + int(rng.integers(1, 2 * leaf + 1))
@@ -47,7 +55,6 @@ def assert_numpy_bits(got, x, leaf):
         f"np.mean's {want!r}")
 
 
-@pytest.mark.parametrize("leaf", LEAVES)
 def test_streamed_mean_is_numpys_mean_at_small_lengths(leaf):
     rng = np.random.default_rng(leaf)
     for n in SMALL:
@@ -55,7 +62,6 @@ def test_streamed_mean_is_numpys_mean_at_small_lengths(leaf):
         assert_numpy_bits(streamed_mean(x, leaf, rng), x, leaf)
 
 
-@pytest.mark.parametrize("leaf", LEAVES)
 @pytest.mark.parametrize("n", LARGE)
 def test_streamed_mean_is_numpys_mean_at_frame_sizes(leaf, n):
     rng = np.random.default_rng(n + leaf)
@@ -63,7 +69,6 @@ def test_streamed_mean_is_numpys_mean_at_frame_sizes(leaf, n):
     assert_numpy_bits(streamed_mean(x, leaf, rng), x, leaf)
 
 
-@pytest.mark.parametrize("leaf", LEAVES)
 def test_streamed_mean_of_a_stack_is_numpys_mean_of_each_row(leaf):
     # the runs of a stack are (b, k): one mean per row, each row's bits
     rng = np.random.default_rng(7 * leaf)
@@ -71,9 +76,3 @@ def test_streamed_mean_of_a_stack_is_numpys_mean_of_each_row(leaf):
         x = spread(rng, (3, n))
         assert_numpy_bits(streamed_mean(x, leaf, rng), x, leaf)
 
-
-def test_a_leaf_below_numpys_block_is_the_block():
-    # numpy never splits 128 values or fewer, so neither does the stream
-    rng = np.random.default_rng(5)
-    x = spread(rng, 1000)
-    assert_numpy_bits(streamed_mean(x, 8, rng), x, 8)
