@@ -24,7 +24,6 @@ _HOMES = {
     "depth_normal_consistency": "losses",
     "dilate_unsafe": "slz",
     "evaluate": "metrics",
-    "evaluate_dataset": "metrics",
     "fine_tune_loss": "settings",
     "grad_check": "losses",
     "normals_from_depth": "geometry",

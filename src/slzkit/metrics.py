@@ -105,17 +105,14 @@ def _counts(pred, gt):
 
 
 def _pooled(counts):
-    """The 2x2 sum of ``_counts`` tuples, as two rows."""
-    total = None
-    for c in counts:
-        total = c if total is None else [a + b for a, b in zip(total, c)]
-    if total is None:
-        raise DegenerateInputError("no mask pairs to evaluate")
+    """The 2x2 sum of one or more ``_counts`` tuples, as two rows."""
+    total = [sum(c) for c in zip(*counts)]
     return total[:2], total[2:]
 
 
-def _mask_counts(pred, gt):
-    """``_counts`` of two same-shape masks, each checked by the mask contract."""
+def confusion(pred, gt):
+    """2x2 confusion counts of two same-shape masks, indexed [gt class][pred class],
+    each mask checked by the mask contract."""
     import numpy as np
 
     from .io import _check_mask
@@ -125,14 +122,8 @@ def _mask_counts(pred, gt):
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
     # class 1 -> byte 128; uint8 casts: the masks may be bool or float
-    return _counts(*((m.astype(np.uint8, copy=False) << 7).tobytes() for m in (p, g)))
-
-
-def confusion(pred, gt):
-    """2x2 confusion counts of two same-shape masks, indexed [gt class][pred class]."""
-    import numpy as np
-
-    return np.array(_mask_counts(pred, gt), dtype=np.int64).reshape(2, 2)
+    counts = _counts(*((m.astype(np.uint8, copy=False) << 7).tobytes() for m in (p, g)))
+    return np.array(counts, dtype=np.int64).reshape(2, 2)
 
 
 def _shape(x):
@@ -179,11 +170,6 @@ def evaluate(cm) -> MetricsReport:
          _ratio(tp, tp + fp), _ratio(tp, tp + fn))
         for tp, fp, fn in ((c00, c10, c01), (c11, c01, c10))))
     return MetricsReport((c00 + c11) / total * 100.0, iou, dice, precision, recall)
-
-
-def evaluate_dataset(pairs) -> MetricsReport:
-    """Pool confusion counts over (pred, gt) mask pairs, then evaluate."""
-    return evaluate(_pooled(_mask_counts(pred, gt) for pred, gt in pairs))
 
 
 def to_csv_rows(report: MetricsReport):

@@ -197,7 +197,7 @@ def _layout(hc):
     """The weight bundle, one conv at a time in `init_weights` draw order.
 
     Yields (block, entry name, kernel field, bias field, kernel shape) for
-    `hc` hidden channels; init, zeroing, save and load all walk this table.
+    `hc` hidden channels; init, save and load all walk this table.
     """
     for block, cin in _GRU_INPUT_CHANNELS.items():
         for gate in "zrh":
@@ -218,13 +218,6 @@ def _assemble(hc, pairs):
         for block, fields in blocks.items()})
 
 
-def _convs(weights: RefinementWeights):
-    """(block, entry name, kernel, bias) of every conv of `weights`, in layout order."""
-    for block, name, kernel_field, bias_field, _ in _layout(weights.hidden_channels):
-        fields = getattr(weights, block)
-        yield block, name, getattr(fields, kernel_field), getattr(fields, bias_field)
-
-
 def init_weights(hidden_channels=8, seed=0) -> RefinementWeights:
     """Seeded demo weights, uniform in [-0.1, 0.1] (float32)."""
     if hidden_channels < 1:
@@ -236,13 +229,6 @@ def init_weights(hidden_channels=8, seed=0) -> RefinementWeights:
 
     return _assemble(hidden_channels, ((u(*shape), u(shape[3]))
                                        for *_, shape in _layout(hidden_channels)))
-
-
-def zero_projection_heads(weights: RefinementWeights) -> RefinementWeights:
-    """Copy of `weights` with every projection head zeroed (residuals vanish)."""
-    return _assemble(weights.hidden_channels, (
-        (np.zeros_like(k), np.zeros_like(b)) if block in _HEAD_OUTPUT_CHANNELS else (k, b)
-        for block, _, k, b in _convs(weights)))
 
 
 def demo_state(base=56, hidden_channels=8, seed=0) -> RefinementState:
@@ -345,10 +331,13 @@ def _load_dir(dirpath, key, least, names, shapes):
 
 def save_weights(weights: RefinementWeights, dirpath):
     """Write a weight bundle: one F32R per kernel/bias plus meta.txt."""
-    arrays = (arr for _, _, k, b in _convs(weights) for arr in (k, b))
+    hc = weights.hidden_channels
+    # each conv's kernel, then its bias, in layout order
+    arrays = (getattr(getattr(weights, block), field)
+              for block, _, *fields, _ in _layout(hc) for field in fields)
     entries = {name: arr.reshape(shape) for (name, shape), arr
-               in zip(_bundle_shapes(weights.hidden_channels).items(), arrays)}
-    _save_dir(dirpath, entries, {"hidden_channels": weights.hidden_channels})
+               in zip(_bundle_shapes(hc).items(), arrays)}
+    _save_dir(dirpath, entries, {"hidden_channels": hc})
 
 
 def load_weights(dirpath) -> RefinementWeights:

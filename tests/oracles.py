@@ -11,13 +11,22 @@ and sequential loss values and their gradients in gather-and-scatter form,
 and the one-element-at-a-time gradient check.
 The package computes the same arithmetic in another layout, so the tests
 compare the two bit for bit.
+
+Two former package functions that only tests called live here too:
+``evaluate_dataset``, the metrics of confusion counts pooled over mask
+pairs by the pixel loop, and ``zero_projection_heads``, refinement weights
+whose projection heads emit no residual.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy import ndimage
 from scipy.special import expit
+
+from slzkit.metrics import evaluate
+from slzkit.refinement import ProjectionHead
 
 
 def conv2d_ref(x, kernel, bias):
@@ -100,6 +109,15 @@ def refinement_iteration_ref(state, weights):
     return depth, normal, slz_out
 
 
+def zero_projection_heads(weights):
+    """Copy of refinement weights with every projection head zeroed, so that
+    an iteration leaves the depth, normal and logits as they were."""
+    heads = {f.name: getattr(weights, f.name) for f in fields(weights)}
+    return replace(weights, **{
+        name: ProjectionHead(*(np.zeros_like(getattr(head, f.name)) for f in fields(head)))
+        for name, head in heads.items() if isinstance(head, ProjectionHead)})
+
+
 def flood_fill_components(mask):
     """4-connected safe components via explicit BFS over python sets.
 
@@ -166,6 +184,13 @@ def confusion_ref(pred, gt, ignore=None):
             if ignore is None or ignore[i, j] == 0:
                 cm[int(gt[i, j]), int(pred[i, j])] += 1
     return cm
+
+
+def evaluate_dataset(pairs):
+    """The MetricsReport of the confusion counts of (pred, gt) mask pairs,
+    each pair counted by ``confusion_ref`` and the counts pooled."""
+    return evaluate(sum((confusion_ref(pred, gt) for pred, gt in pairs),
+                        np.zeros((2, 2), dtype=np.int64)))
 
 
 def backproject_ref(u, v, d, intr):

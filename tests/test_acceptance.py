@@ -147,7 +147,7 @@ def test_c05_refinement_invariants():
     weights = refinement.init_weights(hidden_channels=8, seed=21)
     state = refinement.demo_state(base=56, hidden_channels=8, seed=21)
 
-    zeroed = refinement.zero_projection_heads(weights)
+    zeroed = oracles.zero_projection_heads(weights)
     for s in refinement.run_refinement(state, zeroed, 4):
         assert np.array_equal(s.depth, state.depth)
         assert np.array_equal(s.normal, state.normal)

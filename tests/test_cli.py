@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import slzkit
+from oracles import evaluate_dataset, zero_projection_heads
 from slzkit import io as sio
 from slzkit import refinement
 from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.cli import DEFAULTS, build_parser, main
-from slzkit.metrics import evaluate_dataset, to_csv_rows
+from slzkit.metrics import to_csv_rows
 from slzkit.synth import parse_scene
 
 # a numpy overflow or invalid-value warning in a pinned call is an error,
@@ -611,7 +612,7 @@ def test_refine_demo_totals_are_the_decayed_losses_of_the_whole_run(capsys, tmp_
 
 
 def test_refine_demo_zero_weight_bundle_is_fixed_point(capsys, tmp_path):
-    weights = refinement.zero_projection_heads(refinement.init_weights(8, seed=2))
+    weights = zero_projection_heads(refinement.init_weights(8, seed=2))
     refinement.save_weights(weights, tmp_path / "bundle")
     code, _, _ = run_cli(capsys, "refine-demo", "--out", str(tmp_path / "out"),
                          "--seed", "2", "--T", "3", "--weights", str(tmp_path / "bundle"))

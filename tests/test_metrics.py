@@ -1,3 +1,5 @@
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -9,7 +11,8 @@ import oracles
 from slzkit import io as sio
 from slzkit import metrics
 from slzkit.errors import DegenerateInputError, ShapeMismatchError
-from slzkit.metrics import confusion, evaluate, evaluate_dataset, to_csv_rows
+from slzkit.cli import main
+from slzkit.metrics import confusion, evaluate, to_csv_rows
 
 
 def test_confusion_perfect_prediction():
@@ -142,39 +145,45 @@ def test_aacc_depends_only_on_diagonal_and_total():
     assert a.aAcc == b.aAcc
 
 
-def test_evaluate_dataset_single_pair():
+def evaluate_cli(capsys, root, pairs):
+    """The CSV rows that ``slzkit evaluate`` prints for (pred, gt) mask
+    pairs, written as same-named PGM files under root/pred and root/gt."""
+    for side in ("pred", "gt"):
+        (root / side).mkdir(parents=True)
+    for i, pair in enumerate(pairs):
+        for side, mask in zip(("pred", "gt"), pair):
+            sio.write_mask(mask, root / side / f"{i:03d}.pgm")
+    assert main(["evaluate", "--pred-dir", str(root / "pred"), "--gt-dir", str(root / "gt")]) == 0
+    return [tuple(row) for row in csv.reader(io.StringIO(capsys.readouterr().out))]
+
+
+def test_evaluate_dataset_single_pair(capsys, tmp_path):
     rng = np.random.default_rng(5)
     pred = (rng.uniform(size=(5, 5)) > 0.5).astype(np.uint8)
     gt = (rng.uniform(size=(5, 5)) > 0.5).astype(np.uint8)
-    a = evaluate_dataset([(pred, gt)])
-    b = evaluate(confusion(pred, gt))
-    assert a.mIoU == b.mIoU and a.aAcc == b.aAcc
+    a = evaluate_cli(capsys, tmp_path, [(pred, gt)])
+    b = to_csv_rows(evaluate(confusion(pred, gt)))
+    assert a == b
 
 
-def test_evaluate_dataset_duplication_invariance():
+def test_evaluate_dataset_duplication_invariance(capsys, tmp_path):
     rng = np.random.default_rng(6)
     pairs = [((rng.uniform(size=(4, 4)) > 0.5).astype(np.uint8),
               (rng.uniform(size=(4, 4)) > 0.5).astype(np.uint8)) for _ in range(3)]
-    a = evaluate_dataset(pairs)
-    b = evaluate_dataset(pairs + pairs)
-    assert a.mIoU == pytest.approx(b.mIoU, rel=1e-12)
-    assert a.aAcc == pytest.approx(b.aAcc, rel=1e-12)
+    a = evaluate_cli(capsys, tmp_path / "once", pairs)
+    b = evaluate_cli(capsys, tmp_path / "twice", pairs + pairs)
+    assert a == b
 
 
-def test_evaluate_dataset_pools_confusions():
+def test_evaluate_dataset_pools_confusions(capsys, tmp_path):
     pred1 = np.array([[0, 1], [1, 1]], np.uint8)
     gt1 = np.array([[0, 0], [1, 1]], np.uint8)
     pred2 = np.array([[1, 1], [0, 0]], np.uint8)
     gt2 = np.array([[1, 0], [0, 1]], np.uint8)
-    rep = evaluate_dataset([(pred1, gt1), (pred2, gt2)])
+    rep = evaluate_cli(capsys, tmp_path, [(pred1, gt1), (pred2, gt2)])
     pooled = oracles.confusion_ref(pred1, gt1) + oracles.confusion_ref(pred2, gt2)
-    ref = evaluate(pooled)
-    assert rep.mIoU == ref.mIoU and rep.aAcc == ref.aAcc
-
-
-def test_evaluate_dataset_empty():
-    with pytest.raises(DegenerateInputError):
-        evaluate_dataset([])
+    ref = to_csv_rows(evaluate(pooled))
+    assert rep == ref
 
 
 def test_csv_rows_format():

@@ -8,10 +8,11 @@ import oracles
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import evaluate_dataset
 
 from slzkit.camera import CameraIntrinsics
 from slzkit.geometry import pixel_areas
-from slzkit.metrics import confusion, evaluate, evaluate_dataset, to_csv_rows
+from slzkit.metrics import confusion, evaluate, to_csv_rows
 from slzkit.slz import region_stats
 from slzkit.synth import Scene, render_scene
 

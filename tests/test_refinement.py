@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import zero_projection_heads
 from slzkit import io as sio
 from slzkit import refinement
 from slzkit.errors import ShapeMismatchError
@@ -24,7 +25,6 @@ from slzkit.refinement import (
     save_state,
     save_weights,
     sigmoid,
-    zero_projection_heads,
 )
 
 

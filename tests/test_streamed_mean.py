@@ -76,3 +76,9 @@ def test_streamed_mean_of_a_stack_is_numpys_mean_of_each_row(leaf):
         x = spread(rng, (3, n))
         assert_numpy_bits(streamed_mean(x, leaf, rng), x, leaf)
 
+
+
+def test_leaf_holds_at_least_one_block_numpy_adds_whole():
+    # numpy adds a run of up to 128 values as one unsplit block; a smaller
+    # leaf would cut such a block and add its values in another order
+    assert _MEAN_LEAF >= 128
