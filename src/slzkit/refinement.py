@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -41,27 +42,99 @@ _GRU_INPUT_CHANNELS = {
 _HEAD_OUTPUT_CHANNELS = {"proj_depth": 1, "proj_normal": 3, "proj_slz": 2}
 
 
-def conv2d(x, kernel, bias):
-    """Same-padding 2-D cross-correlation; kernel is (kh, kw, cin, cout).
+# an anonymous private mapping, faulted in at once where the platform can
+_MAP_FLAGS = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+
+
+class _Im2col:
+    """An im2col workspace: a patch matrix and a zero-bordered input buffer,
+    allocated once at the size of the largest conv they serve and reused by
+    every conv of one kernel size that fits in them.
+
+    Both live in one anonymous mapping of their own, so the malloc heap
+    never holds a freed patch matrix that later allocations split, and the
+    pages leave the process when the workspace is dropped.
+    `refinement_step` makes one for all the 3x3 convs of a step; `conv2d`
+    and `conv_gru_step` called without one make their own.
+    """
+
+    def __init__(self, height, width, channels, kh=3, kw=3, dtype=np.float32):
+        self._kh, self._kw = kh, kw
+        patches = height * width * kh * kw * channels
+        padded = (height + kh - 1) * (width + kw - 1) * channels
+        itemsize = np.dtype(dtype).itemsize
+        buf = mmap.mmap(-1, max((patches + padded) * itemsize, 1), flags=_MAP_FLAGS)
+        self._patches = np.frombuffer(buf, dtype, patches)
+        self._padded = np.frombuffer(buf, dtype, padded, patches * itemsize)
+        self._bordered = self._interior = None
+
+    def input(self, height, width, channels):
+        """The (height, width, channels) interior of the bordered input buffer,
+        its border zeroed, for the caller to fill before its conv."""
+        kh, kw = self._kh, self._kw
+        padded = self._padded[:(height + kh - 1) * (width + kw - 1) * channels].reshape(
+            height + kh - 1, width + kw - 1, channels)
+        ph, pw = kh // 2, kw // 2
+        padded[:ph] = padded[ph + height:] = 0
+        padded[:, :pw] = padded[:, pw + width:] = 0
+        self._bordered = padded
+        self._interior = padded[ph:ph + height, pw:pw + width]
+        return self._interior
+
+    def patches(self, x):
+        """The C-contiguous (H*W, kh*kw*cin) patch matrix of `x`, whose rows are
+        windows in (kh, kw, cin) order; `x` is copied into the input buffer
+        unless it is the interior that `input` last returned."""
+        height, width, cin = x.shape
+        if x is not self._interior:
+            np.copyto(self.input(height, width, cin), x)
+        kh, kw = self._kh, self._kw
+        out = self._patches[:height * width * kh * kw * cin]
+        np.copyto(out.reshape(height, width, 1, kh, kw, cin),
+                  sliding_window_view(self._bordered, (kh, kw, cin)))
+        return out.reshape(height * width, kh * kw * cin)
+
+
+def conv2d(x, kernel, bias, workspace=None):
+    """Same-padding 2-D cross-correlation; kernel is (kh, kw, cin, cout) with
+    odd kh and kw, bias is (cout,).
 
     im2col: one (H*W, kh*kw*cin) patch matrix times the (kh*kw*cin, cout)
-    kernel matrix, a single GEMM.
+    kernel matrix, a single GEMM, with the bias added in place. A kh x kw
+    kernel above 1 x 1 builds its patch matrix in `workspace`, an `_Im2col`
+    for that kernel size, or in one of its own when none is given.
     """
     x = np.asarray(x)
     kh, kw, cin, cout = kernel.shape
     if x.ndim != 3 or x.shape[2] != cin:
         raise ShapeMismatchError(f"input shape {x.shape} incompatible with kernel {kernel.shape}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeMismatchError(f"kernel {kernel.shape} has an even side: no same padding")
+    if np.shape(bias) != (cout,):
+        raise ShapeMismatchError(
+            f"bias shape {np.shape(bias)} incompatible with kernel {kernel.shape}: "
+            f"expected ({cout},)")
     height, width = x.shape[:2]
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else x
-    # windows in (kh, kw, cin) order, the row order of the kernel matrix
-    patches = sliding_window_view(xp, (kh, kw, cin)).reshape(height * width, -1)
-    return (patches @ kernel.reshape(-1, cout) + bias).reshape(height, width, cout)
+    if kh == kw == 1:
+        patches = x.reshape(height * width, cin)
+    else:
+        if workspace is None:
+            workspace = _Im2col(height, width, cin, kh, kw, x.dtype)
+        patches = workspace.patches(x)
+    out = patches @ kernel.reshape(-1, cout)
+    out += bias
+    return out.reshape(height, width, cout)
 
 
-def sigmoid(v):
-    """Logistic function without overflow: saturates to exactly 0 and 1."""
-    return 0.5 + 0.5 * np.tanh(0.5 * v)
+def sigmoid(v, out=None):
+    """Logistic function without overflow: saturates to exactly 0 and 1.
+
+    0.5 + 0.5 tanh(v / 2), formed in `out` (which may be `v`) when given."""
+    out = np.asarray(np.multiply(v, 0.5, out=out))
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,26 +201,47 @@ class RefinementState:
     t: int = 0
 
 
-def conv_gru_step(w: ConvGruWeights, h, x):
-    """One gated update: h' = (1-z) h + z tanh(conv([r*h, x]))."""
+def conv_gru_step(w: ConvGruWeights, h, x, workspace=None):
+    """One gated update: h' = (1-z) h + z tanh(conv([r*h, x])).
+
+    [h, x] is written into the input buffer of `workspace` (an `_Im2col` of
+    at least this level's size and channels; one of its own when none is
+    given), and r*h then over its h channels, so neither is concatenated.
+    """
     h = np.asarray(h, dtype=np.float32)
     x = np.asarray(x, dtype=np.float32)
     if h.ndim != 3 or x.ndim != 3 or h.shape[:2] != x.shape[:2]:
         raise ShapeMismatchError(f"hidden {h.shape} and input {x.shape} must share HxW")
-    if h.shape[2] + x.shape[2] != w.wz.shape[2]:
+    hc, channels = h.shape[2], w.wz.shape[2]
+    if hc + x.shape[2] != channels:
         raise ShapeMismatchError(
-            f"gate kernels expect {w.wz.shape[2]} channels, got {h.shape[2]}+{x.shape[2]}")
-    hx = np.concatenate([h, x], axis=-1)
+            f"gate kernels expect {channels} channels, got {hc}+{x.shape[2]}")
+    if workspace is None:
+        workspace = _Im2col(*h.shape[:2], channels)
+    hx = workspace.input(*h.shape[:2], channels)
+    hx[..., :hc] = h
+    hx[..., hc:] = x
     # z and r read the same input: one conv with both gates' 2*hc outputs
-    zr = sigmoid(conv2d(hx, np.concatenate([w.wz, w.wr], axis=-1),
-                        np.concatenate([w.bz, w.br])))
-    z, r = np.split(zr, 2, axis=-1)
-    cand = np.tanh(conv2d(np.concatenate([r * h, x], axis=-1), w.wh, w.bh))
-    return (1.0 - z) * h + z * cand
+    zr = conv2d(hx, np.concatenate([w.wz, w.wr], axis=-1), np.concatenate([w.bz, w.br]),
+                workspace=workspace)
+    sigmoid(zr, out=zr)
+    z = zr[..., :hc].copy()
+    np.multiply(zr[..., hc:], h, out=hx[..., :hc])
+    del zr
+    cand = conv2d(hx, w.wh, w.bh, workspace=workspace)
+    np.tanh(cand, out=cand)
+    # (1 - z) h + z cand, formed in z
+    cand *= z
+    np.subtract(1.0, z, out=z)
+    z *= h
+    z += cand
+    return z
 
 
-def project(head: ProjectionHead, h):
-    mid = conv2d(np.asarray(h, dtype=np.float32), head.w1, head.b1)
+def project(head: ProjectionHead, h, workspace=None):
+    """The head's residual of hidden state `h`; its 3x3 conv builds its patch
+    matrix in `workspace` when one is given."""
+    mid = conv2d(np.asarray(h, dtype=np.float32), head.w1, head.b1, workspace=workspace)
     np.maximum(mid, 0.0, out=mid)
     return conv2d(mid, head.w2, head.b2)
 
@@ -162,25 +256,36 @@ def _resize_nearest(x, like):
 
 
 def refinement_step(state: RefinementState, weights: RefinementWeights) -> RefinementState:
-    """One iteration: the depth-normal flow, then the safe-zone flow on its updated geometry."""
+    """One iteration: the depth-normal flow, then the safe-zone flow on its updated geometry.
+
+    Every 3x3 conv of the step (the fused z/r and the candidate conv of each
+    of the four GRUs, and the first conv of each of the three heads) builds
+    its patch matrix in one `_Im2col`, allocated before the first conv at the
+    size of the largest: the 1/4 level with hidden + SLZ_INPUT_CHANNELS
+    channels. Each conv is still one whole-matrix GEMM, so the bits are those
+    of separate buffers.
+    """
+    ws = _Im2col(*state.depth.shape, weights.hidden_channels + SLZ_INPUT_CHANNELS)
     x_q = np.concatenate([state.depth[..., None], state.normal], axis=-1)
     new_f = conv_gru_step(weights.gru_fourteenth, state.hidden_fourteenth,
-                          _resize_nearest(x_q, state.hidden_fourteenth))
+                          _resize_nearest(x_q, state.hidden_fourteenth), workspace=ws)
     new_s = conv_gru_step(weights.gru_seventh,
                           state.hidden_seventh + _resize_nearest(new_f, state.hidden_seventh),
-                          _resize_nearest(x_q, state.hidden_seventh))
+                          _resize_nearest(x_q, state.hidden_seventh), workspace=ws)
     new_q = conv_gru_step(weights.gru_quarter,
                           state.hidden_quarter + _resize_nearest(new_s, state.hidden_quarter),
-                          x_q)
-    depth = state.depth + project(weights.proj_depth, new_q)[..., 0]
-    normal = state.normal + project(weights.proj_normal, new_q)
+                          x_q, workspace=ws)
+    depth = state.depth + project(weights.proj_depth, new_q, workspace=ws)[..., 0]
+    normal = state.normal + project(weights.proj_normal, new_q, workspace=ws)
 
     new_h = conv_gru_step(weights.gru_slz, state.slz_hidden,
-                          np.concatenate([depth[..., None], normal, state.slz], axis=-1))
+                          np.concatenate([depth[..., None], normal, state.slz], axis=-1),
+                          workspace=ws)
     return replace(state,
                    hidden_quarter=new_q, hidden_seventh=new_s, hidden_fourteenth=new_f,
                    slz_hidden=new_h, depth=depth, normal=normal,
-                   slz=state.slz + project(weights.proj_slz, new_h), t=state.t + 1)
+                   slz=state.slz + project(weights.proj_slz, new_h, workspace=ws),
+                   t=state.t + 1)
 
 
 def run_refinement(init: RefinementState, weights: RefinementWeights, steps: int):

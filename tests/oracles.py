@@ -8,7 +8,10 @@ The loss references at the end are earlier package implementations kept
 verbatim: the (H, W, 3) normal pipeline with the depth-normal consistency
 value and gradient, the one-triplet-per-iteration VNL sampler, the slz
 and sequential loss values and their gradients in gather-and-scatter form,
-and the one-element-at-a-time gradient check.
+and the one-element-at-a-time gradient check. So is the refinement step
+that gave each conv buffers of its own: an ``np.pad`` copy of the input,
+a patch matrix reshaped out of ``sliding_window_view``, the ``[h, x]``
+and ``[r*h, x]`` concatenations and a second output for the bias.
 The package computes the same arithmetic in another layout, so the tests
 compare the two bit for bit.
 
@@ -23,6 +26,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from slzkit.metrics import evaluate
@@ -107,6 +111,63 @@ def refinement_iteration_ref(state, weights):
     new_h = conv_gru_ref(weights.gru_slz, state.slz_hidden, x_slz)
     slz_out = np.asarray(state.slz, np.float64) + project_ref(weights.proj_slz, new_h)
     return depth, normal, slz_out
+
+
+def conv2d_im2col_ref(x, kernel, bias):
+    """The earlier package conv2d: a padded copy, its patch matrix, one GEMM."""
+    x = np.asarray(x)
+    kh, kw, cin, cout = kernel.shape
+    height, width = x.shape[:2]
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else x
+    patches = sliding_window_view(xp, (kh, kw, cin)).reshape(height * width, -1)
+    return (patches @ kernel.reshape(-1, cout) + bias).reshape(height, width, cout)
+
+
+def conv_gru_step_ref(w, h, x):
+    """The earlier package ConvGRU update, on concatenated inputs."""
+    h = np.asarray(h, dtype=np.float32)
+    x = np.asarray(x, dtype=np.float32)
+    hx = np.concatenate([h, x], axis=-1)
+    v = conv2d_im2col_ref(hx, np.concatenate([w.wz, w.wr], axis=-1),
+                          np.concatenate([w.bz, w.br]))
+    z, r = np.split(0.5 + 0.5 * np.tanh(0.5 * v), 2, axis=-1)
+    cand = np.tanh(conv2d_im2col_ref(np.concatenate([r * h, x], axis=-1), w.wh, w.bh))
+    return (1.0 - z) * h + z * cand
+
+
+def _project_step_ref(head, h):
+    mid = conv2d_im2col_ref(np.asarray(h, dtype=np.float32), head.w1, head.b1)
+    np.maximum(mid, 0.0, out=mid)
+    return conv2d_im2col_ref(mid, head.w2, head.b2)
+
+
+def _resize_step_ref(x, like):
+    h, w = x.shape[:2]
+    rows = np.arange(like.shape[0]) * h // like.shape[0]
+    cols = np.arange(like.shape[1]) * w // like.shape[1]
+    return x[rows[:, None], cols[None, :]]
+
+
+def refinement_step_ref(state, weights):
+    """The earlier package refinement_step: float32, every conv on buffers of its own."""
+    x_q = np.concatenate([state.depth[..., None], state.normal], axis=-1)
+    new_f = conv_gru_step_ref(weights.gru_fourteenth, state.hidden_fourteenth,
+                              _resize_step_ref(x_q, state.hidden_fourteenth))
+    new_s = conv_gru_step_ref(weights.gru_seventh,
+                              state.hidden_seventh + _resize_step_ref(new_f, state.hidden_seventh),
+                              _resize_step_ref(x_q, state.hidden_seventh))
+    new_q = conv_gru_step_ref(weights.gru_quarter,
+                              state.hidden_quarter + _resize_step_ref(new_s, state.hidden_quarter),
+                              x_q)
+    depth = state.depth + _project_step_ref(weights.proj_depth, new_q)[..., 0]
+    normal = state.normal + _project_step_ref(weights.proj_normal, new_q)
+    new_h = conv_gru_step_ref(weights.gru_slz, state.slz_hidden,
+                              np.concatenate([depth[..., None], normal, state.slz], axis=-1))
+    return replace(state,
+                   hidden_quarter=new_q, hidden_seventh=new_s, hidden_fourteenth=new_f,
+                   slz_hidden=new_h, depth=depth, normal=normal,
+                   slz=state.slz + _project_step_ref(weights.proj_slz, new_h), t=state.t + 1)
 
 
 def zero_projection_heads(weights):

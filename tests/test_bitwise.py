@@ -1,5 +1,6 @@
-"""The planar normal kernel, the value-only losses and the batched VNL
-sampler against the earlier implementations kept in oracles.py.
+"""The planar normal kernel, the value-only losses, the batched VNL
+sampler and the refinement step against the earlier implementations kept
+in oracles.py.
 
 The arithmetic is the same operation for operation, so every comparison
 is on bit patterns (NaN payloads included), with no tolerance.
@@ -13,7 +14,7 @@ import pytest
 import oracles
 from slzkit.camera import CameraIntrinsics
 from slzkit.errors import DegenerateInputError
-from slzkit import geometry, losses
+from slzkit import geometry, losses, refinement
 from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
@@ -624,3 +625,34 @@ def test_streamed_values_keep_the_oracle_bits_under_every_band_cut(monkeypatch, 
         assert same_bits(stats.area, area)
         assert np.array_equal(stats.pixel_count, pixels)
         assert np.array_equal(stats.excluded_count, excluded)
+
+
+REFINE_STATE = ("hidden_quarter", "hidden_seventh", "hidden_fourteenth", "slz_hidden",
+                "depth", "normal", "slz")
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 3)])
+def test_conv2d_matches_the_padded_copy_conv(kernel):
+    rng = np.random.default_rng(sum(kernel))
+    x = rng.normal(size=(9, 7, 5)).astype(np.float32)
+    k = rng.normal(size=(*kernel, 5, 4)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    assert same_bits(refinement.conv2d(x, k, b), oracles.conv2d_im2col_ref(x, k, b))
+
+
+# at bases 28, 56 and 84 the 1/4 level is 7, 14 and 21 wide, not a multiple of 4
+@pytest.mark.parametrize("base,hidden", [(28, 1), (56, 3), (84, 5), (224, 8), (448, 16)])
+def test_refinement_steps_and_resume_match_the_separate_buffer_step(tmp_path, base, hidden):
+    weights = refinement.init_weights(hidden_channels=hidden, seed=base + hidden)
+    ref = refinement.demo_state(base=base, hidden_channels=hidden, seed=base)
+    states = list(refinement.run_refinement(ref, weights, 3))
+    refinement.save_state(states[-1], tmp_path)
+    states += list(refinement.run_refinement(refinement.load_state(tmp_path, hidden), weights, 2))[1:]
+    for state in states[1:]:
+        ref = oracles.refinement_step_ref(ref, weights)
+        assert state.t == ref.t
+        for name in REFINE_STATE:
+            assert same_bits(getattr(state, name), getattr(ref, name)), (state.t, name)
+    x = np.concatenate([ref.depth[..., None], ref.normal, ref.slz], axis=-1)
+    assert same_bits(refinement.conv_gru_step(weights.gru_slz, ref.slz_hidden, x),
+                     oracles.conv_gru_step_ref(weights.gru_slz, ref.slz_hidden, x))

@@ -7,6 +7,7 @@ of an input, or a kernel that keeps its intermediates alive, goes past them.
 """
 
 import gc
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from slzkit import geometry
 from slzkit import io as sio
 from slzkit.camera import CameraIntrinsics, read_intrinsics, write_intrinsics
 from slzkit.cli import _fill_defaults, _read_frame, build_parser, main
+from slzkit import refinement
 from slzkit.geometry import normals_from_depth
 from slzkit.losses import depth_normal_consistency_grad, slz_loss_grad
 from slzkit.synth import plane_depth
@@ -224,6 +226,39 @@ def test_peak_memory_of_refine_demo_does_not_grow_with_its_steps(capsys, tmp_pat
         assert code == 0
     capsys.readouterr()
     assert peaks[1] - peaks[0] <= 0.5 * 2 ** 20, f"peaks {[p / 2 ** 20 for p in peaks]} MiB"
+
+
+def test_peak_memory_of_one_refinement_step_is_bounded(monkeypatch):
+    # One step at base 448 with 16 hidden channels, above its entry memory, in
+    # (112, 112, 16) float32 hidden planes once one patch matrix (12.4 planes)
+    # is taken off: the im2col workspace, an anonymous mapping that
+    # tracemalloc does not see and that is counted here, plus the traced
+    # heap, 6.79 planes measured. A padded copy, a concatenated input and a
+    # second bias output for each conv brought it to 10.51
+    mapped = []
+
+    class CountedMap(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            obj = super().__new__(cls, *args, **kwargs)
+            mapped.append(len(obj))
+            return obj
+
+    weights = refinement.init_weights(hidden_channels=16, seed=1)
+    state = refinement.demo_state(base=448, hidden_channels=16, seed=1)
+    monkeypatch.setattr(mmap, "mmap", CountedMap)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = refinement.refinement_step(state, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.t == 1
+    plane = 112 * 112 * 16 * 4
+    patch_matrix = 112 * 112 * 9 * (16 + refinement.SLZ_INPUT_CHANNELS) * 4
+    extra = (peak - entry + sum(mapped) - patch_matrix) / plane
+    assert extra <= 7.5, f"{extra:.2f} hidden planes above entry and one patch matrix > 7.5"
 
 
 def test_peak_memory_of_the_x4_zoom_is_bounded():

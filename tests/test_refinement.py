@@ -152,6 +152,15 @@ def test_conv2d_and_gate_weights_reject_mismatched_shapes():
     with pytest.raises(ShapeMismatchError, match=re.escape(
             "input shape (4, 4, 3) incompatible with kernel (3, 3, 4, 2)")):
         conv2d(np.zeros((4, 4, 3), np.float32), w.wz, w.bz)
+    # an even side has no same padding; numpy used to fail on the reshape or the matmul
+    for side in ((2, 2), (4, 4), (3, 2)):
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"kernel {(*side, 4, 2)} has an even side: no same padding")):
+            conv2d(np.zeros((4, 4, 4), np.float32), np.zeros((*side, 4, 2), np.float32), w.bz)
+    for bias in (np.zeros(3, np.float32), np.zeros((1, 2), np.float32)):
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"bias shape {bias.shape} incompatible with kernel (3, 3, 4, 2): expected (2,)")):
+            conv2d(np.zeros((4, 4, 4), np.float32), w.wz, bias)
     with pytest.raises(ShapeMismatchError, match="gate kernels must share one shape"):
         replace(w, wr=w.wr[:, :, :3])
     with pytest.raises(ShapeMismatchError, match=re.escape("gate bias shape (3,), expected (2,)")):
