@@ -42,7 +42,8 @@ _GRU_INPUT_CHANNELS = {
 _HEAD_OUTPUT_CHANNELS = {"proj_depth": 1, "proj_normal": 3, "proj_slz": 2}
 
 
-# an anonymous private mapping, faulted in at once where the platform can
+# an anonymous private mapping; MAP_POPULATE (Linux) faults all its pages in
+# within the mmap call, which costs less than one fault a page
 _MAP_FLAGS = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
 
 
@@ -63,7 +64,7 @@ class _Im2col:
         patches = height * width * kh * kw * channels
         padded = (height + kh - 1) * (width + kw - 1) * channels
         itemsize = np.dtype(dtype).itemsize
-        buf = mmap.mmap(-1, max((patches + padded) * itemsize, 1), flags=_MAP_FLAGS)
+        buf = mmap.mmap(-1, (patches + padded) * itemsize, flags=_MAP_FLAGS)
         self._patches = np.frombuffer(buf, dtype, patches)
         self._padded = np.frombuffer(buf, dtype, padded, patches * itemsize)
         self._bordered = self._interior = None
@@ -227,7 +228,7 @@ def conv_gru_step(w: ConvGruWeights, h, x, workspace=None):
     sigmoid(zr, out=zr)
     z = zr[..., :hc].copy()
     np.multiply(zr[..., hc:], h, out=hx[..., :hc])
-    del zr
+    del zr  # freed before the candidate conv's output is made
     cand = conv2d(hx, w.wh, w.bh, workspace=workspace)
     np.tanh(cand, out=cand)
     # (1 - z) h + z cand, formed in z
