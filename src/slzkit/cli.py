@@ -262,6 +262,7 @@ def cmd_refine_demo(args):
         for kind in kinds:
             slzio.write_raster(getattr(state, kind),
                                os.path.join(args.out, f"{kind}_t{state.t}.f32r"))
+    del states  # and with it the run's workspace, before the full-resolution rasters
     for kind in kinds:
         slzio.write_raster(_bilinear_x4(getattr(state, kind)),
                            os.path.join(args.out, f"{kind}_full.f32r"))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -42,31 +41,23 @@ _GRU_INPUT_CHANNELS = {
 _HEAD_OUTPUT_CHANNELS = {"proj_depth": 1, "proj_normal": 3, "proj_slz": 2}
 
 
-# an anonymous private mapping; MAP_POPULATE (Linux) faults all its pages in
-# within the mmap call, which costs less than one fault a page
-_MAP_FLAGS = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-
-
 class _Im2col:
     """An im2col workspace: a patch matrix and a zero-bordered input buffer,
     allocated once at the size of the largest conv they serve and reused by
     every conv of one kernel size that fits in them.
 
-    Both live in one anonymous mapping of their own, so the malloc heap
-    never holds a freed patch matrix that later allocations split, and the
-    pages leave the process when the workspace is dropped.
-    `refinement_step` makes one for all the 3x3 convs of a step; `conv2d`
-    and `conv_gru_step` called without one make their own.
+    Both are views of one numpy buffer, which is not zeroed: `input` zeroes
+    the border of each input it lays out, and a conv reads only the patches
+    it has just written. `run_refinement` makes one for all the 3x3 convs of
+    its steps; `refinement_step`, `conv_gru_step` and `conv2d` called without
+    one make their own.
     """
 
     def __init__(self, height, width, channels, kh=3, kw=3, dtype=np.float32):
         self._kh, self._kw = kh, kw
         patches = height * width * kh * kw * channels
-        padded = (height + kh - 1) * (width + kw - 1) * channels
-        itemsize = np.dtype(dtype).itemsize
-        buf = mmap.mmap(-1, (patches + padded) * itemsize, flags=_MAP_FLAGS)
-        self._patches = np.frombuffer(buf, dtype, patches)
-        self._padded = np.frombuffer(buf, dtype, padded, patches * itemsize)
+        buf = np.empty(patches + (height + kh - 1) * (width + kw - 1) * channels, dtype)
+        self._patches, self._padded = buf[:patches], buf[patches:]
         self._bordered = self._interior = None
 
     def input(self, height, width, channels):
@@ -256,17 +247,24 @@ def _resize_nearest(x, like):
     return x[rows[:, None], cols[None, :]]
 
 
-def refinement_step(state: RefinementState, weights: RefinementWeights) -> RefinementState:
+def _step_workspace(state, weights):
+    """The `_Im2col` that every 3x3 conv of a step from `state` fits in: the
+    1/4 level with hidden + SLZ_INPUT_CHANNELS channels."""
+    return _Im2col(*state.depth.shape, weights.hidden_channels + SLZ_INPUT_CHANNELS)
+
+
+def refinement_step(state: RefinementState, weights: RefinementWeights,
+                    workspace=None) -> RefinementState:
     """One iteration: the depth-normal flow, then the safe-zone flow on its updated geometry.
 
     Every 3x3 conv of the step (the fused z/r and the candidate conv of each
     of the four GRUs, and the first conv of each of the three heads) builds
-    its patch matrix in one `_Im2col`, allocated before the first conv at the
-    size of the largest: the 1/4 level with hidden + SLZ_INPUT_CHANNELS
-    channels. Each conv is still one whole-matrix GEMM, so the bits are those
-    of separate buffers.
+    its patch matrix in one `_Im2col`: `workspace` when given, which must be
+    at least the size of the largest conv (`_step_workspace`), and one of
+    its own when not. Each conv is still one whole-matrix GEMM, so the bits
+    are those of separate buffers, whatever the workspace held before.
     """
-    ws = _Im2col(*state.depth.shape, weights.hidden_channels + SLZ_INPUT_CHANNELS)
+    ws = _step_workspace(state, weights) if workspace is None else workspace
     x_q = np.concatenate([state.depth[..., None], state.normal], axis=-1)
     new_f = conv_gru_step(weights.gru_fourteenth, state.hidden_fourteenth,
                           _resize_nearest(x_q, state.hidden_fourteenth), workspace=ws)
@@ -292,11 +290,16 @@ def refinement_step(state: RefinementState, weights: RefinementWeights) -> Refin
 def run_refinement(init: RefinementState, weights: RefinementWeights, steps: int):
     """An iterator over the states t = t0 .. t0+steps of `steps` iterations of
     `refinement_step`, from `init`. `steps` is checked at the call; each state
-    is computed when the iterator reaches it, and ``list(...)`` holds them all."""
+    is computed when the iterator reaches it, and ``list(...)`` holds them all.
+
+    Every step runs in one `_Im2col` workspace, built at the call, which the
+    iterator holds until it is dropped.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    return itertools.accumulate(range(steps), lambda state, _: refinement_step(state, weights),
-                                initial=init)
+    ws = _step_workspace(init, weights)
+    return itertools.accumulate(
+        range(steps), lambda state, _: refinement_step(state, weights, ws), initial=init)
 
 
 def _layout(hc):

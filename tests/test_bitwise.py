@@ -656,3 +656,19 @@ def test_refinement_steps_and_resume_match_the_separate_buffer_step(tmp_path, ba
     x = np.concatenate([ref.depth[..., None], ref.normal, ref.slz], axis=-1)
     assert same_bits(refinement.conv_gru_step(weights.gru_slz, ref.slz_hidden, x),
                      oracles.conv_gru_step_ref(weights.gru_slz, ref.slz_hidden, x))
+
+
+@pytest.mark.parametrize("base,hidden", [(28, 1), (84, 5), (224, 8)])
+def test_a_step_reads_nothing_its_workspace_held_before(base, hidden):
+    # the workspace is not zeroed: its first step finds NaN in every element,
+    # and the first, smaller convs of its second step find what the first left
+    weights = refinement.init_weights(hidden_channels=hidden, seed=base + hidden)
+    ref = state = refinement.demo_state(base=base, hidden_channels=hidden, seed=base)
+    ws = refinement._Im2col(*state.depth.shape, hidden + refinement.SLZ_INPUT_CHANNELS)
+    ws._patches.fill(np.nan)
+    ws._padded.fill(np.nan)
+    for _ in range(2):
+        state = refinement.refinement_step(state, weights, ws)
+        ref = oracles.refinement_step_ref(ref, weights)
+        for name in REFINE_STATE:
+            assert same_bits(getattr(state, name), getattr(ref, name)), (state.t, name)

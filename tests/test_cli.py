@@ -566,11 +566,11 @@ def test_refine_demo_stopped_midway_keeps_the_earlier_runs_weights_and_state(
     before = {name: _tree(out / name) for name in ("weights", "state")}
     calls, real = [], refinement.refinement_step
 
-    def step(state, weights):
+    def step(state, weights, workspace):
         calls.append(state.t)
         if len(calls) == 2:
             raise MemoryError("out of memory at the second step")
-        return real(state, weights)
+        return real(state, weights, workspace)
 
     monkeypatch.setattr(refinement, "refinement_step", step)
     code, stdout, err = run_cli(capsys, "refine-demo", "--T", "3", "--seed", "5",

@@ -226,11 +226,26 @@ def test_run_refinement_computes_each_state_when_it_is_reached(monkeypatch):
     state = demo_state(base=28, hidden_channels=4, seed=10)
     calls, real = [], refinement_step
     monkeypatch.setattr(refinement, "refinement_step",
-                        lambda s, w: calls.append(s.t) or real(s, w))
+                        lambda s, w, ws: calls.append(s.t) or real(s, w, ws))
     states = run_refinement(state, weights, 3)
     assert next(states) is state and calls == []
     assert next(states).t == 1 and calls == [0]
     assert [s.t for s in states] == [2, 3] and calls == [0, 1, 2]
+
+
+def test_run_refinement_builds_one_workspace_for_all_its_steps(monkeypatch):
+    weights = init_weights(hidden_channels=4, seed=10)
+    state = demo_state(base=56, hidden_channels=4, seed=10)
+    built = []
+
+    class Counted(refinement._Im2col):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(refinement, "_Im2col", Counted)
+    assert [s.t for s in run_refinement(state, weights, 4)] == [0, 1, 2, 3, 4]
+    assert built == [(14, 14, 4 + refinement.SLZ_INPUT_CHANNELS)]
 
 
 def test_zero_heads_fixed_point_for_t4():
