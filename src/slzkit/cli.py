@@ -217,7 +217,7 @@ def _bilinear_x4(raster):
     return arr
 
 
-_STEP_RASTER = re.compile(r"(depth|normal|slz)_t-?\d+\.f32r")
+_STEP_RASTER = re.compile(r"(depth|normal|slz)_t(0|[1-9][0-9]*)\.f32r")
 
 
 def cmd_refine_demo(args):

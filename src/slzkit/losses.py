@@ -72,13 +72,6 @@ def decayed_sum(values, gamma):
     return total
 
 
-def _kept(mask, count):
-    """The index that gathers the `count` pixels set in a boolean mask
-    from a raveled raster of its shape. When that is every pixel it is a
-    slice, so no index array is built and no boolean gather runs."""
-    return slice(None) if count == mask.size else mask.ravel()
-
-
 def _valid_count(valid, shape):
     """``(valid, n)``: the valid mask as an array (None for every pixel) and
     the number of pixels a loss averages over, those nonzero in it."""
@@ -112,25 +105,17 @@ def _band(x, rows, ndim):
 
 def _kept_values(x, valid, rows):
     """The values of the band ``x`` (lead + (rows, W), float64, C order) at
-    the valid pixels of ``rows``, row-major, as lead + (k,) with each
-    raster's values contiguous: a stack's gather comes out column-major,
-    and is made row-major so that each raster's values sum as one raster's."""
-    if valid is None:
-        return x.reshape(x.shape[:-2] + (-1,))
-    return np.ascontiguousarray(x[..., valid[rows] != 0])
-
-
-def _mean(x, kept):
-    """Mean of the kept pixels (see :func:`_kept`) over x's trailing
-    (H, W) axes: a float64 for one raster, one per raster of a stack. A
-    stack's gather is made row-contiguous, so that each row is summed
-    pairwise as one raster is; a column-major gather sums it sequentially."""
-    rows = x.reshape(x.shape[:-2] + (-1,))[..., kept]
-    return np.ascontiguousarray(rows).mean(axis=-1)
+    the pixels of ``rows`` nonzero in `valid` (the raster's mask or its
+    ravel, None for every pixel), row-major, as lead + (k,) with each raster's values contiguous. The
+    gather runs through one flat boolean index, which builds no index
+    arrays; a stack's gather comes out column-major, and is made row-major
+    so that each raster's values sum pairwise as one raster's."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return flat if valid is None else np.ascontiguousarray(flat[..., valid[rows].ravel() != 0])
 
 
 # numpy adds a contiguous float64 run pairwise: a run of more than 128
-# values splits at n // 2 - (n // 2) % 8 into two runs, each added alike,
+# values splits into two runs where _pairwise splits it, each added alike,
 # and their sums are added. _StreamedMean cuts its n values along that tree.
 # Values of one leaf of a streamed mean, the most it buffers: 256 KiB of
 # float64, about a row band (geometry._BAND_ELEMENTS). At least 128, or a
@@ -138,40 +123,33 @@ def _mean(x, kept):
 _MEAN_LEAF = 2 ** 15
 
 
-def _leaves(n, leaf):
-    """The sizes, in order, of the subtrees of at most `leaf` (>= 128)
-    values that numpy's pairwise tree over n values splits into."""
+def _pairwise(n, leaf, at_leaf):
+    """``at_leaf(size)`` of each subtree of at most `leaf` (>= 128) values
+    that numpy's pairwise tree over n values splits into, called in order
+    (the left operand of + first) and added up the tree."""
     if n <= leaf:
-        return [n]
+        return at_leaf(n)
     half = n // 2 - n // 2 % 8
-    return _leaves(half, leaf) + _leaves(n - half, leaf)
-
-
-def _tree_sum(n, leaf, sums):
-    """The sums of the :func:`_leaves` of n values (an iterator, in order)
-    added up numpy's pairwise tree."""
-    if n <= leaf:
-        return next(sums)
-    half = n // 2 - n // 2 % 8
-    return _tree_sum(half, leaf, sums) + _tree_sum(n - half, leaf, sums)
+    return _pairwise(half, leaf, at_leaf) + _pairwise(n - half, leaf, at_leaf)
 
 
 class _StreamedMean:
     """The mean of n float64 values that arrive in order, a run at a time,
     bit for bit ``np.mean`` of the n values in one contiguous array.
 
-    The values are cut into the subtrees (leaves) of numpy's pairwise tree
-    of at most ``_MEAN_LEAF`` values; each leaf is summed by ``np.add.reduce``
-    where it lies when a run holds it whole, else once its values are
-    gathered in one leaf buffer; the leaf sums are added up the tree. A
-    run may be lead + (k,), one row per raster of a stack, each row
-    contiguous, which gives one mean per raster. Never reduce float32
-    with ``dtype=``: that reduction is buffered and adds in another order.
+    One walk of numpy's pairwise tree, :func:`_pairwise`, cuts the values
+    into its subtrees (leaves) of at most ``_MEAN_LEAF`` values, and the
+    same walk adds the leaf sums up the tree. Each leaf is summed by
+    ``np.add.reduce`` where it lies when a run holds it whole, else once its
+    values are gathered in one leaf buffer. A run may be lead + (k,), one
+    row per raster of a stack, each row contiguous, which gives one mean
+    per raster. Never reduce float32 with ``dtype=``: that reduction is
+    buffered and adds in another order.
     """
 
     def __init__(self, n, lead=()):
         self._n, self._leaf = n, _MEAN_LEAF
-        self._sizes = _leaves(n, self._leaf)
+        self._sizes = _pairwise(n, self._leaf, lambda size: [size])
         self._buf = np.empty(lead + (max(self._sizes),))
         self._fill = 0
         self._sums = []
@@ -194,7 +172,8 @@ class _StreamedMean:
 
     def mean(self):
         """The mean of all n values: a float64, or one per raster of a stack."""
-        return _tree_sum(self._n, self._leaf, iter(self._sums)) / self._n
+        sums = iter(self._sums)
+        return _pairwise(self._n, self._leaf, lambda _: next(sums)) / self._n
 
 
 def _value(total):
@@ -202,8 +181,11 @@ def _value(total):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _collinear(pts):
-    """Near-collinear test of (k, 3, 3) point triplets."""
+def _triplet_planes(pts):
+    """The planes of (k, 3, 3) point triplets p0, p1, p2 as ``(cross, norm,
+    collinear)``: the (k, 3) normals (p1 - p0) x (p2 - p0), their (k,)
+    lengths and the (k,) near-collinear test. A row's values do not depend
+    on the other rows."""
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     cr = np.cross(e1, e2)
@@ -217,7 +199,7 @@ def _collinear(pts):
     for i in np.flatnonzero(np.abs(lhs - rhs) <= 1e-12 * rhs).tolist():
         out[i] = (np.linalg.norm(cr[i])
                   <= _COLLINEAR_TOL * np.linalg.norm(e1[i]) * np.linalg.norm(e2[i]))
-    return out
+    return cr, lhs, out
 
 
 def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
@@ -226,9 +208,11 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
     Sampling is uniform over pixels valid in both rasters, from a
     counter-based Philox stream keyed by `seed`, so the exact sequence can
     be replayed by an independent checker. Triplets whose backprojected
-    points are near-collinear in either raster are rejected and redrawn.
-    Both rasters may be io.RasterRows: the valid mask is formed and each
-    batch's depths are gathered a band of rows at a time.
+    points are near-collinear in either raster are rejected and redrawn;
+    the test forms each triplet's plane normal, which the virtual-normal
+    loss reuses for the accepted triplets. Both rasters may be
+    io.RasterRows: the valid mask is formed and each batch's depths are
+    gathered a band of rows at a time.
 
     Returns an (n_samples, 3, 2) int array of (row, col) coordinates.
     """
@@ -239,9 +223,10 @@ def sample_triplets(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
 
 def _sample(d_pred, d_gt, intr, n_samples, seed):
     """:func:`sample_triplets`'s triplets a batch at a time, as ``(tri,
-    pts_p, pts_g)``: the (n_samples, 3, 2) triplets, filled up to the
-    batch's, and the (k, 3, 3) points of the batch's k accepted triplets
-    through the predicted and the ground-truth depth. The inputs are
+    n_p, n_g)``: the (n_samples, 3, 2) triplets, filled up to the batch's,
+    and the (k, 3) unit plane normals of the batch's k accepted triplets
+    through the predicted and the ground-truth depth, from the cross
+    products that the collinearity test formed. The inputs are
     checked, and the triplets allocated, when the first batch is asked for,
     so a sample count too large to hold fails at once."""
     dp, dg = _row_source(d_pred), _row_source(d_gt)
@@ -276,18 +261,12 @@ def _sample(d_pred, d_gt, intr, n_samples, seed):
         tri = np.stack(np.divmod(drawn, dp.shape[1]), axis=-1).reshape(k, 3, 2)
         attempts += k
         rows, cols = tri[..., 0], tri[..., 1]
-        pts_g = _backproject_pixels(dg, rows, cols, intr)
-        pts_p = _backproject_pixels(dp, rows, cols, intr)
-        keep = np.flatnonzero(~(_collinear(pts_g) | _collinear(pts_p)))[:n_samples - accepted]
+        cr_g, norm_g, bad_g = _triplet_planes(_backproject_pixels(dg, rows, cols, intr))
+        cr_p, norm_p, bad_p = _triplet_planes(_backproject_pixels(dp, rows, cols, intr))
+        keep = np.flatnonzero(~(bad_g | bad_p))[:n_samples - accepted]
         out[accepted:accepted + len(keep)] = tri[keep]
         accepted += len(keep)
-        yield out, pts_p[keep], pts_g[keep]
-
-
-def _plane_normals(pts):
-    """Unit plane normals for (n, 3, 3) stacked point triplets."""
-    cr = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    return cr / np.linalg.norm(cr, axis=1, keepdims=True)
+        yield out, cr_p[keep] / norm_p[keep, None], cr_g[keep] / norm_g[keep, None]
 
 
 def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
@@ -295,11 +274,12 @@ def virtual_normal_loss(d_pred, d_gt, intr: CameraIntrinsics, n_samples, seed):
 
     Each triplet of pixels is backprojected through both the predicted and
     the ground-truth depth; the loss compares the normals of the two planes.
-    Each batch of triplets becomes its distances before the next is drawn;
-    a triplet's distance does not depend on its batch.
+    The sampler hands over each batch's plane normals, formed by its
+    collinearity test, and each batch becomes its distances before the next
+    is drawn; a triplet's distance does not depend on its batch.
     """
-    dist = [np.linalg.norm(_plane_normals(pts_p) - _plane_normals(pts_g), axis=1)
-            for _, pts_p, pts_g in _sample(d_pred, d_gt, intr, n_samples, seed)]
+    dist = [np.linalg.norm(n_p - n_g, axis=1)
+            for _, n_p, n_g in _sample(d_pred, d_gt, intr, n_samples, seed)]
     return float(np.mean(np.concatenate(dist)))
 
 
@@ -400,9 +380,10 @@ def _depth_normal_consistency(d_pred, n_pred, intr, need_grad):
         raise DegenerateInputError("no pixel with both a derived and a predicted normal")
     np.subtract(1.0, dot, out=dot)
     if m.ndim == 2 or (kept == kept[0]).all():  # one gather serves every raster
-        loss = _value(_mean(dot, _kept(kept[0], counts[0])))
+        every = counts[0] == kept.shape[1]
+        loss = _value(_kept_values(dot, None if every else kept[0], slice(None)).mean(axis=-1))
     else:  # a depth of some raster left the valid range: one gather each
-        loss = np.array([_mean(row, _kept(k, c)) for row, k, c in zip(dot, kept, counts)])
+        loss = np.array([_kept_values(x, k, slice(None)).mean(axis=-1) for x, k in zip(dot, kept)])
     if not need_grad:
         return loss, None
     del dot

@@ -18,7 +18,7 @@ from slzkit import geometry, losses, refinement
 from slzkit.geometry import normals_from_depth, pixel_areas
 from slzkit.losses import (
     ClassWeights,
-    _collinear,
+    _triplet_planes,
     depth_normal_consistency,
     depth_normal_consistency_grad,
     sample_triplets,
@@ -535,7 +535,7 @@ def test_collinear_test_matches_loop_sampler_at_the_threshold():
     edges = np.array([[[float.fromhex(x) for x in e] for e in pair] for pair in THRESHOLD_EDGES])
     pts = np.concatenate([np.zeros((len(edges), 1, 3)), edges], axis=1)
     want = [bool(oracles._degenerate_triplet(p)) for p in pts]
-    assert _collinear(pts).tolist() == want
+    assert _triplet_planes(pts)[2].tolist() == want
 
 
 # --- the streamed losses and region sums under band cuts ---------------------

@@ -512,7 +512,8 @@ def test_refine_demo_removes_the_step_rasters_of_an_earlier_run(capsys, tmp_path
     out = tmp_path / "x"
     code, _, _ = run_cli(capsys, "refine-demo", "--T", "4", "--out", str(out))
     assert code == 0
-    keep = ["depth_t12.f32r.bak", "depth_t.f32r", "notes_t3.f32r", "slz_t3.f32r.txt"]
+    keep = ["depth_t12.f32r.bak", "depth_t.f32r", "notes_t3.f32r", "slz_t3.f32r.txt",
+            "depth_t-1.f32r", "slz_t007.f32r"]
     for name in keep:
         (out / name).write_text("mine\n")
     code, _, _ = run_cli(capsys, "refine-demo", "--T", "2", "--seed", "5", "--out", str(out))
